@@ -4,22 +4,20 @@
 /// Unlike the experiment benches (whose metrics are simulated seconds) and
 /// the micro benches (whose metrics are noisy wall times), the probe's
 /// counter metrics — tasks created, ready-queue pops, cost-model calls,
-/// arena bytes, memo hits — are exact integers that change only when the
-/// engine's structure changes. That makes it the anchor of the
+/// memo hits — are exact integers that change only when the engine's
+/// structure changes. That makes it the anchor of the
 /// `holmes_cli bench` trajectory: a diff on these metrics is a real
 /// behavioral change, never noise, so the CI gate can hold them to zero
 /// drift while the wall-time metrics get a noise floor.
 ///
-/// Four sections, each under its own SelfProfiler so the counters do not
+/// Three sections, each under its own SelfProfiler so the counters do not
 /// bleed into one another:
 ///   1. the paper's hybrid IB+RoCE environment (2 nodes, parameter group 1,
 ///      3 iterations) planned by the Holmes framework — the original probe;
 ///   2. the GPT-3-scale synthetic stress graph (bench/synthetic_graph.h,
 ///      ~110k tasks) through the raw TaskGraphExecutor — the ROADMAP item-3
 ///      "100k+-task iteration" target measured directly;
-///   3. arena-backed EventQueue churn (schedule + drain a fixed event
-///      population twice across a reset_storage cycle);
-///   4. a two-scenario ScenarioRunner fan sharing one SimMemo — one miss,
+///   3. a two-scenario ScenarioRunner fan sharing one SimMemo — one miss,
 ///      then one structural hit, deterministically.
 
 #include <iostream>
@@ -29,7 +27,6 @@
 #include "core/framework.h"
 #include "model/gpt_zoo.h"
 #include "obs/self_profile.h"
-#include "sim/event_queue.h"
 #include "sim/scenario_runner.h"
 #include "synthetic_graph.h"
 #include "util/units.h"
@@ -66,9 +63,6 @@ int main(int argc, char** argv) {
     report.set("counters/ready_pops", static_cast<double>(c.ready_pops));
     report.set("counters/max_ready_queue",
                static_cast<double>(c.max_ready_queue));
-    report.set("counters/events_scheduled",
-               static_cast<double>(c.events_scheduled));
-    report.set("counters/events_fired", static_cast<double>(c.events_fired));
     report.set("counters/cost_model_evals",
                static_cast<double>(c.cost_model_evals));
     report.set("iteration_time_s", metrics.iteration_time);
@@ -100,35 +94,6 @@ int main(int argc, char** argv) {
       std::cout << "gpt3 stress: " << tasks << " tasks, " << g.ready_pops
                 << " pops, peak queue " << g.max_ready_queue << ", makespan "
                 << format_time(result.makespan()) << "\n";
-    }
-
-    // Arena-backed event storage: schedule + drain a fixed event population
-    // twice across a reset_storage cycle. Block and byte totals are exact
-    // functions of the population and the arena's growth policy.
-    {
-      obs::SelfProfiler arena_profiler;
-      sim::EventQueue queue;
-      std::uint64_t fired = 0;
-      for (int pass = 0; pass < 2; ++pass) {
-        for (int i = 0; i < 4096; ++i) {
-          queue.schedule(static_cast<SimTime>(i % 97),
-                         [&fired] { ++fired; });
-        }
-        while (!queue.empty()) queue.pop()();
-        queue.reset_storage();
-      }
-      const obs::SelfProfileCounters& a = arena_profiler.snapshot().counters;
-      report.set("event_queue/events_scheduled",
-                 static_cast<double>(a.events_scheduled));
-      report.set("event_queue/events_fired",
-                 static_cast<double>(a.events_fired));
-      report.set("event_queue/arena_blocks",
-                 static_cast<double>(a.arena_blocks));
-      report.set("event_queue/arena_bytes",
-                 static_cast<double>(a.arena_bytes));
-      std::cout << "event queue: " << a.events_fired << " events fired, "
-                << a.arena_blocks << " arena blocks, " << a.arena_bytes
-                << " arena bytes\n";
     }
 
     // Memoized scenario fan: two structurally identical scenarios through a

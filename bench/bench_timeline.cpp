@@ -2,8 +2,7 @@
 /// stress graph (~110k tasks, bench/synthetic_graph.h) is simulated once,
 /// then obs::extract_timeline pulls the full time-resolved telemetry —
 /// every per-resource occupancy and queue series, per-channel byte curves,
-/// class saturation intervals and the top-talker ranking — serially and
-/// with a 4-thread slot fan.
+/// class saturation intervals and the top-talker ranking.
 ///
 /// The acceptance bar from the observability roadmap: extraction should
 /// cost under 5% of the simulation wall it describes, so `holmes_cli
@@ -11,7 +10,7 @@
 /// measured. The denominator is the self-profile's simulation leg — graph
 /// build + event loop + accounting (the accounting pass is shared: its
 /// aggregates are handed to extraction via TimelineOptions, exactly as the
-/// CLI reuses them). The bench records every leg, the serial ratio as
+/// CLI reuses them). The bench records every leg, the extraction ratio as
 /// `extract_vs_sim_ratio`, and the budget verdict as `extract_within_5pct`;
 /// CI and `holmes_cli bench` track them like any other holmes.bench.v1
 /// metric. Breakpoint totals anchor the extraction's structure: they are
@@ -78,35 +77,27 @@ int main(int argc, char** argv) {
     obs::TimelineOptions options;
     options.resource_accounts = &accounts;
     options.channel_accounts = &channels;
-    const auto serial_t0 = std::chrono::steady_clock::now();
-    const obs::Timeline serial =
+    const auto extract_t0 = std::chrono::steady_clock::now();
+    const obs::Timeline timeline =
         obs::extract_timeline(graph, result, options);
-    const double serial_s = seconds_since(serial_t0);
-
-    obs::TimelineOptions fanned_options = options;
-    fanned_options.threads = 4;
-    const auto fanned_t0 = std::chrono::steady_clock::now();
-    const obs::Timeline fanned =
-        obs::extract_timeline(graph, result, fanned_options);
-    const double fanned_s = seconds_since(fanned_t0);
+    const double extract_s = seconds_since(extract_t0);
 
     const double sim_leg_s = build_s + sim_s + acct_s;
-    const double ratio = sim_leg_s > 0 ? serial_s / sim_leg_s : 0.0;
+    const double ratio = sim_leg_s > 0 ? extract_s / sim_leg_s : 0.0;
     const bool within_budget = ratio < 0.05;
 
     report.set("task_count", static_cast<double>(tasks));
     report.set("makespan_s", result.makespan());
-    report.set("resources", static_cast<double>(serial.resources.size()));
-    report.set("channels", static_cast<double>(serial.channels.size()));
-    report.set("classes", static_cast<double>(serial.classes.size()));
-    report.set("top_talkers", static_cast<double>(serial.top_talkers.size()));
-    report.set("breakpoints", static_cast<double>(total_breakpoints(serial)));
+    report.set("resources", static_cast<double>(timeline.resources.size()));
+    report.set("channels", static_cast<double>(timeline.channels.size()));
+    report.set("classes", static_cast<double>(timeline.classes.size()));
+    report.set("top_talkers", static_cast<double>(timeline.top_talkers.size()));
+    report.set("breakpoints", static_cast<double>(total_breakpoints(timeline)));
     report.set("graph_build_wall_s", build_s);
     report.set("sim_wall_s", sim_s);
     report.set("accounting_wall_s", acct_s);
     report.set("sim_leg_wall_s", sim_leg_s);
-    report.set("extract_serial_wall_s", serial_s);
-    report.set("extract_threaded_wall_s", fanned_s);
+    report.set("extract_serial_wall_s", extract_s);
     report.set("extract_vs_sim_ratio", ratio);
     report.set("extract_within_5pct", within_budget ? 1.0 : 0.0);
 
@@ -115,21 +106,14 @@ int main(int argc, char** argv) {
               << "  graph build       " << format_time(build_s) << "\n"
               << "  sim (event loop)  " << format_time(sim_s) << "\n"
               << "  accounting        " << format_time(acct_s) << "\n"
-              << "  extract (serial)  " << format_time(serial_s) << "  ("
+              << "  extract           " << format_time(extract_s) << "  ("
               << static_cast<int>(ratio * 1000) / 10.0
               << "% of the sim leg)\n"
-              << "  extract (4 thr)   " << format_time(fanned_s) << "\n"
-              << "  " << serial.resources.size() << " resources, "
-              << serial.channels.size() << " channels, "
-              << total_breakpoints(serial) << " breakpoints\n"
+              << "  " << timeline.resources.size() << " resources, "
+              << timeline.channels.size() << " channels, "
+              << total_breakpoints(timeline) << " breakpoints\n"
               << "  budget (<5% of sim): "
               << (within_budget ? "within" : "EXCEEDED") << "\n";
-    // The fan must reproduce the serial extraction exactly; a cheap
-    // structural fingerprint guards against a racy slot.
-    if (total_breakpoints(fanned) != total_breakpoints(serial)) {
-      std::cerr << "FATAL: threaded extraction diverged from serial\n";
-      std::exit(1);
-    }
   });
   return report.write();
 }

@@ -1,7 +1,6 @@
-/// Micro-benchmarks of the telemetry subsystem: registry hot-path updates,
-/// the executor-attached recorder's overhead versus an unobserved run, and
-/// post-hoc accounting over a finished simulation. The recorder benches are
-/// the interesting ones — they bound how much instrumenting a sweep costs.
+/// Micro-benchmarks of the telemetry subsystem: post-hoc accounting over a
+/// finished simulation, against the executor run it describes, and the
+/// run-summary build behind `holmes_cli stats`.
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +11,6 @@
 #include "model/gpt_zoo.h"
 #include "net/topology.h"
 #include "obs/accounting.h"
-#include "obs/recorder.h"
 #include "sim/executor.h"
 
 using namespace holmes;
@@ -21,8 +19,7 @@ using namespace holmes::sim;
 namespace {
 
 /// A pipeline-ish graph: `width` serial resources, each running `depth`
-/// compute tasks, with transfers handing off between neighbours. Dense
-/// enough that recorder overhead per task dominates graph construction.
+/// compute tasks, with transfers handing off between neighbours.
 TaskGraph make_grid_graph(int width, int depth) {
   TaskGraph g;
   std::vector<ResourceId> gpus;
@@ -53,29 +50,6 @@ TaskGraph make_grid_graph(int width, int depth) {
 
 }  // namespace
 
-static void BM_RegistryCounterHotPath(benchmark::State& state) {
-  obs::MetricsRegistry registry;
-  obs::Counter& hot = registry.counter("device.busy_seconds",
-                                       obs::Labels{{"device", "gpu0"}});
-  for (auto _ : state) {
-    hot.add(1e-5);
-    benchmark::DoNotOptimize(hot.value());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RegistryCounterHotPath);
-
-static void BM_RegistryLabelLookup(benchmark::State& state) {
-  // The cold path the recorder avoids: name+labels -> instrument each call.
-  obs::MetricsRegistry registry;
-  for (auto _ : state) {
-    registry.counter("device.busy_seconds", obs::Labels{{"device", "gpu0"}})
-        .add(1e-5);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RegistryLabelLookup);
-
 static void BM_ExecutorUnobserved(benchmark::State& state) {
   const TaskGraph g = make_grid_graph(8, static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -85,19 +59,6 @@ static void BM_ExecutorUnobserved(benchmark::State& state) {
                           static_cast<int64_t>(g.task_count()));
 }
 BENCHMARK(BM_ExecutorUnobserved)->Arg(1 << 6)->Arg(1 << 9);
-
-static void BM_ExecutorWithRecorder(benchmark::State& state) {
-  // Same workload as BM_ExecutorUnobserved; the delta is recorder cost.
-  const TaskGraph g = make_grid_graph(8, static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    obs::MetricsRegistry registry;
-    obs::RegistryRecorder recorder(registry);
-    benchmark::DoNotOptimize(TaskGraphExecutor{}.run(g, &recorder).makespan());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(g.task_count()));
-}
-BENCHMARK(BM_ExecutorWithRecorder)->Arg(1 << 6)->Arg(1 << 9);
 
 static void BM_AccountResources(benchmark::State& state) {
   const TaskGraph g = make_grid_graph(8, static_cast<int>(state.range(0)));

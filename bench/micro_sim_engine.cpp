@@ -1,5 +1,5 @@
-/// Micro-benchmarks of the discrete-event substrate: event queue churn,
-/// task-graph construction cost, and task-graph *execution* throughput —
+/// Micro-benchmarks of the discrete-event substrate: task-graph
+/// construction cost and task-graph *execution* throughput —
 /// the quantity that bounds how many training scenarios per second the
 /// experiment benches and the autotune sweep can evaluate. The executor
 /// benches build their graph once outside the timed region so the measured
@@ -12,23 +12,9 @@
 #include "synthetic_graph.h"
 
 #include "sim/executor.h"
-#include "sim/simulator.h"
 
 using namespace holmes;
 using namespace holmes::sim;
-
-static void BM_EventQueueScheduleAndRun(benchmark::State& state) {
-  const auto events = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Simulator s;
-    for (int i = 0; i < events; ++i) {
-      s.after(static_cast<SimTime>(i % 97) * 1e-6, [] {});
-    }
-    benchmark::DoNotOptimize(s.run());
-  }
-  state.SetItemsProcessed(state.iterations() * events);
-}
-BENCHMARK(BM_EventQueueScheduleAndRun)->Arg(1 << 10)->Arg(1 << 14);
 
 namespace {
 

@@ -352,12 +352,12 @@ verify::LintReport lint_fault_plan(const FaultPlan& plan,
                               " s does not lie after its begin " +
                               format_seconds(w.begin_s) + " s");
     }
-    if (w.bandwidth_factor <= 0) {
+    if (!(std::isfinite(w.bandwidth_factor) && w.bandwidth_factor > 0)) {
       report.add(verify::kRuleFaultWindowSane, verify::Severity::kError,
                  subject,
                  "bandwidth factor " + format_seconds(w.bandwidth_factor) +
-                     " must be positive (use a small factor for a near-dead "
-                     "link, node_failure for a dead one)");
+                     " must be positive and finite (use a small factor for "
+                     "a near-dead link, node_failure for a dead one)");
     }
     if (horizon_s > 0 && w.begin_s >= horizon_s) {
       report.add(verify::kRuleFaultWindowSane, verify::Severity::kWarning,
@@ -369,11 +369,11 @@ verify::LintReport lint_fault_plan(const FaultPlan& plan,
   }
   for (std::size_t i = 0; i < plan.stragglers.size(); ++i) {
     const ComputeStraggler& s = plan.stragglers[i];
-    if (s.slowdown <= 0) {
+    if (!(std::isfinite(s.slowdown) && s.slowdown > 0)) {
       report.add(verify::kRuleFaultWindowSane, verify::Severity::kError,
                  "stragglers[" + std::to_string(i) + "]",
                  "slowdown " + format_seconds(s.slowdown) +
-                     " must be positive");
+                     " must be positive and finite");
     }
   }
 
@@ -387,10 +387,15 @@ verify::LintReport lint_fault_plan(const FaultPlan& plan,
     }
   }
   for (std::size_t i = 0; i < plan.stragglers.size(); ++i) {
-    if (straggler_ranks(topo, plan.stragglers[i]).empty()) {
+    const ComputeStraggler& s = plan.stragglers[i];
+    if (straggler_ranks(topo, s).empty()) {
       report.add(verify::kRuleFaultScopeValid, verify::Severity::kError,
                  "stragglers[" + std::to_string(i) + "]",
-                 "scope resolves to no device in the topology");
+                 s.rank >= 0 ? "rank " + std::to_string(s.rank) +
+                                   " is outside the " +
+                                   std::to_string(topo.world_size()) +
+                                   "-device world"
+                             : "scope resolves to no device in the topology");
     }
   }
   if (plan.has_node_failure()) {

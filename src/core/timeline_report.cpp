@@ -117,7 +117,6 @@ TimelineSummary build_timeline_summary(const net::Topology& topo,
     extract.window = {begin, end};
   }
   extract.saturation_threshold = options.saturation_threshold;
-  extract.threads = options.threads;
 
   const sim::RateTimeline* rates =
       artifacts.rates.empty() ? nullptr : &artifacts.rates;

@@ -14,9 +14,8 @@
 /// document is bit-identical to the accounting layer's (obs/accounting.h)
 /// for the same window, the bucketed curves are pure deterministic
 /// functions of the executed timings, and the document is byte-identical
-/// whether extraction ran serially or fanned across threads, and across
-/// resource-disjoint tie-break seeds (the schedule-stability the HV405
-/// checker proves).
+/// across resource-disjoint tie-break seeds (the schedule-stability the
+/// HV405 checker proves).
 
 #include <iosfwd>
 #include <string>
@@ -52,8 +51,6 @@ struct TimelineReportOptions {
   /// HV406 fires when the Ethernet fallback is saturated for more than
   /// this share of the observed window.
   double saturation_warn_share = 0.25;
-  /// Extraction threads; byte-identical output regardless.
-  int threads = 1;
 };
 
 struct TimelineSummary {

@@ -103,8 +103,7 @@ IterationMetrics TrainingSimulator::run(const net::Topology& topo,
                                         int iterations,
                                         const Perturbations& perturbations,
                                         std::ostream* chrome_trace,
-                                        SimArtifacts* artifacts,
-                                        sim::ExecutionObserver* observer) const {
+                                        SimArtifacts* artifacts) const {
   if (iterations < 2) {
     throw ConfigError("need at least 2 iterations (1 warm-up + 1 measured)");
   }
@@ -476,30 +475,30 @@ IterationMetrics TrainingSimulator::run(const net::Topology& topo,
   }
 
   graph_build_timer.stop();
-  // Memoized path: when no live observer needs per-task events, a
-  // structurally identical (graph, options) pair simulated earlier under
-  // the shared memo is reused verbatim — simulation results are pure
-  // functions of the structure the memo key hashes. The executor accounts
-  // its own dispatch loop as event_loop_s (memo hits skip it entirely).
+  // Memoized path: a structurally identical (graph, options) pair
+  // simulated earlier under the shared memo is reused verbatim — simulation
+  // results are pure functions of the structure the memo key hashes. The
+  // executor accounts its own dispatch loop as event_loop_s (memo hits skip
+  // it entirely).
   sim::SimResult result = [&]() -> sim::SimResult {
+    if (memo_ == nullptr) {
+      return sim::TaskGraphExecutor{exec_options}.run(graph);
+    }
     // An active rate timeline forces a bypass: the memo key hashes graph
     // structure and tie-break options, not execution-time rates, so two
     // scenarios differing only in their fault windows would collide.
-    const bool rates_active = exec_options.rates != nullptr;
-    if (memo_ != nullptr && observer == nullptr && !rates_active) {
-      const sim::SimMemo::Key key = sim::SimMemo::key(graph, exec_options);
-      if (std::shared_ptr<const sim::SimResult> cached = memo_->find(key)) {
-        return *cached;
-      }
-      auto fresh = std::make_shared<const sim::SimResult>(
-          sim::TaskGraphExecutor{exec_options}.run(graph, nullptr));
-      memo_->store(key, fresh);
-      return *fresh;
-    }
-    if (memo_ != nullptr && observer == nullptr && rates_active) {
+    if (exec_options.rates != nullptr) {
       prof::count(&obs::SelfProfileCounters::memo_bypass);
+      return sim::TaskGraphExecutor{exec_options}.run(graph);
     }
-    return sim::TaskGraphExecutor{exec_options}.run(graph, observer);
+    const sim::SimMemo::Key key = sim::SimMemo::key(graph, exec_options);
+    if (std::shared_ptr<const sim::SimResult> cached = memo_->find(key)) {
+      return *cached;
+    }
+    auto fresh = std::make_shared<const sim::SimResult>(
+        sim::TaskGraphExecutor{exec_options}.run(graph));
+    memo_->store(key, fresh);
+    return *fresh;
   }();
   if (chrome_trace != nullptr) {
     sim::TraceOptions trace_options;

@@ -67,7 +67,7 @@ struct SimArtifacts {
   std::vector<sim::ResourceId> compute_resource;
   int iterations = 0;
 
-  /// Engine self-profile of this run (holmes.self_profile.v1), populated
+  /// Engine self-profile of this run (holmes.self_profile.v2), populated
   /// only when an obs::SelfProfiler was active on the calling thread.
   std::optional<obs::SelfProfile> self_profile;
 
@@ -95,11 +95,11 @@ class TrainingSimulator {
     exec_options_ = options;
   }
 
-  /// Shares a simulation memo (see sim::SimMemo) across runs: when a run
-  /// needs no live observer, a structurally identical (graph, options) pair
-  /// simulated earlier — by this simulator or any other sharing the memo —
-  /// returns the cached result without re-running the executor. The caller
-  /// keeps ownership; pass nullptr to detach.
+  /// Shares a simulation memo (see sim::SimMemo) across runs: a structurally
+  /// identical (graph, options) pair simulated earlier — by this simulator
+  /// or any other sharing the memo — returns the cached result without
+  /// re-running the executor. Runs under a rate timeline bypass the memo.
+  /// The caller keeps ownership; pass nullptr to detach.
   void set_memo(sim::SimMemo* memo) { memo_ = memo; }
 
   /// Simulates `iterations` chained training iterations of `plan` on
@@ -107,15 +107,12 @@ class TrainingSimulator {
   /// `iterations` must be >= 2 (one warm-up minimum). `perturbations`
   /// optionally slows individual devices or adds seeded compute jitter
   /// (see core/perturbation.h). `artifacts`, when non-null, receives the
-  /// task graph and timings for post-hoc accounting; `observer`, when
-  /// non-null, is fed scheduling events while the simulation runs (e.g.
-  /// obs::RegistryRecorder).
+  /// task graph and timings for post-hoc accounting.
   IterationMetrics run(const net::Topology& topo, const TrainingPlan& plan,
                        int iterations = 3,
                        const Perturbations& perturbations = {},
                        std::ostream* chrome_trace = nullptr,
-                       SimArtifacts* artifacts = nullptr,
-                       sim::ExecutionObserver* observer = nullptr) const;
+                       SimArtifacts* artifacts = nullptr) const;
 
   const CostModel& cost_model() const { return cost_; }
 

@@ -66,16 +66,19 @@ ClusterSpec parse_cluster(const std::string& token, int index) {
 
 Topology parse_topology(const std::string& spec) {
   std::vector<ClusterSpec> clusters;
-  std::stringstream stream(spec);
-  std::string token;
-  int index = 0;
-  while (std::getline(stream, token, '+')) {
+  // Every '+'-separated token must be a cluster, the last one included:
+  // a trailing '+' is an empty cluster spec, not the end of the list.
+  std::size_t begin = 0;
+  for (int index = 0;; ++index) {
+    const std::size_t plus = spec.find('+', begin);
+    const std::string token = spec.substr(begin, plus - begin);
     if (strip(token).empty()) {
       throw ConfigError("empty cluster spec in '" + spec + "'");
     }
-    clusters.push_back(parse_cluster(token, index++));
+    clusters.push_back(parse_cluster(token, index));
+    if (plus == std::string::npos) break;
+    begin = plus + 1;
   }
-  if (clusters.empty()) throw ConfigError("empty topology spec");
   return Topology(std::move(clusters));
 }
 

@@ -35,11 +35,7 @@ SelfProfile delta(const SelfProfile& before, const SelfProfile& after) {
   c.ready_pops -= b.ready_pops;
   // max_ready_queue is a gauge, not a count: the window's peak is the outer
   // peak unless the window raised it, so keep `after`'s value as-is.
-  c.events_scheduled -= b.events_scheduled;
-  c.events_fired -= b.events_fired;
   c.cost_model_evals -= b.cost_model_evals;
-  c.arena_blocks -= b.arena_blocks;
-  c.arena_bytes -= b.arena_bytes;
   c.memo_hits -= b.memo_hits;
   c.memo_misses -= b.memo_misses;
   c.memo_bypass -= b.memo_bypass;
@@ -79,11 +75,7 @@ std::string counters_json(const SelfProfileCounters& c) {
       << ",\"ready_pushes\":" << c.ready_pushes
       << ",\"ready_pops\":" << c.ready_pops
       << ",\"max_ready_queue\":" << c.max_ready_queue
-      << ",\"events_scheduled\":" << c.events_scheduled
-      << ",\"events_fired\":" << c.events_fired
       << ",\"cost_model_evals\":" << c.cost_model_evals
-      << ",\"arena_blocks\":" << c.arena_blocks
-      << ",\"arena_bytes\":" << c.arena_bytes
       << ",\"memo_hits\":" << c.memo_hits
       << ",\"memo_misses\":" << c.memo_misses
       << ",\"memo_bypass\":" << c.memo_bypass
@@ -115,11 +107,6 @@ void print_text(std::ostream& out, const SelfProfile& profile) {
       << "  ready queue " << c.ready_pops << " pops, peak depth "
       << c.max_ready_queue << " (" << c.executor_runs << " executor run"
       << (c.executor_runs == 1 ? "" : "s") << ")\n"
-      << "  events      " << c.events_scheduled << " scheduled, "
-      << c.events_fired << " fired\n"
-      << "  arena       " << c.arena_blocks << " blocks, "
-      << format_bytes(static_cast<std::int64_t>(c.arena_bytes))
-      << " bump-allocated\n"
       << "  memo        " << c.memo_hits << " hits, " << c.memo_misses
       << " misses, " << c.memo_bypass << " bypassed ("
       << c.scenarios_run << " scenarios)\n"

@@ -9,7 +9,7 @@
 ///
 ///  - **counters** over the hot path: task/dependency/resource/channel
 ///    allocations in TaskGraph, ready-queue pushes/pops and peak depth in
-///    TaskGraphExecutor, event-queue churn in EventQueue, and cost-model
+///    TaskGraphExecutor, memo and scenario-fan totals, and cost-model
 ///    evaluations — all driven by deterministic code, so two identical runs
 ///    produce byte-identical counter JSON (tests lock this);
 ///  - **phase timers**: wall seconds of graph build, event-loop dispatch and
@@ -25,7 +25,7 @@
 /// also keeps the hooks race-free under the thread pool (a profiler only
 /// sees work executed on its own thread) and clean under tsan.
 ///
-/// The stable JSON schema is `holmes.self_profile.v1`; TrainingSimulator
+/// The stable JSON schema is `holmes.self_profile.v2`; TrainingSimulator
 /// attaches a per-run delta to SimArtifacts so `holmes_cli stats`/`explain
 /// --self-profile` and the `holmes_cli bench` trajectory can surface it
 /// (docs/observability.md).
@@ -37,7 +37,7 @@
 
 namespace holmes::obs {
 
-inline constexpr const char* kSelfProfileSchema = "holmes.self_profile.v1";
+inline constexpr const char* kSelfProfileSchema = "holmes.self_profile.v2";
 
 /// Deterministic engine counters. Every field is driven purely by the
 /// structure of the simulated work, never by wall time, so identical runs
@@ -56,15 +56,8 @@ struct SelfProfileCounters {
   std::uint64_t ready_pushes = 0;
   std::uint64_t ready_pops = 0;
   std::uint64_t max_ready_queue = 0;  ///< peak ready-queue depth (gauge)
-  // sim::EventQueue churn (the callback-driven Simulator).
-  std::uint64_t events_scheduled = 0;
-  std::uint64_t events_fired = 0;
   // core::CostModel evaluations during lowering.
   std::uint64_t cost_model_evals = 0;
-  // util::Arena (arena-backed event storage): blocks reserved and bytes
-  // bump-allocated.
-  std::uint64_t arena_blocks = 0;
-  std::uint64_t arena_bytes = 0;
   // sim::SimMemo structural-hash cache and sim::ScenarioRunner fan-out.
   // Memo and scenario totals are aggregated across worker threads by their
   // owners and flushed to the orchestrating thread's profile.
@@ -181,7 +174,7 @@ std::int64_t current_peak_rss_bytes();
 /// piece determinism tests and trajectory baselines compare exactly.
 std::string counters_json(const SelfProfileCounters& counters);
 
-/// Writes the full stable holmes.self_profile.v1 document (no trailing
+/// Writes the full stable holmes.self_profile.v2 document (no trailing
 /// newline): schema, counters, phases, peak_rss_bytes.
 void write_json(std::ostream& out, const SelfProfile& profile);
 

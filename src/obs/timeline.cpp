@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "sim/rate_timeline.h"
-#include "sim/scenario_runner.h"
 #include "util/error.h"
 
 namespace holmes::obs {
@@ -66,8 +63,8 @@ using ByteEvents = std::vector<std::pair<SimTime, double>>;
 /// event lists here are worth the four counting passes instead.
 void radix_sort_times(std::vector<SimTime>& v) {
   const std::size_t n = v.size();
-  // Reused per worker thread: the big per-class lists would otherwise pay
-  // fresh page faults on every call.
+  // Reused across calls: the big per-class lists would otherwise pay fresh
+  // page faults on every call.
   thread_local std::vector<std::uint64_t> keys;
   thread_local std::vector<std::uint64_t> scratch;
   keys.resize(n);
@@ -387,42 +384,17 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
   }
   const Window& window = timeline.window;
 
-  // Every phase below fans independent slots over one shared pool when the
-  // caller asked for threads; each slot is a pure function of its inputs,
-  // so serial and fanned extraction are byte-identical.
-  std::unique_ptr<sim::ScenarioRunner> pool;
-  if (options.threads > 1) {
-    pool = std::make_unique<sim::ScenarioRunner>(
-        static_cast<std::size_t>(options.threads));
-  }
-  const auto fan = [&](std::size_t slots,
-                       const std::function<void(std::size_t)>& fn) {
-    if (pool != nullptr && slots > 1) {
-      pool->run_all(slots, fn);
-    } else {
-      for (std::size_t slot = 0; slot < slots; ++slot) fn(slot);
-    }
-  };
-
   // Aggregates come straight from the accounting layer: same per-task
   // arithmetic, same id iteration order, so the timeline's totals are
   // bit-identical to what `stats` reports for this window. Callers that
   // already ran accounting over the resolved window pass the results in;
-  // otherwise the two independent passes are computed (and fanned) here.
+  // otherwise it runs here.
   std::vector<ResourceAccount> own_accounts;
   std::vector<ChannelAccount> own_channels;
   const bool need_resources = options.resource_accounts == nullptr;
   const bool need_channels = options.channel_accounts == nullptr;
-  if (need_resources || need_channels) {
-    fan(2, [&](std::size_t slot) {
-      if (slot == 0 && need_resources) {
-        own_accounts = account_resources(graph, result, window);
-      }
-      if (slot == 1 && need_channels) {
-        own_channels = account_channels(graph, result, window);
-      }
-    });
-  }
+  if (need_resources) own_accounts = account_resources(graph, result, window);
+  if (need_channels) own_channels = account_channels(graph, result, window);
   const std::vector<ResourceAccount>& accounts =
       need_resources ? own_accounts : *options.resource_accounts;
   const std::vector<ChannelAccount>& channel_accounts =
@@ -577,68 +549,56 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
   }
   timeline.overlays.resize(overlay_events.size());
 
-  // Finalize: every slot below is an independent pure function of the
-  // event lists above (including its own deferred time-sort).
-  const std::size_t resource_slots = accounts.size();
-  const std::size_t channel_slots = channel_accounts.size();
-  const std::size_t class_slots = timeline.classes.size();
-  const std::size_t overlay_slots = overlay_events.size();
-  const std::size_t total_slots =
-      resource_slots + channel_slots + class_slots + overlay_slots;
-  auto run_slot = [&](std::size_t slot) {
-    if (slot < resource_slots) {
-      ResourceTimeline& res = timeline.resources[slot];
-      PortEvents& events = ports[slot];
-      sort_intervals(events.busy);
-      sort_times(events.queue_up);
-      sort_times(events.queue_down);
-      res.busy = busy_from_intervals(events.busy);
-      res.queue = merge_counts(events.queue_up, events.queue_down);
-      return;
+  // Finalize each resource, channel, class and overlay from the event
+  // lists above, including its own deferred time-sort.
+  for (std::size_t r = 0; r < accounts.size(); ++r) {
+    ResourceTimeline& res = timeline.resources[r];
+    PortEvents& events = ports[r];
+    sort_intervals(events.busy);
+    sort_times(events.queue_up);
+    sort_times(events.queue_down);
+    res.busy = busy_from_intervals(events.busy);
+    res.queue = merge_counts(events.queue_up, events.queue_down);
+  }
+  for (std::size_t c = 0; c < channel_accounts.size(); ++c) {
+    ChannelTimeline& chan = timeline.channels[c];
+    ChannelEvents& events = channel_events[c];
+    sort_events(events.start);
+    sort_events(events.finish);
+    chan.id = channel_accounts[c].id;
+    chan.name = channel_accounts[c].name;
+    chan.bytes = channel_accounts[c].bytes;
+    chan.transfers = channel_accounts[c].transfers;
+    chan.busy_total = channel_accounts[c].busy;
+    chan.in_flight = merge_bytes(events.start, events.finish);
+    chan.cumulative = accumulate_bytes(events.finish);
+    chan.peak_in_flight = chan.in_flight.maximum(window.begin, window.end);
+    chan.peak_at = chan.in_flight.maximum_at(window.begin, window.end);
+  }
+  for (std::size_t k = 0; k < timeline.classes.size(); ++k) {
+    ClassTimeline& cls = timeline.classes[k];
+    ClassEvents& events = class_events[k];
+    sort_times(events.up);
+    sort_times(events.down);
+    cls.busy_ports = merge_counts(events.up, events.down);
+    const double bar =
+        options.saturation_threshold * static_cast<double>(cls.ports);
+    cls.saturated =
+        cls.busy_ports.intervals_at_least(bar, window.begin, window.end);
+    cls.saturated_total = 0;
+    for (const auto& [lo, hi] : cls.saturated) {
+      cls.saturated_total += hi - lo;
     }
-    slot -= resource_slots;
-    if (slot < channel_slots) {
-      ChannelTimeline& chan = timeline.channels[slot];
-      ChannelEvents& events = channel_events[slot];
-      sort_events(events.start);
-      sort_events(events.finish);
-      chan.id = channel_accounts[slot].id;
-      chan.name = channel_accounts[slot].name;
-      chan.bytes = channel_accounts[slot].bytes;
-      chan.transfers = channel_accounts[slot].transfers;
-      chan.busy_total = channel_accounts[slot].busy;
-      chan.in_flight = merge_bytes(events.start, events.finish);
-      chan.cumulative = accumulate_bytes(events.finish);
-      chan.peak_in_flight = chan.in_flight.maximum(window.begin, window.end);
-      chan.peak_at = chan.in_flight.maximum_at(window.begin, window.end);
-      return;
-    }
-    slot -= channel_slots;
-    if (slot < class_slots) {
-      ClassTimeline& cls = timeline.classes[slot];
-      ClassEvents& events = class_events[slot];
-      sort_times(events.up);
-      sort_times(events.down);
-      cls.busy_ports = merge_counts(events.up, events.down);
-      const double bar =
-          options.saturation_threshold * static_cast<double>(cls.ports);
-      cls.saturated =
-          cls.busy_ports.intervals_at_least(bar, window.begin, window.end);
-      cls.saturated_total = 0;
-      for (const auto& [lo, hi] : cls.saturated) {
-        cls.saturated_total += hi - lo;
-      }
-      return;
-    }
-    slot -= class_slots;
-    RateOverlay& overlay = timeline.overlays[slot];
-    overlay.resource = overlay_events[slot].first;
-    overlay.name = graph.resource_name(overlay_events[slot].first);
+  }
+  for (std::size_t o = 0; o < overlay_events.size(); ++o) {
+    RateOverlay& overlay = timeline.overlays[o];
+    overlay.resource = overlay_events[o].first;
+    overlay.name = graph.resource_name(overlay_events[o].first);
     std::vector<SimTime> times;
     std::vector<double> values;
     times.push_back(0.0);
     values.push_back(1.0);
-    for (const auto& [t, level] : overlay_events[slot].second) {
+    for (const auto& [t, level] : overlay_events[o].second) {
       times.push_back(t);
       values.push_back(level);
     }
@@ -651,8 +611,7 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
                      [&](SimTime lo, SimTime hi, double v) {
                        if (v < 1.0) overlay.degraded_total += hi - lo;
                      });
-  };
-  fan(total_slots, run_slot);
+  }
 
   // Top talkers: links ranked by window bytes (descending, id ascending).
   Bytes total_link_bytes = 0;

@@ -29,9 +29,6 @@
 /// ready instant, by channel finish — followed by linear walks and
 /// two-pointer merges; every delta is integer-valued, so the merged running
 /// sums match an id-ordered from_deltas construction bit for bit.
-/// Extraction is optionally fanned across threads per sort/output slot and
-/// stays byte-identical because each slot is an independent pure function
-/// of its inputs.
 
 #include <functional>
 #include <string>
@@ -115,8 +112,6 @@ struct TimelineOptions {
   /// An instant is *saturated* for a class when at least this fraction of
   /// the class's ports are simultaneously busy (1.0 = every port).
   double saturation_threshold = 1.0;
-  /// Extraction threads; 1 = serial. Output is byte-identical regardless.
-  int threads = 1;
   /// Precomputed accounting aggregates to copy instead of re-deriving them.
   /// The exactness contract is on the caller: these must come from
   /// account_resources / account_channels over this extraction's *resolved*

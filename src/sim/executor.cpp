@@ -143,8 +143,7 @@ SimTime SimResult::tag_span(const TaskGraph& graph, TaskTag tag) const {
   return any ? last - first : 0;
 }
 
-SimResult TaskGraphExecutor::run(const TaskGraph& graph,
-                                 ExecutionObserver* observer) {
+SimResult TaskGraphExecutor::run(const TaskGraph& graph) {
   // Self-profiling: counts are batched into locals and flushed once after the
   // loop so the unprofiled inner loop stays untouched and the profiled one
   // pays no thread-local access per task.
@@ -242,11 +241,6 @@ SimResult TaskGraphExecutor::run(const TaskGraph& graph,
     timing[static_cast<std::size_t>(id)] = {start, finish, ports_free};
     makespan = std::max(makespan, finish);
     ++completed;
-    if (observer != nullptr) {
-      observer->on_task_scheduled(graph, id,
-                                  timing[static_cast<std::size_t>(id)],
-                                  ready_at);
-    }
 
     // Release order is irrelevant to results: ready-time maxing and
     // indegree decrements commute, and every downstream container orders by
@@ -454,9 +448,7 @@ SimResult TaskGraphExecutor::run(const TaskGraph& graph,
   }
 
   resource_busy.pop_back();  // drop the scratch slot (zeros by construction)
-  SimResult result(std::move(timing), std::move(resource_busy), makespan);
-  if (observer != nullptr) observer->on_run_complete(graph, result);
-  return result;
+  return SimResult(std::move(timing), std::move(resource_busy), makespan);
 }
 
 }  // namespace holmes::sim

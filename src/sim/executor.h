@@ -35,34 +35,6 @@ struct TaskTiming {
   SimTime ports_free = 0;
 };
 
-class SimResult;
-
-/// Event sink fed by the executor while a simulation runs. Implementations
-/// (e.g. obs::RegistryRecorder) turn scheduling events into live metrics.
-///
-/// Callback order is the executor's deterministic scheduling order: tasks
-/// are announced when they are *placed* (ready-time order, ties by id), not
-/// sorted by start time — consumers needing a time-ordered view should sort
-/// afterwards or read the SimResult.
-class ExecutionObserver {
- public:
-  virtual ~ExecutionObserver() = default;
-
-  /// Fired once per task, after its start/finish are fixed. `ready_at` is
-  /// when the task's dependencies had all finished; `timing.start -
-  /// ready_at` is therefore the time it queued for a busy resource.
-  virtual void on_task_scheduled(const TaskGraph& graph, TaskId id,
-                                 const TaskTiming& timing,
-                                 SimTime ready_at) = 0;
-
-  /// Fired once after the last task, with the complete result.
-  virtual void on_run_complete(const TaskGraph& graph,
-                               const SimResult& result) {
-    (void)graph;
-    (void)result;
-  }
-};
-
 /// Result of simulating one task graph.
 class SimResult {
  public:
@@ -137,10 +109,8 @@ class TaskGraphExecutor {
       : options_(options) {}
 
   /// Simulates `graph` from time zero. Throws holmes::ConfigError when the
-  /// dependency graph contains a cycle (some tasks can never run). When
-  /// `observer` is non-null it receives one on_task_scheduled per task plus
-  /// a final on_run_complete.
-  SimResult run(const TaskGraph& graph, ExecutionObserver* observer = nullptr);
+  /// dependency graph contains a cycle (some tasks can never run).
+  SimResult run(const TaskGraph& graph);
 
  private:
   ExecutorOptions options_;

@@ -10,12 +10,6 @@ namespace {
 /// Floor on the compound rate so a fully paused port still drains: a window
 /// cannot stall the simulation forever, only stretch it by up to 1e6x.
 constexpr double kMinRate = 1e-6;
-
-double clamped_product(const std::vector<double>& factors) {
-  double rate = 1.0;
-  for (double f : factors) rate *= f;
-  return std::max(rate, kMinRate);
-}
 }  // namespace
 
 void RateTimeline::add_window(ResourceId resource, SimTime begin, SimTime end,

@@ -50,7 +50,7 @@ enum class TaskKind : std::uint8_t { kCompute, kTransfer, kNoop };
 
 /// Compact per-task scheduling record: everything placing one task needs —
 /// resources, precomputed costs, *and* the first dependents — fused into
-/// exactly one cache line (vs the ~120-byte Task with its label string and a
+/// exactly one cache line (vs the ~96-byte Task with its label string and a
 /// separate adjacency lookup). On large graphs task ids reach the ready
 /// queue in near-random order, so placement is bound by cache misses; one
 /// line per task is the difference between one miss and three. Built and
@@ -109,13 +109,6 @@ struct Task {
   ChannelId channel = kInvalidChannel;  ///< owning communicator, if any
 
   std::string label;  ///< optional; used in traces and error messages
-
-  /// Dependencies of a *raw* task-set fixture (see verify::TaskSetRef):
-  /// known-bad graphs the TaskGraph API would refuse are expressed as bare
-  /// `std::vector<Task>` with this field filled in. Tasks owned by a
-  /// TaskGraph leave it empty — the graph stores dependencies in its flat
-  /// edge list instead; read them via TaskGraph::deps(id).
-  std::vector<TaskId> deps;
 };
 
 class TaskGraph {

@@ -6,8 +6,8 @@
 /// A d-ary heap with d=4 halves the tree depth of a binary heap, trading
 /// (cheap, branch-predictable) extra sibling comparisons per level for
 /// (expensive) cache misses on the path — the classic win for small POD
-/// entries like the executor's ready records and the event queue's event
-/// headers. The root lives at index 0; children of i are 4i+1 .. 4i+4.
+/// entries like the executor's ready records. The root lives at index 0;
+/// children of i are 4i+1 .. 4i+4.
 ///
 /// `Before(a, b)` returns true when `a` must pop before `b`. Elements are
 /// moved with plain assignment, so keep them trivially copyable.

@@ -16,8 +16,8 @@
 /// rather than trusting TaskGraph's construction-time checks — the point of
 /// the verifier is to survive refactors that bypass or weaken those checks.
 /// The TaskSetRef view makes that testable: known-bad fixtures are raw
-/// `std::vector<sim::Task>` values that the TaskGraph API would refuse to
-/// build.
+/// `std::vector<sim::Task>` values, with their dependencies in a parallel
+/// per-task array, that the TaskGraph API would refuse to build.
 
 #include <cstddef>
 #include <span>
@@ -38,13 +38,15 @@ struct TaskSetRef {
   std::size_t resource_count = 0;
   std::size_t channel_count = 0;
   const sim::TaskGraph* graph = nullptr;
+  /// Raw fixtures only: task `i`'s dependencies, parallel to `tasks`.
+  const std::vector<std::vector<sim::TaskId>>* fixture_deps = nullptr;
 
   /// Dependencies of task `i`: a TaskGraph stores them in its flat edge
-  /// list (Task::deps stays empty there), raw fixtures carry them on the
-  /// Task records themselves.
+  /// list, a raw fixture in `fixture_deps` (none when that is null).
   std::span<const sim::TaskId> deps(std::size_t i) const {
     if (graph != nullptr) return graph->deps(static_cast<sim::TaskId>(i));
-    return (*tasks)[i].deps;
+    if (fixture_deps == nullptr) return {};
+    return (*fixture_deps)[i];
   }
 };
 

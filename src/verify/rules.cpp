@@ -126,8 +126,9 @@ const std::vector<RuleInfo>& rule_catalog() {
       {kRuleFaultWindowSane, RuleFamily::kFault, Severity::kError,
        "fault-window-sane",
        "A NIC degradation window is malformed (negative start, end not after "
-       "begin, or a non-positive bandwidth factor), or it opens after the "
-       "simulation horizon and can never take effect."},
+       "begin, or a non-positive or non-finite bandwidth factor), a "
+       "straggler's slowdown is non-positive or non-finite, or a window opens "
+       "after the simulation horizon and can never take effect."},
       {kRuleFaultScopeValid, RuleFamily::kFault, Severity::kError,
        "fault-scope-valid",
        "A fault's scope resolves to no device in the topology: unknown "

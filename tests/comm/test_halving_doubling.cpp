@@ -18,6 +18,12 @@ struct Shape {
   std::int64_t elems;
 };
 
+// gtest names each case after a byte dump of its Shape, padding included.
+// Static storage zero-fills that padding, so the names are the same on every
+// build; Shape temporaries would leave stray stack bytes in it.
+constexpr Shape kShapes[] = {{1, 8},    {2, 16}, {4, 64}, {8, 64},
+                             {16, 256}, {8, 5},  {4, 1},  {32, 97}};
+
 class HalvingDoublingSweep : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(HalvingDoublingSweep, ProgramValidates) {
@@ -59,9 +65,7 @@ TEST_P(HalvingDoublingSweep, UsesLogarithmicRounds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, HalvingDoublingSweep,
-    ::testing::Values(Shape{1, 8}, Shape{2, 16}, Shape{4, 64}, Shape{8, 64},
-                      Shape{16, 256}, Shape{8, 5}, Shape{4, 1}, Shape{32, 97}),
+    Shapes, HalvingDoublingSweep, ::testing::ValuesIn(kShapes),
     [](const ::testing::TestParamInfo<Shape>& param_info) {
       return "n" + std::to_string(param_info.param.n) + "_e" +
              std::to_string(param_info.param.elems);

@@ -43,6 +43,12 @@ struct Shape {
   std::int64_t elems;
 };
 
+// gtest names each case after a byte dump of its Shape, padding included.
+// Static storage zero-fills that padding, so the names are the same on every
+// build; Shape temporaries would leave stray stack bytes in it.
+constexpr Shape kShapes[] = {{1, 16}, {2, 16}, {3, 16},   {4, 64}, {5, 17},
+                             {8, 64}, {8, 3},  {16, 256}, {7, 1}};
+
 class InProcessSweep : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(InProcessSweep, AllReduceComputesGlobalSum) {
@@ -116,10 +122,7 @@ TEST_P(InProcessSweep, ReduceDeliversSumAtRoot) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, InProcessSweep,
-    ::testing::Values(Shape{1, 16}, Shape{2, 16}, Shape{3, 16}, Shape{4, 64},
-                      Shape{5, 17}, Shape{8, 64}, Shape{8, 3}, Shape{16, 256},
-                      Shape{7, 1}),
+    Shapes, InProcessSweep, ::testing::ValuesIn(kShapes),
     [](const ::testing::TestParamInfo<Shape>& param_info) {
       return "n" + std::to_string(param_info.param.n) + "_e" +
              std::to_string(param_info.param.elems);

@@ -4,10 +4,10 @@
 /// The goldens under tests/core/goldens/engine were recorded from the seed
 /// engine (std::function event queue, binary std::priority_queue, per-task
 /// dependency vectors) across the 36 env x group x framework fixture
-/// configs. Every hot-path rewrite since — arena-backed events, the 4-ary
-/// ready heap, the CSR graph layout, the flat trace accumulators, the
-/// parallel ScenarioRunner — must reproduce the `holmes.run_summary.v1`
-/// and `holmes.critical_path.v1` documents byte for byte.
+/// configs. Every hot-path rewrite since — the 4-ary ready heap, the CSR
+/// graph layout, the flat trace accumulators, the parallel ScenarioRunner —
+/// must reproduce the `holmes.run_summary.v1` and `holmes.critical_path.v1`
+/// documents byte for byte.
 ///
 /// Regenerate (only when the *simulated semantics* deliberately change, not
 /// for engine perf work) by running holmes_core_tests with
@@ -182,7 +182,7 @@ TEST(EngineEquivalence, FaultedHybridMatchesGolden) {
 // The parallel fan-out must be observably identical to the serial loop:
 // the same 36 configs, simulated across >= 4 ScenarioRunner threads, must
 // reproduce the same golden bytes (this is the suite the tsan CI matrix
-// runs to prove per-thread isolation of the engine's caches and arenas).
+// runs to prove per-thread isolation of the engine's caches).
 TEST(EngineEquivalence, ParallelScenarioRunnerMatchesSeedGoldens) {
   if (regen_requested()) GTEST_SKIP() << "goldens regenerate serially";
   const std::vector<Config> configs = fixture_configs();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -109,6 +110,23 @@ TEST(FaultLint, MalformedWindowFiresHV501) {
   negative_factor.nic_degradation.push_back(window);
   EXPECT_TRUE(lint_fault_plan(negative_factor, hybrid())
                   .fired(verify::kRuleFaultWindowSane));
+}
+
+TEST(FaultLint, NonFiniteFactorsFireHV501) {
+  // A JSON number like 1e999 parses to infinity; neither it nor NaN may
+  // reach the simulator, where it would turn every timing into NaN.
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    FaultPlan slow = straggler_plan();
+    slow.stragglers[0].slowdown = bad;
+    EXPECT_FALSE(lint_fault_plan(slow, hybrid()).ok()) << bad;
+
+    FaultPlan window;
+    window.nic_degradation.push_back({-1, -1, 1.0, 2.0, bad});
+    EXPECT_TRUE(lint_fault_plan(window, hybrid())
+                    .fired(verify::kRuleFaultWindowSane))
+        << bad;
+  }
 }
 
 TEST(FaultLint, WindowBeyondHorizonWarns) {

@@ -47,15 +47,6 @@ std::string timeline_json(const SimRun& run, const Topology& topo,
   return out.str();
 }
 
-TEST(TimelineReport, SerialAndThreadedExtractionAreByteIdentical) {
-  const Topology topo = Topology::hybrid_two_clusters(2);
-  const SimRun run = simulate(topo, 1);
-  TimelineReportOptions serial;
-  TimelineReportOptions fanned;
-  fanned.threads = 4;
-  EXPECT_EQ(timeline_json(run, topo, serial), timeline_json(run, topo, fanned));
-}
-
 TEST(TimelineReport, DisjointTieSeedsAreByteIdentical) {
   // kPermuteDisjoint reorders only placement decisions that commute, so the
   // executed timings — and with them every timeline byte — must not move.

@@ -77,30 +77,6 @@ TEST(TrainingSim, MemoHitReturnsIdenticalMetricsWithoutRerunning) {
   EXPECT_EQ(cold.grad_sync_span, warm.grad_sync_span);
 }
 
-TEST(TrainingSim, ObserverBypassesMemo) {
-  // A live observer needs real per-task events, so the memo must not
-  // short-circuit the run even when it holds a structural match.
-  class CountingObserver : public sim::ExecutionObserver {
-   public:
-    void on_task_scheduled(const sim::TaskGraph&, sim::TaskId,
-                           const sim::TaskTiming&, SimTime) override {
-      ++scheduled;
-    }
-    std::size_t scheduled = 0;
-  };
-  Topology topo = Topology::hybrid_two_clusters(1);
-  const TrainingPlan plan =
-      Planner(FrameworkConfig::holmes()).plan(topo, model::parameter_group(1));
-  sim::SimMemo memo;
-  TrainingSimulator simulator;
-  simulator.set_memo(&memo);
-  simulator.run(topo, plan, 2);  // populate the memo
-  CountingObserver observer;
-  simulator.run(topo, plan, 2, {}, nullptr, nullptr, &observer);
-  EXPECT_GT(observer.scheduled, 0u);
-  EXPECT_EQ(memo.hits(), 0u);
-}
-
 TEST(TrainingSim, SteadyStateIsStableAcrossIterationCounts) {
   // Measuring iteration 3 or iteration 5 must give (nearly) the same
   // steady-state time.

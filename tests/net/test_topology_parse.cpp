@@ -59,6 +59,9 @@ TEST(TopologyParse, MalformedSpecsRejected) {
   EXPECT_THROW(parse_topology("2x-8:ib"), ConfigError);
   EXPECT_THROW(parse_topology("2x8:ib@"), ConfigError);
   EXPECT_THROW(parse_topology("2x8:ib++2x8:roce"), ConfigError);
+  EXPECT_THROW(parse_topology("2x8:ib+"), ConfigError);     // trailing '+'
+  EXPECT_THROW(parse_topology("2x8:ib + "), ConfigError);
+  EXPECT_THROW(parse_topology("+2x8:ib"), ConfigError);
   EXPECT_THROW(parse_topology("ax8:ib"), ConfigError);
   EXPECT_THROW(parse_topology("2x8:ib@fast"), ConfigError);
 }

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "sim/executor.h"
-#include "sim/simulator.h"
 #include "sim/task_graph.h"
 #include "util/json.h"
 
@@ -14,8 +13,8 @@ namespace {
 
 namespace prof = self_profile;
 
-/// A small fixed workload: diamond graph on two resources plus an event
-/// chain, so every counter family has deterministic non-zero values.
+/// A small fixed workload: diamond graph on two resources, so every graph
+/// and ready-queue counter has a deterministic non-zero value.
 void run_fixed_workload() {
   sim::TaskGraph g;
   const sim::ResourceId r0 = g.add_resource("r0");
@@ -31,10 +30,6 @@ void run_fixed_workload() {
   g.add_dep(join, t);
   g.add_dep(join, b);
   (void)sim::TaskGraphExecutor{}.run(g);
-
-  sim::Simulator s;
-  for (int i = 0; i < 5; ++i) s.after(1e-6 * i, [] {});
-  (void)s.run();
 }
 
 TEST(SelfProfile, DisabledHooksCountNothing) {
@@ -43,7 +38,7 @@ TEST(SelfProfile, DisabledHooksCountNothing) {
   SelfProfiler profiler;
   const SelfProfile snap = profiler.snapshot();
   EXPECT_EQ(snap.counters.tasks_created, 0u);
-  EXPECT_EQ(snap.counters.events_scheduled, 0u);
+  EXPECT_EQ(snap.counters.ready_pops, 0u);
 }
 
 TEST(SelfProfile, CountersMatchWorkloadStructure) {
@@ -62,8 +57,6 @@ TEST(SelfProfile, CountersMatchWorkloadStructure) {
   EXPECT_EQ(c.ready_pushes, 4u);
   EXPECT_EQ(c.ready_pops, 4u);
   EXPECT_GE(c.max_ready_queue, 2u);  // a and b are ready together
-  EXPECT_EQ(c.events_scheduled, 5u);
-  EXPECT_EQ(c.events_fired, 5u);
 }
 
 TEST(SelfProfile, CountersJsonIsByteIdenticalAcrossIdenticalRuns) {
@@ -153,7 +146,7 @@ TEST(SelfProfile, PrintTextMentionsEveryCounterFamily) {
   const std::string text = out.str();
   EXPECT_NE(text.find("tasks"), std::string::npos);
   EXPECT_NE(text.find("ready queue"), std::string::npos);
-  EXPECT_NE(text.find("events"), std::string::npos);
+  EXPECT_NE(text.find("memo"), std::string::npos);
   EXPECT_NE(text.find("cost model"), std::string::npos);
   EXPECT_NE(text.find("peak RSS"), std::string::npos);
 }

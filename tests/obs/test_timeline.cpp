@@ -310,52 +310,5 @@ TEST(ExtractTimeline, RateOverlayTracksEffectiveRate) {
   EXPECT_DOUBLE_EQ(t.resources[tx].busy_total, 5.0);
 }
 
-TEST(ExtractTimeline, ParallelExtractionIsStructurallyIdentical) {
-  const TaskGraph g = mixed_graph();
-  const sim::SimResult result = TaskGraphExecutor{}.run(g);
-  const auto classify = [](const std::string& name) -> std::string {
-    return name.find(".compute") != std::string::npos ? "compute" : "NIC";
-  };
-  TimelineOptions serial;
-  TimelineOptions fanned;
-  fanned.threads = 4;
-  const Timeline a = extract_timeline(g, result, serial, classify);
-  const Timeline b = extract_timeline(g, result, fanned, classify);
-  ASSERT_EQ(a.resources.size(), b.resources.size());
-  for (std::size_t r = 0; r < a.resources.size(); ++r) {
-    // Exact vector equality: each slot is a pure function of the event
-    // lists, so the fan must not perturb a single bit.
-    EXPECT_EQ(a.resources[r].busy.times(), b.resources[r].busy.times());
-    EXPECT_EQ(a.resources[r].busy.values(), b.resources[r].busy.values());
-    EXPECT_EQ(a.resources[r].queue.times(), b.resources[r].queue.times());
-    EXPECT_EQ(a.resources[r].queue.values(), b.resources[r].queue.values());
-    EXPECT_EQ(a.resources[r].busy_total, b.resources[r].busy_total);
-  }
-  ASSERT_EQ(a.channels.size(), b.channels.size());
-  for (std::size_t c = 0; c < a.channels.size(); ++c) {
-    EXPECT_EQ(a.channels[c].in_flight.times(), b.channels[c].in_flight.times());
-    EXPECT_EQ(a.channels[c].in_flight.values(),
-              b.channels[c].in_flight.values());
-    EXPECT_EQ(a.channels[c].cumulative.times(),
-              b.channels[c].cumulative.times());
-    EXPECT_EQ(a.channels[c].peak_in_flight, b.channels[c].peak_in_flight);
-    EXPECT_EQ(a.channels[c].peak_at, b.channels[c].peak_at);
-  }
-  ASSERT_EQ(a.classes.size(), b.classes.size());
-  for (std::size_t k = 0; k < a.classes.size(); ++k) {
-    EXPECT_EQ(a.classes[k].busy_ports.times(), b.classes[k].busy_ports.times());
-    EXPECT_EQ(a.classes[k].busy_ports.values(),
-              b.classes[k].busy_ports.values());
-    EXPECT_EQ(a.classes[k].saturated, b.classes[k].saturated);
-    EXPECT_EQ(a.classes[k].saturated_total, b.classes[k].saturated_total);
-  }
-  ASSERT_EQ(a.top_talkers.size(), b.top_talkers.size());
-  for (std::size_t i = 0; i < a.top_talkers.size(); ++i) {
-    EXPECT_EQ(a.top_talkers[i].name, b.top_talkers[i].name);
-    EXPECT_EQ(a.top_talkers[i].bytes, b.top_talkers[i].bytes);
-    EXPECT_EQ(a.top_talkers[i].share, b.top_talkers[i].share);
-  }
-}
-
 }  // namespace
 }  // namespace holmes::obs

@@ -144,58 +144,6 @@ TEST(Executor, EmptyGraphHasZeroMakespan) {
   EXPECT_DOUBLE_EQ(TaskGraphExecutor{}.run(g).makespan(), 0.0);
 }
 
-class RecordingObserver final : public ExecutionObserver {
- public:
-  struct Event {
-    TaskId id;
-    TaskTiming timing;
-    SimTime ready_at;
-  };
-  std::vector<Event> events;
-  int completions = 0;
-  SimTime final_makespan = -1;
-
-  void on_task_scheduled(const TaskGraph&, TaskId id, const TaskTiming& timing,
-                         SimTime ready_at) override {
-    events.push_back({id, timing, ready_at});
-  }
-  void on_run_complete(const TaskGraph&, const SimResult& result) override {
-    ++completions;
-    final_makespan = result.makespan();
-  }
-};
-
-TEST(Executor, ObserverSeesEveryTaskWithQueueWait) {
-  TaskGraph g;
-  const ResourceId r = g.add_resource("r");
-  const TaskId a = g.add_compute(r, 2.0);
-  const TaskId b = g.add_compute(r, 1.0);  // queues behind a for 2 s
-  RecordingObserver observer;
-  const SimResult result = TaskGraphExecutor{}.run(g, &observer);
-  ASSERT_EQ(observer.events.size(), 2u);
-  EXPECT_EQ(observer.completions, 1);
-  EXPECT_DOUBLE_EQ(observer.final_makespan, result.makespan());
-  for (const auto& e : observer.events) {
-    // Timings reported to the observer match the final result.
-    EXPECT_DOUBLE_EQ(e.timing.start, result.timing(e.id).start);
-    EXPECT_DOUBLE_EQ(e.timing.finish, result.timing(e.id).finish);
-  }
-  // Both tasks were ready at t=0; b waited 2 s for the resource.
-  const auto& eb = observer.events[0].id == b ? observer.events[0]
-                                              : observer.events[1];
-  EXPECT_EQ(eb.id, b);
-  EXPECT_DOUBLE_EQ(eb.ready_at, 0.0);
-  EXPECT_DOUBLE_EQ(eb.timing.start - eb.ready_at, 2.0);
-  (void)a;
-}
-
-TEST(Executor, NullObserverIsFine) {
-  TaskGraph g;
-  const ResourceId r = g.add_resource("r");
-  g.add_compute(r, 1.0);
-  EXPECT_NO_THROW(TaskGraphExecutor{}.run(g, nullptr));
-}
-
 TEST(Executor, LargeChainIsLinear) {
   TaskGraph g;
   const ResourceId r = g.add_resource("r");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <vector>
 
 #include "sim/executor.h"
@@ -26,20 +27,38 @@ bool checked(const LintReport& report, const char* rule) {
   return std::find(rules.begin(), rules.end(), rule) != rules.end();
 }
 
-/// Raw-task fixtures: vectors the TaskGraph API would refuse to build.
-Task compute(ResourceId resource, SimTime duration,
-             std::vector<TaskId> deps = {}) {
+/// Raw-task fixtures: task sets the TaskGraph API would refuse to build.
+struct RawTask {
+  Task task;
+  std::vector<TaskId> deps;
+};
+
+/// Owns a raw fixture: the tasks plus their dependencies, parallel per task.
+struct RawTasks {
+  std::vector<Task> tasks;
+  std::vector<std::vector<TaskId>> deps;
+
+  RawTasks(std::initializer_list<RawTask> items = {}) {
+    for (const RawTask& t : items) push_back(t);
+  }
+  void push_back(const RawTask& t) {
+    tasks.push_back(t.task);
+    deps.push_back(t.deps);
+  }
+};
+
+RawTask compute(ResourceId resource, SimTime duration,
+                std::vector<TaskId> deps = {}) {
   Task task;
   task.kind = TaskKind::kCompute;
   task.resource = resource;
   task.duration = duration;
-  task.deps = std::move(deps);
-  return task;
+  return {task, std::move(deps)};
 }
 
-Task transfer(ResourceId src, ResourceId dst, Bytes bytes, double bandwidth,
-              SimTime latency, sim::ChannelId channel = sim::kInvalidChannel,
-              std::vector<TaskId> deps = {}) {
+RawTask transfer(ResourceId src, ResourceId dst, Bytes bytes, double bandwidth,
+                 SimTime latency, sim::ChannelId channel = sim::kInvalidChannel,
+                 std::vector<TaskId> deps = {}) {
   Task task;
   task.kind = TaskKind::kTransfer;
   task.src_port = src;
@@ -48,13 +67,13 @@ Task transfer(ResourceId src, ResourceId dst, Bytes bytes, double bandwidth,
   task.bandwidth = bandwidth;
   task.latency = latency;
   task.channel = channel;
-  task.deps = std::move(deps);
-  return task;
+  return {task, std::move(deps)};
 }
 
-TaskSetRef raw(const std::vector<Task>& tasks, std::size_t resources,
+TaskSetRef raw(const RawTasks& fixture, std::size_t resources,
                std::size_t channels = 0) {
-  return TaskSetRef{&tasks, resources, channels, nullptr};
+  return TaskSetRef{&fixture.tasks, resources, channels, nullptr,
+                    &fixture.deps};
 }
 
 /// A small well-formed graph: two devices computing, one transfer between
@@ -92,14 +111,14 @@ TEST(GraphLints, CleanOnWellFormedGraph) {
 }
 
 TEST(GraphLints, HV201ErrorOnDependencyCycle) {
-  const std::vector<Task> tasks = {compute(0, 1.0, {1}), compute(0, 1.0, {0})};
+  const RawTasks tasks = {compute(0, 1.0, {1}), compute(0, 1.0, {0})};
   const LintReport report = lint_graph(raw(tasks, 1));
   EXPECT_TRUE(report.fired(kRuleGraphAcyclic));
   EXPECT_FALSE(report.ok());
 }
 
 TEST(GraphLints, HV202ErrorOnDanglingDependency) {
-  const std::vector<Task> tasks = {compute(0, 1.0, {7})};
+  const RawTasks tasks = {compute(0, 1.0, {7})};
   const LintReport report = lint_graph(raw(tasks, 1));
   EXPECT_TRUE(report.fired(kRuleDepsValid));
   // Broken ids gate the reachability passes — they must not run (or crash).
@@ -107,7 +126,7 @@ TEST(GraphLints, HV202ErrorOnDanglingDependency) {
 }
 
 TEST(GraphLints, HV202ErrorOnSelfDependency) {
-  const std::vector<Task> tasks = {compute(0, 1.0, {0})};
+  const RawTasks tasks = {compute(0, 1.0, {0})};
   const LintReport report = lint_graph(raw(tasks, 1));
   EXPECT_TRUE(report.fired(kRuleDepsValid));
 }
@@ -115,14 +134,14 @@ TEST(GraphLints, HV202ErrorOnSelfDependency) {
 // ---- HV203 task-fields ----
 
 TEST(GraphLints, HV203ErrorOnUnknownResourceAndNegativeDuration) {
-  const std::vector<Task> tasks = {compute(5, 1.0), compute(0, -2.0)};
+  const RawTasks tasks = {compute(5, 1.0), compute(0, -2.0)};
   const LintReport report = lint_graph(raw(tasks, 1));
   EXPECT_TRUE(report.fired(kRuleTaskFields));
   EXPECT_EQ(report.count(Severity::kError), 2u);
 }
 
 TEST(GraphLints, HV203ErrorOnBrokenTransferFields) {
-  const std::vector<Task> tasks = {
+  const RawTasks tasks = {
       transfer(0, 0, 100, 1e9, 0),    // TX == RX port
       transfer(0, 1, 100, 0, 0),      // bytes but no bandwidth
       transfer(0, 1, -5, 1e9, 0),     // negative bytes
@@ -135,7 +154,7 @@ TEST(GraphLints, HV203ErrorOnBrokenTransferFields) {
 }
 
 TEST(GraphLints, HV203CapsDiagnosticsPerRule) {
-  std::vector<Task> tasks;
+  RawTasks tasks;
   for (int i = 0; i < 100; ++i) tasks.push_back(compute(9, 1.0));
   GraphLintOptions options;
   options.max_diagnostics_per_rule = 3;
@@ -148,7 +167,7 @@ TEST(GraphLints, HV203CapsDiagnosticsPerRule) {
 TEST(GraphLints, HV204ErrorWhenProgramOrderConflictsWithDeps) {
   // Task 0 is issued first on the device but depends on task 1 — an
   // in-order issue engine would deadlock even though deps alone are acyclic.
-  const std::vector<Task> tasks = {compute(0, 1.0, {1}), compute(0, 1.0)};
+  const RawTasks tasks = {compute(0, 1.0, {1}), compute(0, 1.0)};
   GraphLintOptions options;
   options.serial_programs = {0};
   const LintReport report = lint_graph(raw(tasks, 1), options);
@@ -157,7 +176,7 @@ TEST(GraphLints, HV204ErrorWhenProgramOrderConflictsWithDeps) {
 }
 
 TEST(GraphLints, HV204SkippedWithoutDeclaredPrograms) {
-  const std::vector<Task> tasks = {compute(0, 1.0, {1}), compute(0, 1.0)};
+  const RawTasks tasks = {compute(0, 1.0, {1}), compute(0, 1.0)};
   const LintReport report = lint_graph(raw(tasks, 1));
   EXPECT_FALSE(checked(report, kRuleSerialOrder));
 }
@@ -165,7 +184,7 @@ TEST(GraphLints, HV204SkippedWithoutDeclaredPrograms) {
 // ---- HV205 channel-conservation ----
 
 TEST(GraphLints, HV205WarnsOnImbalancedClosedChannel) {
-  const std::vector<Task> tasks = {transfer(0, 1, 100, 1e9, 0, 0),
+  const RawTasks tasks = {transfer(0, 1, 100, 1e9, 0, 0),
                                    transfer(1, 0, 40, 1e9, 0, 0)};
   const LintReport report = lint_graph(raw(tasks, 2, 1));
   EXPECT_TRUE(report.fired(kRuleChannelConservation));
@@ -173,12 +192,12 @@ TEST(GraphLints, HV205WarnsOnImbalancedClosedChannel) {
 }
 
 TEST(GraphLints, HV205CleanOnBalancedChannelAndSilentOnOpenOnes) {
-  const std::vector<Task> balanced = {transfer(0, 1, 100, 1e9, 0, 0),
+  const RawTasks balanced = {transfer(0, 1, 100, 1e9, 0, 0),
                                       transfer(1, 0, 100, 1e9, 0, 0)};
   EXPECT_FALSE(
       lint_graph(raw(balanced, 2, 1)).fired(kRuleChannelConservation));
   // One-directional (open) channels carry no conservation claim.
-  const std::vector<Task> open = {transfer(0, 1, 100, 1e9, 0, 0)};
+  const RawTasks open = {transfer(0, 1, 100, 1e9, 0, 0)};
   EXPECT_FALSE(lint_graph(raw(open, 2, 1)).fired(kRuleChannelConservation));
 }
 
@@ -196,28 +215,28 @@ TEST(ExecutionLints, CleanOnRealExecutorRun) {
 }
 
 TEST(ExecutionLints, HV301ErrorWhenSpanDisagreesWithDuration) {
-  const std::vector<Task> tasks = {compute(0, 1.0)};
+  const RawTasks tasks = {compute(0, 1.0)};
   const SimResult result({{0.0, 0.5}}, {0.5}, 0.5);
   const LintReport report = lint_execution(raw(tasks, 1), result);
   EXPECT_TRUE(report.fired(kRuleTimingMonotone));
 }
 
 TEST(ExecutionLints, HV301ErrorWhenTaskStartsBeforeDependencyFinished) {
-  const std::vector<Task> tasks = {compute(0, 1.0), compute(1, 1.0, {0})};
+  const RawTasks tasks = {compute(0, 1.0), compute(1, 1.0, {0})};
   const SimResult result({{0.0, 1.0}, {0.5, 1.5}}, {1.0, 1.0}, 1.5);
   const LintReport report = lint_execution(raw(tasks, 2), result);
   EXPECT_TRUE(report.fired(kRuleTimingMonotone));
 }
 
 TEST(ExecutionLints, HV301ErrorOnNegativeStart) {
-  const std::vector<Task> tasks = {compute(0, 1.0)};
+  const RawTasks tasks = {compute(0, 1.0)};
   const SimResult result({{-1.0, 0.0}}, {1.0}, 0.0);
   EXPECT_TRUE(
       lint_execution(raw(tasks, 1), result).fired(kRuleTimingMonotone));
 }
 
 TEST(ExecutionLints, HV302ErrorOnOverlappingSerialResource) {
-  const std::vector<Task> tasks = {compute(0, 1.0), compute(0, 1.0)};
+  const RawTasks tasks = {compute(0, 1.0), compute(0, 1.0)};
   const SimResult result({{0.0, 1.0}, {0.5, 1.5}}, {2.0}, 1.5);
   const LintReport report = lint_execution(raw(tasks, 1), result);
   EXPECT_TRUE(report.fired(kRuleResourceExclusive));
@@ -228,7 +247,7 @@ TEST(ExecutionLints, HV302PortOccupancyExcludesPropagationLatency) {
   // serialization of the first ends, while the first's *finish* (including
   // latency) is later. That is legal — ports are held for serialization
   // only.
-  const std::vector<Task> tasks = {transfer(0, 1, 1000, 1e3, 0.5),
+  const RawTasks tasks = {transfer(0, 1, 1000, 1e3, 0.5),
                                    transfer(0, 1, 1000, 1e3, 0.5)};
   const SimResult result({{0.0, 1.5}, {1.0, 2.5}}, {2.0, 2.0}, 2.5);
   const LintReport report = lint_execution(raw(tasks, 2), result);
@@ -237,7 +256,7 @@ TEST(ExecutionLints, HV302PortOccupancyExcludesPropagationLatency) {
 }
 
 TEST(ExecutionLints, HV303ErrorOnMissingTimings) {
-  const std::vector<Task> tasks = {compute(0, 1.0), compute(0, 1.0)};
+  const RawTasks tasks = {compute(0, 1.0), compute(0, 1.0)};
   const SimResult result({{0.0, 1.0}}, {1.0}, 1.0);
   const LintReport report = lint_execution(raw(tasks, 1), result);
   EXPECT_TRUE(report.fired(kRuleResultComplete));
@@ -247,7 +266,7 @@ TEST(ExecutionLints, HV303ErrorOnMissingTimings) {
 }
 
 TEST(ExecutionLints, HV303ErrorOnMakespanMismatch) {
-  const std::vector<Task> tasks = {compute(0, 1.0)};
+  const RawTasks tasks = {compute(0, 1.0)};
   const SimResult result({{0.0, 1.0}}, {1.0}, 7.0);
   EXPECT_TRUE(
       lint_execution(raw(tasks, 1), result).fired(kRuleResultComplete));

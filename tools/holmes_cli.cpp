@@ -6,13 +6,17 @@
 ///                        megatron-llama            (default holmes)
 ///       --iterations N   simulated iterations      (default 3)
 ///       --trace FILE     write a Chrome trace of the run
-///       --straggler R:F  slow rank R down by factor F (repeatable)
+///       --straggler R:F  rank R computes F times slower (repeatable). Each
+///                        is one fault-plan straggler, linted by HV501-503:
+///                        R is a rank of the topology, F a positive finite
+///                        factor, and repeats on one rank compound
 ///
 ///   holmes_cli plan <topology> <group> [--framework F]
 ///       Print the resolved plan: degrees, stage placement, partition,
 ///       per-DP-group transport.
 ///
-///   holmes_cli tune <topology> <group> [--top N]
+///   holmes_cli tune <topology> <group> [--framework F] [--top N]
+///                   [--max-pipeline N]
 ///       Auto-tune the (tensor, pipeline) layout; print the ranking.
 ///
 ///   holmes_cli sweep <topology> <group...> [--markdown|--csv]
@@ -32,9 +36,9 @@
 ///       --window A:B     clip the accounting to [A, B] seconds (explain's
 ///                        clipping semantics) instead of the steady-state
 ///                        window
-///       --straggler R:F  slow rank R down by factor F (repeatable)
+///       --straggler R:F  as for simulate
 ///       --self-profile[=FILE]  engine self-profile of the run: bare, an
-///                        extra text section; =FILE, holmes.self_profile.v1
+///                        extra text section; =FILE, holmes.self_profile.v2
 ///
 ///   holmes_cli explain <topology> <group> [options]
 ///       Simulate one scenario, extract the critical path, and print the
@@ -48,7 +52,7 @@
 ///       --top N          longest segments / what-ifs shown (default 16)
 ///       --window A:B     clip the attribution to [A, B] seconds
 ///       --trace FILE     Chrome trace with flow arrows + critical lane
-///       --straggler R:F  slow rank R down by factor F (repeatable)
+///       --straggler R:F  as for simulate
 ///       --self-profile[=FILE]  as for stats
 ///
 ///   holmes_cli timeline <topology> <group> [options]
@@ -57,9 +61,9 @@
 ///       sparklines with saturation intervals, per-link top talkers,
 ///       per-channel in-flight byte peaks, and effective-rate overlays for
 ///       degraded resources. The JSON document (holmes.timeline.v1) is
-///       byte-identical at any --threads count and across disjoint tie
-///       seeds. Fires HV406 when the Ethernet fallback fabric is saturated
-///       beyond --warn-share of the window; exit codes as for lint.
+///       byte-identical across disjoint tie seeds. Fires HV406 when the
+///       Ethernet fallback fabric is saturated beyond --warn-share of the
+///       window; exit codes as for lint.
 ///       --framework F    as for simulate          (default holmes)
 ///       --iterations N   simulated iterations     (default 3)
 ///       --window A:B     observe [A, B] seconds   (default the full run)
@@ -70,8 +74,6 @@
 ///                        (default 1.0 = every port)
 ///       --warn-share F   saturated share of the window above which HV406
 ///                        fires                    (default 0.25)
-///       --threads N      extraction fan-out workers (default 1 = serial,
-///                        0 = hardware concurrency)
 ///       --seed S         nonzero: re-run under the disjoint tie
 ///                        permutation seeded S (byte-identity probe)
 ///       --fault-plan FILE  inject a holmes.fault_plan.v1 schedule; its
@@ -79,7 +81,8 @@
 ///       --trace FILE     Chrome trace with "rate <resource>" counter
 ///                        tracks at breakpoint resolution
 ///       --json[=FILE]    stable holmes.timeline.v1 document
-///       --straggler R:F  slow rank R down by factor F (repeatable)
+///       --straggler R:F  as for simulate; appended to --fault-plan's
+///                        stragglers when both are given
 ///
 ///   holmes_cli diff <before.json> <after.json> [options]
 ///       Compare two JSON documents emitted by this tool (run summaries,
@@ -128,7 +131,9 @@
 ///       --fault-plan FILE  holmes.fault_plan.v1 document; its degradation
 ///                        windows and stragglers are active during the
 ///                        canonical run and every permutation, proving the
-///                        determinism contract holds with faults injected
+///                        determinism contract holds with faults injected.
+///                        A plan failing HV501-503 is a config error, as in
+///                        timeline
 ///
 ///   holmes_cli inject <topology> <group> --fault-plan FILE [options]
 ///       Fault injection + elastic recovery (docs/robustness.md): lint the
@@ -176,6 +181,10 @@
 ///   --version        print the build fingerprint and exit
 ///   --log-level L    debug | info | warning | error  (default warning)
 ///
+/// Each subcommand accepts exactly the positional arguments and flags
+/// listed for it above (plus --log-level); anything else is a config error
+/// (exit 3), as is a number with trailing characters ("1abc", "3x").
+///
 /// JSON output: every subcommand that emits JSON takes `--json[=FILE]`.
 /// A bare `--json` or `--json=-` writes the JSON to stdout *instead of*
 /// the text report; `--json=FILE` writes the file alongside the report.
@@ -185,19 +194,24 @@
 /// "2x8:ib+2x8:roce" (see net/topology_parse.h).
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/analytic.h"
@@ -307,6 +321,21 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
+/// Parses all of `token` as a T: "1abc", "3x" and "2.5" are errors for an
+/// integer, never 1, 3 and 2. `what` names the input in the error.
+template <typename T>
+T parse_strict(const std::string& token, const std::string& what) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc{} || ptr != end) {
+    throw ConfigError(what + " expects " +
+                      (std::is_integral_v<T> ? "a whole number" : "a number") +
+                      ", got '" + token + "'");
+  }
+  return value;
+}
+
 net::Topology resolve_topology(const std::string& name) {
   if (name.find('x') != std::string::npos &&
       name.find(':') != std::string::npos) {
@@ -317,7 +346,11 @@ net::Topology resolve_topology(const std::string& name) {
   const std::size_t colon = name.find(':');
   if (colon != std::string::npos) {
     env = name.substr(0, colon);
-    nodes = std::stoi(name.substr(colon + 1));
+    nodes = parse_strict<int>(name.substr(colon + 1),
+                              "node count of '" + name + "'");
+    if (nodes < 1) {
+      throw ConfigError("topology '" + name + "' needs at least one node");
+    }
   }
   if (env == "ib") return make_environment(NicEnv::kInfiniBand, nodes);
   if (env == "roce") return make_environment(NicEnv::kRoCE, nodes);
@@ -327,6 +360,10 @@ net::Topology resolve_topology(const std::string& name) {
   if (env == "split-roce") return make_environment(NicEnv::kSplitRoCE, nodes);
   throw ConfigError("unknown topology '" + name +
                     "' (named env or spec like 2x8:ib+2x8:roce)");
+}
+
+int parse_group(const std::string& token) {
+  return parse_strict<int>(token, "group");
 }
 
 FrameworkConfig resolve_framework(const Args& args) {
@@ -341,7 +378,43 @@ FrameworkConfig resolve_framework(const Args& args) {
 
 int option_int(const Args& args, const std::string& key, int fallback) {
   const auto it = args.options.find(key);
-  return it == args.options.end() ? fallback : std::stoi(it->second);
+  return it == args.options.end() ? fallback
+                                  : parse_strict<int>(it->second, "--" + key);
+}
+
+double option_real(const Args& args, const std::string& key,
+                   double fallback) {
+  const auto it = args.options.find(key);
+  return it == args.options.end()
+             ? fallback
+             : parse_strict<double>(it->second, "--" + key);
+}
+
+/// `--seed S`: decimal or 0x-prefixed hex.
+std::uint64_t option_seed(const Args& args, std::uint64_t fallback) {
+  const auto it = args.options.find("seed");
+  if (it == args.options.end()) return fallback;
+  const std::string& token = it->second;
+  const bool hex = token.rfind("0x", 0) == 0 || token.rfind("0X", 0) == 0;
+  std::uint64_t seed = 0;
+  const char* begin = token.data() + (hex ? 2 : 0);
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(begin, end, seed, hex ? 16 : 10);
+  if (begin == end || ec != std::errc{} || ptr != end) {
+    throw ConfigError("--seed expects an integer, got '" + token + "'");
+  }
+  return seed;
+}
+
+/// `--fail-over P` as a fraction ("5" or "5%" -> 0.05); -1 when absent.
+double option_fail_over(const Args& args) {
+  const auto it = args.options.find("fail-over");
+  if (it == args.options.end()) return -1;
+  std::string spec = it->second;
+  if (!spec.empty() && spec.back() == '%') spec.pop_back();
+  const double percent = parse_strict<double>(spec, "--fail-over");
+  if (!(percent >= 0)) throw ConfigError("--fail-over expects a percentage");
+  return percent / 100.0;
 }
 
 void apply_log_level(const Args& args) {
@@ -362,24 +435,68 @@ void apply_log_level(const Args& args) {
   }
 }
 
-Perturbations resolve_perturbations(const Args& args) {
-  Perturbations perturb;
-  for (const std::string& spec : args.stragglers) {
-    const std::size_t colon = spec.find(':');
-    if (colon == std::string::npos) {
-      throw ConfigError("--straggler expects RANK:FACTOR, got '" + spec + "'");
-    }
-    perturb.device_slowdown[std::stoi(spec.substr(0, colon))] =
-        std::stod(spec.substr(colon + 1));
-  }
-  return perturb;
-}
-
 std::string read_text_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw ConfigError("cannot open " + path);
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
+}
+
+JsonValue read_json_file(const std::string& path) {
+  const std::string text = read_text_file(path);
+  try {
+    return json_parse(text);
+  } catch (const Error& e) {
+    throw ConfigError(path + ": " + e.what());
+  }
+}
+
+/// `--straggler R:F` as a fault-plan straggler: rank R computes F times
+/// slower. R must be a whole non-negative number, because rank -1 in a
+/// plan means every device.
+ComputeStraggler parse_straggler(const std::string& spec) {
+  const std::size_t colon = spec.find(':');
+  if (colon == std::string::npos) {
+    throw ConfigError("--straggler expects RANK:FACTOR, got '" + spec + "'");
+  }
+  const std::string what = "--straggler " + spec;
+  ComputeStraggler straggler;
+  straggler.rank = parse_strict<int>(spec.substr(0, colon), what + " rank");
+  if (straggler.rank < 0) {
+    throw ConfigError(what + ": rank must not be negative");
+  }
+  straggler.slowdown =
+      parse_strict<double>(spec.substr(colon + 1), what + " factor");
+  return straggler;
+}
+
+/// The run's faults as one plan: the --fault-plan document, if any, plus a
+/// straggler per --straggler (stragglers on one rank compound). The plan
+/// must pass HV501-HV503 before it lowers to the simulator's perturbations.
+Perturbations resolve_perturbations(const Args& args,
+                                    const net::Topology& topo) {
+  FaultPlan faults;
+  std::string source;
+  const auto file = args.options.find("fault-plan");
+  if (file != args.options.end()) {
+    faults = parse_fault_plan(read_text_file(file->second));
+    source = "fault plan " + file->second;
+  }
+  for (const std::string& spec : args.stragglers) {
+    faults.stragglers.push_back(parse_straggler(spec));
+    source += (source.empty() ? "--straggler " : ", --straggler ") + spec;
+  }
+  const verify::LintReport lint = lint_fault_plan(faults, topo);
+  if (!lint.ok()) {
+    std::string problems;
+    for (const verify::Diagnostic& d : lint.diagnostics()) {
+      if (d.severity != verify::Severity::kError) continue;
+      problems += (problems.empty() ? "" : "; ") + d.rule + " " + d.subject +
+                  ": " + d.message;
+    }
+    throw ConfigError(source + " is rejected: " + problems);
+  }
+  return lower_fault_plan(faults, topo);
 }
 
 /// `--json[=FILE]` convention: absent -> no JSON; "" or "-" -> stdout
@@ -419,7 +536,7 @@ void emit_json(const Args& args, const char* what, WriteFn&& write) {
 
 /// `--self-profile[=FILE]`: bare appends a text section to the report
 /// (suppressed when --json owns stdout); =FILE writes the stable
-/// holmes.self_profile.v1 document alongside it.
+/// holmes.self_profile.v2 document alongside it.
 void emit_self_profile(const Args& args, const SimArtifacts& artifacts) {
   if (!args.options.count("self-profile")) return;
   if (!artifacts.self_profile.has_value()) return;
@@ -440,14 +557,11 @@ void emit_self_profile(const Args& args, const SimArtifacts& artifacts) {
 }
 
 int cmd_simulate(const Args& args) {
-  if (args.positional.size() < 2) {
-    throw ConfigError("usage: holmes_cli simulate <topology> <group>");
-  }
   const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = std::stoi(args.positional[1]);
+  const int group = parse_group(args.positional[1]);
   const FrameworkConfig framework = resolve_framework(args);
   const int iterations = option_int(args, "iterations", 3);
-  const Perturbations perturb = resolve_perturbations(args);
+  const Perturbations perturb = resolve_perturbations(args, topo);
 
   const TrainingPlan plan =
       Planner(framework).plan(topo, model::parameter_group(group));
@@ -477,11 +591,8 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_plan(const Args& args) {
-  if (args.positional.size() < 2) {
-    throw ConfigError("usage: holmes_cli plan <topology> <group>");
-  }
   const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = std::stoi(args.positional[1]);
+  const int group = parse_group(args.positional[1]);
   const FrameworkConfig framework = resolve_framework(args);
   const TrainingPlan plan =
       Planner(framework).plan(topo, model::parameter_group(group));
@@ -526,11 +637,8 @@ int cmd_plan(const Args& args) {
 }
 
 int cmd_tune(const Args& args) {
-  if (args.positional.size() < 2) {
-    throw ConfigError("usage: holmes_cli tune <topology> <group>");
-  }
   const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = std::stoi(args.positional[1]);
+  const int group = parse_group(args.positional[1]);
   TuneOptions options;
   options.max_pipeline = option_int(args, "max-pipeline", 8);
   const auto ranked = autotune(resolve_framework(args), topo,
@@ -555,9 +663,6 @@ int cmd_tune(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
-  if (args.positional.size() < 2) {
-    throw ConfigError("usage: holmes_cli sweep <topology> <group...>");
-  }
   const net::Topology topo = resolve_topology(args.positional[0]);
   ExperimentGrid grid("Framework sweep on " + net::format_topology(topo),
                       "Framework");
@@ -565,7 +670,7 @@ int cmd_sweep(const Args& args) {
        {FrameworkConfig::megatron_lm(), FrameworkConfig::megatron_deepspeed(),
         FrameworkConfig::megatron_llama(), FrameworkConfig::holmes()}) {
     for (std::size_t g = 1; g < args.positional.size(); ++g) {
-      const int group = std::stoi(args.positional[g]);
+      const int group = parse_group(args.positional[g]);
       grid.set(framework.name, "group " + std::to_string(group),
                run_experiment(framework, topo, group));
     }
@@ -581,11 +686,8 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_analytic(const Args& args) {
-  if (args.positional.size() < 2) {
-    throw ConfigError("usage: holmes_cli analytic <topology> <group>");
-  }
   const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = std::stoi(args.positional[1]);
+  const int group = parse_group(args.positional[1]);
   const TrainingPlan plan = Planner(resolve_framework(args))
                                 .plan(topo, model::parameter_group(group));
   const AnalyticBreakdown b = analytic_iteration(topo, plan);
@@ -606,14 +708,11 @@ int cmd_analytic(const Args& args) {
 }
 
 int cmd_stats(const Args& args) {
-  if (args.positional.size() < 2) {
-    throw ConfigError("usage: holmes_cli stats <topology> <group>");
-  }
   const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = std::stoi(args.positional[1]);
+  const int group = parse_group(args.positional[1]);
   const FrameworkConfig framework = resolve_framework(args);
   const int iterations = option_int(args, "iterations", 3);
-  const Perturbations perturb = resolve_perturbations(args);
+  const Perturbations perturb = resolve_perturbations(args, topo);
 
   RunSummaryOptions options;
   const auto window = args.options.find("window");
@@ -717,16 +816,11 @@ int cmd_stats(const Args& args) {
 }
 
 int cmd_explain(const Args& args) {
-  if (args.positional.size() < 2) {
-    throw ConfigError(
-        "usage: holmes_cli explain <topology> <group> [--framework F] "
-        "[--json[=FILE]] [--top N] [--window A:B] [--trace FILE]");
-  }
   const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = std::stoi(args.positional[1]);
+  const int group = parse_group(args.positional[1]);
   const FrameworkConfig framework = resolve_framework(args);
   const int iterations = option_int(args, "iterations", 3);
-  const Perturbations perturb = resolve_perturbations(args);
+  const Perturbations perturb = resolve_perturbations(args, topo);
 
   CriticalPathOptions options;
   const int top = option_int(args, "top", 16);
@@ -788,18 +882,12 @@ int verdict_exit_code(const verify::LintReport& report) {
 }
 
 int cmd_timeline(const Args& args) {
-  if (args.positional.size() < 2) {
-    throw ConfigError(
-        "usage: holmes_cli timeline <topology> <group> [--framework F] "
-        "[--iterations N] [--window A:B] [--buckets N] [--resource S] "
-        "[--top N] [--saturation F] [--warn-share F] [--threads N] "
-        "[--seed S] [--fault-plan FILE] [--trace FILE] [--json[=FILE]]");
-  }
   const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = std::stoi(args.positional[1]);
+  const int group = parse_group(args.positional[1]);
   const FrameworkConfig framework = resolve_framework(args);
   const int iterations = option_int(args, "iterations", 3);
-  Perturbations perturb = resolve_perturbations(args);
+  // A fault plan's degradation windows surface as effective-rate overlays.
+  const Perturbations perturb = resolve_perturbations(args, topo);
 
   TimelineReportOptions options;
   const auto window = args.options.find("window");
@@ -815,75 +903,30 @@ int cmd_timeline(const Args& args) {
   if (options.top_talkers < 0) throw ConfigError("--top expects a non-negative count");
   const auto resource = args.options.find("resource");
   if (resource != args.options.end()) options.resource_filter = resource->second;
-  const auto saturation = args.options.find("saturation");
-  if (saturation != args.options.end()) {
-    try {
-      options.saturation_threshold = std::stod(saturation->second);
-    } catch (const std::exception&) {
-      throw ConfigError("--saturation expects a fraction, got '" +
-                        saturation->second + "'");
-    }
-    if (options.saturation_threshold <= 0 || options.saturation_threshold > 1) {
-      throw ConfigError("--saturation expects a fraction in (0, 1]");
-    }
+  options.saturation_threshold =
+      option_real(args, "saturation", options.saturation_threshold);
+  if (!(options.saturation_threshold > 0 &&
+        options.saturation_threshold <= 1)) {
+    throw ConfigError("--saturation expects a fraction in (0, 1]");
   }
-  const auto warn_share = args.options.find("warn-share");
-  if (warn_share != args.options.end()) {
-    try {
-      options.saturation_warn_share = std::stod(warn_share->second);
-    } catch (const std::exception&) {
-      throw ConfigError("--warn-share expects a fraction, got '" +
-                        warn_share->second + "'");
-    }
-    if (options.saturation_warn_share < 0) {
-      throw ConfigError("--warn-share expects a non-negative fraction");
-    }
-  }
-  int threads = option_int(args, "threads", 1);
-  if (threads < 0) throw ConfigError("--threads expects a non-negative count");
-  if (threads == 0) {
-    threads = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-  }
-  options.threads = threads;
-
-  // A fault plan's runtime faults become perturbations; the lowered
-  // degradation windows then surface as effective-rate overlays. A plan
-  // that fails its own HV501-503 lint gates here, as in `check`.
-  const auto fault_plan = args.options.find("fault-plan");
-  if (fault_plan != args.options.end()) {
-    const FaultPlan faults =
-        parse_fault_plan(read_text_file(fault_plan->second));
-    const verify::LintReport plan_lint = lint_fault_plan(faults, topo);
-    if (!plan_lint.ok()) {
-      std::cout << "fault plan " << fault_plan->second << " failed lint:\n";
-      verify::print_text(std::cout, plan_lint);
-      return verdict_exit_code(plan_lint);
-    }
-    perturb = lower_fault_plan(faults, topo);
+  options.saturation_warn_share =
+      option_real(args, "warn-share", options.saturation_warn_share);
+  if (!(options.saturation_warn_share >= 0)) {
+    throw ConfigError("--warn-share expects a non-negative fraction");
   }
 
   const TrainingPlan plan =
       Planner(framework).plan(topo, model::parameter_group(group));
   TrainingSimulator simulator;
-  const auto seed = args.options.find("seed");
-  if (seed != args.options.end()) {
-    std::uint64_t tie_seed = 0;
-    try {
-      tie_seed = std::stoull(seed->second, nullptr, 0);
-    } catch (const std::exception&) {
-      throw ConfigError("--seed expects an integer, got '" + seed->second +
-                        "'");
-    }
-    if (tie_seed != 0) {
-      // The disjoint permutation must be byte-identical to canonical at any
-      // seed (the HV405 contract) — CI byte-compares timeline documents
-      // across seeds on exactly this path.
-      sim::ExecutorOptions exec;
-      exec.tie_break = sim::TieBreak::kPermuteDisjoint;
-      exec.tie_seed = tie_seed;
-      simulator.set_executor_options(exec);
-    }
+  const std::uint64_t tie_seed = option_seed(args, 0);
+  if (tie_seed != 0) {
+    // The disjoint permutation must be byte-identical to canonical at any
+    // seed (the HV405 contract) — CI byte-compares timeline documents
+    // across seeds on exactly this path.
+    sim::ExecutorOptions exec;
+    exec.tie_break = sim::TieBreak::kPermuteDisjoint;
+    exec.tie_seed = tie_seed;
+    simulator.set_executor_options(exec);
   }
 
   SimArtifacts artifacts;
@@ -923,39 +966,10 @@ bool fingerprint_leaf(const std::string& path) {
 }
 
 int cmd_diff(const Args& args) {
-  if (args.positional.size() < 2) {
-    throw ConfigError(
-        "usage: holmes_cli diff <before.json> <after.json> "
-        "[--fail-over P] [--top N] [--json[=FILE]]");
-  }
-  auto load = [](const std::string& file) {
-    std::ifstream in(file);
-    if (!in) throw ConfigError("cannot open " + file);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    try {
-      return json_parse(text);
-    } catch (const Error& e) {
-      throw ConfigError(file + ": " + e.what());
-    }
-  };
-  const JsonValue before = load(args.positional[0]);
-  const JsonValue after = load(args.positional[1]);
+  const JsonValue before = read_json_file(args.positional[0]);
+  const JsonValue after = read_json_file(args.positional[1]);
   const JsonDiffResult diff = diff_json(before, after);
-
-  double threshold = -1;  // < 0: report only, no gating
-  const auto fail_over = args.options.find("fail-over");
-  if (fail_over != args.options.end()) {
-    std::string spec = fail_over->second;
-    if (!spec.empty() && spec.back() == '%') spec.pop_back();
-    try {
-      threshold = std::stod(spec) / 100.0;
-    } catch (const std::exception&) {
-      throw ConfigError("--fail-over expects a percentage, got '" +
-                        fail_over->second + "'");
-    }
-    if (threshold < 0) throw ConfigError("--fail-over expects a percentage");
-  }
+  const double threshold = option_fail_over(args);  // < 0: report only
 
   const auto top = static_cast<std::size_t>(option_int(args, "top", 16));
   std::vector<JsonDelta> changed;
@@ -1041,6 +1055,9 @@ int cmd_diff(const Args& args) {
 
 int cmd_lint(const Args& args) {
   if (args.options.count("rules")) {
+    if (!args.positional.empty()) {
+      throw ConfigError("lint --rules takes no <topology> <group>");
+    }
     if (args.options.count("markdown")) {
       // The exact table docs/static-analysis.md embeds between its
       // rule-catalog markers; CI diffs the two to catch drift.
@@ -1059,11 +1076,11 @@ int cmd_lint(const Args& args) {
   if (args.positional.size() < 2) {
     throw ConfigError(
         "usage: holmes_cli lint <topology> <group> "
-        "[--framework F] [--json FILE] [--strict] [--no-graph] (or lint "
+        "[--framework F] [--json[=FILE]] [--strict] [--no-graph] (or lint "
         "--rules [--markdown])");
   }
   const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = std::stoi(args.positional[1]);
+  const int group = parse_group(args.positional[1]);
   const FrameworkConfig framework = resolve_framework(args);
   const int iterations = option_int(args, "iterations", 3);
 
@@ -1101,14 +1118,8 @@ int cmd_lint(const Args& args) {
 }
 
 int cmd_check(const Args& args) {
-  if (args.positional.size() < 2) {
-    throw ConfigError(
-        "usage: holmes_cli check <topology> <group> [--permutations N] "
-        "[--seed S] [--policy disjoint|all] [--framework F] [--iterations N] "
-        "[--threads N] [--json[=FILE]] [--strict] [--fault-plan FILE]");
-  }
   const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = std::stoi(args.positional[1]);
+  const int group = parse_group(args.positional[1]);
   const FrameworkConfig framework = resolve_framework(args);
 
   ScheduleCheckOptions options;
@@ -1120,15 +1131,7 @@ int cmd_check(const Args& args) {
   const int threads = option_int(args, "threads", 1);
   if (threads < 0) throw ConfigError("--threads expects a non-negative count");
   options.threads = static_cast<std::size_t>(threads);
-  const auto seed = args.options.find("seed");
-  if (seed != args.options.end()) {
-    try {
-      options.base_seed = std::stoull(seed->second, nullptr, 0);
-    } catch (const std::exception&) {
-      throw ConfigError("--seed expects an integer, got '" + seed->second +
-                        "'");
-    }
-  }
+  options.base_seed = option_seed(args, options.base_seed);
   const auto policy = args.options.find("policy");
   if (policy != args.options.end()) {
     if (policy->second == "disjoint") {
@@ -1142,21 +1145,9 @@ int cmd_check(const Args& args) {
   }
 
   // A fault plan's runtime faults (degradation windows, stragglers) are
-  // lowered to perturbations active in the canonical run and every
-  // permutation alike — the check then proves byte-determinism *with the
-  // faults injected*. A plan that fails its own HV501-503 lint gates here.
-  const auto fault_plan = args.options.find("fault-plan");
-  if (fault_plan != args.options.end()) {
-    const FaultPlan faults =
-        parse_fault_plan(read_text_file(fault_plan->second));
-    const verify::LintReport plan_lint = lint_fault_plan(faults, topo);
-    if (!plan_lint.ok()) {
-      std::cout << "fault plan " << fault_plan->second << " failed lint:\n";
-      verify::print_text(std::cout, plan_lint);
-      return verdict_exit_code(plan_lint);
-    }
-    options.perturbations = lower_fault_plan(faults, topo);
-  }
+  // active in the canonical run and every permutation alike — the check
+  // then proves byte-determinism *with the faults injected*.
+  options.perturbations = resolve_perturbations(args, topo);
 
   const TrainingPlan plan =
       Planner(framework).plan(topo, model::parameter_group(group));
@@ -1196,14 +1187,14 @@ int cmd_check(const Args& args) {
 }
 
 int cmd_inject(const Args& args) {
-  if (args.positional.size() < 2 || !args.options.count("fault-plan")) {
+  if (!args.options.count("fault-plan")) {
     throw ConfigError(
         "usage: holmes_cli inject <topology> <group> --fault-plan FILE "
         "[--framework F] [--iterations N] [--json[=FILE]]");
   }
   const net::Topology topo = resolve_topology(args.positional[0]);
   RecoveryOptions options;
-  options.group_id = std::stoi(args.positional[1]);
+  options.group_id = parse_group(args.positional[1]);
   options.framework = resolve_framework(args);
   options.iterations = option_int(args, "iterations", 3);
 
@@ -1251,35 +1242,13 @@ int cmd_bench(const Args& args) {
   if (repeat < 1) throw ConfigError("--repeat expects a positive count");
   if (warmup < 0) throw ConfigError("--warmup expects a non-negative count");
 
-  double noise_floor = 0.05;
-  const auto noise = args.options.find("noise-floor");
-  if (noise != args.options.end()) {
-    try {
-      noise_floor = std::stod(noise->second);
-    } catch (const std::exception&) {
-      throw ConfigError("--noise-floor expects seconds, got '" +
-                        noise->second + "'");
-    }
-    if (noise_floor < 0) {
-      throw ConfigError("--noise-floor expects non-negative seconds");
-    }
+  const double noise_floor = option_real(args, "noise-floor", 0.05);
+  if (!(noise_floor >= 0)) {
+    throw ConfigError("--noise-floor expects non-negative seconds");
   }
-
-  double threshold = -1;  // < 0: report only, no gating
-  const auto fail_over = args.options.find("fail-over");
-  if (fail_over != args.options.end()) {
-    std::string spec = fail_over->second;
-    if (!spec.empty() && spec.back() == '%') spec.pop_back();
-    try {
-      threshold = std::stod(spec) / 100.0;
-    } catch (const std::exception&) {
-      throw ConfigError("--fail-over expects a percentage, got '" +
-                        fail_over->second + "'");
-    }
-    if (threshold < 0) throw ConfigError("--fail-over expects a percentage");
-    if (!args.options.count("baseline")) {
-      throw ConfigError("--fail-over needs --baseline to compare against");
-    }
+  const double threshold = option_fail_over(args);  // < 0: report only
+  if (threshold >= 0 && !args.options.count("baseline")) {
+    throw ConfigError("--fail-over needs --baseline to compare against");
   }
 
   // Binary list: explicit paths plus --bin-dir discovery, optionally
@@ -1426,13 +1395,8 @@ int cmd_bench(const Args& args) {
     metric("counters/ready_pushes", static_cast<double>(c.ready_pushes));
     metric("counters/ready_pops", static_cast<double>(c.ready_pops));
     metric("counters/max_ready_queue", static_cast<double>(c.max_ready_queue));
-    metric("counters/events_scheduled",
-           static_cast<double>(c.events_scheduled));
-    metric("counters/events_fired", static_cast<double>(c.events_fired));
     metric("counters/cost_model_evals",
            static_cast<double>(c.cost_model_evals));
-    metric("counters/arena_blocks", static_cast<double>(c.arena_blocks));
-    metric("counters/arena_bytes", static_cast<double>(c.arena_bytes));
     metric("counters/scenarios_run", static_cast<double>(c.scenarios_run));
     metric("counters/memo_hits", static_cast<double>(c.memo_hits));
     metric("counters/memo_misses", static_cast<double>(c.memo_misses));
@@ -1502,17 +1466,8 @@ int cmd_bench(const Args& args) {
   const auto baseline = args.options.find("baseline");
   if (baseline == args.options.end()) return 0;
 
-  std::ifstream in(baseline->second);
-  if (!in) throw ConfigError("cannot open " + baseline->second);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  JsonValue before;
-  try {
-    before = json_parse(text);
-  } catch (const Error& e) {
-    throw ConfigError(baseline->second + ": " + e.what());
-  }
-  const JsonDiffResult diff = diff_json(before, json_parse(trajectory));
+  const JsonDiffResult diff =
+      diff_json(read_json_file(baseline->second), json_parse(trajectory));
 
   std::vector<std::string> structural;
   for (const std::string& path : diff.removed) {
@@ -1569,7 +1524,7 @@ int cmd_bench(const Args& args) {
   return 2;
 }
 
-int cmd_envs() {
+int cmd_envs(const Args&) {
   TextTable table({"Name", "Spec (4 nodes)", "Description"});
   table.add_row({"ib", "4x8:ib", "one InfiniBand cluster"});
   table.add_row({"roce", "4x8:roce", "one RoCE cluster"});
@@ -1586,6 +1541,95 @@ int cmd_envs() {
   return 0;
 }
 
+/// What one subcommand reads: its positional arguments and its --keys
+/// (--log-level is read everywhere). Every invocation is checked against
+/// this table before it runs, so an argument or flag the subcommand would
+/// not read is a config error instead of a silent no-op.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  const char* synopsis;  ///< the positional arguments
+  std::size_t min_positional;
+  std::size_t max_positional;
+  std::vector<std::string> keys;
+};
+
+constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+
+const Command& resolve_command(const Args& args) {
+  static const std::vector<Command> commands = {
+      {"simulate", cmd_simulate, "<topology> <group>", 2, 2,
+       {"framework", "iterations", "trace", "straggler"}},
+      {"plan", cmd_plan, "<topology> <group>", 2, 2, {"framework"}},
+      {"tune", cmd_tune, "<topology> <group>", 2, 2,
+       {"framework", "top", "max-pipeline"}},
+      {"sweep", cmd_sweep, "<topology> <group...>", 2, kUnbounded,
+       {"markdown", "csv"}},
+      {"analytic", cmd_analytic, "<topology> <group>", 2, 2, {"framework"}},
+      {"stats", cmd_stats, "<topology> <group>", 2, 2,
+       {"framework", "iterations", "json", "window", "straggler",
+        "self-profile"}},
+      {"explain", cmd_explain, "<topology> <group>", 2, 2,
+       {"framework", "iterations", "json", "top", "window", "trace",
+        "straggler", "self-profile"}},
+      {"timeline", cmd_timeline, "<topology> <group>", 2, 2,
+       {"framework", "iterations", "window", "buckets", "resource", "top",
+        "saturation", "warn-share", "seed", "fault-plan", "trace", "json",
+        "straggler"}},
+      {"diff", cmd_diff, "<before.json> <after.json>", 2, 2,
+       {"fail-over", "top", "json"}},
+      {"lint", cmd_lint, "<topology> <group>", 0, 2,
+       {"framework", "iterations", "json", "strict", "no-graph", "rules",
+        "markdown"}},
+      {"check", cmd_check, "<topology> <group>", 2, 2,
+       {"permutations", "seed", "policy", "framework", "iterations",
+        "threads", "json", "strict", "fault-plan"}},
+      {"inject", cmd_inject, "<topology> <group>", 2, 2,
+       {"fault-plan", "framework", "iterations", "json"}},
+      {"bench", cmd_bench, "[binaries...]", 0, kUnbounded,
+       {"bin-dir", "filter", "repeat", "warmup", "no-probe", "json",
+        "baseline", "fail-over", "noise-floor"}},
+      {"envs", cmd_envs, "", 0, 0, {}},
+  };
+  const auto command =
+      std::find_if(commands.begin(), commands.end(),
+                   [&](const Command& c) { return args.command == c.name; });
+  if (command == commands.end()) {
+    throw ConfigError("unknown command '" + args.command + "'\n" +
+                      usage_text());
+  }
+
+  const auto reads = [&](const std::string& key) {
+    return key == "log-level" ||
+           std::find(command->keys.begin(), command->keys.end(), key) !=
+               command->keys.end();
+  };
+  const auto reject = [&](const std::string& key) {
+    std::string known;
+    for (const std::string& k : command->keys) known += "--" + k + " ";
+    throw ConfigError(args.command + " does not read --" + key +
+                      " (it reads " + known + "--log-level)");
+  };
+  for (const auto& [key, value] : args.options) {
+    if (!reads(key)) reject(key);
+  }
+  if (!args.stragglers.empty() && !reads("straggler")) reject("straggler");
+
+  const std::size_t given = args.positional.size();
+  if (given > command->max_positional) {
+    throw ConfigError(
+        "unexpected argument '" + args.positional[command->max_positional] +
+        "': " + args.command + " takes " +
+        (command->max_positional > 0 ? command->synopsis : "no arguments") +
+        (reads("json") ? " (--json takes its file as --json=FILE)" : ""));
+  }
+  if (given < command->min_positional) {
+    throw ConfigError("usage: holmes_cli " + args.command + " " +
+                      command->synopsis + " [options]");
+  }
+  return *command;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1596,23 +1640,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     const Args args = parse_args(argc, argv);
+    const Command& command = resolve_command(args);
     apply_log_level(args);
-    if (args.command == "simulate") return cmd_simulate(args);
-    if (args.command == "plan") return cmd_plan(args);
-    if (args.command == "tune") return cmd_tune(args);
-    if (args.command == "sweep") return cmd_sweep(args);
-    if (args.command == "analytic") return cmd_analytic(args);
-    if (args.command == "stats") return cmd_stats(args);
-    if (args.command == "explain") return cmd_explain(args);
-    if (args.command == "timeline") return cmd_timeline(args);
-    if (args.command == "diff") return cmd_diff(args);
-    if (args.command == "lint") return cmd_lint(args);
-    if (args.command == "check") return cmd_check(args);
-    if (args.command == "inject") return cmd_inject(args);
-    if (args.command == "bench") return cmd_bench(args);
-    if (args.command == "envs") return cmd_envs();
-    throw ConfigError("unknown command '" + args.command + "'\n" +
-                      usage_text());
+    return command.run(args);
   } catch (const Error& e) {
     // 3 = internal/usage failure, distinct from the graded lint/check
     // verdicts (0 clean, 1 warnings, 2 errors / tripped gates).
