@@ -17,9 +17,9 @@ namespace holmes::core {
 
 namespace {
 
-std::string format_billions(double billions) {
+std::string format_g(double value) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", billions);
+  std::snprintf(buf, sizeof(buf), "%g", value);
   return buf;
 }
 
@@ -51,9 +51,22 @@ const char* nic_class_of(const std::string& resource_name) {
   return "unknown";
 }
 
+obs::Window clip_window(const WindowSpec& window, double makespan) {
+  const double begin = std::max(0.0, window.begin);
+  const double end =
+      window.end < 0 ? makespan : std::min(window.end, makespan);
+  if (!(begin < end)) {
+    throw ConfigError("window " + format_g(window.begin) + ":" +
+                      (window.end < 0 ? "" : format_g(window.end)) +
+                      " selects nothing of the run (makespan " +
+                      format_g(makespan) + " s)");
+  }
+  return {begin, end};
+}
+
 std::string workload_label(const TrainingPlan& plan) {
   return "group " + std::to_string(plan.workload.id) + " (" +
-         format_billions(plan.workload.nominal_billions) + "B params)";
+         format_g(plan.workload.nominal_billions) + "B params)";
 }
 
 obs::RunSummary build_run_summary(const net::Topology& topo,
@@ -66,17 +79,10 @@ obs::RunSummary build_run_summary(const net::Topology& topo,
                    "SimArtifacts* to TrainingSimulator::run)");
   const sim::TaskGraph& graph = artifacts.graph;
   const sim::SimResult& result = *artifacts.result;
-  obs::Window window{artifacts.window_begin(), artifacts.window_end()};
-  if (options.override_window) {
-    // explain's clipping semantics, shared verbatim: clip to the run and
-    // reject windows that end up empty.
-    const double begin = std::max(0.0, options.window_begin);
-    const double end = options.window_end < 0
-                           ? result.makespan()
-                           : std::min(options.window_end, result.makespan());
-    HOLMES_CHECK_MSG(begin < end, "stats window is empty (begin >= end)");
-    window = {begin, end};
-  }
+  const obs::Window window =
+      options.window ? clip_window(*options.window, result.makespan())
+                     : obs::Window{artifacts.window_begin(),
+                                   artifacts.window_end()};
   const int last = artifacts.iterations - 1;
   auto last_tag = [last](sim::TaskTag base) {
     return tags::for_iteration(base, last);
@@ -198,12 +204,7 @@ obs::CriticalPathSummary build_critical_path_summary(
   const obs::CriticalPath path = obs::extract_critical_path(graph, result);
   if (path_out != nullptr) *path_out = path;
 
-  const double window_begin = std::max(0.0, options.window_begin);
-  const double window_end =
-      options.window_end < 0 ? path.makespan
-                             : std::min(options.window_end, path.makespan);
-  HOLMES_CHECK_MSG(window_begin < window_end,
-                   "critical-path window is empty (begin >= end)");
+  const obs::Window window = clip_window(options.window, path.makespan);
 
   // Clip to the attribution window; the default window keeps everything, so
   // bucket seconds telescope to the full makespan.
@@ -211,8 +212,8 @@ obs::CriticalPathSummary build_critical_path_summary(
   clipped.makespan = path.makespan;
   clipped.tasks = path.tasks;
   for (obs::PathSegment segment : path.segments) {
-    segment.begin = std::max(segment.begin, window_begin);
-    segment.end = std::min(segment.end, window_end);
+    segment.begin = std::max(segment.begin, window.begin);
+    segment.end = std::min(segment.end, window.end);
     if (segment.end > segment.begin) clipped.segments.push_back(segment);
   }
 
@@ -256,8 +257,8 @@ obs::CriticalPathSummary build_critical_path_summary(
   s.workload = workload_label(plan);
   s.makespan_s = path.makespan;
   s.iteration_s = metrics.iteration_time;
-  s.window_begin_s = window_begin;
-  s.window_end_s = window_end;
+  s.window_begin_s = window.begin;
+  s.window_end_s = window.end;
   s.total_segments = clipped.segments.size();
 
   // ---- attribution buckets (partition the window) ----
@@ -272,7 +273,7 @@ obs::CriticalPathSummary build_critical_path_summary(
     b.seconds += segment.duration();
     ++b.segments;
   }
-  const double window_span = window_end - window_begin;
+  const double window_span = window.length();
   for (auto& [name, bucket] : buckets) {
     bucket.share = window_span > 0 ? bucket.seconds / window_span : 0.0;
     s.buckets.push_back(bucket);

@@ -11,11 +11,15 @@
 /// overlapped split of the gradient synchronization — everything the
 /// `holmes_cli stats` subcommand and the JSON export surface report.
 
+#include <optional>
+
 #include "core/plan.h"
 #include "core/training_sim.h"
 #include "net/topology.h"
+#include "obs/accounting.h"
 #include "obs/critical_path.h"
 #include "obs/summary.h"
+#include "util/window_spec.h"
 
 namespace holmes::core {
 
@@ -26,19 +30,21 @@ namespace holmes::core {
 /// so every surface classifies fabrics identically.
 const char* nic_class_of(const std::string& resource_name);
 
+/// Clips a requested window to the run: [max(0, begin), end < 0 ? makespan
+/// : min(end, makespan)). Every report's window goes through here, so
+/// stats, explain and timeline share one semantics. Throws ConfigError
+/// naming the window and the makespan when nothing of the run is left.
+obs::Window clip_window(const WindowSpec& window, double makespan);
+
 /// Workload identity string shared by every report surface, e.g.
 /// "group 2 (175B params)".
 std::string workload_label(const TrainingPlan& plan);
 
 /// Options for build_run_summary (holmes_cli stats' knobs).
 struct RunSummaryOptions {
-  /// When true, accounting is clipped to [max(0, window_begin),
-  /// window_end < 0 ? makespan : min(window_end, makespan)) — the same
-  /// clipping semantics `explain --window` applies — instead of the
-  /// default steady-state window. Throws when the clipped window is empty.
-  bool override_window = false;
-  double window_begin = 0;
-  double window_end = -1;
+  /// When set, accounting covers this window (clip_window) instead of the
+  /// default steady-state window.
+  std::optional<WindowSpec> window;
 };
 
 /// Derives the full run summary. `artifacts` must be populated (run with a
@@ -55,8 +61,7 @@ obs::RunSummary build_run_summary(const net::Topology& topo,
 /// Options for build_critical_path_summary (holmes_cli explain's knobs).
 struct CriticalPathOptions {
   std::size_t top_segments = 16;  ///< cap on the reported longest segments
-  double window_begin = 0;        ///< clip attribution to [begin, end]
-  double window_end = -1;         ///< < 0 means "through the makespan"
+  WindowSpec window;  ///< attribution window (clip_window; default: the run)
 };
 
 /// Extracts the run's critical path and attributes it to plan-aware

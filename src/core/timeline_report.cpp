@@ -106,16 +106,7 @@ TimelineSummary build_timeline_summary(const net::Topology& topo,
   summary.options.top_talkers = std::max(0, options.top_talkers);
 
   obs::TimelineOptions extract;
-  if (options.override_window) {
-    // explain's clipping semantics, shared verbatim: clip to the run and
-    // reject windows that end up empty.
-    const double begin = std::max(0.0, options.window_begin);
-    const double end = options.window_end < 0
-                           ? result.makespan()
-                           : std::min(options.window_end, result.makespan());
-    HOLMES_CHECK_MSG(begin < end, "timeline window is empty (begin >= end)");
-    extract.window = {begin, end};
-  }
+  extract.window = clip_window(options.window, result.makespan());
   extract.saturation_threshold = options.saturation_threshold;
 
   const sim::RateTimeline* rates =

@@ -24,6 +24,7 @@
 #include "core/training_sim.h"
 #include "net/topology.h"
 #include "obs/timeline.h"
+#include "util/window_spec.h"
 #include "verify/diagnostics.h"
 
 namespace holmes::core {
@@ -32,12 +33,8 @@ inline constexpr const char* kTimelineSchema = "holmes.timeline.v1";
 
 /// Options for build_timeline_summary (holmes_cli timeline's knobs).
 struct TimelineReportOptions {
-  /// When true, clip to [max(0, window_begin), window_end < 0 ? makespan :
-  /// min(window_end, makespan)) — `explain --window` semantics — instead
-  /// of the default full run. Throws when the clipped window is empty.
-  bool override_window = false;
-  double window_begin = 0;
-  double window_end = -1;
+  /// Observed window (core::clip_window; default: the full run).
+  WindowSpec window;
   /// Resolution of the bucketed curves in the JSON and the sparklines.
   int buckets = 48;
   /// Keep only resources whose name contains this substring (classes,

@@ -1,25 +1,34 @@
 #include "util/window_spec.h"
 
-#include <exception>
+#include <charconv>
+#include <cmath>
+#include <system_error>
 
 #include "util/error.h"
 
 namespace holmes {
 
+namespace {
+
+/// Parses all of `token` as finite seconds: "1abc", "nan" and "inf" fail.
+bool parse_bound(const std::string& token, double* value) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *value);
+  return !token.empty() && ec == std::errc{} && ptr == end &&
+         std::isfinite(*value);
+}
+
+}  // namespace
+
 WindowSpec parse_window_spec(const std::string& spec) {
   const std::size_t colon = spec.find(':');
-  if (colon == std::string::npos) {
-    throw ConfigError("--window expects BEGIN:END seconds, got '" + spec +
-                      "'");
-  }
   WindowSpec window;
-  try {
-    window.begin = std::stod(spec.substr(0, colon));
-    const std::string end = spec.substr(colon + 1);
-    window.end = end.empty() ? -1 : std::stod(end);
-  } catch (const std::exception&) {
-    throw ConfigError("--window expects BEGIN:END seconds, got '" + spec +
-                      "'");
+  if (colon == std::string::npos ||
+      !parse_bound(spec.substr(0, colon), &window.begin) ||
+      (colon + 1 < spec.size() &&
+       !parse_bound(spec.substr(colon + 1), &window.end))) {
+    throw ConfigError("--window expects BEGIN:END finite seconds, got '" +
+                      spec + "'");
   }
   if (window.end >= 0 && window.begin >= window.end) {
     throw ConfigError("--window is empty: got '" + spec +

@@ -82,16 +82,15 @@ TEST(CriticalPathE2E, WindowClipsAttributionToTheRequestedSpan) {
   const SimRun run = simulate(FrameworkConfig::holmes(), topo, 1);
   CriticalPathOptions options;
   const double makespan = run.artifacts.result->makespan();
-  options.window_begin = 0.25 * makespan;
-  options.window_end = 0.75 * makespan;
+  options.window = {0.25 * makespan, 0.75 * makespan};
   const obs::CriticalPathSummary s = build_critical_path_summary(
       topo, run.plan, run.metrics, run.artifacts, options);
 
-  EXPECT_DOUBLE_EQ(s.window_begin_s, options.window_begin);
-  EXPECT_DOUBLE_EQ(s.window_end_s, options.window_end);
+  EXPECT_DOUBLE_EQ(s.window_begin_s, options.window.begin);
+  EXPECT_DOUBLE_EQ(s.window_end_s, options.window.end);
   double bucket_sum = 0;
   for (const auto& b : s.buckets) bucket_sum += b.seconds;
-  const double span = options.window_end - options.window_begin;
+  const double span = options.window.end - options.window.begin;
   EXPECT_NEAR(bucket_sum, span, 1e-9 * span);
 }
 

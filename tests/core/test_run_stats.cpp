@@ -27,6 +27,17 @@ SimRun simulate_with_artifacts(const FrameworkConfig& fw, const Topology& topo,
   return run;
 }
 
+TEST(ClipWindow, ClipsToTheRunAndRejectsWhatLiesOutside) {
+  const obs::Window all = clip_window({}, 40.0);
+  EXPECT_DOUBLE_EQ(all.begin, 0.0);
+  EXPECT_DOUBLE_EQ(all.end, 40.0);
+  const obs::Window tail = clip_window({-5.0, 100.0}, 40.0);
+  EXPECT_DOUBLE_EQ(tail.begin, 0.0);
+  EXPECT_DOUBLE_EQ(tail.end, 40.0);
+  EXPECT_THROW(clip_window({100.0, 200.0}, 40.0), ConfigError);
+  EXPECT_THROW(clip_window({40.0, -1.0}, 40.0), ConfigError);
+}
+
 TEST(RunStats, RequiresPopulatedArtifacts) {
   const Topology topo = Topology::homogeneous(2, NicType::kInfiniBand);
   const TrainingPlan plan = Planner(FrameworkConfig::holmes())

@@ -11,6 +11,7 @@
 #include "model/gpt_zoo.h"
 #include "net/topology.h"
 #include "sim/executor.h"
+#include "util/error.h"
 #include "verify/rules.h"
 
 namespace holmes::core {
@@ -92,20 +93,17 @@ TEST(TimelineReport, WindowOverrideClipsTheObservation) {
   const SimRun run = simulate(topo, 1);
   const double makespan = run.artifacts.result->makespan();
   TimelineReportOptions options;
-  options.override_window = true;
-  options.window_begin = 0.0;
-  options.window_end = makespan / 2;
+  options.window = {0.0, makespan / 2};
   const TimelineSummary summary = build_timeline_summary(
       topo, run.plan, run.metrics, run.artifacts, options);
   EXPECT_DOUBLE_EQ(summary.timeline.window.begin, 0.0);
   EXPECT_DOUBLE_EQ(summary.timeline.window.end, makespan / 2);
   // An empty window is a configuration error, not a silent zero report.
   TimelineReportOptions empty;
-  empty.override_window = true;
-  empty.window_begin = 5.0;
-  empty.window_end = 5.0;
-  EXPECT_ANY_THROW(build_timeline_summary(topo, run.plan, run.metrics,
-                                          run.artifacts, empty));
+  empty.window = {5.0, 5.0};
+  EXPECT_THROW(build_timeline_summary(topo, run.plan, run.metrics,
+                                      run.artifacts, empty),
+               ConfigError);
 }
 
 TEST(TimelineReport, FaultPlanRatesProduceOverlays) {

@@ -32,6 +32,10 @@ TEST(WindowSpec, RejectsMissingColon) {
 TEST(WindowSpec, RejectsNonNumeric) {
   EXPECT_THROW(parse_window_spec("a:b"), ConfigError);
   EXPECT_THROW(parse_window_spec(":2"), ConfigError);
+  // Bounds parse whole and finite: no prefix, NaN or infinity.
+  EXPECT_THROW(parse_window_spec("1abc:3x"), ConfigError);
+  EXPECT_THROW(parse_window_spec("nan:3"), ConfigError);
+  EXPECT_THROW(parse_window_spec("1:inf"), ConfigError);
 }
 
 TEST(WindowSpec, RejectsEmptyWindow) {

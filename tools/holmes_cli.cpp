@@ -1,15 +1,29 @@
 /// holmes_cli — consolidated command-line interface over the library.
 ///
+/// Every subcommand that takes <topology> <group> resolves them and its run
+/// options one way, then plans, simulates and emits through one path.
+/// Run options (each subcommand reads the subset listed for it):
+///   --framework F    holmes | megatron-lm | megatron-deepspeed |
+///                    megatron-llama            (default holmes)
+///   --iterations N   simulated iterations      (default 3)
+///   --straggler R:F  rank R computes F times slower (repeatable). Each
+///                    is one fault-plan straggler, linted by HV501-503:
+///                    R is a rank of the topology, F a positive finite
+///                    factor, and repeats on one rank compound
+///   --fault-plan FILE  a holmes.fault_plan.v1 schedule, active for the
+///                    whole run; --straggler adds to its stragglers. A
+///                    plan failing HV501-503 is a config error
+///   --window A:B     report on [A, B] seconds (see Windows below)
+///   --trace FILE     Chrome trace of the finished run, with a "rate
+///                    <resource>" counter track per degraded resource
+///   --json[=FILE]    the subcommand's stable JSON document (see JSON
+///                    output below)
+///   --self-profile[=FILE]  engine self-profile of the run: bare, an
+///                    extra text section; =FILE, holmes.self_profile.v2
+///
 ///   holmes_cli simulate <topology> <group> [options]
 ///       Plan + simulate one scenario; print metrics.
-///       --framework F    holmes | megatron-lm | megatron-deepspeed |
-///                        megatron-llama            (default holmes)
-///       --iterations N   simulated iterations      (default 3)
-///       --trace FILE     write a Chrome trace of the run
-///       --straggler R:F  rank R computes F times slower (repeatable). Each
-///                        is one fault-plan straggler, linted by HV501-503:
-///                        R is a rank of the topology, F a positive finite
-///                        factor, and repeats on one rank compound
+///       --framework --iterations --straggler --trace
 ///
 ///   holmes_cli plan <topology> <group> [--framework F]
 ///       Print the resolved plan: degrees, stage placement, partition,
@@ -17,7 +31,8 @@
 ///
 ///   holmes_cli tune <topology> <group> [--framework F] [--top N]
 ///                   [--max-pipeline N]
-///       Auto-tune the (tensor, pipeline) layout; print the ranking.
+///       Auto-tune the (tensor, pipeline) layout; print the top N (default
+///       10) with at most --max-pipeline stages (default 8).
 ///
 ///   holmes_cli sweep <topology> <group...> [--markdown|--csv]
 ///       All four frameworks x the given groups on one topology.
@@ -29,44 +44,32 @@
 ///       Simulate one scenario and print the observability breakdown:
 ///       per-device utilization, per-stage pipeline-bubble fraction,
 ///       per-link busy/contention time, per-communicator traffic, and the
-///       exposed-vs-overlapped grad-sync split (docs/observability.md).
-///       --framework F    as for simulate          (default holmes)
-///       --iterations N   simulated iterations     (default 3)
-///       --json[=FILE]    stable JSON run summary (see JSON output below)
-///       --window A:B     clip the accounting to [A, B] seconds (explain's
-///                        clipping semantics) instead of the steady-state
-///                        window
-///       --straggler R:F  as for simulate
-///       --self-profile[=FILE]  engine self-profile of the run: bare, an
-///                        extra text section; =FILE, holmes.self_profile.v2
+///       exposed-vs-overlapped grad-sync split (docs/observability.md),
+///       over the steady-state window unless --window gives one.
+///       --framework --iterations --straggler --window --json
+///       (holmes.run_summary.v1) --self-profile
 ///
 ///   holmes_cli explain <topology> <group> [options]
 ///       Simulate one scenario, extract the critical path, and print the
 ///       makespan attribution: per-stage compute, per-NIC-class and
 ///       per-communicator serialization, propagation latency, queue wait —
 ///       plus first-order what-if sensitivities (docs/observability.md).
-///       Segment durations sum to the makespan exactly.
-///       --framework F    as for simulate          (default holmes)
-///       --iterations N   simulated iterations     (default 3)
-///       --json[=FILE]    stable JSON critical-path summary
+///       Segment durations sum to the window (default the full run)
+///       exactly; --trace adds an emphasized critical-path lane.
 ///       --top N          longest segments / what-ifs shown (default 16)
-///       --window A:B     clip the attribution to [A, B] seconds
-///       --trace FILE     Chrome trace with flow arrows + critical lane
-///       --straggler R:F  as for simulate
-///       --self-profile[=FILE]  as for stats
+///       --framework --iterations --straggler --window --trace --json
+///       (holmes.critical_path.v1) --self-profile
 ///
 ///   holmes_cli timeline <topology> <group> [options]
 ///       Simulate one scenario and print its exact time-resolved fabric
 ///       telemetry (docs/observability.md): per-NIC-class occupancy
 ///       sparklines with saturation intervals, per-link top talkers,
 ///       per-channel in-flight byte peaks, and effective-rate overlays for
-///       degraded resources. The JSON document (holmes.timeline.v1) is
-///       byte-identical across disjoint tie seeds. Fires HV406 when the
-///       Ethernet fallback fabric is saturated beyond --warn-share of the
-///       window; exit codes as for lint.
-///       --framework F    as for simulate          (default holmes)
-///       --iterations N   simulated iterations     (default 3)
-///       --window A:B     observe [A, B] seconds   (default the full run)
+///       degraded resources (a --fault-plan's degradation windows). The
+///       JSON document (holmes.timeline.v1) is byte-identical across
+///       disjoint tie seeds. Fires HV406 when the Ethernet fallback fabric
+///       is saturated beyond --warn-share of the window (default the full
+///       run); exit codes as for lint.
 ///       --buckets N      curve resolution         (default 48)
 ///       --resource S     keep only resources whose name contains S
 ///       --top N          top talkers shown        (default 8)
@@ -76,13 +79,8 @@
 ///                        fires                    (default 0.25)
 ///       --seed S         nonzero: re-run under the disjoint tie
 ///                        permutation seeded S (byte-identity probe)
-///       --fault-plan FILE  inject a holmes.fault_plan.v1 schedule; its
-///                        degradation windows become rate overlays
-///       --trace FILE     Chrome trace with "rate <resource>" counter
-///                        tracks at breakpoint resolution
-///       --json[=FILE]    stable holmes.timeline.v1 document
-///       --straggler R:F  as for simulate; appended to --fault-plan's
-///                        stragglers when both are given
+///       --framework --iterations --straggler --fault-plan --window --trace
+///       --json
 ///
 ///   holmes_cli diff <before.json> <after.json> [options]
 ///       Compare two JSON documents emitted by this tool (run summaries,
@@ -98,15 +96,13 @@
 ///       Static verifier: plan-family (HV1xx) lints over the resolved plan,
 ///       then graph/execution/flow-family (HV2xx/HV3xx/HV4xx) lints over a
 ///       simulated run. Exit codes are graded (docs/static-analysis.md):
-///       0 clean, 1 warnings only, 2 errors, 3 internal failure.
-///       --framework F    as for simulate          (default holmes)
-///       --iterations N   simulated iterations     (default 3)
-///       --json[=FILE]    stable JSON lint report (fingerprint-stamped)
+///       0 clean, 1 warnings only, 2 errors.
 ///       --strict         promote warnings to errors
 ///       --no-graph       plan lints only (skip the simulation)
 ///       --rules          print the rule catalog and exit
 ///       --rules --markdown  emit the catalog as the markdown table
 ///                        docs/static-analysis.md embeds (CI drift check)
+///       --framework --iterations --json (fingerprint-stamped)
 ///
 ///   holmes_cli check <topology> <group> [options]
 ///       Schedule-race determinism check (rule HV405): simulate the
@@ -114,40 +110,32 @@
 ///       of equal-ready-time ties and byte-compare the run-summary and
 ///       critical-path JSON documents. Any divergence is an error naming
 ///       the first task that moved. The HV4xx flow bounds (static lower
-///       bound vs simulated makespan) are checked on the same run. Exit
-///       codes as for lint.
+///       bound vs simulated makespan) are checked on the same run, with a
+///       --fault-plan's faults active in every permutation. Exit codes as
+///       for lint.
 ///       --permutations N as described             (default 5)
 ///       --seed S         base tie seed            (default 0x484F4C4D4553)
 ///       --policy P       disjoint | all           (default disjoint;
 ///                        disjoint must never diverge, all also flags
 ///                        legitimately tie-order-sensitive schedules)
-///       --framework F    as for simulate          (default holmes)
-///       --iterations N   simulated iterations     (default 3)
 ///       --threads N      permutation fan-out workers (default 1 = serial,
 ///                        0 = hardware concurrency; the report is
 ///                        byte-identical at any thread count)
-///       --json[=FILE]    stable holmes.check_report.v1 document
 ///       --strict         promote warnings to errors
-///       --fault-plan FILE  holmes.fault_plan.v1 document; its degradation
-///                        windows and stragglers are active during the
-///                        canonical run and every permutation, proving the
-///                        determinism contract holds with faults injected.
-///                        A plan failing HV501-503 is a config error, as in
-///                        timeline
+///       --framework --iterations --fault-plan --json
+///       (holmes.check_report.v1)
 ///
 ///   holmes_cli inject <topology> <group> --fault-plan FILE [options]
-///       Fault injection + elastic recovery (docs/robustness.md): lint the
-///       holmes.fault_plan.v1 document (HV501-503), then simulate the job
-///       three ways — fault-free, faulted with the static partition, and
-///       faulted with a partition re-planned from per-stage speeds measured
-///       on the executed graph. Reports the recovered throughput fraction,
-///       the checkpoint-replay downtime of a node loss, and the
-///       critical-path attribution delta. Exit codes as for lint.
-///       --fault-plan FILE  the fault schedule (required)
-///       --framework F    as for simulate          (default holmes)
-///       --iterations N   simulated iterations     (default 3)
-///       --json[=FILE]    unstamped holmes.recovery_report.v1 document
-///                        (byte-stable across machines, CI-diffable)
+///       Fault injection + elastic recovery (docs/robustness.md): simulate
+///       the job three ways — fault-free, faulted with the static
+///       partition, and faulted with a partition re-planned from per-stage
+///       speeds measured on the executed graph. Reports the recovered
+///       throughput fraction, the checkpoint-replay downtime of a node
+///       loss, and the critical-path attribution delta. Exit codes as for
+///       lint; a plan failing HV501-503 is a config error, as in check and
+///       timeline.
+///       --framework --iterations --fault-plan (required) --json (the
+///       unstamped, byte-stable holmes.recovery_report.v1)
 ///
 ///   holmes_cli bench [binaries...] [options]
 ///       Perf-trajectory harness (docs/observability.md): runs bench
@@ -182,8 +170,19 @@
 ///   --log-level L    debug | info | warning | error  (default warning)
 ///
 /// Each subcommand accepts exactly the positional arguments and flags
-/// listed for it above (plus --log-level); anything else is a config error
-/// (exit 3), as is a number with trailing characters ("1abc", "3x").
+/// listed for it above (plus --log-level; the table at the end of this
+/// file is the record); anything else is a config error, as is a number
+/// with trailing characters ("1abc", "3x") or a count below its minimum
+/// ("tune --top 0").
+///
+/// Windows: `--window A:B` takes finite seconds; an empty B ("5:") means
+/// "to the end of the run", a negative A starts at 0 and a B past the
+/// makespan stops there. A window that leaves nothing of the run (A >= B,
+/// or A past the makespan) is a config error naming it and the makespan.
+///
+/// Exit codes: 0 clean, 1 warnings (lint, timeline, check, inject), 2
+/// errors or a tripped diff/bench --fail-over gate, 3 config error (bad
+/// input: the message names it), 4 internal error (a bug).
 ///
 /// JSON output: every subcommand that emits JSON takes `--json[=FILE]`.
 /// A bare `--json` or `--json=-` writes the JSON to stdout *instead of*
@@ -202,6 +201,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <iterator>
 #include <limits>
@@ -247,79 +247,10 @@ using namespace holmes::core;
 namespace {
 
 struct Args {
-  std::string command;
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;  // --key value (or "" for flags)
   std::vector<std::string> stragglers;
 };
-
-std::string usage_text() {
-  return
-      "usage: holmes_cli <command> [args]\n"
-      "\n"
-      "  simulate <topology> <group>    plan + simulate one scenario\n"
-      "  plan     <topology> <group>    print the resolved plan\n"
-      "  tune     <topology> <group>    auto-tune the (tensor, pipeline) "
-      "layout\n"
-      "  sweep    <topology> <group..>  all frameworks x groups grid\n"
-      "  analytic <topology> <group>    closed-form iteration breakdown\n"
-      "  stats    <topology> <group>    observability breakdown of one run\n"
-      "  explain  <topology> <group>    critical-path makespan attribution\n"
-      "  timeline <topology> <group>    time-resolved fabric telemetry of "
-      "one run\n"
-      "  diff     <before> <after>      compare two emitted JSON documents\n"
-      "  lint     <topology> <group>    static verifier (or lint --rules)\n"
-      "  check    <topology> <group>    schedule-race determinism check\n"
-      "  inject   <topology> <group>    fault injection + elastic recovery\n"
-      "  bench    [binaries...]         perf-trajectory harness over the "
-      "bench binaries\n"
-      "  envs                           list named environments\n"
-      "\n"
-      "global options: --version, --log-level debug|info|warning|error\n"
-      "see the holmes_cli source header for per-command options";
-}
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  if (argc < 2) throw ConfigError(usage_text());
-  args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const std::string token = argv[i];
-    if (token.rfind("--", 0) == 0) {
-      std::string key = token.substr(2);
-      // --key=value form; "--json" stays valueless (= stdout).
-      const std::size_t eq = key.find('=');
-      if (eq != std::string::npos) {
-        const std::string value = key.substr(eq + 1);
-        key = key.substr(0, eq);
-        if (key == "straggler") {
-          args.stragglers.push_back(value);
-        } else {
-          args.options[key] = value;
-        }
-        continue;
-      }
-      const bool is_flag = key == "markdown" || key == "csv" ||
-                           key == "strict" || key == "no-graph" ||
-                           key == "rules" || key == "json" ||
-                           key == "self-profile" || key == "no-probe";
-      if (!is_flag) {
-        if (i + 1 >= argc) throw ConfigError("missing value for --" + key);
-        const std::string value = argv[++i];
-        if (key == "straggler") {
-          args.stragglers.push_back(value);
-        } else {
-          args.options[key] = value;
-        }
-      } else {
-        args.options[key] = "";
-      }
-    } else {
-      args.positional.push_back(token);
-    }
-  }
-  return args;
-}
 
 /// Parses all of `token` as a T: "1abc", "3x" and "2.5" are errors for an
 /// integer, never 1, 3 and 2. `what` names the input in the error.
@@ -362,10 +293,6 @@ net::Topology resolve_topology(const std::string& name) {
                     "' (named env or spec like 2x8:ib+2x8:roce)");
 }
 
-int parse_group(const std::string& token) {
-  return parse_strict<int>(token, "group");
-}
-
 FrameworkConfig resolve_framework(const Args& args) {
   const auto it = args.options.find("framework");
   const std::string name = it == args.options.end() ? "holmes" : it->second;
@@ -376,18 +303,24 @@ FrameworkConfig resolve_framework(const Args& args) {
   throw ConfigError("unknown framework '" + name + "'");
 }
 
-int option_int(const Args& args, const std::string& key, int fallback) {
+/// `--key VALUE` parsed whole as a T; `fallback` when absent.
+template <typename T>
+T option(const Args& args, const std::string& key, T fallback) {
   const auto it = args.options.find(key);
   return it == args.options.end() ? fallback
-                                  : parse_strict<int>(it->second, "--" + key);
+                                  : parse_strict<T>(it->second, "--" + key);
 }
 
-double option_real(const Args& args, const std::string& key,
-                   double fallback) {
-  const auto it = args.options.find(key);
-  return it == args.options.end()
-             ? fallback
-             : parse_strict<double>(it->second, "--" + key);
+/// `--key N` as a count of at least `min`: "--top 0" is an error where a
+/// top-N needs one row, never an empty table or a lifted cap.
+int option_count(const Args& args, const std::string& key, int fallback,
+                 int min) {
+  const int count = option(args, key, fallback);
+  if (count < min) {
+    throw ConfigError("--" + key + " expects a count of at least " +
+                      std::to_string(min) + ", got " + std::to_string(count));
+  }
+  return count;
 }
 
 /// `--seed S`: decimal or 0x-prefixed hex.
@@ -404,6 +337,13 @@ std::uint64_t option_seed(const Args& args, std::uint64_t fallback) {
     throw ConfigError("--seed expects an integer, got '" + token + "'");
   }
   return seed;
+}
+
+/// `--window A:B`, when given.
+std::optional<WindowSpec> option_window(const Args& args) {
+  const auto it = args.options.find("window");
+  if (it == args.options.end()) return std::nullopt;
+  return parse_window_spec(it->second);
 }
 
 /// `--fail-over P` as a fraction ("5" or "5%" -> 0.05); -1 when absent.
@@ -442,13 +382,17 @@ std::string read_text_file(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-JsonValue read_json_file(const std::string& path) {
-  const std::string text = read_text_file(path);
+/// Parses `text` as JSON; a syntax error is a config error naming `source`.
+JsonValue parse_json(const std::string& text, const std::string& source) {
   try {
     return json_parse(text);
   } catch (const Error& e) {
-    throw ConfigError(path + ": " + e.what());
+    throw ConfigError(source + ": " + e.what());
   }
+}
+
+JsonValue read_json_file(const std::string& path) {
+  return parse_json(read_text_file(path), path);
 }
 
 /// `--straggler R:F` as a fault-plan straggler: rank R computes F times
@@ -470,23 +414,38 @@ ComputeStraggler parse_straggler(const std::string& spec) {
   return straggler;
 }
 
-/// The run's faults as one plan: the --fault-plan document, if any, plus a
-/// straggler per --straggler (stragglers on one rank compound). The plan
-/// must pass HV501-HV503 before it lowers to the simulator's perturbations.
-Perturbations resolve_perturbations(const Args& args,
-                                    const net::Topology& topo) {
+/// The inputs every `<topology> <group>` subcommand shares, resolved and
+/// validated before anything is planned or simulated.
+struct Run {
+  net::Topology topo;
+  int group = 0;
+  FrameworkConfig framework;
+  int iterations = 3;
+  /// The --fault-plan document, if any, plus one straggler per --straggler
+  /// (stragglers on one rank compound); clean under HV501-HV503.
   FaultPlan faults;
+  Perturbations perturbations;  ///< `faults` lowered for the simulator
+
+  TrainingPlan plan() const {
+    return Planner(framework).plan(topo, model::parameter_group(group));
+  }
+};
+
+Run resolve_run(const Args& args) {
+  Run run{resolve_topology(args.positional[0]),
+          parse_strict<int>(args.positional[1], "group"),
+          resolve_framework(args), option(args, "iterations", 3), {}, {}};
   std::string source;
   const auto file = args.options.find("fault-plan");
   if (file != args.options.end()) {
-    faults = parse_fault_plan(read_text_file(file->second));
+    run.faults = parse_fault_plan(read_text_file(file->second));
     source = "fault plan " + file->second;
   }
   for (const std::string& spec : args.stragglers) {
-    faults.stragglers.push_back(parse_straggler(spec));
+    run.faults.stragglers.push_back(parse_straggler(spec));
     source += (source.empty() ? "--straggler " : ", --straggler ") + spec;
   }
-  const verify::LintReport lint = lint_fault_plan(faults, topo);
+  const verify::LintReport lint = lint_fault_plan(run.faults, run.topo);
   if (!lint.ok()) {
     std::string problems;
     for (const verify::Diagnostic& d : lint.diagnostics()) {
@@ -496,89 +455,137 @@ Perturbations resolve_perturbations(const Args& args,
     }
     throw ConfigError(source + " is rejected: " + problems);
   }
-  return lower_fault_plan(faults, topo);
+  run.perturbations = lower_fault_plan(run.faults, run.topo);
+  return run;
 }
 
-/// `--json[=FILE]` convention: absent -> no JSON; "" or "-" -> stdout
-/// replacing the text report; otherwise a file alongside it.
-enum class JsonDest { kNone, kStdout, kFile };
+/// A finished simulation of a resolved run.
+struct Simulation {
+  IterationMetrics metrics;
+  SimArtifacts artifacts;
+};
 
-JsonDest json_dest(const Args& args) {
-  const auto it = args.options.find("json");
-  if (it == args.options.end()) return JsonDest::kNone;
-  return it->second.empty() || it->second == "-" ? JsonDest::kStdout
-                                                 : JsonDest::kFile;
+/// Simulates `plan` under `run`'s iterations and faults, keeping the
+/// artifacts. A nonzero --seed runs under the disjoint tie permutation it
+/// seeds, which must be byte-identical to the canonical run (the HV405
+/// contract CI byte-compares timeline documents on); --self-profile records
+/// the engine's own profile into the artifacts.
+Simulation simulate(const Args& args, const Run& run,
+                    const TrainingPlan& plan) {
+  TrainingSimulator simulator;
+  const std::uint64_t tie_seed = option_seed(args, 0);
+  if (tie_seed != 0) {
+    sim::ExecutorOptions exec;
+    exec.tie_break = sim::TieBreak::kPermuteDisjoint;
+    exec.tie_seed = tie_seed;
+    simulator.set_executor_options(exec);
+  }
+  // SelfProfiler is in-place only (the thread-local points at its member).
+  std::optional<obs::SelfProfiler> profiler;
+  if (args.options.count("self-profile")) profiler.emplace();
+  Simulation done;
+  done.metrics = simulator.run(run.topo, plan, run.iterations,
+                               run.perturbations, /*chrome_trace=*/nullptr,
+                               &done.artifacts);
+  return done;
 }
 
-/// Writes one JSON document per the --json convention; `write` must not
-/// emit the trailing newline. `what` names the artifact in the
-/// confirmation line printed for the file case.
-template <typename WriteFn>
-void emit_json(const Args& args, const char* what, WriteFn&& write) {
-  switch (json_dest(args)) {
-    case JsonDest::kNone:
-      return;
-    case JsonDest::kStdout:
-      write(std::cout);
+/// `--trace FILE`: the finished run as a Chrome trace, with a rate counter
+/// track per degraded resource and `critical` copied onto an emphasized
+/// lane. Returns the file written, or nullptr without --trace.
+const std::string* write_trace(const Args& args, const SimArtifacts& artifacts,
+                               std::vector<sim::TaskId> critical = {}) {
+  const auto file = args.options.find("trace");
+  if (file == args.options.end()) return nullptr;
+  std::ofstream out(file->second);
+  if (!out) throw ConfigError("cannot open " + file->second);
+  sim::TraceOptions options;
+  options.critical_tasks = std::move(critical);
+  options.rates = &artifacts.rates;
+  sim::write_chrome_trace(out, artifacts.graph, *artifacts.result, options);
+  return &file->second;
+}
+
+using Writer = std::function<void(std::ostream&)>;
+
+/// Writes a subcommand's outputs. A bare `--json` (or `--json=-`) puts the
+/// JSON document on stdout in place of the text report. Otherwise the
+/// report is followed by a note for each file written beside it: the
+/// --trace file, a --self-profile=FILE (a bare --self-profile appends its
+/// text section instead) and the `--json=FILE` document named `what`.
+/// `json` must not emit the trailing newline.
+void emit(const Args& args, const char* what, const Writer& text,
+          const Writer& json, const SimArtifacts* artifacts = nullptr) {
+  const auto option = [&](const char* key) -> const std::string* {
+    const auto it = args.options.find(key);
+    return it == args.options.end() ? nullptr : &it->second;
+  };
+  const std::string* json_file = option("json");
+  const bool json_stdout =
+      json_file != nullptr && (json_file->empty() || *json_file == "-");
+  const auto write = [&](const char* name, const std::string& file,
+                         const Writer& document) {
+    std::ofstream out(file);
+    if (!out) throw ConfigError("cannot open " + file);
+    document(out);
+    out << "\n";
+    if (!json_stdout) {
+      std::cout << "\n" << name << " written to " << file << "\n";
+    }
+  };
+
+  if (json_stdout) {
+    json(std::cout);
+    std::cout << "\n";
+  } else {
+    text(std::cout);
+  }
+  const std::string* trace = option("trace");
+  if (trace != nullptr && !json_stdout) {
+    std::cout << "\ntrace written to " << *trace << "\n";
+  }
+  const std::string* profile = option("self-profile");
+  if (profile != nullptr && artifacts != nullptr &&
+      artifacts->self_profile.has_value()) {
+    const obs::SelfProfile& self = *artifacts->self_profile;
+    if (!profile->empty() && *profile != "-") {
+      write("self-profile", *profile,
+            [&](std::ostream& out) { obs::write_json(out, self); });
+    } else if (!json_stdout) {
       std::cout << "\n";
-      return;
-    case JsonDest::kFile: {
-      const std::string& file = args.options.at("json");
-      std::ofstream out(file);
-      if (!out) throw ConfigError("cannot open " + file);
-      write(out);
-      out << "\n";
-      std::cout << "\n" << what << " written to " << file << "\n";
-      return;
+      obs::print_text(std::cout, self);
     }
   }
+  if (json_file != nullptr && !json_stdout) write(what, *json_file, json);
 }
 
-/// `--self-profile[=FILE]`: bare appends a text section to the report
-/// (suppressed when --json owns stdout); =FILE writes the stable
-/// holmes.self_profile.v2 document alongside it.
-void emit_self_profile(const Args& args, const SimArtifacts& artifacts) {
-  if (!args.options.count("self-profile")) return;
-  if (!artifacts.self_profile.has_value()) return;
-  const std::string& file = args.options.at("self-profile");
-  if (file.empty() || file == "-") {
-    if (json_dest(args) == JsonDest::kStdout) return;
-    std::cout << "\n";
-    obs::print_text(std::cout, *artifacts.self_profile);
-    return;
-  }
-  std::ofstream out(file);
-  if (!out) throw ConfigError("cannot open " + file);
-  obs::write_json(out, *artifacts.self_profile);
-  out << "\n";
-  if (json_dest(args) != JsonDest::kStdout) {
-    std::cout << "\nself-profile written to " << file << "\n";
-  }
+/// Graded verdict exit code shared by `lint`, `check`, `timeline` and
+/// `inject`: 0 clean (notes never gate), 1 warnings only, 2 errors. Config
+/// errors exit 3 and internal failures 4, via main()'s catch.
+int verdict_exit_code(const verify::LintReport& report) {
+  if (report.count(verify::Severity::kError) > 0) return 2;
+  if (report.count(verify::Severity::kWarning) > 0) return 1;
+  return 0;
+}
+
+/// One line naming the scenario, as simulate, lint and check head their
+/// reports.
+std::string scenario_line(const Run& run, const TrainingPlan& plan) {
+  return run.framework.name + " / group " + std::to_string(run.group) +
+         " on " + net::format_topology(run.topo) + " (" +
+         plan.degrees.to_string() + ")\n";
 }
 
 int cmd_simulate(const Args& args) {
-  const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = parse_group(args.positional[1]);
-  const FrameworkConfig framework = resolve_framework(args);
-  const int iterations = option_int(args, "iterations", 3);
-  const Perturbations perturb = resolve_perturbations(args, topo);
-
-  const TrainingPlan plan =
-      Planner(framework).plan(topo, model::parameter_group(group));
-  IterationMetrics m;
-  const auto trace = args.options.find("trace");
-  if (trace != args.options.end()) {
-    std::ofstream out(trace->second);
-    if (!out) throw ConfigError("cannot open " + trace->second);
-    m = TrainingSimulator{}.run(topo, plan, iterations, perturb, &out);
-    std::cout << "trace written to " << trace->second << "\n";
-  } else {
-    m = TrainingSimulator{}.run(topo, plan, iterations, perturb);
+  const Run run = resolve_run(args);
+  const TrainingPlan plan = run.plan();
+  const Simulation sim = simulate(args, run, plan);
+  if (const std::string* trace = write_trace(args, sim.artifacts)) {
+    std::cout << "trace written to " << *trace << "\n";
   }
 
-  std::cout << framework.name << " / group " << group << " on "
-            << net::format_topology(topo) << " (" << plan.degrees.to_string()
-            << ")\n"
+  const IterationMetrics& m = sim.metrics;
+  std::cout << scenario_line(run, plan)
             << "  iteration      " << format_time(m.iteration_time) << "\n"
             << "  TFLOPS/GPU     " << TextTable::num(m.tflops_per_gpu, 1) << "\n"
             << "  throughput     " << TextTable::num(m.throughput, 2)
@@ -591,13 +598,11 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_plan(const Args& args) {
-  const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = parse_group(args.positional[1]);
-  const FrameworkConfig framework = resolve_framework(args);
-  const TrainingPlan plan =
-      Planner(framework).plan(topo, model::parameter_group(group));
+  const Run run = resolve_run(args);
+  const net::Topology& topo = run.topo;
+  const TrainingPlan plan = run.plan();
 
-  std::cout << framework.name << " plan for group " << group << " on "
+  std::cout << run.framework.name << " plan for group " << run.group << " on "
             << net::format_topology(topo) << "\n"
             << "  degrees        " << plan.degrees.to_string() << "\n"
             << "  micro-batches  " << plan.micro_batches << " per replica\n"
@@ -637,18 +642,15 @@ int cmd_plan(const Args& args) {
 }
 
 int cmd_tune(const Args& args) {
-  const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = parse_group(args.positional[1]);
+  const Run run = resolve_run(args);
   TuneOptions options;
-  options.max_pipeline = option_int(args, "max-pipeline", 8);
-  const auto ranked = autotune(resolve_framework(args), topo,
-                               model::parameter_group(group), options);
-  const int top = option_int(args, "top", 10);
+  options.max_pipeline = option_count(args, "max-pipeline", 8, 1);
+  const auto top = static_cast<std::size_t>(option_count(args, "top", 10, 1));
+  const auto ranked = autotune(run.framework, run.topo,
+                               model::parameter_group(run.group), options);
 
   TextTable table({"Rank", "t", "p", "d", "TFLOPS", "Throughput", "Mem/GPU"});
-  for (std::size_t i = 0;
-       i < std::min<std::size_t>(ranked.size(), static_cast<std::size_t>(top));
-       ++i) {
+  for (std::size_t i = 0; i < std::min(ranked.size(), top); ++i) {
     const TuneCandidate& c = ranked[i];
     table.add_row({TextTable::num(static_cast<std::int64_t>(i + 1)),
                    TextTable::num(static_cast<std::int64_t>(c.tensor)),
@@ -670,7 +672,7 @@ int cmd_sweep(const Args& args) {
        {FrameworkConfig::megatron_lm(), FrameworkConfig::megatron_deepspeed(),
         FrameworkConfig::megatron_llama(), FrameworkConfig::holmes()}) {
     for (std::size_t g = 1; g < args.positional.size(); ++g) {
-      const int group = parse_group(args.positional[g]);
+      const int group = parse_strict<int>(args.positional[g], "group");
       grid.set(framework.name, "group " + std::to_string(group),
                run_experiment(framework, topo, group));
     }
@@ -686,12 +688,10 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_analytic(const Args& args) {
-  const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = parse_group(args.positional[1]);
-  const TrainingPlan plan = Planner(resolve_framework(args))
-                                .plan(topo, model::parameter_group(group));
-  const AnalyticBreakdown b = analytic_iteration(topo, plan);
-  const IterationMetrics simulated = TrainingSimulator{}.run(topo, plan);
+  const Run run = resolve_run(args);
+  const TrainingPlan plan = run.plan();
+  const AnalyticBreakdown b = analytic_iteration(run.topo, plan);
+  const IterationMetrics simulated = simulate(args, run, plan).metrics;
   std::cout << "closed-form breakdown (seconds):\n"
             << "  overhead         " << b.overhead << "\n"
             << "  steady compute   " << b.steady_compute << "\n"
@@ -707,49 +707,15 @@ int cmd_analytic(const Args& args) {
   return 0;
 }
 
-int cmd_stats(const Args& args) {
-  const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = parse_group(args.positional[1]);
-  const FrameworkConfig framework = resolve_framework(args);
-  const int iterations = option_int(args, "iterations", 3);
-  const Perturbations perturb = resolve_perturbations(args, topo);
-
-  RunSummaryOptions options;
-  const auto window = args.options.find("window");
-  if (window != args.options.end()) {
-    const WindowSpec spec = parse_window_spec(window->second);
-    options.override_window = true;
-    options.window_begin = spec.begin;
-    options.window_end = spec.end;
-  }
-
-  const TrainingPlan plan =
-      Planner(framework).plan(topo, model::parameter_group(group));
-  // SelfProfiler is in-place only (the thread-local points at its member).
-  std::optional<obs::SelfProfiler> profiler;
-  if (args.options.count("self-profile")) profiler.emplace();
-  SimArtifacts artifacts;
-  const IterationMetrics m =
-      TrainingSimulator{}.run(topo, plan, iterations, perturb,
-                              /*chrome_trace=*/nullptr, &artifacts);
-  const obs::RunSummary summary =
-      build_run_summary(topo, plan, m, artifacts, options);
-
-  if (json_dest(args) == JsonDest::kStdout) {
-    obs::write_json(std::cout, summary);
-    std::cout << "\n";
-    emit_self_profile(args, artifacts);
-    return 0;
-  }
-
-  std::cout << summary.framework << " / " << summary.workload << " on "
-            << summary.topology << " (" << plan.degrees.to_string() << ")\n"
-            << "  iteration   " << format_time(m.iteration_time)
-            << "   TFLOPS/GPU " << TextTable::num(m.tflops_per_gpu, 1)
-            << "   throughput " << TextTable::num(m.throughput, 2)
-            << " samples/s\n"
-            << "  window      [" << TextTable::num(summary.window_begin_s, 3)
-            << "s, " << TextTable::num(summary.window_end_s, 3) << "s)\n\n";
+void print_stats(std::ostream& out, const obs::RunSummary& summary,
+                 const TrainingPlan& plan, const IterationMetrics& m) {
+  out << summary.framework << " / " << summary.workload << " on "
+      << summary.topology << " (" << plan.degrees.to_string() << ")\n"
+      << "  iteration   " << format_time(m.iteration_time)
+      << "   TFLOPS/GPU " << TextTable::num(m.tflops_per_gpu, 1)
+      << "   throughput " << TextTable::num(m.throughput, 2) << " samples/s\n"
+      << "  window      [" << TextTable::num(summary.window_begin_s, 3)
+      << "s, " << TextTable::num(summary.window_end_s, 3) << "s)\n\n";
 
   TextTable devices({"Device", "Busy", "Waiting", "Util %", "Tasks"});
   for (const auto& d : summary.devices) {
@@ -757,8 +723,7 @@ int cmd_stats(const Args& args) {
                      TextTable::num(d.utilization * 100, 1),
                      TextTable::num(static_cast<std::int64_t>(d.tasks))});
   }
-  std::cout << "device utilization (steady-state window)\n";
-  devices.print();
+  out << "device utilization (steady-state window)\n" << devices.to_string();
 
   TextTable stages(
       {"Stage", "Devices", "Layers", "Compute busy", "Span", "Bubble %"});
@@ -769,8 +734,7 @@ int cmd_stats(const Args& args) {
                     format_time(st.compute_busy_s), format_time(st.span_s),
                     TextTable::num(st.bubble_fraction * 100, 1)});
   }
-  std::cout << "\npipeline bubble (measured iteration)\n";
-  stages.print();
+  out << "\npipeline bubble (measured iteration)\n" << stages.to_string();
 
   // Links, busiest first; everything idle is dropped by the summary already.
   std::vector<obs::RunSummary::Link> links = summary.links;
@@ -786,9 +750,9 @@ int cmd_stats(const Args& args) {
                         format_bytes(l.bytes),
                         TextTable::num(l.effective_gbps, 1)});
   }
-  std::cout << "\nbusiest links (" << std::min(links.size(), kMaxLinks)
-            << " of " << links.size() << " active)\n";
-  link_table.print();
+  out << "\nbusiest links (" << std::min(links.size(), kMaxLinks) << " of "
+      << links.size() << " active)\n"
+      << link_table.to_string();
 
   TextTable comms({"Comm", "Bytes", "Transfers", "Busy", "Span", "Bus Gbit/s"});
   for (const auto& c : summary.comms) {
@@ -797,164 +761,86 @@ int cmd_stats(const Args& args) {
                    format_time(c.busy_s), format_time(c.span_s),
                    TextTable::num(c.bus_gbps, 1)});
   }
-  std::cout << "\ncommunicator traffic (steady-state window)\n";
-  comms.print();
+  out << "\ncommunicator traffic (steady-state window)\n" << comms.to_string();
 
-  std::cout << "\ngrad sync      total " << format_time(summary.grad_sync.total_s)
-            << "  overlapped " << format_time(summary.grad_sync.overlapped_s)
-            << "  exposed " << format_time(summary.grad_sync.exposed_s) << "\n"
-            << "param gather   total "
-            << format_time(summary.param_allgather.total_s) << "  overlapped "
-            << format_time(summary.param_allgather.overlapped_s)
-            << "  exposed " << format_time(summary.param_allgather.exposed_s)
-            << "\n";
+  out << "\ngrad sync      total " << format_time(summary.grad_sync.total_s)
+      << "  overlapped " << format_time(summary.grad_sync.overlapped_s)
+      << "  exposed " << format_time(summary.grad_sync.exposed_s) << "\n"
+      << "param gather   total " << format_time(summary.param_allgather.total_s)
+      << "  overlapped " << format_time(summary.param_allgather.overlapped_s)
+      << "  exposed " << format_time(summary.param_allgather.exposed_s)
+      << "\n";
+}
 
-  emit_self_profile(args, artifacts);
-  emit_json(args, "JSON summary",
-            [&](std::ostream& out) { obs::write_json(out, summary); });
+int cmd_stats(const Args& args) {
+  const Run run = resolve_run(args);
+  RunSummaryOptions options;
+  options.window = option_window(args);
+
+  const TrainingPlan plan = run.plan();
+  const Simulation sim = simulate(args, run, plan);
+  const obs::RunSummary summary =
+      build_run_summary(run.topo, plan, sim.metrics, sim.artifacts, options);
+  emit(
+      args, "JSON summary",
+      [&](std::ostream& out) { print_stats(out, summary, plan, sim.metrics); },
+      [&](std::ostream& out) { obs::write_json(out, summary); },
+      &sim.artifacts);
   return 0;
 }
 
 int cmd_explain(const Args& args) {
-  const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = parse_group(args.positional[1]);
-  const FrameworkConfig framework = resolve_framework(args);
-  const int iterations = option_int(args, "iterations", 3);
-  const Perturbations perturb = resolve_perturbations(args, topo);
-
+  const Run run = resolve_run(args);
   CriticalPathOptions options;
-  const int top = option_int(args, "top", 16);
-  if (top <= 0) throw ConfigError("--top expects a positive count");
-  options.top_segments = static_cast<std::size_t>(top);
-  const auto window = args.options.find("window");
-  if (window != args.options.end()) {
-    const WindowSpec spec = parse_window_spec(window->second);
-    options.window_begin = spec.begin;
-    options.window_end = spec.end;
-  }
+  options.top_segments =
+      static_cast<std::size_t>(option_count(args, "top", 16, 1));
+  options.window = option_window(args).value_or(WindowSpec{});
 
-  const TrainingPlan plan =
-      Planner(framework).plan(topo, model::parameter_group(group));
-  std::optional<obs::SelfProfiler> profiler;
-  if (args.options.count("self-profile")) profiler.emplace();
-  SimArtifacts artifacts;
-  const IterationMetrics m =
-      TrainingSimulator{}.run(topo, plan, iterations, perturb,
-                              /*chrome_trace=*/nullptr, &artifacts);
+  const TrainingPlan plan = run.plan();
+  const Simulation sim = simulate(args, run, plan);
   obs::CriticalPath path;
-  const obs::CriticalPathSummary summary =
-      build_critical_path_summary(topo, plan, m, artifacts, options, &path);
-
-  const auto trace = args.options.find("trace");
-  if (trace != args.options.end()) {
-    std::ofstream out(trace->second);
-    if (!out) throw ConfigError("cannot open " + trace->second);
-    sim::TraceOptions trace_options;
-    trace_options.critical_tasks = path.tasks;
-    if (!artifacts.rates.empty()) trace_options.rates = &artifacts.rates;
-    sim::write_chrome_trace(out, artifacts.graph, *artifacts.result,
-                            trace_options);
-  }
-
-  if (json_dest(args) == JsonDest::kStdout) {
-    obs::write_json(std::cout, summary);
-    std::cout << "\n";
-    emit_self_profile(args, artifacts);
-    return 0;
-  }
-  obs::print_text(std::cout, summary, options.top_segments);
-  if (trace != args.options.end()) {
-    std::cout << "\ntrace written to " << trace->second << "\n";
-  }
-  emit_self_profile(args, artifacts);
-  emit_json(args, "JSON summary",
-            [&](std::ostream& out) { obs::write_json(out, summary); });
-  return 0;
-}
-
-/// Graded verdict exit code shared by `lint`, `check`, and `timeline`:
-/// 0 clean (notes never gate), 1 warnings only, 2 errors. Internal
-/// failures exit 3 via main()'s catch.
-int verdict_exit_code(const verify::LintReport& report) {
-  if (report.count(verify::Severity::kError) > 0) return 2;
-  if (report.count(verify::Severity::kWarning) > 0) return 1;
+  const obs::CriticalPathSummary summary = build_critical_path_summary(
+      run.topo, plan, sim.metrics, sim.artifacts, options, &path);
+  write_trace(args, sim.artifacts, path.tasks);
+  emit(
+      args, "JSON summary",
+      [&](std::ostream& out) {
+        obs::print_text(out, summary, options.top_segments);
+      },
+      [&](std::ostream& out) { obs::write_json(out, summary); },
+      &sim.artifacts);
   return 0;
 }
 
 int cmd_timeline(const Args& args) {
-  const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = parse_group(args.positional[1]);
-  const FrameworkConfig framework = resolve_framework(args);
-  const int iterations = option_int(args, "iterations", 3);
-  // A fault plan's degradation windows surface as effective-rate overlays.
-  const Perturbations perturb = resolve_perturbations(args, topo);
-
+  const Run run = resolve_run(args);
   TimelineReportOptions options;
-  const auto window = args.options.find("window");
-  if (window != args.options.end()) {
-    const WindowSpec spec = parse_window_spec(window->second);
-    options.override_window = true;
-    options.window_begin = spec.begin;
-    options.window_end = spec.end;
-  }
-  options.buckets = option_int(args, "buckets", 48);
-  if (options.buckets < 1) throw ConfigError("--buckets expects a positive count");
-  options.top_talkers = option_int(args, "top", 8);
-  if (options.top_talkers < 0) throw ConfigError("--top expects a non-negative count");
+  options.window = option_window(args).value_or(WindowSpec{});
+  options.buckets = option_count(args, "buckets", 48, 1);
+  options.top_talkers = option_count(args, "top", 8, 0);
   const auto resource = args.options.find("resource");
   if (resource != args.options.end()) options.resource_filter = resource->second;
   options.saturation_threshold =
-      option_real(args, "saturation", options.saturation_threshold);
+      option(args, "saturation", options.saturation_threshold);
   if (!(options.saturation_threshold > 0 &&
         options.saturation_threshold <= 1)) {
     throw ConfigError("--saturation expects a fraction in (0, 1]");
   }
   options.saturation_warn_share =
-      option_real(args, "warn-share", options.saturation_warn_share);
+      option(args, "warn-share", options.saturation_warn_share);
   if (!(options.saturation_warn_share >= 0)) {
     throw ConfigError("--warn-share expects a non-negative fraction");
   }
 
-  const TrainingPlan plan =
-      Planner(framework).plan(topo, model::parameter_group(group));
-  TrainingSimulator simulator;
-  const std::uint64_t tie_seed = option_seed(args, 0);
-  if (tie_seed != 0) {
-    // The disjoint permutation must be byte-identical to canonical at any
-    // seed (the HV405 contract) — CI byte-compares timeline documents
-    // across seeds on exactly this path.
-    sim::ExecutorOptions exec;
-    exec.tie_break = sim::TieBreak::kPermuteDisjoint;
-    exec.tie_seed = tie_seed;
-    simulator.set_executor_options(exec);
-  }
-
-  SimArtifacts artifacts;
-  IterationMetrics m;
-  const auto trace = args.options.find("trace");
-  if (trace != args.options.end()) {
-    std::ofstream out(trace->second);
-    if (!out) throw ConfigError("cannot open " + trace->second);
-    m = simulator.run(topo, plan, iterations, perturb, &out, &artifacts);
-  } else {
-    m = simulator.run(topo, plan, iterations, perturb,
-                      /*chrome_trace=*/nullptr, &artifacts);
-  }
-  const TimelineSummary summary =
-      build_timeline_summary(topo, plan, m, artifacts, options);
-
-  if (json_dest(args) == JsonDest::kStdout) {
-    write_timeline_json(std::cout, summary);
-    std::cout << "\n";
-    return verdict_exit_code(summary.lint);
-  }
-  print_timeline(std::cout, summary);
-  if (trace != args.options.end()) {
-    std::cout << "\ntrace written to " << trace->second << "\n";
-  }
-  emit_json(args, "timeline", [&](std::ostream& out) {
-    write_timeline_json(out, summary);
-  });
+  const TrainingPlan plan = run.plan();
+  const Simulation sim = simulate(args, run, plan);
+  write_trace(args, sim.artifacts);
+  const TimelineSummary summary = build_timeline_summary(
+      run.topo, plan, sim.metrics, sim.artifacts, options);
+  emit(
+      args, "timeline",
+      [&](std::ostream& out) { print_timeline(out, summary); },
+      [&](std::ostream& out) { write_timeline_json(out, summary); });
   return verdict_exit_code(summary.lint);
 }
 
@@ -965,77 +851,84 @@ bool fingerprint_leaf(const std::string& path) {
   return path.rfind("fingerprint", 0) == 0;
 }
 
+/// The structure changes of `diff` outside the fingerprint, one
+/// "removed: path" / "added: path" / "changed: path" line each.
+std::vector<std::string> structure_changes(const JsonDiffResult& diff) {
+  std::vector<std::string> lines;
+  for (const auto& [what, paths] : {std::pair{"removed: ", &diff.removed},
+                                    std::pair{"added: ", &diff.added},
+                                    std::pair{"changed: ", &diff.changed}}) {
+    for (const std::string& path : *paths) {
+      if (!fingerprint_leaf(path)) lines.push_back(what + path);
+    }
+  }
+  return lines;
+}
+
 int cmd_diff(const Args& args) {
   const JsonValue before = read_json_file(args.positional[0]);
   const JsonValue after = read_json_file(args.positional[1]);
   const JsonDiffResult diff = diff_json(before, after);
   const double threshold = option_fail_over(args);  // < 0: report only
 
-  const auto top = static_cast<std::size_t>(option_int(args, "top", 16));
+  const auto top = static_cast<std::size_t>(option_count(args, "top", 16, 1));
   std::vector<JsonDelta> changed;
   for (const JsonDelta& delta : diff.deltas) {
     if (delta.before != delta.after) changed.push_back(delta);
   }
+  const std::size_t shown = std::min(top, changed.size());
 
-  if (json_dest(args) != JsonDest::kStdout) {
-    std::cout << args.positional[0] << " -> " << args.positional[1] << ": "
-              << diff.compared << " numeric leaves compared, "
-              << changed.size() << " changed, max relative change "
-              << TextTable::num(diff.max_rel_change() * 100, 3) << "%\n";
-    for (const std::string& path : diff.removed) {
-      std::cout << "  removed: " << path << "\n";
-    }
-    for (const std::string& path : diff.added) {
-      std::cout << "  added:   " << path << "\n";
-    }
-    for (const std::string& path : diff.changed) {
-      std::cout << "  changed: " << path << "\n";
-    }
-    if (!changed.empty()) {
-      TextTable table({"Path", "Before", "After", "Change %"});
-      for (std::size_t i = 0; i < std::min(top, changed.size()); ++i) {
-        const JsonDelta& delta = changed[i];
-        table.add_row({delta.path, TextTable::num(delta.before, 6),
-                       TextTable::num(delta.after, 6),
-                       TextTable::num(delta.rel_change() * 100, 3)});
-      }
-      std::cout << "largest relative changes (" << std::min(top, changed.size())
-                << " of " << changed.size() << ")\n"
-                << table.to_string();
-    }
-  }
-
-  emit_json(args, "JSON delta report", [&](std::ostream& out) {
-    out << "{\"schema\":\"holmes.json_diff.v1\",\"compared\":" << diff.compared
-        << ",\"max_rel_change\":" << json_number(diff.max_rel_change())
-        << ",\"added\":" << diff.added.size()
-        << ",\"removed\":" << diff.removed.size()
-        << ",\"changed_non_numeric\":" << diff.changed.size()
-        << ",\"deltas\":[";
-    for (std::size_t i = 0; i < std::min(top, changed.size()); ++i) {
-      const JsonDelta& delta = changed[i];
-      if (i > 0) out << ",";
-      out << "{\"path\":\"" << json_escape(delta.path)
-          << "\",\"before\":" << json_number(delta.before)
-          << ",\"after\":" << json_number(delta.after)
-          << ",\"rel_change\":" << json_number(delta.rel_change()) << "}";
-    }
-    out << "]}";
-  });
+  emit(
+      args, "JSON delta report",
+      [&](std::ostream& out) {
+        out << args.positional[0] << " -> " << args.positional[1] << ": "
+            << diff.compared << " numeric leaves compared, " << changed.size()
+            << " changed, max relative change "
+            << TextTable::num(diff.max_rel_change() * 100, 3) << "%\n";
+        for (const std::string& path : diff.removed) {
+          out << "  removed: " << path << "\n";
+        }
+        for (const std::string& path : diff.added) {
+          out << "  added:   " << path << "\n";
+        }
+        for (const std::string& path : diff.changed) {
+          out << "  changed: " << path << "\n";
+        }
+        if (changed.empty()) return;
+        TextTable table({"Path", "Before", "After", "Change %"});
+        for (std::size_t i = 0; i < shown; ++i) {
+          const JsonDelta& delta = changed[i];
+          table.add_row({delta.path, TextTable::num(delta.before, 6),
+                         TextTable::num(delta.after, 6),
+                         TextTable::num(delta.rel_change() * 100, 3)});
+        }
+        out << "largest relative changes (" << shown << " of "
+            << changed.size() << ")\n"
+            << table.to_string();
+      },
+      [&](std::ostream& out) {
+        out << "{\"schema\":\"holmes.json_diff.v1\",\"compared\":"
+            << diff.compared
+            << ",\"max_rel_change\":" << json_number(diff.max_rel_change())
+            << ",\"added\":" << diff.added.size()
+            << ",\"removed\":" << diff.removed.size()
+            << ",\"changed_non_numeric\":" << diff.changed.size()
+            << ",\"deltas\":[";
+        for (std::size_t i = 0; i < shown; ++i) {
+          const JsonDelta& delta = changed[i];
+          if (i > 0) out << ",";
+          out << "{\"path\":\"" << json_escape(delta.path)
+              << "\",\"before\":" << json_number(delta.before)
+              << ",\"after\":" << json_number(delta.after)
+              << ",\"rel_change\":" << json_number(delta.rel_change()) << "}";
+        }
+        out << "]}";
+      });
 
   if (threshold >= 0) {
     // over_threshold minus the fingerprint subtree: a golden re-stamped by
     // a different build must not trip a result gate.
-    bool structure = false;
-    for (const std::string& path : diff.removed) {
-      structure = structure || !fingerprint_leaf(path);
-    }
-    for (const std::string& path : diff.added) {
-      structure = structure || !fingerprint_leaf(path);
-    }
-    for (const std::string& path : diff.changed) {
-      structure = structure || !fingerprint_leaf(path);
-    }
+    const bool structure = !structure_changes(diff).empty();
     double max_rel = 0;
     for (const JsonDelta& delta : diff.deltas) {
       if (fingerprint_leaf(delta.path)) continue;
@@ -1074,63 +967,45 @@ int cmd_lint(const Args& args) {
     return 0;
   }
   if (args.positional.size() < 2) {
-    throw ConfigError(
-        "usage: holmes_cli lint <topology> <group> "
-        "[--framework F] [--json[=FILE]] [--strict] [--no-graph] (or lint "
-        "--rules [--markdown])");
+    throw ConfigError("usage: holmes_cli lint <topology> <group> [options] "
+                      "(or lint --rules [--markdown])");
   }
-  const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = parse_group(args.positional[1]);
-  const FrameworkConfig framework = resolve_framework(args);
-  const int iterations = option_int(args, "iterations", 3);
-
-  const TrainingPlan plan =
-      Planner(framework).plan(topo, model::parameter_group(group));
-  verify::LintReport report = lint_training_plan(topo, plan);
+  const Run run = resolve_run(args);
+  const TrainingPlan plan = run.plan();
+  verify::LintReport report = lint_training_plan(run.topo, plan);
 
   if (!args.options.count("no-graph")) {
     // Lower + simulate the plan and audit the task graph and its timings.
     // The debug pre-flight inside run() would re-lint the plan and throw on
     // the first error; lint wants the *full* report, so run it at the
     // current (non-debug) log level and keep the linting here.
-    SimArtifacts artifacts;
-    TrainingSimulator{}.run(topo, plan, iterations, /*perturbations=*/{},
-                            /*chrome_trace=*/nullptr, &artifacts);
-    report.merge(lint_artifacts(artifacts, &topo));
+    const Simulation sim = simulate(args, run, plan);
+    report.merge(lint_artifacts(sim.artifacts, &run.topo));
   }
   if (args.options.count("strict")) report.promote_warnings();
 
-  if (json_dest(args) == JsonDest::kStdout) {
-    verify::write_json(std::cout, report, current_build_info());
-    std::cout << "\n";
-    return verdict_exit_code(report);
-  }
-
-  std::cout << framework.name << " / group " << group << " on "
-            << net::format_topology(topo) << " (" << plan.degrees.to_string()
-            << ")\n";
-  verify::print_text(std::cout, report);
-
-  emit_json(args, "JSON report", [&](std::ostream& out) {
-    verify::write_json(out, report, current_build_info());
-  });
+  emit(
+      args, "JSON report",
+      [&](std::ostream& out) {
+        out << scenario_line(run, plan);
+        verify::print_text(out, report);
+      },
+      [&](std::ostream& out) {
+        verify::write_json(out, report, current_build_info());
+      });
   return verdict_exit_code(report);
 }
 
 int cmd_check(const Args& args) {
-  const net::Topology topo = resolve_topology(args.positional[0]);
-  const int group = parse_group(args.positional[1]);
-  const FrameworkConfig framework = resolve_framework(args);
-
+  // A fault plan's runtime faults (degradation windows, stragglers) are
+  // active in the canonical run and every permutation alike — the check
+  // then proves byte-determinism *with the faults injected*.
+  const Run run = resolve_run(args);
   ScheduleCheckOptions options;
-  options.permutations = option_int(args, "permutations", 5);
-  if (options.permutations < 1) {
-    throw ConfigError("--permutations expects a positive count");
-  }
-  options.iterations = option_int(args, "iterations", 3);
-  const int threads = option_int(args, "threads", 1);
-  if (threads < 0) throw ConfigError("--threads expects a non-negative count");
-  options.threads = static_cast<std::size_t>(threads);
+  options.permutations = option_count(args, "permutations", 5, 1);
+  options.iterations = run.iterations;
+  options.threads =
+      static_cast<std::size_t>(option_count(args, "threads", 1, 0));
   options.base_seed = option_seed(args, options.base_seed);
   const auto policy = args.options.find("policy");
   if (policy != args.options.end()) {
@@ -1143,74 +1018,56 @@ int cmd_check(const Args& args) {
                         "' (disjoint|all)");
     }
   }
+  options.perturbations = run.perturbations;
 
-  // A fault plan's runtime faults (degradation windows, stragglers) are
-  // active in the canonical run and every permutation alike — the check
-  // then proves byte-determinism *with the faults injected*.
-  options.perturbations = resolve_perturbations(args, topo);
-
-  const TrainingPlan plan =
-      Planner(framework).plan(topo, model::parameter_group(group));
-  ScheduleCheckResult result = check_schedule_determinism(topo, plan, options);
+  const TrainingPlan plan = run.plan();
+  ScheduleCheckResult result =
+      check_schedule_determinism(run.topo, plan, options);
   if (args.options.count("strict")) result.report.promote_warnings();
 
-  if (json_dest(args) == JsonDest::kStdout) {
-    write_check_report_json(std::cout, result, current_build_info());
-    std::cout << "\n";
-    return verdict_exit_code(result.report);
-  }
-
-  std::cout << framework.name << " / group " << group << " on "
-            << net::format_topology(topo) << " (" << plan.degrees.to_string()
-            << ")\n"
-            << "determinism: " << result.permutations << " '"
+  emit(
+      args, "JSON check report",
+      [&](std::ostream& out) {
+        out << scenario_line(run, plan) << "determinism: "
+            << result.permutations << " '"
             << core::to_string(result.tie_break)
             << "' tie permutations (base seed " << result.base_seed << "), ";
-  if (result.diverged == 0) {
-    std::cout << "all byte-identical\n";
-  } else {
-    std::cout << result.diverged << " diverged\n";
-  }
-  const double tight =
-      result.makespan_s > 0
-          ? result.flow.makespan_bound_s / result.makespan_s * 100
-          : 0.0;
-  std::cout << "flow bound:  " << format_time(result.flow.makespan_bound_s)
+        if (result.diverged == 0) {
+          out << "all byte-identical\n";
+        } else {
+          out << result.diverged << " diverged\n";
+        }
+        const double tight =
+            result.makespan_s > 0
+                ? result.flow.makespan_bound_s / result.makespan_s * 100
+                : 0.0;
+        out << "flow bound:  " << format_time(result.flow.makespan_bound_s)
             << " <= makespan " << format_time(result.makespan_s) << " ("
             << TextTable::num(tight, 1) << "% tight)\n";
-  verify::print_text(std::cout, result.report);
-
-  emit_json(args, "JSON check report", [&](std::ostream& out) {
-    write_check_report_json(out, result, current_build_info());
-  });
+        verify::print_text(out, result.report);
+      },
+      [&](std::ostream& out) {
+        write_check_report_json(out, result, current_build_info());
+      });
   return verdict_exit_code(result.report);
 }
 
 int cmd_inject(const Args& args) {
   if (!args.options.count("fault-plan")) {
-    throw ConfigError(
-        "usage: holmes_cli inject <topology> <group> --fault-plan FILE "
-        "[--framework F] [--iterations N] [--json[=FILE]]");
+    throw ConfigError("usage: holmes_cli inject <topology> <group> "
+                      "--fault-plan FILE [options]");
   }
-  const net::Topology topo = resolve_topology(args.positional[0]);
+  const Run run = resolve_run(args);
   RecoveryOptions options;
-  options.group_id = parse_group(args.positional[1]);
-  options.framework = resolve_framework(args);
-  options.iterations = option_int(args, "iterations", 3);
-
-  const FaultPlan plan =
-      parse_fault_plan(read_text_file(args.options.at("fault-plan")));
-  const RecoveryReport report = run_fault_injection(topo, plan, options);
-
-  if (json_dest(args) == JsonDest::kStdout) {
-    write_recovery_report_json(std::cout, report);
-    std::cout << "\n";
-    return verdict_exit_code(report.lint);
-  }
-  print_recovery_report(std::cout, report);
-  emit_json(args, "recovery report", [&](std::ostream& out) {
-    write_recovery_report_json(out, report);
-  });
+  options.group_id = run.group;
+  options.framework = run.framework;
+  options.iterations = run.iterations;
+  const RecoveryReport report =
+      run_fault_injection(run.topo, run.faults, options);
+  emit(
+      args, "recovery report",
+      [&](std::ostream& out) { print_recovery_report(out, report); },
+      [&](std::ostream& out) { write_recovery_report_json(out, report); });
   return verdict_exit_code(report.lint);
 }
 
@@ -1237,12 +1094,10 @@ bool bench_noise_only_leaf(const std::string& path) {
 
 int cmd_bench(const Args& args) {
   namespace fs = std::filesystem;
-  const int repeat = option_int(args, "repeat", 3);
-  const int warmup = option_int(args, "warmup", 1);
-  if (repeat < 1) throw ConfigError("--repeat expects a positive count");
-  if (warmup < 0) throw ConfigError("--warmup expects a non-negative count");
+  const int repeat = option_count(args, "repeat", 3, 1);
+  const int warmup = option_count(args, "warmup", 1, 0);
 
-  const double noise_floor = option_real(args, "noise-floor", 0.05);
+  const double noise_floor = option(args, "noise-floor", 0.05);
   if (!(noise_floor >= 0)) {
     throw ConfigError("--noise-floor expects non-negative seconds");
   }
@@ -1303,18 +1158,9 @@ int cmd_bench(const Args& args) {
       std::remove(tmp.c_str());
       throw ConfigError("bench binary failed: " + bin);
     }
-    std::ifstream in(tmp);
-    if (!in) throw ConfigError(bin + " produced no JSON (expected " + tmp + ")");
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
+    const std::string text = read_text_file(tmp);
     std::remove(tmp.c_str());
-    JsonValue doc;
-    try {
-      doc = json_parse(text);
-    } catch (const Error& e) {
-      throw ConfigError(bin + ": " + e.what());
-    }
+    const JsonValue doc = parse_json(text, bin);
     std::vector<std::pair<std::string, JsonValue>> members;
     members.emplace_back("name", JsonValue::string(doc.at("bench").as_string()));
     for (const auto& [key, value] : doc.as_object()) {
@@ -1381,26 +1227,12 @@ int cmd_bench(const Args& args) {
           JsonValue::object({{"name", JsonValue::string(name)},
                              {"value", JsonValue::number(value)}}));
     };
-    const obs::SelfProfileCounters& c = suite_profile->counters;
-    metric("counters/tasks_created", static_cast<double>(c.tasks_created));
-    metric("counters/compute_tasks", static_cast<double>(c.compute_tasks));
-    metric("counters/transfer_tasks", static_cast<double>(c.transfer_tasks));
-    metric("counters/noop_tasks", static_cast<double>(c.noop_tasks));
-    metric("counters/deps_added", static_cast<double>(c.deps_added));
-    metric("counters/resources_created",
-           static_cast<double>(c.resources_created));
-    metric("counters/channels_created",
-           static_cast<double>(c.channels_created));
-    metric("counters/executor_runs", static_cast<double>(c.executor_runs));
-    metric("counters/ready_pushes", static_cast<double>(c.ready_pushes));
-    metric("counters/ready_pops", static_cast<double>(c.ready_pops));
-    metric("counters/max_ready_queue", static_cast<double>(c.max_ready_queue));
-    metric("counters/cost_model_evals",
-           static_cast<double>(c.cost_model_evals));
-    metric("counters/scenarios_run", static_cast<double>(c.scenarios_run));
-    metric("counters/memo_hits", static_cast<double>(c.memo_hits));
-    metric("counters/memo_misses", static_cast<double>(c.memo_misses));
-    metric("counters/memo_bypass", static_cast<double>(c.memo_bypass));
+    // Every self-profile counter, named as in holmes.self_profile.v2.
+    const JsonValue counters =
+        json_parse(obs::counters_json(suite_profile->counters));
+    for (const auto& [name, value] : counters.as_object()) {
+      metric("counters/" + name, value.as_number());
+    }
     metric("iteration_time_s", last_metrics.iteration_time);
     metric("task_count", static_cast<double>(last_metrics.task_count));
     benches.insert(
@@ -1441,44 +1273,14 @@ int cmd_bench(const Args& args) {
   doc << "]}";
   const std::string trajectory = doc.str();
 
-  if (json_dest(args) != JsonDest::kStdout) {
-    std::cout << "bench suite: " << benches.size() << " benches, repeat "
-              << repeat << ", warmup " << warmup << "\n"
-              << "fingerprint: " << fingerprint_line(current_build_info())
-              << "\n";
-    TextTable table({"Bench", "Wall median", "Spread", "Metrics"});
-    for (const JsonValue& bench : benches) {
-      const JsonValue* wall_s = bench.find("wall_s");
-      table.add_row(
-          {bench.at("name").as_string(),
-           wall_s != nullptr ? format_time(wall_s->at("median").as_number())
-                             : "-",
-           wall_s != nullptr ? format_time(wall_s->at("spread").as_number())
-                             : "-",
-           TextTable::num(static_cast<std::int64_t>(
-               bench.at("metrics").as_array().size()))});
-    }
-    table.print();
-  }
-  emit_json(args, "trajectory",
-            [&](std::ostream& out) { out << trajectory; });
-
+  // Baseline comparison: structure changes and moved leaves, fingerprint
+  // drift excluded (both empty without --baseline).
   const auto baseline = args.options.find("baseline");
-  if (baseline == args.options.end()) return 0;
-
-  const JsonDiffResult diff =
-      diff_json(read_json_file(baseline->second), json_parse(trajectory));
-
-  std::vector<std::string> structural;
-  for (const std::string& path : diff.removed) {
-    if (!fingerprint_leaf(path)) structural.push_back("removed: " + path);
+  JsonDiffResult diff;
+  if (baseline != args.options.end()) {
+    diff = diff_json(read_json_file(baseline->second), json_parse(trajectory));
   }
-  for (const std::string& path : diff.added) {
-    if (!fingerprint_leaf(path)) structural.push_back("added: " + path);
-  }
-  for (const std::string& path : diff.changed) {
-    if (!fingerprint_leaf(path)) structural.push_back("changed: " + path);
-  }
+  const std::vector<std::string> structural = structure_changes(diff);
   std::vector<JsonDelta> moved;  // descending |rel_change|, like diff.deltas
   for (const JsonDelta& delta : diff.deltas) {
     if (!fingerprint_leaf(delta.path) && delta.before != delta.after) {
@@ -1486,23 +1288,45 @@ int cmd_bench(const Args& args) {
     }
   }
 
-  if (json_dest(args) != JsonDest::kStdout) {
-    std::cout << "\nbaseline " << baseline->second << ": " << diff.compared
-              << " numeric leaves compared, " << moved.size() << " moved\n";
-    for (const std::string& line : structural) {
-      std::cout << "  " << line << "\n";
-    }
-    if (!moved.empty()) {
-      TextTable table({"Path", "Before", "After", "Change %"});
-      for (std::size_t i = 0; i < std::min<std::size_t>(moved.size(), 10);
-           ++i) {
-        table.add_row({moved[i].path, TextTable::num(moved[i].before, 6),
-                       TextTable::num(moved[i].after, 6),
-                       TextTable::num(moved[i].rel_change() * 100, 3)});
-      }
-      table.print();
-    }
-  }
+  emit(
+      args, "trajectory",
+      [&](std::ostream& out) {
+        out << "bench suite: " << benches.size() << " benches, repeat "
+            << repeat << ", warmup " << warmup << "\n"
+            << "fingerprint: " << fingerprint_line(current_build_info())
+            << "\n";
+        TextTable table({"Bench", "Wall median", "Spread", "Metrics"});
+        for (const JsonValue& bench : benches) {
+          const JsonValue* wall_s = bench.find("wall_s");
+          table.add_row(
+              {bench.at("name").as_string(),
+               wall_s != nullptr
+                   ? format_time(wall_s->at("median").as_number())
+                   : "-",
+               wall_s != nullptr
+                   ? format_time(wall_s->at("spread").as_number())
+                   : "-",
+               TextTable::num(static_cast<std::int64_t>(
+                   bench.at("metrics").as_array().size()))});
+        }
+        out << table.to_string();
+        if (baseline == args.options.end()) return;
+        out << "\nbaseline " << baseline->second << ": " << diff.compared
+            << " numeric leaves compared, " << moved.size() << " moved\n";
+        for (const std::string& line : structural) {
+          out << "  " << line << "\n";
+        }
+        if (moved.empty()) return;
+        TextTable deltas({"Path", "Before", "After", "Change %"});
+        for (std::size_t i = 0; i < std::min<std::size_t>(moved.size(), 10);
+             ++i) {
+          deltas.add_row({moved[i].path, TextTable::num(moved[i].before, 6),
+                          TextTable::num(moved[i].after, 6),
+                          TextTable::num(moved[i].rel_change() * 100, 3)});
+        }
+        out << deltas.to_string();
+      },
+      [&](std::ostream& out) { out << trajectory; });
 
   if (threshold < 0) return 0;
   std::vector<std::string> trips = structural;
@@ -1541,115 +1365,179 @@ int cmd_envs(const Args&) {
   return 0;
 }
 
-/// What one subcommand reads: its positional arguments and its --keys
-/// (--log-level is read everywhere). Every invocation is checked against
-/// this table before it runs, so an argument or flag the subcommand would
-/// not read is a config error instead of a silent no-op.
+/// What one subcommand reads: its positional arguments, the --keys that
+/// take a value, and the bare --flags (which also accept --flag=VALUE);
+/// --log-level is read everywhere. parse_args checks every invocation
+/// against this table before it runs, so an argument or flag the
+/// subcommand would not read is a config error instead of a silent no-op,
+/// and the usage text is generated from it.
 struct Command {
   const char* name;
   int (*run)(const Args&);
   const char* synopsis;  ///< the positional arguments
+  const char* summary;   ///< the usage text's one-line description
   std::size_t min_positional;
   std::size_t max_positional;
   std::vector<std::string> keys;
+  std::vector<std::string> flags;
 };
 
 constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
 
-const Command& resolve_command(const Args& args) {
-  static const std::vector<Command> commands = {
-      {"simulate", cmd_simulate, "<topology> <group>", 2, 2,
-       {"framework", "iterations", "trace", "straggler"}},
-      {"plan", cmd_plan, "<topology> <group>", 2, 2, {"framework"}},
-      {"tune", cmd_tune, "<topology> <group>", 2, 2,
-       {"framework", "top", "max-pipeline"}},
-      {"sweep", cmd_sweep, "<topology> <group...>", 2, kUnbounded,
-       {"markdown", "csv"}},
-      {"analytic", cmd_analytic, "<topology> <group>", 2, 2, {"framework"}},
-      {"stats", cmd_stats, "<topology> <group>", 2, 2,
-       {"framework", "iterations", "json", "window", "straggler",
-        "self-profile"}},
-      {"explain", cmd_explain, "<topology> <group>", 2, 2,
-       {"framework", "iterations", "json", "top", "window", "trace",
-        "straggler", "self-profile"}},
-      {"timeline", cmd_timeline, "<topology> <group>", 2, 2,
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"simulate", cmd_simulate, "<topology> <group>",
+       "plan + simulate one scenario", 2, 2,
+       {"framework", "iterations", "trace", "straggler"}, {}},
+      {"plan", cmd_plan, "<topology> <group>", "print the resolved plan", 2, 2,
+       {"framework"}, {}},
+      {"tune", cmd_tune, "<topology> <group>",
+       "auto-tune the (tensor, pipeline) layout", 2, 2,
+       {"framework", "top", "max-pipeline"}, {}},
+      {"sweep", cmd_sweep, "<topology> <group...>",
+       "all frameworks x groups grid", 2, kUnbounded, {}, {"markdown", "csv"}},
+      {"analytic", cmd_analytic, "<topology> <group>",
+       "closed-form iteration breakdown", 2, 2, {"framework"}, {}},
+      {"stats", cmd_stats, "<topology> <group>",
+       "observability breakdown of one run", 2, 2,
+       {"framework", "iterations", "window", "straggler"},
+       {"json", "self-profile"}},
+      {"explain", cmd_explain, "<topology> <group>",
+       "critical-path makespan attribution", 2, 2,
+       {"framework", "iterations", "top", "window", "trace", "straggler"},
+       {"json", "self-profile"}},
+      {"timeline", cmd_timeline, "<topology> <group>",
+       "time-resolved fabric telemetry of one run", 2, 2,
        {"framework", "iterations", "window", "buckets", "resource", "top",
-        "saturation", "warn-share", "seed", "fault-plan", "trace", "json",
-        "straggler"}},
-      {"diff", cmd_diff, "<before.json> <after.json>", 2, 2,
-       {"fail-over", "top", "json"}},
-      {"lint", cmd_lint, "<topology> <group>", 0, 2,
-       {"framework", "iterations", "json", "strict", "no-graph", "rules",
-        "markdown"}},
-      {"check", cmd_check, "<topology> <group>", 2, 2,
+        "saturation", "warn-share", "seed", "fault-plan", "trace",
+        "straggler"},
+       {"json"}},
+      {"diff", cmd_diff, "<before.json> <after.json>",
+       "compare two emitted JSON documents", 2, 2, {"fail-over", "top"},
+       {"json"}},
+      {"lint", cmd_lint, "<topology> <group>",
+       "static verifier (or lint --rules)", 0, 2, {"framework", "iterations"},
+       {"json", "strict", "no-graph", "rules", "markdown"}},
+      {"check", cmd_check, "<topology> <group>",
+       "schedule-race determinism check", 2, 2,
        {"permutations", "seed", "policy", "framework", "iterations",
-        "threads", "json", "strict", "fault-plan"}},
-      {"inject", cmd_inject, "<topology> <group>", 2, 2,
-       {"fault-plan", "framework", "iterations", "json"}},
-      {"bench", cmd_bench, "[binaries...]", 0, kUnbounded,
-       {"bin-dir", "filter", "repeat", "warmup", "no-probe", "json",
-        "baseline", "fail-over", "noise-floor"}},
-      {"envs", cmd_envs, "", 0, 0, {}},
+        "threads", "fault-plan"},
+       {"json", "strict"}},
+      {"inject", cmd_inject, "<topology> <group>",
+       "fault injection + elastic recovery", 2, 2,
+       {"fault-plan", "framework", "iterations"}, {"json"}},
+      {"bench", cmd_bench, "[binaries...]",
+       "perf-trajectory harness over the bench binaries", 0, kUnbounded,
+       {"bin-dir", "filter", "repeat", "warmup", "baseline", "fail-over",
+        "noise-floor"},
+       {"no-probe", "json"}},
+      {"envs", cmd_envs, "", "list named environments", 0, 0, {}, {}},
   };
-  const auto command =
-      std::find_if(commands.begin(), commands.end(),
-                   [&](const Command& c) { return args.command == c.name; });
-  if (command == commands.end()) {
-    throw ConfigError("unknown command '" + args.command + "'\n" +
-                      usage_text());
-  }
+  return table;
+}
 
-  const auto reads = [&](const std::string& key) {
-    return key == "log-level" ||
-           std::find(command->keys.begin(), command->keys.end(), key) !=
-               command->keys.end();
-  };
-  const auto reject = [&](const std::string& key) {
-    std::string known;
-    for (const std::string& k : command->keys) known += "--" + k + " ";
-    throw ConfigError(args.command + " does not read --" + key +
-                      " (it reads " + known + "--log-level)");
-  };
-  for (const auto& [key, value] : args.options) {
-    if (!reads(key)) reject(key);
+std::string usage_text() {
+  std::string text = "usage: holmes_cli <command> [args]\n\n";
+  for (const Command& command : commands()) {
+    char line[160];
+    std::snprintf(line, sizeof(line), "  %-8s %-26s  %s\n", command.name,
+                  command.synopsis, command.summary);
+    text += line;
   }
-  if (!args.stragglers.empty() && !reads("straggler")) reject("straggler");
+  return text +
+         "\nglobal options: --version, --log-level debug|info|warning|error\n"
+         "see the holmes_cli source header for per-command options";
+}
+
+bool listed(const std::vector<std::string>& names, const std::string& key) {
+  return std::find(names.begin(), names.end(), key) != names.end();
+}
+
+/// Splits argv by `command`'s table entry: `--key VALUE` or `--key=VALUE`
+/// for its keys and --log-level, bare `--flag` for its flags, the rest
+/// positional. Anything the command does not read is a config error.
+Args parse_args(const Command& command, int argc, char** argv) {
+  Args args;
+  for (int i = 2; i < argc; ++i) {
+    const std::string token = argv[i];
+    if (token.rfind("--", 0) != 0) {
+      args.positional.push_back(token);
+      continue;
+    }
+    std::string key = token.substr(2);
+    std::optional<std::string> value;
+    const std::size_t eq = key.find('=');
+    if (eq != std::string::npos) {
+      value = key.substr(eq + 1);
+      key.resize(eq);
+    }
+    const bool flag = listed(command.flags, key);
+    if (!flag && key != "log-level" && !listed(command.keys, key)) {
+      std::string known;
+      for (const std::string& k : command.keys) known += "--" + k + " ";
+      for (const std::string& k : command.flags) known += "--" + k + " ";
+      throw ConfigError(std::string(command.name) + " does not read --" +
+                        key + " (it reads " + known + "--log-level)");
+    }
+    if (!value.has_value() && !flag && i + 1 >= argc) {
+      throw ConfigError("missing value for --" + key);
+    }
+    if (!value.has_value()) value = flag ? "" : argv[++i];
+    if (key == "straggler") {
+      args.stragglers.push_back(*value);
+    } else {
+      args.options[key] = *value;
+    }
+  }
 
   const std::size_t given = args.positional.size();
-  if (given > command->max_positional) {
+  if (given > command.max_positional) {
     throw ConfigError(
-        "unexpected argument '" + args.positional[command->max_positional] +
-        "': " + args.command + " takes " +
-        (command->max_positional > 0 ? command->synopsis : "no arguments") +
-        (reads("json") ? " (--json takes its file as --json=FILE)" : ""));
+        "unexpected argument '" + args.positional[command.max_positional] +
+        "': " + command.name + " takes " +
+        (command.max_positional > 0 ? command.synopsis : "no arguments") +
+        (listed(command.flags, "json")
+             ? " (--json takes its file as --json=FILE)"
+             : ""));
   }
-  if (given < command->min_positional) {
-    throw ConfigError("usage: holmes_cli " + args.command + " " +
-                      command->synopsis + " [options]");
+  if (given < command.min_positional) {
+    throw ConfigError(std::string("usage: holmes_cli ") + command.name + " " +
+                      command.synopsis + " [options]");
   }
-  return *command;
+  return args;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    if (argc >= 2 && std::string(argv[1]) == "--version") {
+    if (argc < 2) throw ConfigError(usage_text());
+    const std::string name = argv[1];
+    if (name == "--version") {
       std::cout << "holmes_cli " << fingerprint_line(current_build_info())
                 << "\n";
       return 0;
     }
-    const Args args = parse_args(argc, argv);
-    const Command& command = resolve_command(args);
+    const auto& table = commands();
+    const auto command =
+        std::find_if(table.begin(), table.end(),
+                     [&](const Command& c) { return name == c.name; });
+    if (command == table.end()) {
+      throw ConfigError("unknown command '" + name + "'\n" + usage_text());
+    }
+    const Args args = parse_args(*command, argc, argv);
     apply_log_level(args);
-    return command.run(args);
-  } catch (const Error& e) {
-    // 3 = internal/usage failure, distinct from the graded lint/check
+    return command->run(args);
+  } catch (const ConfigError& e) {
+    // 3 = bad input (the message names it), distinct from the graded
     // verdicts (0 clean, 1 warnings, 2 errors / tripped gates).
     std::cerr << e.what() << "\n";
     return 3;
+  } catch (const Error& e) {
+    std::cerr << e.what() << "\n";  // 4 = internal error: a bug
+    return 4;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
-    return 3;
+    return 4;
   }
 }
