@@ -139,6 +139,7 @@ ScheduleCheckResult check_schedule_determinism(
       make_flow_options(canonical.artifacts, topo);
   flow_options.allow_stretched = !options.perturbations.nic_degradation.empty();
   result.report.merge(verify::lint_flow(verify::as_ref(canonical.artifacts.graph),
+                                        result.flow,
                                         &*canonical.artifacts.result,
                                         flow_options));
 

@@ -1,60 +1,23 @@
 #include "verify/flow_lints.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <sstream>
 #include <utility>
 
 #include "util/error.h"
+#include "verify/lint_internal.h"
 #include "verify/rules.h"
 
 namespace holmes::verify {
 
 namespace {
 
+using namespace detail;
 using sim::ResourceId;
 using sim::Task;
 using sim::TaskId;
 using sim::TaskKind;
-
-std::string resource_name(const TaskSetRef& view, ResourceId id) {
-  if (view.graph != nullptr && id >= 0 &&
-      static_cast<std::size_t>(id) < view.resource_count) {
-    return view.graph->resource_name(id);
-  }
-  return "r" + std::to_string(id);
-}
-
-std::string channel_name(const TaskSetRef& view, sim::ChannelId id) {
-  if (view.graph != nullptr && id >= 0 &&
-      static_cast<std::size_t>(id) < view.channel_count) {
-    return view.graph->channel_name(id);
-  }
-  return "ch" + std::to_string(id);
-}
-
-std::string task_subject(const TaskSetRef& view, std::size_t id) {
-  const Task& task = (*view.tasks)[id];
-  std::string subject = "task " + std::to_string(id);
-  if (!task.label.empty()) subject += " '" + task.label + "'";
-  return subject;
-}
-
-bool resource_ok(const TaskSetRef& view, ResourceId id) {
-  return id >= 0 && static_cast<std::size_t>(id) < view.resource_count;
-}
-
-/// Strips a trailing ".tx"/".rx" so a port collapses to its endpoint.
-std::string endpoint_of(const std::string& port) {
-  if (port.size() > 3) {
-    const std::string suffix = port.substr(port.size() - 3);
-    if (suffix == ".tx" || suffix == ".rx") {
-      return port.substr(0, port.size() - 3);
-    }
-  }
-  return port;
-}
 
 /// The minimum wall-clock span a task occupies regardless of schedule.
 /// Malformed negative costs (HV203's findings) clamp to zero so the chain
@@ -63,67 +26,12 @@ double min_span_of(const Task& task) {
   switch (task.kind) {
     case TaskKind::kCompute:
       return std::max(0.0, task.duration);
-    case TaskKind::kTransfer: {
-      const double serialization =
-          task.bytes > 0 && task.bandwidth > 0
-              ? static_cast<double>(task.bytes) / task.bandwidth
-              : 0.0;
-      return serialization + std::max(0.0, task.latency);
-    }
+    case TaskKind::kTransfer:
+      return serialization_of(task) + std::max(0.0, task.latency);
     case TaskKind::kNoop:
       return 0.0;
   }
   return 0.0;
-}
-
-/// Serialization time a transfer occupies its ports for.
-double serialization_of(const Task& task) {
-  return task.bytes > 0 && task.bandwidth > 0
-             ? static_cast<double>(task.bytes) / task.bandwidth
-             : 0.0;
-}
-
-/// a >= b, up to relative/absolute tolerance.
-bool ge(double a, double b, double tolerance) {
-  const double eps = tolerance * std::max({1.0, std::fabs(a), std::fabs(b)});
-  return a >= b - eps;
-}
-
-bool near(double a, double b, double tolerance) {
-  return ge(a, b, tolerance) && ge(b, a, tolerance);
-}
-
-/// Kahn topological order; empty when deps are malformed or cyclic.
-std::vector<std::size_t> topo_order(const TaskSetRef& view) {
-  const std::size_t n = view.tasks->size();
-  std::vector<std::size_t> indegree(n, 0);
-  std::vector<std::vector<std::size_t>> dependents(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (TaskId dep : view.deps(i)) {
-      if (dep < 0 || static_cast<std::size_t>(dep) >= n ||
-          static_cast<std::size_t>(dep) == i) {
-        return {};  // HV202's findings; flow bounds would be garbage
-      }
-      indegree[i] += 1;
-      dependents[static_cast<std::size_t>(dep)].push_back(i);
-    }
-  }
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  std::vector<std::size_t> frontier;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) frontier.push_back(i);
-  }
-  while (!frontier.empty()) {
-    const std::size_t id = frontier.back();
-    frontier.pop_back();
-    order.push_back(id);
-    for (std::size_t next : dependents[id]) {
-      if (--indegree[next] == 0) frontier.push_back(next);
-    }
-  }
-  if (order.size() != n) return {};  // cyclic: HV201's finding
-  return order;
 }
 
 std::string format_seconds(double s) {
@@ -139,8 +47,8 @@ FlowAnalysis analyze_flow(const TaskSetRef& view) {
   HOLMES_CHECK_MSG(view.tasks != nullptr, "TaskSetRef needs tasks");
   FlowAnalysis analysis;
   const std::size_t n = view.tasks->size();
-  const std::vector<std::size_t> order = topo_order(view);
-  if (n > 0 && order.empty()) return analysis;  // malformed or cyclic
+  const std::vector<TaskId> order = topological_order(view);
+  if (order.size() != n) return analysis;  // malformed or cyclic
   analysis.valid = true;
   analysis.resource_load_s.assign(view.resource_count, 0.0);
 
@@ -148,8 +56,8 @@ FlowAnalysis analyze_flow(const TaskSetRef& view) {
   std::vector<double> dist(n, 0.0);
   std::vector<TaskId> best_pred(n, sim::kInvalidTask);
   std::size_t chain_tail = 0;
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    const std::size_t i = order[pos];
+  for (const TaskId id : order) {
+    const auto i = static_cast<std::size_t>(id);
     const Task& task = (*view.tasks)[i];
     double longest_dep = 0.0;
     TaskId pred = sim::kInvalidTask;
@@ -214,34 +122,53 @@ FlowAnalysis analyze_flow(const TaskSetRef& view) {
   // bytes occupy the destination endpoint from the transfer's topological
   // position through its last dependent's; the peak of the sweep is a lower
   // bound on the buffer any admissible schedule needs.
-  std::vector<std::size_t> pos_of(n, 0);
-  for (std::size_t pos = 0; pos < order.size(); ++pos) pos_of[order[pos]] = pos;
-  std::vector<std::size_t> last_use(n, 0);
-  for (std::size_t i = 0; i < n; ++i) last_use[i] = pos_of[i];
+  std::vector<std::uint32_t> pos_of(n, 0);
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    pos_of[static_cast<std::size_t>(order[pos])] =
+        static_cast<std::uint32_t>(pos);
+  }
+  std::vector<std::uint32_t> last_use = pos_of;
   for (std::size_t i = 0; i < n; ++i) {
     for (TaskId dep : view.deps(i)) {
       auto& lu = last_use[static_cast<std::size_t>(dep)];
       lu = std::max(lu, pos_of[i]);
     }
   }
-  // endpoint -> topo position -> byte delta
-  std::map<std::string, std::map<std::size_t, Bytes>> deltas;
-  for (std::size_t i = 0; i < n; ++i) {
+  auto receives = [&](std::size_t i) {
     const Task& task = (*view.tasks)[i];
-    if (task.kind != TaskKind::kTransfer || task.bytes <= 0) continue;
-    if (!resource_ok(view, task.dst_port)) continue;
-    auto& per_pos = deltas[endpoint_of(resource_name(view, task.dst_port))];
-    per_pos[pos_of[i]] += task.bytes;
-    per_pos[last_use[i] + 1] -= task.bytes;
-  }
-  for (const auto& [endpoint, per_pos] : deltas) {
-    Bytes live = 0;
-    Bytes peak = 0;
-    for (const auto& [pos, delta] : per_pos) {
-      live += delta;
-      peak = std::max(peak, live);
+    return task.kind == TaskKind::kTransfer && task.bytes > 0 &&
+           resource_ok(view, task.dst_port);
+  };
+  const EndpointIndex endpoints = intern_endpoints(view);
+  auto endpoint_of_receive = [&](std::size_t i) {
+    return endpoints.of_resource[static_cast<std::size_t>(
+        (*view.tasks)[i].dst_port)];
+  };
+  std::vector<Bytes> live(endpoints.names.size(), 0);
+  std::vector<Bytes> peak(endpoints.names.size(), 0);
+  std::vector<bool> freed(n, false);
+  // Frees a receive once the position of its last use has been swept, so
+  // its bytes are gone before the next position's receive arrives.
+  auto free_after = [&](std::size_t i, std::size_t pos) {
+    if (last_use[i] != pos || freed[i] || !receives(i)) return;
+    freed[i] = true;  // a dependent may list the same dep twice
+    live[endpoint_of_receive(i)] -= (*view.tasks)[i].bytes;
+  };
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const auto i = static_cast<std::size_t>(order[pos]);
+    if (receives(i)) {
+      const std::uint32_t e = endpoint_of_receive(i);
+      live[e] += (*view.tasks)[i].bytes;
+      peak[e] = std::max(peak[e], live[e]);
     }
-    analysis.watermarks.push_back({endpoint, peak});
+    free_after(i, pos);
+    for (TaskId dep : view.deps(i)) {
+      free_after(static_cast<std::size_t>(dep), pos);
+    }
+  }
+  for (std::size_t e = 0; e < peak.size(); ++e) {
+    if (peak[e] == 0) continue;  // received nothing: receives move bytes > 0
+    analysis.watermarks.push_back({endpoints.names[e], peak[e]});
   }
   return analysis;
 }
@@ -252,9 +179,14 @@ FlowAnalysis analyze_flow(const sim::TaskGraph& graph) {
 
 LintReport lint_flow(const TaskSetRef& view, const sim::SimResult* result,
                      const FlowLintOptions& options) {
+  return lint_flow(view, analyze_flow(view), result, options);
+}
+
+LintReport lint_flow(const TaskSetRef& view, const FlowAnalysis& analysis,
+                     const sim::SimResult* result,
+                     const FlowLintOptions& options) {
   HOLMES_CHECK_MSG(view.tasks != nullptr, "TaskSetRef needs tasks");
   LintReport report;
-  const FlowAnalysis analysis = analyze_flow(view);
   if (!analysis.valid) return report;  // HV201/HV202 own broken graphs
 
   const bool have_result =
@@ -341,55 +273,27 @@ LintReport lint_flow(const TaskSetRef& view, const sim::SimResult* result,
       }
       return options.resource_cluster[static_cast<std::size_t>(r)];
     };
-    struct Flow {
-      Bytes tx = 0;
-      Bytes rx = 0;
-      bool sends = false;
-      bool receives = false;
-    };
     struct CutFlow {
       Bytes forward = 0;   ///< bytes lo-cluster -> hi-cluster
       Bytes backward = 0;  ///< bytes hi-cluster -> lo-cluster
     };
-    // channel -> endpoint -> flow (for closedness), and
     // channel -> unordered cluster pair (lo, hi) -> both directions' bytes.
-    std::vector<std::map<std::string, Flow>> flows(view.channel_count);
     std::vector<std::map<std::pair<int, int>, CutFlow>> cut(view.channel_count);
     for (const Task& task : *view.tasks) {
-      if (task.kind != TaskKind::kTransfer) continue;
-      if (task.channel == sim::kInvalidChannel || task.channel < 0 ||
-          static_cast<std::size_t>(task.channel) >= view.channel_count) {
-        continue;
-      }
-      if (!resource_ok(view, task.src_port) ||
-          !resource_ok(view, task.dst_port)) {
-        continue;  // HV203 reports these
-      }
-      const auto c = static_cast<std::size_t>(task.channel);
-      Flow& src = flows[c][endpoint_of(resource_name(view, task.src_port))];
-      src.tx += task.bytes;
-      src.sends = true;
-      Flow& dst = flows[c][endpoint_of(resource_name(view, task.dst_port))];
-      dst.rx += task.bytes;
-      dst.receives = true;
+      if (!channel_transfer(view, task)) continue;
       const int a = cluster_of(task.src_port);
       const int b = cluster_of(task.dst_port);
       if (a >= 0 && b >= 0 && a != b) {
-        CutFlow& cf = cut[c][{std::min(a, b), std::max(a, b)}];
+        CutFlow& cf = cut[static_cast<std::size_t>(task.channel)]
+                         [{std::min(a, b), std::max(a, b)}];
         (a < b ? cf.forward : cf.backward) += task.bytes;
       }
     }
+    const std::vector<bool> closed =
+        tally_channels(view, intern_endpoints(view)).closed;
     std::size_t findings = 0;
-    for (std::size_t c = 0; c < flows.size(); ++c) {
-      if (cut[c].empty()) continue;
-      const auto& per_endpoint = flows[c];
-      const bool closed = per_endpoint.size() >= 2 &&
-                          std::all_of(per_endpoint.begin(), per_endpoint.end(),
-                                      [](const auto& kv) {
-                                        return kv.second.sends &&
-                                               kv.second.receives;
-                                      });
-      if (!closed) continue;
+    for (std::size_t c = 0; c < cut.size(); ++c) {
+      if (cut[c].empty() || !closed[c]) continue;
       for (const auto& [pair, cf] : cut[c]) {
         const auto [a, b] = pair;
         if (cf.forward == cf.backward) continue;

@@ -26,6 +26,8 @@
 /// resource-disjoint policy divergence is always an executor bug; with the
 /// permute-all policy it exposes graphs whose schedule depends on tie
 /// order — the sync points a future parallel engine must respect.
+///
+/// Cost: analyze_flow and lint_flow are O(tasks + deps) plus an endpoint sort.
 
 #include <cstdint>
 #include <string>
@@ -98,6 +100,11 @@ struct FlowLintOptions {
 /// HV401/HV402 need executed timings and are skipped (not marked checked)
 /// without them; HV403/HV404 are purely static.
 LintReport lint_flow(const TaskSetRef& view, const sim::SimResult* result,
+                     const FlowLintOptions& options = {});
+/// The same rules over `analysis`, which must be analyze_flow(view): for
+/// callers that also report the analysis, so it is derived once.
+LintReport lint_flow(const TaskSetRef& view, const FlowAnalysis& analysis,
+                     const sim::SimResult* result,
                      const FlowLintOptions& options = {});
 LintReport lint_flow(const sim::TaskGraph& graph, const sim::SimResult& result,
                      const FlowLintOptions& options = {});

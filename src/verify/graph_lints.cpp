@@ -1,56 +1,23 @@
 #include "verify/graph_lints.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
+#include <span>
 #include <sstream>
 #include <string>
 
 #include "util/error.h"
+#include "verify/lint_internal.h"
 #include "verify/rules.h"
 
 namespace holmes::verify {
 
 namespace {
 
+using namespace detail;
 using sim::ResourceId;
 using sim::Task;
 using sim::TaskId;
 using sim::TaskKind;
-
-std::string resource_name(const TaskSetRef& view, ResourceId id) {
-  if (view.graph != nullptr && id >= 0 &&
-      static_cast<std::size_t>(id) < view.resource_count) {
-    return view.graph->resource_name(id);
-  }
-  return "r" + std::to_string(id);
-}
-
-std::string channel_name(const TaskSetRef& view, sim::ChannelId id) {
-  if (view.graph != nullptr && id >= 0 &&
-      static_cast<std::size_t>(id) < view.channel_count) {
-    return view.graph->channel_name(id);
-  }
-  return "ch" + std::to_string(id);
-}
-
-std::string task_subject(const TaskSetRef& view, std::size_t id) {
-  const Task& task = (*view.tasks)[id];
-  std::string subject = "task " + std::to_string(id);
-  if (!task.label.empty()) subject += " '" + task.label + "'";
-  return subject;
-}
-
-bool resource_ok(const TaskSetRef& view, ResourceId id) {
-  return id >= 0 && static_cast<std::size_t>(id) < view.resource_count;
-}
-
-/// Serialization time a transfer occupies its ports for.
-SimTime serialization_of(const Task& task) {
-  return task.bytes > 0 && task.bandwidth > 0
-             ? static_cast<double>(task.bytes) / task.bandwidth
-             : 0.0;
-}
 
 /// True when every dep id of every task is a valid, distinct task id.
 /// HV202. Returns validity so dependent rules can skip on broken ids.
@@ -76,41 +43,17 @@ bool lint_deps_valid(const TaskSetRef& view, const GraphLintOptions& options,
   return findings == 0;
 }
 
-/// Kahn's algorithm over deps plus `extra` edges (from -> to pairs).
-/// Returns ids that never became ready (empty means acyclic).
+/// Tasks that never become ready under deps plus the optional program
+/// predecessor edges, ascending (empty means acyclic).
 std::vector<std::size_t> stuck_tasks(
-    const TaskSetRef& view,
-    const std::vector<std::pair<std::size_t, std::size_t>>& extra) {
-  const std::size_t n = view.tasks->size();
-  std::vector<std::size_t> indegree(n, 0);
-  std::vector<std::vector<std::size_t>> dependents(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (TaskId dep : view.deps(i)) {
-      indegree[i] += 1;
-      dependents[static_cast<std::size_t>(dep)].push_back(i);
-    }
-  }
-  for (const auto& [from, to] : extra) {
-    indegree[to] += 1;
-    dependents[from].push_back(to);
-  }
-  std::vector<std::size_t> frontier;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) frontier.push_back(i);
-  }
-  std::size_t completed = 0;
-  while (!frontier.empty()) {
-    const std::size_t id = frontier.back();
-    frontier.pop_back();
-    ++completed;
-    for (std::size_t next : dependents[id]) {
-      if (--indegree[next] == 0) frontier.push_back(next);
-    }
+    const TaskSetRef& view, std::span<const TaskId> program_pred = {}) {
+  std::vector<bool> ready(view.tasks->size(), false);
+  for (TaskId id : topological_order(view, program_pred)) {
+    ready[static_cast<std::size_t>(id)] = true;
   }
   std::vector<std::size_t> stuck;
-  if (completed == n) return stuck;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indegree[i] > 0) stuck.push_back(i);
+  for (std::size_t i = 0; i < ready.size(); ++i) {
+    if (!ready[i]) stuck.push_back(i);
   }
   return stuck;
 }
@@ -130,7 +73,7 @@ std::string sample_tasks(const TaskSetRef& view,
 void lint_acyclic(const TaskSetRef& view, const GraphLintOptions& options,
                   LintReport& report) {
   report.mark_checked(kRuleGraphAcyclic);
-  const std::vector<std::size_t> stuck = stuck_tasks(view, {});
+  const std::vector<std::size_t> stuck = stuck_tasks(view);
   if (stuck.empty()) return;
   std::ostringstream os;
   os << "dependency cycle: " << stuck.size()
@@ -197,22 +140,25 @@ void lint_serial_order(const TaskSetRef& view, const GraphLintOptions& options,
   report.mark_checked(kRuleSerialOrder);
   // Chain consecutive compute tasks of each declared program resource in
   // creation order; a cycle through deps ∪ chains means the device's
-  // in-order issue engine would deadlock.
-  std::vector<std::pair<std::size_t, std::size_t>> extra;
-  for (ResourceId resource : options.serial_programs) {
-    bool have_prev = false;
-    std::size_t prev = 0;
-    for (std::size_t i = 0; i < view.tasks->size(); ++i) {
-      const Task& task = (*view.tasks)[i];
-      if (task.kind != TaskKind::kCompute || task.resource != resource) {
-        continue;
-      }
-      if (have_prev) extra.emplace_back(prev, i);
-      prev = i;
-      have_prev = true;
-    }
+  // in-order issue engine would deadlock. One pass: each program keeps its
+  // last compute task, which becomes the next one's program predecessor. A
+  // program listed twice would only repeat its edges, so ids are deduplicated.
+  std::vector<ResourceId> programs = options.serial_programs;
+  std::sort(programs.begin(), programs.end());
+  programs.erase(std::unique(programs.begin(), programs.end()), programs.end());
+  std::vector<TaskId> last(programs.size(), sim::kInvalidTask);
+  std::vector<TaskId> program_pred(view.tasks->size(), sim::kInvalidTask);
+  for (std::size_t i = 0; i < view.tasks->size(); ++i) {
+    const Task& task = (*view.tasks)[i];
+    if (task.kind != TaskKind::kCompute) continue;
+    const auto it =
+        std::lower_bound(programs.begin(), programs.end(), task.resource);
+    if (it == programs.end() || *it != task.resource) continue;
+    TaskId& prev = last[static_cast<std::size_t>(it - programs.begin())];
+    program_pred[i] = prev;
+    prev = static_cast<TaskId>(i);
   }
-  const std::vector<std::size_t> stuck = stuck_tasks(view, extra);
+  const std::vector<std::size_t> stuck = stuck_tasks(view, program_pred);
   if (stuck.empty()) return;
   std::ostringstream os;
   os << "declared program order conflicts with the dependency structure: "
@@ -221,83 +167,29 @@ void lint_serial_order(const TaskSetRef& view, const GraphLintOptions& options,
   report.add(kRuleSerialOrder, Severity::kError, "graph", os.str());
 }
 
-/// Strips a trailing ".tx"/".rx" so a port pair collapses to its endpoint.
-std::string endpoint_of(const std::string& port) {
-  if (port.size() > 3) {
-    const std::string suffix = port.substr(port.size() - 3);
-    if (suffix == ".tx" || suffix == ".rx") {
-      return port.substr(0, port.size() - 3);
-    }
-  }
-  return port;
-}
-
 void lint_channel_conservation(const TaskSetRef& view,
                                const GraphLintOptions& options,
                                LintReport& report) {
   if (view.channel_count == 0) return;
   report.mark_checked(kRuleChannelConservation);
-  struct Flow {
-    Bytes tx = 0;
-    Bytes rx = 0;
-    bool sends = false;
-    bool receives = false;
-  };
-  // channel -> endpoint -> flow
-  std::vector<std::map<std::string, Flow>> flows(view.channel_count);
-  for (const Task& task : *view.tasks) {
-    if (task.kind != TaskKind::kTransfer) continue;
-    if (task.channel == sim::kInvalidChannel || task.channel < 0 ||
-        static_cast<std::size_t>(task.channel) >= view.channel_count) {
+  const EndpointIndex endpoints = intern_endpoints(view);
+  const ChannelFlows tally = tally_channels(view, endpoints);
+  std::size_t findings = 0;
+  for (const EndpointFlow& flow : tally.flows) {
+    if (!tally.closed[static_cast<std::size_t>(flow.channel)] ||
+        flow.tx == flow.rx) {
       continue;
     }
-    if (!resource_ok(view, task.src_port) || !resource_ok(view, task.dst_port)) {
-      continue;  // HV203 reports these
+    if (findings < options.max_diagnostics_per_rule) {
+      std::ostringstream os;
+      os << "endpoint '" << endpoints.names[flow.endpoint] << "' transmitted "
+         << flow.tx << " bytes but received " << flow.rx
+         << " on a closed collective channel — bytes-in != bytes-out";
+      report.add(kRuleChannelConservation, Severity::kWarning,
+                 "channel " + channel_name(view, flow.channel), os.str());
     }
-    auto& per_endpoint = flows[static_cast<std::size_t>(task.channel)];
-    Flow& src = per_endpoint[endpoint_of(resource_name(view, task.src_port))];
-    src.tx += task.bytes;
-    src.sends = true;
-    Flow& dst = per_endpoint[endpoint_of(resource_name(view, task.dst_port))];
-    dst.rx += task.bytes;
-    dst.receives = true;
+    ++findings;
   }
-  std::size_t findings = 0;
-  for (std::size_t c = 0; c < flows.size(); ++c) {
-    const auto& per_endpoint = flows[c];
-    if (per_endpoint.size() < 2) continue;
-    // Conservation only holds on *closed* channels where every endpoint
-    // both sends and receives (ring collectives; also the pipeline channel,
-    // whose act/grad byte counts mirror each other).
-    const bool closed = std::all_of(
-        per_endpoint.begin(), per_endpoint.end(),
-        [](const auto& kv) { return kv.second.sends && kv.second.receives; });
-    if (!closed) continue;
-    for (const auto& [endpoint, flow] : per_endpoint) {
-      if (flow.tx == flow.rx) continue;
-      if (findings < options.max_diagnostics_per_rule) {
-        std::ostringstream os;
-        os << "endpoint '" << endpoint << "' transmitted " << flow.tx
-           << " bytes but received " << flow.rx
-           << " on a closed collective channel — bytes-in != bytes-out";
-        report.add(kRuleChannelConservation, Severity::kWarning,
-                   "channel " + channel_name(view, static_cast<sim::ChannelId>(c)),
-                   os.str());
-      }
-      ++findings;
-    }
-  }
-}
-
-/// a >= b, up to relative/absolute tolerance.
-bool ge(double a, double b, double tolerance) {
-  const double eps =
-      tolerance * std::max({1.0, std::fabs(a), std::fabs(b)});
-  return a >= b - eps;
-}
-
-bool near(double a, double b, double tolerance) {
-  return ge(a, b, tolerance) && ge(b, a, tolerance);
 }
 
 void lint_timing_monotone(const TaskSetRef& view, const sim::SimResult& result,

@@ -18,6 +18,8 @@
 /// The TaskSetRef view makes that testable: known-bad fixtures are raw
 /// `std::vector<sim::Task>` values, with their dependencies in a parallel
 /// per-task array, that the TaskGraph API would refuse to build.
+///
+/// Cost: lint_graph is O(tasks + deps) plus per-resource and endpoint sorts.
 
 #include <cstddef>
 #include <span>

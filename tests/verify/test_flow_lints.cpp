@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/executor.h"
@@ -67,6 +68,22 @@ TEST(FlowAnalysis, ChainAndResourceBounds) {
   EXPECT_EQ(flow.watermarks[0].peak_bytes, Bytes{1000});
 }
 
+TEST(FlowAnalysis, ChainTailFollowsLifoAscendingTopologicalOrder) {
+  // Equal-length chains tie; the chain ends at the first tail the
+  // topological order reaches. The frontier is LIFO and a task releases its
+  // dependents in ascending id (not edge-declaration) order, so task 3 is
+  // reached before task 2 and task 1 before task 0.
+  TaskGraph graph;
+  const ResourceId r = graph.add_resource("gpu0.compute");
+  for (int k = 0; k < 4; ++k) graph.add_compute(r, 1.0);
+  graph.add_dep(3, 0);
+  graph.add_dep(2, 0);
+  const FlowAnalysis flow = analyze_flow(graph);
+  ASSERT_TRUE(flow.valid);
+  EXPECT_DOUBLE_EQ(flow.chain_bound_s, 2.0);
+  EXPECT_EQ(flow.chain, (std::vector<TaskId>{0, 3}));
+}
+
 TEST(FlowAnalysis, InvalidOnCyclicGraph) {
   TaskGraph graph;
   const ResourceId r = graph.add_resource("gpu0.compute");
@@ -75,6 +92,69 @@ TEST(FlowAnalysis, InvalidOnCyclicGraph) {
   graph.add_dep(x, y);
   graph.add_dep(y, x);
   EXPECT_FALSE(analyze_flow(graph).valid);
+}
+
+TEST(FlowAnalysis, WatermarksSortByEndpointName) {
+  // Twelve unnamed resources (r0..r11): name order puts r1 < r10 < r2.
+  std::vector<sim::Task> tasks(3);
+  const ResourceId dst[] = {2, 10, 1};
+  const Bytes bytes[] = {700, 100, 50};
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].kind = sim::TaskKind::kTransfer;
+    tasks[i].src_port = 0;
+    tasks[i].dst_port = dst[i];
+    tasks[i].bytes = bytes[i];
+    tasks[i].bandwidth = 1e3;
+  }
+  const FlowAnalysis flow = analyze_flow(TaskSetRef{&tasks, 12, 0});
+  ASSERT_TRUE(flow.valid);
+  std::vector<std::pair<std::string, Bytes>> watermarks;
+  for (const auto& wm : flow.watermarks) {
+    watermarks.emplace_back(wm.endpoint, wm.peak_bytes);
+  }
+  EXPECT_EQ(watermarks, (std::vector<std::pair<std::string, Bytes>>{
+                            {"r1", 50}, {"r10", 100}, {"r2", 700}}));
+}
+
+TEST(FlowAnalysis, WatermarkCollapsesTxAndRxPortsIntoOneEndpoint) {
+  TaskGraph graph;
+  for (int k = 0; k < 12; ++k) {
+    graph.add_resource("gpu" + std::to_string(k) + ".ib.tx");
+    graph.add_resource("gpu" + std::to_string(k) + ".ib.rx");
+  }
+  const ResourceId tx2 = 4, rx2 = 5, tx10 = 20, rx10 = 21;
+  // Both of gpu2's ports receive, and a sink keeps both buffers live at
+  // once: one endpoint holds 300 + 200 bytes.
+  const TaskId a = graph.add_transfer(tx10, rx2, Bytes{300}, 1e3, 0);
+  const TaskId b = graph.add_transfer(rx10, tx2, Bytes{200}, 1e3, 0);
+  const TaskId c = graph.add_transfer(tx2, rx10, Bytes{100}, 1e3, 0);
+  const TaskId sink = graph.add_noop("sink");
+  graph.add_deps(sink, {a, b, c});
+  const FlowAnalysis flow = analyze_flow(graph);
+  ASSERT_TRUE(flow.valid);
+  ASSERT_EQ(flow.watermarks.size(), 2u);
+  EXPECT_EQ(flow.watermarks[0].endpoint, "gpu10.ib");
+  EXPECT_EQ(flow.watermarks[0].peak_bytes, Bytes{100});
+  EXPECT_EQ(flow.watermarks[1].endpoint, "gpu2.ib");
+  EXPECT_EQ(flow.watermarks[1].peak_bytes, Bytes{500});
+}
+
+TEST(FlowAnalysis, WatermarkFreesABufferPastItsLastConsumer) {
+  // The first 500 bytes are consumed by the noop at position 1, so they are
+  // free by position 2, where the next 300 bytes arrive: the peak is 500,
+  // not 800.
+  TaskGraph graph;
+  const ResourceId tx = graph.add_resource("gpu0.ib.tx");
+  const ResourceId rx = graph.add_resource("gpu1.ib.rx");
+  const TaskId first = graph.add_transfer(tx, rx, Bytes{500}, 1e3, 0);
+  const TaskId consume = graph.add_noop("consume");
+  graph.add_dep(consume, first);
+  const TaskId second = graph.add_transfer(tx, rx, Bytes{300}, 1e3, 0);
+  graph.add_dep(second, consume);
+  const FlowAnalysis flow = analyze_flow(graph);
+  ASSERT_EQ(flow.watermarks.size(), 1u);
+  EXPECT_EQ(flow.watermarks[0].endpoint, "gpu1.ib");
+  EXPECT_EQ(flow.watermarks[0].peak_bytes, Bytes{500});
 }
 
 // ---- HV401 flow-chain-bound ----
@@ -186,6 +266,25 @@ TEST(FlowLints, HV404SkippedWithoutClusterMap) {
   const TaskGraph graph = cut_graph(Bytes{250});
   const LintReport report = lint_flow(as_ref(graph), nullptr);
   EXPECT_FALSE(checked(report, kRuleChannelCutBalance));
+}
+
+TEST(FlowLints, PrecomputedAnalysisGivesTheSameReport) {
+  const TaskGraph graph = cut_graph(Bytes{250});
+  const SimResult result = TaskGraphExecutor{}.run(graph);
+  FlowLintOptions options = cut_options();
+  options.buffer_budget = 500;
+  const TaskSetRef view = as_ref(graph);
+  const LintReport direct = lint_flow(view, &result, options);
+  const LintReport reused =
+      lint_flow(view, analyze_flow(view), &result, options);
+  EXPECT_TRUE(direct.fired(kRuleChannelCutBalance));
+  EXPECT_EQ(reused.rules_checked(), direct.rules_checked());
+  ASSERT_EQ(reused.diagnostics().size(), direct.diagnostics().size());
+  for (std::size_t i = 0; i < direct.diagnostics().size(); ++i) {
+    EXPECT_EQ(reused.diagnostics()[i].rule, direct.diagnostics()[i].rule);
+    EXPECT_EQ(reused.diagnostics()[i].subject, direct.diagnostics()[i].subject);
+    EXPECT_EQ(reused.diagnostics()[i].message, direct.diagnostics()[i].message);
+  }
 }
 
 // ---- HV405 schedule-race ----
