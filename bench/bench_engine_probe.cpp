@@ -3,22 +3,20 @@
 ///
 /// Unlike the experiment benches (whose metrics are simulated seconds) and
 /// the micro benches (whose metrics are noisy wall times), the probe's
-/// counter metrics — tasks created, ready-queue pops, cost-model calls,
-/// memo hits — are exact integers that change only when the engine's
-/// structure changes. That makes it the anchor of the
+/// counter metrics — tasks created, ready-queue pops, cost-model calls —
+/// are exact integers that change only when the engine's structure
+/// changes. That makes it the anchor of the
 /// `holmes_cli bench` trajectory: a diff on these metrics is a real
 /// behavioral change, never noise, so the CI gate can hold them to zero
 /// drift while the wall-time metrics get a noise floor.
 ///
-/// Three sections, each under its own SelfProfiler so the counters do not
+/// Two sections, each under its own SelfProfiler so the counters do not
 /// bleed into one another:
 ///   1. the paper's hybrid IB+RoCE environment (2 nodes, parameter group 1,
 ///      3 iterations) planned by the Holmes framework — the original probe;
 ///   2. the GPT-3-scale synthetic stress graph (bench/synthetic_graph.h,
-///      ~110k tasks) through the raw TaskGraphExecutor — the ROADMAP item-3
-///      "100k+-task iteration" target measured directly;
-///   3. a two-scenario ScenarioRunner fan sharing one SimMemo — one miss,
-///      then one structural hit, deterministically.
+///      ~110k tasks) through the raw TaskGraphExecutor — a 100k+-task
+///      iteration measured directly.
 
 #include <iostream>
 
@@ -27,7 +25,6 @@
 #include "core/framework.h"
 #include "model/gpt_zoo.h"
 #include "obs/self_profile.h"
-#include "sim/scenario_runner.h"
 #include "synthetic_graph.h"
 #include "util/units.h"
 
@@ -94,28 +91,6 @@ int main(int argc, char** argv) {
       std::cout << "gpt3 stress: " << tasks << " tasks, " << g.ready_pops
                 << " pops, peak queue " << g.max_ready_queue << ", makespan "
                 << format_time(result.makespan()) << "\n";
-    }
-
-    // Memoized scenario fan: two structurally identical scenarios through a
-    // single-worker ScenarioRunner sharing one SimMemo — deterministically
-    // one miss (simulated) then one structural hit (cached).
-    {
-      obs::SelfProfiler memo_profiler;
-      sim::SimMemo memo;
-      sim::ScenarioRunner runner(1);
-      runner.run_all(2, [&](std::size_t) {
-        TrainingSimulator simulator;
-        simulator.set_memo(&memo);
-        simulator.run(topo, plan, 3);
-      });
-      memo.flush_profile();
-      const obs::SelfProfileCounters& m = memo_profiler.snapshot().counters;
-      report.set("memo/scenarios_run", static_cast<double>(m.scenarios_run));
-      report.set("memo/memo_hits", static_cast<double>(m.memo_hits));
-      report.set("memo/memo_misses", static_cast<double>(m.memo_misses));
-      std::cout << "scenario fan: " << m.scenarios_run << " scenarios, "
-                << m.memo_hits << " memo hits, " << m.memo_misses
-                << " misses\n";
     }
   });
   return report.write();

@@ -4,10 +4,10 @@
 #include <mutex>
 
 #include "model/memory.h"
-#include "sim/scenario_runner.h"
 #include "util/error.h"
 #include "util/logging.h"
 #include "util/math_util.h"
+#include "util/thread_pool.h"
 
 namespace holmes::core {
 
@@ -74,20 +74,17 @@ std::vector<TuneCandidate> autotune(const FrameworkConfig& framework,
                     << " candidate layouts";
 
   std::vector<TuneCandidate> candidates(layouts.size());
-  sim::ScenarioRunner runner(options.threads);
   std::mutex failures_mutex;
   std::vector<std::string> failures;
-  runner.run_all(layouts.size(), [&](std::size_t i) {
+  ThreadPool(options.threads).parallel_for(layouts.size(), [&](std::size_t i) {
     const Layout& layout = layouts[i];
     model::ParameterGroup variant = workload;
     variant.tensor_parallel = layout.t;
     variant.pipeline_parallel = layout.p;
     try {
       const TrainingPlan plan = Planner(framework).plan(topo, variant);
-      TrainingSimulator simulator(cost);
-      simulator.set_memo(options.memo);
       const IterationMetrics metrics =
-          simulator.run(topo, plan, options.iterations);
+          TrainingSimulator(cost).run(topo, plan, options.iterations);
       candidates[i] = {layout.t, layout.p, layout.d, metrics, layout.memory};
     } catch (const Error& e) {
       // Layouts the planner rejects (e.g. interleaved divisibility) simply
@@ -96,7 +93,6 @@ std::vector<TuneCandidate> autotune(const FrameworkConfig& framework,
       failures.emplace_back(e.what());
     }
   });
-  if (options.memo != nullptr) options.memo->flush_profile();
 
   std::vector<TuneCandidate> ranked;
   for (auto& c : candidates) {

@@ -25,12 +25,6 @@ struct TuneOptions {
   int max_pipeline = 0;
   /// Worker threads for the search (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Optional simulation memo shared across candidates — and across sweeps,
-  /// when the caller keeps it alive (see sim::SimMemo). Candidates whose
-  /// lowered graphs are structurally identical to one already simulated
-  /// reuse the cached result; hit/miss totals flush to the calling thread's
-  /// self-profile after the sweep.
-  sim::SimMemo* memo = nullptr;
 };
 
 struct TuneCandidate {

@@ -48,9 +48,8 @@ struct Perturbations {
   double compute_jitter = 0.0;
 
   /// Transient NIC degradation windows (fault injection; see
-  /// core/faults.h). Active windows force the simulator to bypass any
-  /// shared SimMemo — execution-time rates are not part of the memo key —
-  /// and the bypass is counted in the engine self-profile.
+  /// core/faults.h). TrainingSimulator::lower turns them into the lowered
+  /// run's rate timeline; they leave the task graph itself unchanged.
   std::vector<NicDegradation> nic_degradation;
 
   /// Seed for the jitter stream; identical seeds reproduce identical runs.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -12,43 +13,39 @@
 #include "core/run_stats.h"
 #include "obs/critical_path.h"
 #include "obs/summary.h"
-#include "sim/scenario_runner.h"
 #include "util/json.h"
+#include "util/thread_pool.h"
 #include "verify/rules.h"
 
 namespace holmes::core {
 namespace {
 
-/// One full simulated run plus the two byte-stable documents the check
-/// compares across tie permutations.
-struct RunSnapshot {
-  IterationMetrics metrics;
-  SimArtifacts artifacts;
-  std::string run_summary_json;
-  std::string critical_path_json;
+/// The two byte-stable documents the check compares across tie
+/// permutations.
+struct Documents {
+  std::string run_summary;
+  std::string critical_path;
+  bool operator==(const Documents&) const = default;
 };
 
-RunSnapshot run_once(const net::Topology& topo, const TrainingPlan& plan,
-                     int iterations, const Perturbations& perturbations,
-                     const sim::ExecutorOptions& exec) {
-  RunSnapshot snap;
-  TrainingSimulator simulator;
-  simulator.set_executor_options(exec);
-  snap.metrics = simulator.run(topo, plan, iterations, perturbations,
-                               /*chrome_trace=*/nullptr, &snap.artifacts);
+/// Accounts executed artifacts and serializes their run summary and
+/// critical path.
+Documents serialize(const net::Topology& topo, const TrainingPlan& plan,
+                    const SimArtifacts& executed) {
+  const IterationMetrics metrics = TrainingSimulator::account(plan, executed);
+  Documents docs;
+  {
+    std::ostringstream oss;
+    obs::write_json(oss, build_run_summary(topo, plan, metrics, executed));
+    docs.run_summary = oss.str();
+  }
   {
     std::ostringstream oss;
     obs::write_json(oss,
-                    build_run_summary(topo, plan, snap.metrics, snap.artifacts));
-    snap.run_summary_json = oss.str();
+                    build_critical_path_summary(topo, plan, metrics, executed));
+    docs.critical_path = oss.str();
   }
-  {
-    std::ostringstream oss;
-    obs::write_json(oss, build_critical_path_summary(topo, plan, snap.metrics,
-                                                     snap.artifacts));
-    snap.critical_path_json = oss.str();
-  }
-  return snap;
+  return docs;
 }
 
 std::string task_subject(const sim::TaskGraph& graph, sim::TaskId id) {
@@ -66,16 +63,15 @@ std::string format_seconds(double s) {
 }
 
 /// Names the first task whose timing differs bitwise between the canonical
-/// and a permuted run, or falls back to the coarser signals (busy time,
-/// makespan, serialized accounting) when every timing matched.
+/// and a permuted run, or falls back to the coarser signals (makespan,
+/// serialized accounting) when every timing matched.
 std::pair<std::string, std::string> describe_divergence(
-    const RunSnapshot& canonical, const RunSnapshot& permuted,
-    std::uint64_t seed) {
+    const sim::TaskGraph& graph, const sim::SimResult& base,
+    const Documents& base_docs, const sim::SimResult& perm,
+    const Documents& perm_docs, std::uint64_t seed) {
   std::ostringstream os;
   os << "tie permutation (seed " << seed << ") ";
-  const sim::SimResult& base = *canonical.artifacts.result;
-  const sim::SimResult& perm = *permuted.artifacts.result;
-  const std::size_t n = canonical.artifacts.graph.task_count();
+  const std::size_t n = graph.task_count();
   if (perm.timings().size() == n) {
     for (std::size_t i = 0; i < n; ++i) {
       const sim::TaskTiming& a = base.timings()[i];
@@ -85,9 +81,7 @@ std::pair<std::string, std::string> describe_divergence(
            << format_seconds(b.start) << " s (finish "
            << format_seconds(a.finish) << " s -> " << format_seconds(b.finish)
            << " s)";
-        return {task_subject(canonical.artifacts.graph,
-                             static_cast<sim::TaskId>(i)),
-                os.str()};
+        return {task_subject(graph, static_cast<sim::TaskId>(i)), os.str()};
       }
     }
   }
@@ -97,9 +91,8 @@ std::pair<std::string, std::string> describe_divergence(
     return {"run", os.str()};
   }
   os << "changed the serialized "
-     << (canonical.run_summary_json != permuted.run_summary_json
-             ? "run summary"
-             : "critical path")
+     << (base_docs.run_summary != perm_docs.run_summary ? "run summary"
+                                                        : "critical path")
      << " without moving any task timing (order-sensitive accounting)";
   return {"run", os.str()};
 }
@@ -125,53 +118,57 @@ ScheduleCheckResult check_schedule_determinism(
   result.tie_break = options.tie_break;
   result.base_seed = options.base_seed;
 
-  const RunSnapshot canonical =
-      run_once(topo, plan, options.iterations, options.perturbations,
-               sim::ExecutorOptions{});
-  result.makespan_s = canonical.artifacts.result->makespan();
-  result.flow = verify::analyze_flow(canonical.artifacts.graph);
+  // Lower once; the canonical run and every permutation execute the one
+  // compiled graph.
+  SimArtifacts artifacts = TrainingSimulator{}.lower(
+      topo, plan, options.iterations, options.perturbations);
+  artifacts.result = TrainingSimulator::execute(artifacts, {});
+  const Documents canonical = serialize(topo, plan, artifacts);
+  result.makespan_s = artifacts.result->makespan();
+  result.flow = verify::analyze_flow(artifacts.graph);
 
   // The flow bounds ride along on the canonical run: static lower bound vs
   // simulated makespan (HV401/HV402), buffer watermark (HV403), cluster-cut
   // balance (HV404). Active NIC degradation windows stretch occupancy, so
   // HV402 must tolerate busy time above the static load.
-  verify::FlowLintOptions flow_options =
-      make_flow_options(canonical.artifacts, topo);
+  verify::FlowLintOptions flow_options = make_flow_options(artifacts, topo);
   flow_options.allow_stretched = !options.perturbations.nic_degradation.empty();
-  result.report.merge(verify::lint_flow(verify::as_ref(canonical.artifacts.graph),
-                                        result.flow,
-                                        &*canonical.artifacts.result,
+  result.report.merge(verify::lint_flow(verify::as_ref(artifacts.graph),
+                                        result.flow, &*artifacts.result,
                                         flow_options));
 
   result.report.mark_checked(verify::kRuleScheduleRace);
-  // Permuted runs are independent simulations; fan them across a pool when
-  // asked. Divergences are compared and reported in seed order afterwards,
-  // so the report bytes do not depend on the thread count.
-  std::vector<RunSnapshot> permuted(
+  // Permuted executions only read the shared graph; fan them across a pool
+  // when asked. Each keeps its SimResult alone, and the documents are built
+  // and compared in seed order on this thread afterwards, so the report
+  // bytes do not depend on the thread count.
+  std::vector<std::optional<sim::SimResult>> permuted(
       static_cast<std::size_t>(std::max(options.permutations, 0)));
-  auto run_permutation = [&](std::size_t k) {
+  auto seed_of = [&](std::size_t k) {
+    return options.base_seed + static_cast<std::uint64_t>(k);
+  };
+  auto execute_permutation = [&](std::size_t k) {
     sim::ExecutorOptions exec;
     exec.tie_break = options.tie_break;
-    exec.tie_seed = options.base_seed + static_cast<std::uint64_t>(k);
-    permuted[k] =
-        run_once(topo, plan, options.iterations, options.perturbations, exec);
+    exec.tie_seed = seed_of(k);
+    permuted[k] = TrainingSimulator::execute(artifacts, exec);
   };
   if (options.threads == 1 || permuted.size() <= 1) {
-    for (std::size_t k = 0; k < permuted.size(); ++k) run_permutation(k);
+    for (std::size_t k = 0; k < permuted.size(); ++k) execute_permutation(k);
   } else {
-    sim::ScenarioRunner runner(options.threads);
-    runner.run_all(permuted.size(), run_permutation);
+    ThreadPool(options.threads).parallel_for(permuted.size(),
+                                             execute_permutation);
   }
   for (std::size_t k = 0; k < permuted.size(); ++k) {
-    const std::uint64_t seed = options.base_seed + static_cast<std::uint64_t>(k);
-    const RunSnapshot& snap = permuted[k];
     result.permutations += 1;
-    if (snap.run_summary_json == canonical.run_summary_json &&
-        snap.critical_path_json == canonical.critical_path_json) {
-      continue;
-    }
+    std::swap(artifacts.result, permuted[k]);
+    const Documents docs = serialize(topo, plan, artifacts);
+    std::swap(artifacts.result, permuted[k]);
+    if (docs == canonical) continue;
     result.diverged += 1;
-    auto [subject, message] = describe_divergence(canonical, snap, seed);
+    auto [subject, message] =
+        describe_divergence(artifacts.graph, *artifacts.result, canonical,
+                            *permuted[k], docs, seed_of(k));
     result.report.add(verify::kRuleScheduleRace, verify::Severity::kError,
                       std::move(subject), std::move(message));
   }

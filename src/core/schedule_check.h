@@ -5,9 +5,10 @@
 ///
 /// verify::check_determinism probes a bare task graph; this module drives
 /// the same probe through the whole pipeline the CLI exercises: plan ->
-/// TrainingSimulator -> run summary + critical path JSON. The canonical run
-/// is serialized once, then every seeded tie permutation re-runs the
-/// simulator and the two documents are byte-compared. Any differing byte is
+/// TrainingSimulator -> run summary + critical path JSON. The plan is
+/// lowered once and its canonical execution serialized; then every seeded
+/// tie permutation re-executes the same compiled graph and the two
+/// documents are byte-compared. Any differing byte is
 /// a schedule race (HV405): either the executor's outcome depends on how
 /// equal-ready-time ties happen to be ordered, or downstream accounting is
 /// order-sensitive. The HV4xx flow cross-checks (static lower bound vs
@@ -40,12 +41,13 @@ struct ScheduleCheckOptions {
   /// must never diverge; `kPermuteAll` additionally flags schedules whose
   /// outcome depends on tie order among resource-sharing tasks.
   sim::TieBreak tie_break = sim::TieBreak::kPermuteDisjoint;
-  /// Simulated training iterations per run (TrainingSimulator::run).
+  /// Simulated training iterations (TrainingSimulator::lower).
   int iterations = 3;
   /// Worker threads for the permutation fan-out (1 = serial in the calling
-  /// thread, 0 = hardware concurrency). The permuted runs are independent
-  /// simulations compared in seed order, so the report is byte-identical at
-  /// any thread count (sim::ScenarioRunner's contract).
+  /// thread, 0 = hardware concurrency). The permuted executions share the
+  /// one lowered graph read-only, and their documents are built and
+  /// compared in seed order on the calling thread, so the report is
+  /// byte-identical at any thread count.
   std::size_t threads = 1;
   /// Perturbations applied identically to the canonical run and every tie
   /// permutation — a fault plan's degradation windows and stragglers lower
@@ -73,10 +75,11 @@ struct ScheduleCheckResult {
 /// "disjoint", "all").
 std::string to_string(sim::TieBreak tie_break);
 
-/// Runs the canonical simulation of `plan` on `topo`, serializes its
+/// Lowers `plan` on `topo` once, executes it canonically and serializes its
 /// `holmes.run_summary.v1` and `holmes.critical_path.v1` documents, then
-/// re-runs under `options.permutations` seeded tie permutations and
-/// byte-compares both documents against the canonical bytes. Divergences
+/// re-executes the same graph under `options.permutations` seeded tie
+/// permutations and byte-compares both documents against the canonical
+/// bytes. Divergences
 /// are reported as HV405 errors naming the first task whose timing differs;
 /// the HV4xx flow lints on the canonical artifacts are merged in.
 ScheduleCheckResult check_schedule_determinism(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <vector>
 
 #include "comm/communicator.h"
@@ -14,7 +13,6 @@
 #include "pipeline/schedule.h"
 #include "sim/executor.h"
 #include "sim/rate_timeline.h"
-#include "sim/scenario_runner.h"
 #include "sim/trace.h"
 #include "util/error.h"
 
@@ -98,30 +96,17 @@ SimTime SimArtifacts::window_end() const {
   return result->timing(iteration_markers.back()).finish;
 }
 
-IterationMetrics TrainingSimulator::run(const net::Topology& topo,
-                                        const TrainingPlan& plan,
-                                        int iterations,
-                                        const Perturbations& perturbations,
-                                        std::ostream* chrome_trace,
-                                        SimArtifacts* artifacts) const {
+SimArtifacts TrainingSimulator::lower(const net::Topology& topo,
+                                     const TrainingPlan& plan, int iterations,
+                                     const Perturbations& perturbations) const {
   if (iterations < 2) {
     throw ConfigError("need at least 2 iterations (1 warm-up + 1 measured)");
-  }
-  // Engine self-profile: snapshot the active collector (if any) so the
-  // artifacts carry exactly this run's delta, even when the caller profiles
-  // several runs under one SelfProfiler.
-  namespace prof = obs::self_profile;
-  const bool profiled = prof::enabled();
-  obs::SelfProfile profile_before;
-  std::chrono::steady_clock::time_point run_start{};
-  if (profiled) {
-    profile_before = *prof::tl_active;
-    run_start = std::chrono::steady_clock::now();
   }
   // Debug-mode static pre-flight: lint the plan before lowering it. No-op
   // unless logging at kDebug or lower (see core/preflight.h).
   preflight_or_throw(topo, plan);
-  prof::PhaseTimer graph_build_timer(&obs::SelfProfilePhases::graph_build_s);
+  obs::self_profile::PhaseTimer graph_build_timer(
+      &obs::SelfProfilePhases::graph_build_s);
   const int t = plan.degrees.tensor;
   const int p = plan.degrees.pipeline;
   const int d = plan.degrees.data;
@@ -145,7 +130,8 @@ IterationMetrics TrainingSimulator::run(const net::Topology& topo,
                                             cost_.activation_bytes_per_value) /
       t;
 
-  sim::TaskGraph graph;
+  SimArtifacts lowered;
+  sim::TaskGraph& graph = lowered.graph;
   const net::PortMap ports(topo, graph);
 
   const std::vector<pipeline::StageProgram> programs = build_programs(plan);
@@ -170,34 +156,28 @@ IterationMetrics TrainingSimulator::run(const net::Topology& topo,
   // timeline. Ranks on an RDMA cluster degrade their dedicated NIC ports;
   // Ethernet-only clusters degrade the node-shared Ethernet ports (each
   // shared port exactly once per window, not once per rank riding it).
-  sim::RateTimeline rate_timeline;
-  sim::ExecutorOptions exec_options = exec_options_;
-  if (!perturbations.nic_degradation.empty()) {
-    for (const NicDegradation& window : perturbations.nic_degradation) {
-      std::vector<sim::ResourceId> affected;
-      for (int rank = 0; rank < n; ++rank) {
-        const net::DeviceInfo& device = topo.device(rank);
-        if (window.cluster >= 0 && device.cluster != window.cluster) continue;
-        if (window.node_in_cluster >= 0 &&
-            device.node_in_cluster != window.node_in_cluster) {
-          continue;
-        }
-        const net::FabricKind fabric =
-            device.nic == net::NicType::kEthernet
-                ? net::FabricKind::kEthernet
-                : net::rdma_fabric(device.nic);
-        affected.push_back(ports.tx(rank, fabric));
-        affected.push_back(ports.rx(rank, fabric));
+  for (const NicDegradation& window : perturbations.nic_degradation) {
+    std::vector<sim::ResourceId> affected;
+    for (int rank = 0; rank < n; ++rank) {
+      const net::DeviceInfo& device = topo.device(rank);
+      if (window.cluster >= 0 && device.cluster != window.cluster) continue;
+      if (window.node_in_cluster >= 0 &&
+          device.node_in_cluster != window.node_in_cluster) {
+        continue;
       }
-      std::sort(affected.begin(), affected.end());
-      affected.erase(std::unique(affected.begin(), affected.end()),
-                     affected.end());
-      for (sim::ResourceId port : affected) {
-        rate_timeline.add_window(port, window.begin_s, window.end_s,
-                                 window.bandwidth_factor);
-      }
+      const net::FabricKind fabric = device.nic == net::NicType::kEthernet
+                                         ? net::FabricKind::kEthernet
+                                         : net::rdma_fabric(device.nic);
+      affected.push_back(ports.tx(rank, fabric));
+      affected.push_back(ports.rx(rank, fabric));
     }
-    exec_options.rates = &rate_timeline;
+    std::sort(affected.begin(), affected.end());
+    affected.erase(std::unique(affected.begin(), affected.end()),
+                   affected.end());
+    for (sim::ResourceId port : affected) {
+      lowered.rates.add_window(port, window.begin_s, window.end_s,
+                               window.bandwidth_factor);
+    }
   }
 
   // Seeded perturbation stream: compute durations are scaled per task in
@@ -229,7 +209,7 @@ IterationMetrics TrainingSimulator::run(const net::Topology& topo,
   std::vector<std::vector<std::pair<int, sim::TaskId>>> prefetch(
       static_cast<std::size_t>(n));
 
-  std::vector<sim::TaskId> iteration_markers;
+  std::vector<sim::TaskId>& iteration_markers = lowered.iteration_markers;
 
   // Per-rank scratch rebuilt each iteration.
   std::vector<sim::TaskId> tail(static_cast<std::size_t>(n));
@@ -474,44 +454,36 @@ IterationMetrics TrainingSimulator::run(const net::Topology& topo,
     iteration_markers.push_back(marker);
   }
 
-  graph_build_timer.stop();
-  // Memoized path: a structurally identical (graph, options) pair
-  // simulated earlier under the shared memo is reused verbatim — simulation
-  // results are pure functions of the structure the memo key hashes. The
-  // executor accounts its own dispatch loop as event_loop_s (memo hits skip
-  // it entirely).
-  sim::SimResult result = [&]() -> sim::SimResult {
-    if (memo_ == nullptr) {
-      return sim::TaskGraphExecutor{exec_options}.run(graph);
-    }
-    // An active rate timeline forces a bypass: the memo key hashes graph
-    // structure and tie-break options, not execution-time rates, so two
-    // scenarios differing only in their fault windows would collide.
-    if (exec_options.rates != nullptr) {
-      prof::count(&obs::SelfProfileCounters::memo_bypass);
-      return sim::TaskGraphExecutor{exec_options}.run(graph);
-    }
-    const sim::SimMemo::Key key = sim::SimMemo::key(graph, exec_options);
-    if (std::shared_ptr<const sim::SimResult> cached = memo_->find(key)) {
-      return *cached;
-    }
-    auto fresh = std::make_shared<const sim::SimResult>(
-        sim::TaskGraphExecutor{exec_options}.run(graph));
-    memo_->store(key, fresh);
-    return *fresh;
-  }();
-  if (chrome_trace != nullptr) {
-    sim::TraceOptions trace_options;
-    trace_options.rates = exec_options.rates;
-    sim::write_chrome_trace(*chrome_trace, graph, result, trace_options);
+  lowered.compute_resource.reserve(static_cast<std::size_t>(n));
+  for (int rank = 0; rank < n; ++rank) {
+    lowered.compute_resource.push_back(ports.compute(rank));
   }
+  lowered.iterations = iterations;
+  // Compiled here, before any caller shares the graph across threads.
+  graph.build_adjacency();
+  return lowered;
+}
 
-  prof::PhaseTimer accounting_timer(&obs::SelfProfilePhases::accounting_s);
+sim::SimResult TrainingSimulator::execute(const SimArtifacts& lowered,
+                                          sim::ExecutorOptions options) {
+  options.rates = &lowered.rates;
+  return sim::TaskGraphExecutor{options}.run(lowered.graph);
+}
+
+IterationMetrics TrainingSimulator::account(const TrainingPlan& plan,
+                                            const SimArtifacts& executed) {
+  obs::self_profile::PhaseTimer accounting_timer(
+      &obs::SelfProfilePhases::accounting_s);
+  const sim::TaskGraph& graph = executed.graph;
+  const sim::SimResult& result = *executed.result;
+  const int iterations = executed.iterations;
+  const auto n = static_cast<int>(executed.compute_resource.size());
   const int last = iterations - 1;
   const SimTime iter_end =
-      result.timing(iteration_markers[static_cast<std::size_t>(last)]).finish;
+      result.timing(executed.iteration_markers[static_cast<std::size_t>(last)])
+          .finish;
   const SimTime first_end =
-      result.timing(iteration_markers.front()).finish;
+      result.timing(executed.iteration_markers.front()).finish;
 
   IterationMetrics metrics;
   // Average period over every post-warm-up iteration: a single
@@ -549,33 +521,48 @@ IterationMetrics TrainingSimulator::run(const net::Topology& topo,
       obs::tag_in({last_tag(tags::kForward), last_tag(tags::kBackward)}));
   metrics.grad_sync_overlapped = grad_overlap.overlapped;
   metrics.grad_sync_exposed = grad_overlap.exposed;
-  accounting_timer.stop();
+  return metrics;
+}
+
+IterationMetrics TrainingSimulator::run(const net::Topology& topo,
+                                        const TrainingPlan& plan,
+                                        int iterations,
+                                        const Perturbations& perturbations,
+                                        std::ostream* chrome_trace,
+                                        SimArtifacts* artifacts) const {
+  // Engine self-profile: snapshot the active collector (if any) so the
+  // artifacts carry exactly this run's delta, even when the caller profiles
+  // several runs under one SelfProfiler.
+  namespace prof = obs::self_profile;
+  const bool profiled = prof::enabled();
+  obs::SelfProfile profile_before;
+  std::chrono::steady_clock::time_point run_start{};
+  if (profiled) {
+    profile_before = *prof::tl_active;
+    run_start = std::chrono::steady_clock::now();
+  }
+  SimArtifacts lowered = lower(topo, plan, iterations, perturbations);
+  lowered.result = execute(lowered, exec_options_);
+  if (chrome_trace != nullptr) {
+    sim::TraceOptions trace_options;
+    trace_options.rates = &lowered.rates;
+    sim::write_chrome_trace(*chrome_trace, lowered.graph, *lowered.result,
+                            trace_options);
+  }
+  const IterationMetrics metrics = account(plan, lowered);
 
   if (profiled) {
     prof::add_phase(&obs::SelfProfilePhases::total_s,
                     std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - run_start)
                         .count());
-  }
-  if (artifacts != nullptr) {
-    if (profiled) {
+    if (artifacts != nullptr) {
       obs::SelfProfile profile_after = *prof::tl_active;
       profile_after.peak_rss_bytes = obs::current_peak_rss_bytes();
-      artifacts->self_profile = obs::delta(profile_before, profile_after);
-    } else {
-      artifacts->self_profile.reset();
+      lowered.self_profile = obs::delta(profile_before, profile_after);
     }
-    artifacts->compute_resource.clear();
-    artifacts->compute_resource.reserve(static_cast<std::size_t>(n));
-    for (int rank = 0; rank < n; ++rank) {
-      artifacts->compute_resource.push_back(ports.compute(rank));
-    }
-    artifacts->iteration_markers = std::move(iteration_markers);
-    artifacts->iterations = iterations;
-    artifacts->rates = std::move(rate_timeline);
-    artifacts->result = std::move(result);
-    artifacts->graph = std::move(graph);  // last: invalidates graph
   }
+  if (artifacts != nullptr) *artifacts = std::move(lowered);
   return metrics;
 }
 

@@ -22,10 +22,6 @@
 #include "sim/task_graph.h"
 #include "util/units.h"
 
-namespace holmes::sim {
-class SimMemo;
-}  // namespace holmes::sim
-
 namespace holmes::core {
 
 struct IterationMetrics {
@@ -55,9 +51,14 @@ struct IterationMetrics {
 /// Everything a run leaves behind beyond the scalar metrics: the lowered
 /// task graph, its timings, and enough structure (iteration markers, the
 /// rank -> compute-resource map) for the observability layer to derive
-/// utilization, bubble, contention, and overlap accounting. Request it via
-/// TrainingSimulator::run's `artifacts` parameter (see core/run_stats.h).
+/// utilization, bubble, contention, and overlap accounting.
+/// TrainingSimulator::lower fills every field but `result` and
+/// `self_profile`; TrainingSimulator::execute produces the `result`, and
+/// TrainingSimulator::run hands back all of it through its `artifacts`
+/// parameter (see core/run_stats.h).
 struct SimArtifacts {
+  /// The lowered graph, its adjacency compiled, so executions on several
+  /// threads may share it read-only.
   sim::TaskGraph graph;
   std::optional<sim::SimResult> result;
   /// One marker noop per simulated iteration; marker i finishes when every
@@ -67,14 +68,15 @@ struct SimArtifacts {
   std::vector<sim::ResourceId> compute_resource;
   int iterations = 0;
 
-  /// Engine self-profile of this run (holmes.self_profile.v2), populated
-  /// only when an obs::SelfProfiler was active on the calling thread.
+  /// Engine self-profile of this run (holmes.self_profile.v3), populated
+  /// only by TrainingSimulator::run when an obs::SelfProfiler was active on
+  /// the calling thread.
   std::optional<obs::SelfProfile> self_profile;
 
-  /// The rate timeline the run executed under — empty unless a perturbation
-  /// carried NIC degradation windows. Persisted so post-hoc consumers
-  /// (timeline overlays, trace rate tracks) can chart effective-vs-nominal
-  /// rates without re-lowering the fault plan.
+  /// The rate timeline the graph executes under — empty unless a
+  /// perturbation carried NIC degradation windows. Persisted so post-hoc
+  /// consumers (timeline overlays, trace rate tracks) can chart
+  /// effective-vs-nominal rates without re-lowering the fault plan.
   sim::RateTimeline rates;
 
   /// Steady-state observation window [first marker finish, last marker
@@ -83,31 +85,48 @@ struct SimArtifacts {
   SimTime window_end() const;
 };
 
+/// Lowers a plan once and executes it as often as the caller needs:
+/// `lower` builds the graph, `execute` runs it under one set of executor
+/// options, `account` reads the steady-state metrics, and `run` is the
+/// three in sequence.
 class TrainingSimulator {
  public:
   explicit TrainingSimulator(CostModel cost = {}) : cost_(cost) {}
 
-  /// Overrides how the executor breaks equal-ready-time ties. The default
-  /// is the canonical deterministic discipline; the permuting policies are
-  /// the determinism checker's probes (see sim::TieBreak and
+  /// Overrides how `run` breaks equal-ready-time ties. The default is the
+  /// canonical deterministic discipline; the permuting policies are the
+  /// determinism checker's probes (see sim::TieBreak and
   /// core/schedule_check.h).
   void set_executor_options(const sim::ExecutorOptions& options) {
     exec_options_ = options;
   }
 
-  /// Shares a simulation memo (see sim::SimMemo) across runs: a structurally
-  /// identical (graph, options) pair simulated earlier — by this simulator
-  /// or any other sharing the memo — returns the cached result without
-  /// re-running the executor. Runs under a rate timeline bypass the memo.
-  /// The caller keeps ownership; pass nullptr to detach.
-  void set_memo(sim::SimMemo* memo) { memo_ = memo; }
+  /// Pre-flights `plan` (debug mode only, see core/preflight.h) and lowers
+  /// `iterations` chained training iterations of it on `topo` into
+  /// artifacts with an empty `result`. `iterations` must be >= 2 (one
+  /// warm-up minimum). `perturbations` optionally slows individual devices,
+  /// adds seeded compute jitter, or degrades NICs through the artifacts'
+  /// rate timeline (see core/perturbation.h).
+  SimArtifacts lower(const net::Topology& topo, const TrainingPlan& plan,
+                     int iterations = 3,
+                     const Perturbations& perturbations = {}) const;
 
-  /// Simulates `iterations` chained training iterations of `plan` on
-  /// `topo` and reports steady-state metrics from the last one.
-  /// `iterations` must be >= 2 (one warm-up minimum). `perturbations`
-  /// optionally slows individual devices or adds seeded compute jitter
-  /// (see core/perturbation.h). `artifacts`, when non-null, receives the
-  /// task graph and timings for post-hoc accounting.
+  /// One executor run of `lowered.graph` under `options`' tie-break and
+  /// `lowered.rates` (which replace `options.rates`). Only reads `lowered`,
+  /// so several threads may execute one lowered graph at once.
+  static sim::SimResult execute(const SimArtifacts& lowered,
+                                sim::ExecutorOptions options);
+
+  /// Steady-state metrics, read from the last iteration of executed
+  /// artifacts (`result` set) of `plan`.
+  static IterationMetrics account(const TrainingPlan& plan,
+                                  const SimArtifacts& executed);
+
+  /// Lowers, executes under set_executor_options() and accounts one run of
+  /// `plan` on `topo` (arguments as for `lower`). `chrome_trace`, when
+  /// non-null, receives the run as a Chrome trace. `artifacts`, when
+  /// non-null, receives the task graph and timings for post-hoc accounting,
+  /// and the run's self-profile when a profiler is active.
   IterationMetrics run(const net::Topology& topo, const TrainingPlan& plan,
                        int iterations = 3,
                        const Perturbations& perturbations = {},
@@ -119,7 +138,6 @@ class TrainingSimulator {
  private:
   CostModel cost_;
   sim::ExecutorOptions exec_options_;
-  sim::SimMemo* memo_ = nullptr;
 };
 
 }  // namespace holmes::core

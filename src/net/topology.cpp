@@ -1,7 +1,11 @@
 #include "net/topology.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
 
+#include "net/topology_parse.h"
 #include "util/error.h"
 
 namespace holmes::net {
@@ -9,16 +13,29 @@ namespace holmes::net {
 Topology::Topology(std::vector<ClusterSpec> clusters, FabricCatalog catalog)
     : clusters_(std::move(clusters)), catalog_(catalog) {
   if (clusters_.empty()) throw ConfigError("topology needs at least one cluster");
-  int rank = 0;
-  int global_node = 0;
-  for (std::size_t ci = 0; ci < clusters_.size(); ++ci) {
-    const auto& c = clusters_[ci];
+  // Ranks are ints: count the world in 64 bits and refuse one past int's
+  // range before allocating a device for it.
+  std::int64_t world = 0;
+  for (const ClusterSpec& c : clusters_) {
     if (c.nodes <= 0) {
       throw ConfigError("cluster '" + c.name + "' has no nodes");
     }
     if (c.gpus_per_node <= 0) {
       throw ConfigError("cluster '" + c.name + "' has no GPUs per node");
     }
+    constexpr std::int64_t kMaxWorld = std::numeric_limits<int>::max();
+    world += std::int64_t{c.nodes} * c.gpus_per_node;
+    if (world > kMaxWorld) {
+      throw ConfigError("cluster '" + c.name + "' (" + format_cluster(c) +
+                        ") brings the world size to " + std::to_string(world) +
+                        " GPUs, past the limit of " +
+                        std::to_string(kMaxWorld));
+    }
+  }
+  int rank = 0;
+  int global_node = 0;
+  for (std::size_t ci = 0; ci < clusters_.size(); ++ci) {
+    const auto& c = clusters_[ci];
     for (int k = 0; k < c.nodes; ++k, ++global_node) {
       for (int j = 0; j < c.gpus_per_node; ++j, ++rank) {
         devices_.push_back(DeviceInfo{rank, static_cast<int>(ci), k,

@@ -82,22 +82,27 @@ Topology parse_topology(const std::string& spec) {
   return Topology(std::move(clusters));
 }
 
-std::string format_topology(const Topology& topo) {
+std::string format_cluster(const ClusterSpec& cluster) {
   std::ostringstream os;
-  for (int c = 0; c < topo.cluster_count(); ++c) {
-    const ClusterSpec& cluster = topo.cluster(c);
-    if (c > 0) os << "+";
-    os << cluster.nodes << "x" << cluster.gpus_per_node << ":";
-    switch (cluster.nic) {
-      case NicType::kInfiniBand: os << "ib"; break;
-      case NicType::kRoCE: os << "roce"; break;
-      case NicType::kEthernet: os << "eth"; break;
-    }
-    if (cluster.nic_gbps > 0) {
-      os << "@" << static_cast<long long>(cluster.nic_gbps);
-    }
+  os << cluster.nodes << "x" << cluster.gpus_per_node << ":";
+  switch (cluster.nic) {
+    case NicType::kInfiniBand: os << "ib"; break;
+    case NicType::kRoCE: os << "roce"; break;
+    case NicType::kEthernet: os << "eth"; break;
+  }
+  if (cluster.nic_gbps > 0) {
+    os << "@" << static_cast<long long>(cluster.nic_gbps);
   }
   return os.str();
+}
+
+std::string format_topology(const Topology& topo) {
+  std::string spec;
+  for (int c = 0; c < topo.cluster_count(); ++c) {
+    if (c > 0) spec += "+";
+    spec += format_cluster(topo.cluster(c));
+  }
+  return spec;
 }
 
 }  // namespace holmes::net

@@ -24,6 +24,9 @@ namespace holmes::net {
 /// offending token on malformed input.
 Topology parse_topology(const std::string& spec);
 
+/// Renders one cluster in spec form ("2x8:ib", "1x8:ib@100").
+std::string format_cluster(const ClusterSpec& cluster);
+
 /// Renders a topology back into spec form (inverse of parse_topology for
 /// specs without custom names).
 std::string format_topology(const Topology& topo);

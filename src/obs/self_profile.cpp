@@ -36,10 +36,6 @@ SelfProfile delta(const SelfProfile& before, const SelfProfile& after) {
   // max_ready_queue is a gauge, not a count: the window's peak is the outer
   // peak unless the window raised it, so keep `after`'s value as-is.
   c.cost_model_evals -= b.cost_model_evals;
-  c.memo_hits -= b.memo_hits;
-  c.memo_misses -= b.memo_misses;
-  c.memo_bypass -= b.memo_bypass;
-  c.scenarios_run -= b.scenarios_run;
   d.phases.graph_build_s -= before.phases.graph_build_s;
   d.phases.event_loop_s -= before.phases.event_loop_s;
   d.phases.accounting_s -= before.phases.accounting_s;
@@ -75,11 +71,7 @@ std::string counters_json(const SelfProfileCounters& c) {
       << ",\"ready_pushes\":" << c.ready_pushes
       << ",\"ready_pops\":" << c.ready_pops
       << ",\"max_ready_queue\":" << c.max_ready_queue
-      << ",\"cost_model_evals\":" << c.cost_model_evals
-      << ",\"memo_hits\":" << c.memo_hits
-      << ",\"memo_misses\":" << c.memo_misses
-      << ",\"memo_bypass\":" << c.memo_bypass
-      << ",\"scenarios_run\":" << c.scenarios_run << "}";
+      << ",\"cost_model_evals\":" << c.cost_model_evals << "}";
   return out.str();
 }
 
@@ -107,9 +99,6 @@ void print_text(std::ostream& out, const SelfProfile& profile) {
       << "  ready queue " << c.ready_pops << " pops, peak depth "
       << c.max_ready_queue << " (" << c.executor_runs << " executor run"
       << (c.executor_runs == 1 ? "" : "s") << ")\n"
-      << "  memo        " << c.memo_hits << " hits, " << c.memo_misses
-      << " misses, " << c.memo_bypass << " bypassed ("
-      << c.scenarios_run << " scenarios)\n"
       << "  cost model  " << c.cost_model_evals << " evaluations\n"
       << "  peak RSS    " << format_bytes(profile.peak_rss_bytes) << "\n";
 }

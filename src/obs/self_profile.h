@@ -3,18 +3,19 @@
 /// \file self_profile.h
 /// Engine self-profiling: where does the *simulator's* wall time go?
 ///
-/// PRs 1-3 made the simulated workload observable; this layer observes the
-/// DES engine itself so perf work on ROADMAP item 3 ("engine at production
-/// scale") has a measurement substrate. It collects
+/// The telemetry layer observes the simulated workload; this layer observes
+/// the DES engine itself, so perf work has a measurement substrate. It
+/// collects
 ///
 ///  - **counters** over the hot path: task/dependency/resource/channel
 ///    allocations in TaskGraph, ready-queue pushes/pops and peak depth in
-///    TaskGraphExecutor, memo and scenario-fan totals, and cost-model
-///    evaluations — all driven by deterministic code, so two identical runs
-///    produce byte-identical counter JSON (tests lock this);
-///  - **phase timers**: wall seconds of graph build, event-loop dispatch and
-///    post-run accounting inside TrainingSimulator::run (plus the run
-///    total), measured with std::chrono::steady_clock;
+///    TaskGraphExecutor, and cost-model evaluations — all driven by
+///    deterministic code, so two identical runs produce byte-identical
+///    counter JSON (tests lock this);
+///  - **phase timers**: wall seconds of TrainingSimulator's lower (graph
+///    build), execute (event-loop dispatch) and account steps (plus the
+///    total of a TrainingSimulator::run), measured with
+///    std::chrono::steady_clock;
 ///  - **peak RSS** of the process at snapshot time.
 ///
 /// Everything is off unless a SelfProfiler is alive on the *current thread*:
@@ -25,7 +26,7 @@
 /// also keeps the hooks race-free under the thread pool (a profiler only
 /// sees work executed on its own thread) and clean under tsan.
 ///
-/// The stable JSON schema is `holmes.self_profile.v2`; TrainingSimulator
+/// The stable JSON schema is `holmes.self_profile.v3`; TrainingSimulator
 /// attaches a per-run delta to SimArtifacts so `holmes_cli stats`/`explain
 /// --self-profile` and the `holmes_cli bench` trajectory can surface it
 /// (docs/observability.md).
@@ -37,7 +38,7 @@
 
 namespace holmes::obs {
 
-inline constexpr const char* kSelfProfileSchema = "holmes.self_profile.v2";
+inline constexpr const char* kSelfProfileSchema = "holmes.self_profile.v3";
 
 /// Deterministic engine counters. Every field is driven purely by the
 /// structure of the simulated work, never by wall time, so identical runs
@@ -58,23 +59,13 @@ struct SelfProfileCounters {
   std::uint64_t max_ready_queue = 0;  ///< peak ready-queue depth (gauge)
   // core::CostModel evaluations during lowering.
   std::uint64_t cost_model_evals = 0;
-  // sim::SimMemo structural-hash cache and sim::ScenarioRunner fan-out.
-  // Memo and scenario totals are aggregated across worker threads by their
-  // owners and flushed to the orchestrating thread's profile.
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
-  /// Runs that could have used a shared memo but were forced around it
-  /// because an active fault timeline is not part of the memo key (see
-  /// core/faults.h and sim/rate_timeline.h).
-  std::uint64_t memo_bypass = 0;
-  std::uint64_t scenarios_run = 0;
 };
 
 /// Wall seconds per engine phase (steady clock). Non-deterministic by
 /// nature; the schema keeps them separate from the counters so tests and
 /// baselines can require byte-stability of the latter only.
 struct SelfProfilePhases {
-  double graph_build_s = 0;  ///< plan lowering into the TaskGraph
+  double graph_build_s = 0;  ///< lowering into the compiled TaskGraph
   double event_loop_s = 0;   ///< TaskGraphExecutor::run dispatch loop
   double accounting_s = 0;   ///< post-run metric derivation
   double total_s = 0;        ///< whole TrainingSimulator::run
@@ -174,7 +165,7 @@ std::int64_t current_peak_rss_bytes();
 /// piece determinism tests and trajectory baselines compare exactly.
 std::string counters_json(const SelfProfileCounters& counters);
 
-/// Writes the full stable holmes.self_profile.v2 document (no trailing
+/// Writes the full stable holmes.self_profile.v3 document (no trailing
 /// newline): schema, counters, phases, peak_rss_bytes.
 void write_json(std::ostream& out, const SelfProfile& profile);
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "obs/self_profile.h"
 #include "sim/rate_timeline.h"
@@ -80,7 +81,7 @@ struct TaskState {
   std::uint32_t indeg = 0;
 };
 
-/// Union-find over positions of one equal-ready-time pool; used by
+/// Union-find over positions of an equal-ready-time pool's prefix; used by
 /// TieBreak::kPermuteDisjoint to group tied tasks that (transitively) share
 /// a resource. Tasks in different components commute.
 class PoolComponents {
@@ -314,11 +315,18 @@ SimResult TaskGraphExecutor::run(const TaskGraph& graph) {
   } else {
     QuadHeap<ReadySlot, ReadySooner> heap;
     heap.reserve(std::min<std::size_t>(n, 4096));
-    // Permute-disjoint: drain each equal-ready-time tie group and place it
-    // one resource-disjoint component at a time, in seeded component order.
-    // Tasks sharing a resource stay in id order (their order is
-    // schedule-relevant); tasks that share nothing commute, so reordering
-    // them must not change any timing — divergence is an executor bug.
+    // Permute-disjoint: drain each equal-ready-time tie group into a pool in
+    // id order — the order the canonical discipline places it in — and cut
+    // the pool at its first task that may finish at `now`: a noop, or any
+    // task with (now + latency) + cost == now. Such a task can release
+    // same-time dependents that canonical order would interleave with the
+    // rest of the pool, so it is placed alone once it heads the pool, and
+    // what it releases joins the pool before anything else is ordered. No
+    // task before the cut can finish at `now` (a rate timeline only ever
+    // stretches occupancy), so canonical order places that prefix as one
+    // unbroken run; its resource-disjoint components commute, and they are
+    // placed in seeded component order. Tasks sharing a resource stay in id
+    // order, so any divergence from canonical output is an executor bug.
     for (std::size_t i = 0; i < n; ++i) {
       if (state[i].indeg == 0) {
         heap.push({0, static_cast<TaskId>(i)});
@@ -327,107 +335,95 @@ SimResult TaskGraphExecutor::run(const TaskGraph& graph) {
     }
     if (profiled) peak_ready = heap.size();
 
-    // Flat replacement for a map<ResourceId, pool position>: epoch-stamped
-    // claims, reset per pool pass by bumping the epoch.
+    // Flat replacement for a map<ResourceId, prefix position>: epoch-stamped
+    // claims, reset per prefix by bumping the epoch.
     std::vector<std::size_t> owner(graph.resource_count(), 0);
     std::vector<std::uint32_t> owner_epoch(graph.resource_count(), 0);
     std::uint32_t epoch = 0;
+    auto buffer = [&](SimTime ready, TaskId id) {
+      released.push_back({ready, id});
+    };
 
+    // pool[head..] holds the tie's unplaced tasks in id order.
     std::vector<TaskId> pool;
+    // (component key, prefix position): sorting these yields the placement
+    // order — components by seeded key, each component's tasks by id.
+    std::vector<std::pair<std::uint64_t, std::size_t>> order;
+    std::vector<std::uint64_t> root_key;
+    std::vector<bool> keyed;
     while (!heap.empty()) {
       const SimTime now = heap.top().ready;
       pool.clear();
+      std::size_t head = 0;
       for (;;) {
+        const std::size_t held = pool.size();
         while (!heap.empty() && heap.top().ready == now) {
           pool.push_back(heap.top().id);
           heap.pop();
           ++pops;
         }
-        if (pool.empty()) break;
-        std::sort(pool.begin(), pool.end());
-
-        // Flush no-resource tasks (noops) first: they commute with every
-        // tied task, and their zero-cost chains release same-time dependents
-        // that must join the pool *before* component order is fixed —
-        // otherwise a dependent could be sequenced after a contender the
-        // canonical discipline would have placed it before.
-        std::vector<TaskId> holders;
-        bool flushed = false;
-        auto buffer = [&](SimTime ready, TaskId id) {
-          released.push_back({ready, id});
-        };
-        for (TaskId id : pool) {
-          if (sched[static_cast<std::size_t>(id)].kind == TaskKind::kNoop) {
-            place_task(now, id, buffer);
-            flushed = true;
-          } else {
-            holders.push_back(id);
-          }
+        if (pool.size() != held) {
+          // Arrivals: drop the placed front and merge them in by id.
+          pool.erase(pool.begin(),
+                     pool.begin() + static_cast<std::ptrdiff_t>(head));
+          head = 0;
+          std::sort(pool.begin(), pool.end());
         }
-        pool = std::move(holders);
-        for (const ReadySlot& slot : released) heap.push(slot);
-        released.clear();
-        if (profiled && heap.size() + pool.size() > peak_ready) {
-          peak_ready = heap.size() + pool.size();
-        }
-        if (flushed || pool.empty()) continue;  // re-drain the releases
+        if (head == pool.size()) break;
 
-        // Group the pool into components of (transitively) shared resources.
-        PoolComponents uf(pool.size());
-        ++epoch;
-        for (std::size_t i = 0; i < pool.size(); ++i) {
-          const SchedTask& task = sched[static_cast<std::size_t>(pool[i])];
-          ResourceId touched[2] = {-1, -1};
-          if (task.kind == TaskKind::kCompute) {
-            touched[0] = task.resource;
-          } else if (task.kind == TaskKind::kTransfer) {
-            touched[0] = task.resource;
-            touched[1] = task.dst_port;
-          }
-          for (ResourceId r : touched) {
-            if (r < 0) continue;
-            const auto ri = static_cast<std::size_t>(r);
-            if (owner_epoch[ri] == epoch) {
-              uf.unite(i, owner[ri]);
-            } else {
-              owner_epoch[ri] = epoch;
-              owner[ri] = i;
+        std::size_t cut = head;
+        while (cut < pool.size()) {
+          const SchedTask& task = sched[static_cast<std::size_t>(pool[cut])];
+          if ((now + task.latency) + task.cost == now) break;
+          ++cut;
+        }
+        if (cut == head) {
+          place_task(now, pool[head], buffer);
+          cut = head + 1;
+        } else {
+          // Group the prefix into components of (transitively) shared
+          // resources. Noops cannot precede the cut, so every prefix task
+          // claims its resource, and a transfer its RX port too.
+          const std::size_t width = cut - head;
+          const TaskId* const prefix = pool.data() + head;
+          PoolComponents uf(width);
+          ++epoch;
+          for (std::size_t i = 0; i < width; ++i) {
+            const SchedTask& task = sched[static_cast<std::size_t>(prefix[i])];
+            for (ResourceId r : {task.resource, task.dst_port}) {
+              const auto ri = static_cast<std::size_t>(r);
+              if (owner_epoch[ri] == epoch) {
+                uf.unite(i, owner[ri]);
+              } else {
+                owner_epoch[ri] = epoch;
+                owner[ri] = i;
+              }
             }
           }
-        }
-
-        // Place the component whose seeded key is smallest; same-time
-        // arrivals it releases re-enter the pool on the next pass, joining
-        // whatever component they share resources with.
-        std::size_t best_root = pool.size();
-        std::uint64_t best_key = 0;
-        for (std::size_t i = 0; i < pool.size(); ++i) {
-          if (uf.find(i) != i) continue;
-          std::uint64_t min_id = static_cast<std::uint64_t>(pool[i]);
-          for (std::size_t j = 0; j < pool.size(); ++j) {
-            if (uf.find(j) == i) {
-              min_id = std::min(min_id, static_cast<std::uint64_t>(pool[j]));
+          // The prefix ascends by id, so a component's first position holds
+          // its smallest id, which seeds the component's key.
+          root_key.assign(width, 0);
+          keyed.assign(width, false);
+          order.clear();
+          for (std::size_t i = 0; i < width; ++i) {
+            const std::size_t root = uf.find(i);
+            if (!keyed[root]) {
+              keyed[root] = true;
+              root_key[root] = mix64(options_.tie_seed ^
+                                     static_cast<std::uint64_t>(prefix[i]));
             }
+            order.emplace_back(root_key[root], i);
           }
-          const std::uint64_t key = mix64(options_.tie_seed ^ min_id);
-          if (best_root == pool.size() || key < best_key) {
-            best_root = i;
-            best_key = key;
-          }
-        }
-        std::vector<TaskId> remaining;
-        for (std::size_t i = 0; i < pool.size(); ++i) {
-          if (uf.find(i) == best_root) {
-            place_task(now, pool[i], buffer);
-          } else {
-            remaining.push_back(pool[i]);
+          std::sort(order.begin(), order.end());
+          for (const auto& entry : order) {
+            place_task(now, prefix[entry.second], buffer);
           }
         }
-        pool = std::move(remaining);
+        head = cut;
         for (const ReadySlot& slot : released) heap.push(slot);
         released.clear();
-        if (profiled && heap.size() + pool.size() > peak_ready) {
-          peak_ready = heap.size() + pool.size();
+        if (profiled && heap.size() + (pool.size() - head) > peak_ready) {
+          peak_ready = heap.size() + (pool.size() - head);
         }
       }
     }

@@ -76,9 +76,12 @@ enum class TieBreak {
   kCanonical,
   /// Permutes only *resource-disjoint* groups of tied tasks (tasks that
   /// share no resource with each other); tied tasks contending for the same
-  /// resource keep their id order. Placement of resource-disjoint tasks
-  /// commutes, so any divergence from kCanonical output is an executor bug —
-  /// this is the policy `holmes_cli check` drives by default.
+  /// resource keep their id order, and a tied task that may finish at the
+  /// tie time (a noop, or zero cost and latency) is placed in id order on
+  /// its own, so the dependents it releases join the tie before the rest is
+  /// ordered. Placement of resource-disjoint tasks commutes, so any
+  /// divergence from kCanonical output is an executor bug — this is the
+  /// policy `holmes_cli check` drives by default.
   kPermuteDisjoint,
   /// Permutes every tie by a seeded hash of the task id. Tied tasks
   /// contending for a resource swap places, so results legitimately change
@@ -95,10 +98,8 @@ struct ExecutorOptions {
   std::uint64_t tie_seed = 0;
   /// Optional time-varying resource rates (see sim/rate_timeline.h): a
   /// task's occupancy stretches while any of its resources is degraded.
-  /// Not owned; must outlive the run. Null (the default) keeps the
-  /// fixed-rate fast path byte-for-byte unchanged. Runs with a timeline
-  /// must bypass SimMemo — the memo key hashes graph structure and
-  /// tie-break options only, not execution-time rates.
+  /// Not owned; must outlive the run. Null (the default) or an empty
+  /// timeline keeps the fixed-rate fast path byte-for-byte unchanged.
   const RateTimeline* rates = nullptr;
 };
 

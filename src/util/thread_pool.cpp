@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 
 namespace holmes {
 
@@ -44,7 +45,17 @@ void ThreadPool::parallel_for(std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     futures.push_back(submit([&fn, i] { fn(i); }));
   }
-  for (auto& f : futures) f.get();
+  // Every queued task references `fn`, so wait for all of them before an
+  // exception may unwind the caller's frame that owns it.
+  std::exception_ptr first;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace holmes

@@ -42,7 +42,8 @@ class ThreadPool {
   }
 
   /// Runs fn(i) for i in [0, count) across the pool and waits for all of
-  /// them; rethrows the first exception encountered.
+  /// them, even when one throws; then rethrows the exception of the lowest
+  /// failing index.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   std::size_t size() const { return workers_.size(); }

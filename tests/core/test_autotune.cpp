@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
-#include "obs/self_profile.h"
-#include "sim/scenario_runner.h"
 #include "util/error.h"
 
 namespace holmes::core {
@@ -85,39 +83,6 @@ TEST(Autotune, HybridPrefersPipelineAcrossClusters) {
       EXPECT_GT(ranked.front().metrics.throughput,
                 c.metrics.throughput * 1.1);
     }
-  }
-}
-
-TEST(Autotune, WarmSweepHitsMemoAndMatchesColdSweep) {
-  // A memo shared across sweeps turns a repeated sweep into pure cache
-  // hits: the second pass simulates nothing and returns identical rankings.
-  Topology topo = Topology::homogeneous(2, NicType::kInfiniBand);
-  obs::SelfProfiler profiler;
-  sim::SimMemo memo;
-  TuneOptions options = fast_options();
-  options.memo = &memo;
-  options.threads = 1;  // deterministic hit/miss split
-  const auto cold = autotune(FrameworkConfig::holmes(), topo,
-                             model::parameter_group(1), options);
-  const obs::SelfProfile after_cold = profiler.snapshot();
-  EXPECT_EQ(after_cold.counters.memo_hits, 0u);
-  EXPECT_EQ(after_cold.counters.memo_misses, cold.size());
-  // Every enumerated layout runs as a scenario, including ones the planner
-  // rejects (they never reach the simulator, so they are not misses).
-  EXPECT_GE(after_cold.counters.scenarios_run, cold.size());
-
-  const auto warm = autotune(FrameworkConfig::holmes(), topo,
-                             model::parameter_group(1), options);
-  const obs::SelfProfile after_warm = profiler.snapshot();
-  EXPECT_EQ(after_warm.counters.memo_hits, warm.size());
-  EXPECT_EQ(after_warm.counters.memo_misses, after_cold.counters.memo_misses);
-
-  ASSERT_EQ(cold.size(), warm.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_EQ(cold[i].tensor, warm[i].tensor);
-    EXPECT_EQ(cold[i].pipeline, warm[i].pipeline);
-    EXPECT_EQ(cold[i].metrics.iteration_time, warm[i].metrics.iteration_time);
-    EXPECT_EQ(cold[i].metrics.throughput, warm[i].metrics.throughput);
   }
 }
 

@@ -5,8 +5,8 @@
 /// engine (std::function event queue, binary std::priority_queue, per-task
 /// dependency vectors) across the 36 env x group x framework fixture
 /// configs. Every hot-path rewrite since — the 4-ary ready heap, the CSR
-/// graph layout, the flat trace accumulators, the parallel ScenarioRunner —
-/// must reproduce the `holmes.run_summary.v1` and `holmes.critical_path.v1`
+/// graph layout, the flat trace accumulators, the parallel thread-pool
+/// fan-out — must reproduce the `holmes.run_summary.v1` and `holmes.critical_path.v1`
 /// documents byte for byte.
 ///
 /// Regenerate (only when the *simulated semantics* deliberately change, not
@@ -28,7 +28,7 @@
 #include "model/gpt_zoo.h"
 #include "obs/critical_path.h"
 #include "obs/summary.h"
-#include "sim/scenario_runner.h"
+#include "util/thread_pool.h"
 
 #ifndef HOLMES_ENGINE_GOLDEN_DIR
 #error "tests/CMakeLists.txt must define HOLMES_ENGINE_GOLDEN_DIR"
@@ -180,7 +180,7 @@ TEST(EngineEquivalence, FaultedHybridMatchesGolden) {
 }
 
 // The parallel fan-out must be observably identical to the serial loop:
-// the same 36 configs, simulated across >= 4 ScenarioRunner threads, must
+// the same 36 configs, simulated across >= 4 ThreadPool workers, must
 // reproduce the same golden bytes (this is the suite the tsan CI matrix
 // runs to prove per-thread isolation of the engine's caches).
 TEST(EngineEquivalence, ParallelScenarioRunnerMatchesSeedGoldens) {
@@ -189,12 +189,12 @@ TEST(EngineEquivalence, ParallelScenarioRunnerMatchesSeedGoldens) {
   // +1: the faulted hybrid config rides along, so the rate-timeline path is
   // also proven race-free under the pool.
   std::vector<std::string> actual(configs.size() + 1);
-  sim::ScenarioRunner runner(4);
-  runner.run_all(actual.size(), [&](std::size_t i) {
+  ThreadPool pool(4);
+  pool.parallel_for(actual.size(), [&](std::size_t i) {
     actual[i] =
         i < configs.size() ? run_config(configs[i]) : run_faulted_hybrid();
   });
-  EXPECT_GE(runner.threads(), 4u);
+  EXPECT_GE(pool.size(), 4u);
   for (std::size_t i = 0; i < configs.size(); ++i) {
     SCOPED_TRACE(golden_name(configs[i]));
     compare_or_regen(configs[i], actual[i]);

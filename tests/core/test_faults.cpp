@@ -7,8 +7,6 @@
 #include <string>
 
 #include "core/experiment.h"
-#include "obs/self_profile.h"
-#include "sim/scenario_runner.h"
 #include "util/error.h"
 #include "util/json.h"
 #include "verify/rules.h"
@@ -301,135 +299,6 @@ TEST(FaultRecovery, HV504IsCheckedOnEveryLeg) {
     if (rule == verify::kRuleRecoveryInvariant) checked = true;
   }
   EXPECT_TRUE(checked);
-}
-
-// ---------------------------------------------------------------------------
-// SimMemo interaction
-// ---------------------------------------------------------------------------
-
-TEST(FaultMemo, ActiveRateTimelineBypassesTheMemoAndCounts) {
-  const net::Topology topo = hybrid();
-  const TrainingPlan plan =
-      Planner(FrameworkConfig::holmes()).plan(topo, model::parameter_group(1));
-
-  FaultPlan faults;
-  NicDegradation window;
-  window.cluster = 1;
-  window.begin_s = 0.0;
-  window.end_s = 30.0;
-  window.bandwidth_factor = 0.25;
-  faults.nic_degradation.push_back(window);
-  const Perturbations degraded = lower_fault_plan(faults, topo);
-
-  obs::SelfProfiler profiler;
-  sim::SimMemo memo;
-  TrainingSimulator simulator;
-  simulator.set_memo(&memo);
-
-  // Clean run seeds the memo; the degraded run must not consult it (the
-  // memo key hashes structure, not execution-time rates) nor poison it.
-  const IterationMetrics clean = simulator.run(topo, plan, 2);
-  const std::size_t memo_after_clean = memo.size();
-  const IterationMetrics slow = simulator.run(topo, plan, 2, degraded);
-  EXPECT_EQ(memo.size(), memo_after_clean)
-      << "a faulted run must never enter the memo";
-  EXPECT_GT(slow.iteration_time, clean.iteration_time);
-
-  // Re-running degraded is deterministic and still bypasses.
-  const IterationMetrics slow_again = simulator.run(topo, plan, 2, degraded);
-  EXPECT_DOUBLE_EQ(slow.iteration_time, slow_again.iteration_time);
-
-  // And the clean scenario still hits the memo with the clean result.
-  const IterationMetrics clean_again = simulator.run(topo, plan, 2);
-  EXPECT_DOUBLE_EQ(clean.iteration_time, clean_again.iteration_time);
-
-  memo.flush_profile();
-  const obs::SelfProfileCounters& counters = profiler.snapshot().counters;
-  EXPECT_GE(counters.memo_bypass, 2u);
-  EXPECT_GE(counters.memo_hits, 1u);
-}
-
-TEST(FaultMemo, BypassCountEqualsRateActiveRunsInMixedBatch) {
-  const net::Topology topo = hybrid();
-  const TrainingPlan plan =
-      Planner(FrameworkConfig::holmes()).plan(topo, model::parameter_group(1));
-
-  FaultPlan faults;
-  NicDegradation window;
-  window.cluster = 1;
-  window.begin_s = 1.0;
-  window.end_s = 10.0;
-  window.bandwidth_factor = 0.5;
-  faults.nic_degradation.push_back(window);
-  const Perturbations degraded = lower_fault_plan(faults, topo);
-
-  // A straggler perturbs durations but installs no rate timeline, so it
-  // must take the memo path (distinct key), never the bypass.
-  Perturbations straggler;
-  straggler.device_slowdown[0] = 2.0;
-
-  obs::SelfProfiler profiler;
-  sim::SimMemo memo;
-  TrainingSimulator simulator;
-  simulator.set_memo(&memo);
-
-  // Mixed batch: faulted (rate-active) and unfaulted scenarios interleaved.
-  // Exactly the rate-active runs bypass — no more (clean/straggler runs
-  // must not inflate the counter), no fewer (every degraded run counts,
-  // memo warm or cold).
-  const std::vector<const Perturbations*> batch = {
-      nullptr, &degraded, nullptr, &straggler, &degraded, &degraded, nullptr,
-  };
-  std::size_t rate_active = 0;
-  for (const Perturbations* perturb : batch) {
-    simulator.run(topo, plan, 2, perturb == nullptr ? Perturbations{} : *perturb);
-    if (perturb == &degraded) ++rate_active;
-  }
-
-  memo.flush_profile();
-  const obs::SelfProfileCounters& counters = profiler.snapshot().counters;
-  EXPECT_EQ(counters.memo_bypass, rate_active)
-      << "memo_bypass must equal the rate-active run count exactly";
-  // Two distinct structural keys entered the memo: clean and straggler.
-  EXPECT_EQ(memo.size(), 2u);
-  EXPECT_EQ(counters.memo_misses, 2u);
-  // 3 clean runs (1 miss, 2 hits) + 1 straggler run (1 miss, 0 hits).
-  EXPECT_EQ(counters.memo_hits, 2u);
-}
-
-TEST(FaultMemo, DifferentFaultSchedulesNeverCollide) {
-  const net::Topology topo = hybrid();
-  const TrainingPlan plan =
-      Planner(FrameworkConfig::holmes()).plan(topo, model::parameter_group(1));
-  sim::SimMemo memo;
-  TrainingSimulator simulator;
-  simulator.set_memo(&memo);
-
-  // Stragglers and jitter seeds perturb task *durations*, so they reach
-  // the memo path — distinct schedules must produce distinct keys.
-  Perturbations straggler_a;
-  straggler_a.device_slowdown[16] = 2.0;
-  Perturbations straggler_b;
-  straggler_b.device_slowdown[16] = 3.0;
-  const IterationMetrics a = simulator.run(topo, plan, 2, straggler_a);
-  const IterationMetrics b = simulator.run(topo, plan, 2, straggler_b);
-  EXPECT_NE(a.iteration_time, b.iteration_time)
-      << "distinct fault schedules must not collide in the memo";
-
-  Perturbations jitter_a;
-  jitter_a.compute_jitter = 0.1;
-  jitter_a.seed = 42;
-  Perturbations jitter_b = jitter_a;
-  jitter_b.seed = 43;
-  const IterationMetrics ja = simulator.run(topo, plan, 2, jitter_a);
-  const IterationMetrics jb = simulator.run(topo, plan, 2, jitter_b);
-  EXPECT_NE(ja.iteration_time, jb.iteration_time);
-
-  // Re-running each scenario reproduces its own memoized result exactly.
-  EXPECT_DOUBLE_EQ(simulator.run(topo, plan, 2, straggler_a).iteration_time,
-                   a.iteration_time);
-  EXPECT_DOUBLE_EQ(simulator.run(topo, plan, 2, jitter_b).iteration_time,
-                   jb.iteration_time);
 }
 
 }  // namespace

@@ -70,6 +70,27 @@ TEST(Perturbation, JitterSlowsButBounded) {
   EXPECT_LE(noisy.iteration_time, base.iteration_time * 1.25);
 }
 
+TEST(Perturbation, NicDegradationSlowsTheRunReproducibly) {
+  // A quarter-speed window on the RoCE cluster's ports stretches its
+  // transfers: the run slows, and re-running it reproduces the same time.
+  const Topology topo = Topology::hybrid_two_clusters(2);
+  const TrainingPlan plan =
+      Planner(FrameworkConfig::holmes()).plan(topo, model::parameter_group(1));
+  Perturbations degraded;
+  NicDegradation window;
+  window.cluster = 1;
+  window.begin_s = 0.0;
+  window.end_s = 30.0;
+  window.bandwidth_factor = 0.25;
+  degraded.nic_degradation.push_back(window);
+  const IterationMetrics clean = TrainingSimulator{}.run(topo, plan, 2);
+  const IterationMetrics slow = TrainingSimulator{}.run(topo, plan, 2, degraded);
+  EXPECT_GT(slow.iteration_time, clean.iteration_time);
+  EXPECT_DOUBLE_EQ(
+      TrainingSimulator{}.run(topo, plan, 2, degraded).iteration_time,
+      slow.iteration_time);
+}
+
 TEST(Perturbation, FactorHelper) {
   Perturbations p;
   p.device_slowdown[7] = 2.0;

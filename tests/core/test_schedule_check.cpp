@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
 #include "core/plan.h"
 #include "model/gpt_zoo.h"
 #include "net/topology.h"
+#include "obs/self_profile.h"
 #include "util/build_info.h"
 #include "util/json.h"
 #include "verify/rules.h"
@@ -85,7 +87,7 @@ TEST(ScheduleCheck, ReportJsonIsStampedParsableAndStable) {
 TEST(ScheduleCheck, ParallelFanOutMatchesSerialReportBytes) {
   // The permutation fan-out is embarrassingly parallel; the report must be
   // byte-identical whether the permuted runs execute serially or across a
-  // pool (the sim::ScenarioRunner determinism contract, end to end).
+  // pool sharing the one lowered graph.
   const net::Topology topo = net::Topology::hybrid_two_clusters(1);
   const TrainingPlan plan = plan_for(FrameworkConfig::holmes(), topo);
   ScheduleCheckOptions serial = quick_options();
@@ -103,6 +105,31 @@ TEST(ScheduleCheck, ParallelFanOutMatchesSerialReportBytes) {
   EXPECT_EQ(sa.str(), sb.str());
   EXPECT_EQ(b.permutations, 4);
   EXPECT_EQ(b.diverged, 0);
+}
+
+TEST(ScheduleCheck, LowersOneGraphPerInvocation) {
+  // The canonical run and every permutation execute one lowered graph, so a
+  // check creates the tasks of exactly one run, serial or threaded.
+  const net::Topology topo = net::Topology::hybrid_two_clusters(1);
+  const TrainingPlan plan = plan_for(FrameworkConfig::holmes(), topo);
+  ScheduleCheckOptions options = quick_options();
+  options.permutations = 4;
+  std::uint64_t one_run = 0;
+  {
+    const obs::SelfProfiler profiler;
+    TrainingSimulator{}.run(topo, plan, options.iterations);
+    one_run = profiler.snapshot().counters.tasks_created;
+  }
+  ASSERT_GT(one_run, 0u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    options.threads = threads;
+    const obs::SelfProfiler profiler;
+    const ScheduleCheckResult result =
+        check_schedule_determinism(topo, plan, options);
+    EXPECT_EQ(result.permutations, 4);
+    EXPECT_EQ(profiler.snapshot().counters.tasks_created, one_run)
+        << threads << " thread(s)";
+  }
 }
 
 // A representative fault schedule: a straggler node plus a NIC degradation

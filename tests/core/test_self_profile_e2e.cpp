@@ -1,4 +1,4 @@
-/// End-to-end: TrainingSimulator attaches a holmes.self_profile.v2 delta to
+/// End-to-end: TrainingSimulator attaches a holmes.self_profile.v3 delta to
 /// SimArtifacts, the counters agree with the run's own metrics, and two
 /// identical runs produce byte-identical counter JSON (the determinism the
 /// `holmes_cli bench` trajectory gate relies on).
@@ -98,7 +98,7 @@ TEST(SelfProfileE2E, WriteJsonCarriesRunCounters) {
   std::ostringstream out;
   obs::write_json(out, run.profile);
   const std::string doc = out.str();
-  EXPECT_NE(doc.find("\"schema\":\"holmes.self_profile.v2\""),
+  EXPECT_NE(doc.find("\"schema\":\"holmes.self_profile.v3\""),
             std::string::npos);
   std::ostringstream expected;
   expected << "\"tasks_created\":" << run.metrics.task_count;

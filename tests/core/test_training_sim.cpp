@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-
 #include "core/experiment.h"
-#include "obs/self_profile.h"
-#include "sim/scenario_runner.h"
 #include "util/error.h"
 
 namespace holmes::core {
@@ -52,29 +48,6 @@ TEST(TrainingSim, IsDeterministic) {
   EXPECT_DOUBLE_EQ(a.iteration_time, b.iteration_time);
   EXPECT_DOUBLE_EQ(a.tflops_per_gpu, b.tflops_per_gpu);
   EXPECT_EQ(a.task_count, b.task_count);
-}
-
-TEST(TrainingSim, MemoHitReturnsIdenticalMetricsWithoutRerunning) {
-  Topology topo = Topology::hybrid_two_clusters(1);
-  const TrainingPlan plan =
-      Planner(FrameworkConfig::holmes()).plan(topo, model::parameter_group(1));
-  obs::SelfProfiler profiler;
-  sim::SimMemo memo;
-  TrainingSimulator simulator;
-  simulator.set_memo(&memo);
-  const IterationMetrics cold = simulator.run(topo, plan, 2);
-  const std::uint64_t pops_after_cold =
-      profiler.snapshot().counters.ready_pops;
-  EXPECT_GT(pops_after_cold, 0u);
-  EXPECT_EQ(memo.misses(), 1u);
-
-  const IterationMetrics warm = simulator.run(topo, plan, 2);
-  EXPECT_EQ(memo.hits(), 1u);
-  // The hit skipped the executor: no further ready-queue traffic.
-  EXPECT_EQ(profiler.snapshot().counters.ready_pops, pops_after_cold);
-  EXPECT_EQ(cold.iteration_time, warm.iteration_time);
-  EXPECT_EQ(cold.throughput, warm.throughput);
-  EXPECT_EQ(cold.grad_sync_span, warm.grad_sync_span);
 }
 
 TEST(TrainingSim, SteadyStateIsStableAcrossIterationCounts) {

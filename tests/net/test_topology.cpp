@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "util/error.h"
 
 namespace holmes::net {
@@ -52,6 +56,43 @@ TEST(Topology, DegenerateSpecsRejected) {
   EXPECT_THROW(Topology({}), ConfigError);
   EXPECT_THROW(Topology({ClusterSpec{"c", 0, 8, NicType::kRoCE}}), ConfigError);
   EXPECT_THROW(Topology({ClusterSpec{"c", 2, 0, NicType::kRoCE}}), ConfigError);
+}
+
+/// Message of the ConfigError building `clusters` throws ("" if none).
+std::string config_error(std::vector<ClusterSpec> clusters) {
+  try {
+    Topology topo(std::move(clusters));
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Topology, WorldSizePastIntIsRejectedBeforeAllocating) {
+  // 2^31 GPUs is one past int's range: a config error naming the cluster
+  // spec and the limit, not a wrapped rank or a multi-gigabyte allocation.
+  const std::string message =
+      config_error({ClusterSpec{"big", 2, 1073741824, NicType::kInfiniBand}});
+  EXPECT_NE(message.find("'big' (2x1073741824:ib)"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("2147483648 GPUs"), std::string::npos) << message;
+  EXPECT_NE(message.find("limit of 2147483647"), std::string::npos) << message;
+  // 65536 x 65536 overflows a 32-bit product on its own.
+  EXPECT_NE(config_error({ClusterSpec{"square", 65536, 65536,
+                                      NicType::kRoCE}})
+                .find("(65536x65536:roce)"),
+            std::string::npos);
+  EXPECT_THROW(Topology::homogeneous(300000000, NicType::kInfiniBand),
+               ConfigError);
+}
+
+TEST(Topology, WorldSizeLimitCountsEveryCluster) {
+  // Each cluster fits on its own; the second one takes the sum past int.
+  const std::string message = config_error(
+      {ClusterSpec{"first", 1073741824, 1, NicType::kInfiniBand},
+       ClusterSpec{"second", 1073741824, 1, NicType::kRoCE}});
+  EXPECT_NE(message.find("'second' (1073741824x1:roce)"), std::string::npos)
+      << message;
 }
 
 TEST(Topology, SameNodeUsesNVLink) {

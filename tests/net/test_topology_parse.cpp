@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.h"
 
 namespace holmes::net {
@@ -64,6 +66,18 @@ TEST(TopologyParse, MalformedSpecsRejected) {
   EXPECT_THROW(parse_topology("+2x8:ib"), ConfigError);
   EXPECT_THROW(parse_topology("ax8:ib"), ConfigError);
   EXPECT_THROW(parse_topology("2x8:ib@fast"), ConfigError);
+}
+
+TEST(TopologyParse, WorldSizePastIntIsAConfigErrorNamingTheSpec) {
+  try {
+    parse_topology("1x8:ib+2x1073741824:roce");
+    FAIL() << "2^31 + 8 GPUs must not parse";
+  } catch (const ConfigError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("(2x1073741824:roce)"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("2147483647"), std::string::npos) << message;
+  }
 }
 
 TEST(TopologyParse, FormatRoundTrips) {

@@ -146,7 +146,6 @@ TEST(SelfProfile, PrintTextMentionsEveryCounterFamily) {
   const std::string text = out.str();
   EXPECT_NE(text.find("tasks"), std::string::npos);
   EXPECT_NE(text.find("ready queue"), std::string::npos);
-  EXPECT_NE(text.find("memo"), std::string::npos);
   EXPECT_NE(text.find("cost model"), std::string::npos);
   EXPECT_NE(text.find("peak RSS"), std::string::npos);
 }

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/executor.h"
@@ -55,6 +58,83 @@ RandomGraph make_random_graph(Rng& rng) {
   }
   out.resources = resources;
   return out;
+}
+
+/// Tie-heavy random DAG. Costs are small whole seconds, zero included, so
+/// many tasks become ready at the same instant. Zero-duration computes,
+/// zero-byte zero-latency transfers and noops finish the instant they start
+/// and release same-time dependents into the tie. Dependencies follow a
+/// seeded permutation of the ids, so a task may wait on a higher id.
+RandomGraph make_tie_heavy_graph(Rng& rng) {
+  RandomGraph out;
+  const int resources = static_cast<int>(rng.uniform_int(1, 3));
+  std::vector<ResourceId> res;
+  std::vector<ResourceId> ports;
+  for (int r = 0; r < resources; ++r) {
+    res.push_back(out.graph.add_resource("r" + std::to_string(r)));
+    ports.push_back(out.graph.add_resource("port" + std::to_string(r)));
+  }
+  const int tasks = static_cast<int>(rng.uniform_int(1, 40));
+  for (int i = 0; i < tasks; ++i) {
+    const double kind = rng.uniform01();
+    if (kind < 0.5) {
+      out.graph.add_compute(
+          res[static_cast<std::size_t>(rng.uniform_int(0, resources - 1))],
+          static_cast<double>(rng.uniform_int(0, 2)));
+    } else if (kind < 0.8 && resources >= 2) {
+      const auto a = static_cast<std::size_t>(rng.uniform_int(0, resources - 1));
+      auto b = static_cast<std::size_t>(rng.uniform_int(0, resources - 1));
+      if (b == a) b = (b + 1) % static_cast<std::size_t>(resources);
+      // 0 or 1 s of serialization, 0 or 0.5 s of latency.
+      out.graph.add_transfer(ports[a], ports[b],
+                             rng.uniform_int(0, 1) * 1'000'000'000, 1e9,
+                             0.5 * static_cast<double>(rng.uniform_int(0, 1)));
+    } else {
+      out.graph.add_noop();
+    }
+  }
+  std::vector<TaskId> order(static_cast<std::size_t>(tasks));
+  for (int i = 0; i < tasks; ++i) order[static_cast<std::size_t>(i)] = i;
+  for (int i = tasks - 1; i > 0; --i) {
+    std::swap(order[static_cast<std::size_t>(i)],
+              order[static_cast<std::size_t>(rng.uniform_int(0, i))]);
+  }
+  for (int p = 1; p < tasks; ++p) {
+    const int deps = static_cast<int>(rng.uniform_int(0, std::min(p, 3)));
+    for (int k = 0; k < deps; ++k) {
+      out.graph.add_dep(
+          order[static_cast<std::size_t>(p)],
+          order[static_cast<std::size_t>(rng.uniform_int(0, p - 1))]);
+    }
+  }
+  out.resources = resources;
+  return out;
+}
+
+/// Asserts that every kPermuteDisjoint seed in [0, seeds) reproduces the
+/// canonical timings, makespan and busy time of `graph` bit for bit.
+void expect_disjoint_matches_canonical(const TaskGraph& graph,
+                                       std::uint64_t first_seed,
+                                       std::uint64_t seeds) {
+  const SimResult canonical = TaskGraphExecutor{}.run(graph);
+  for (std::uint64_t seed = first_seed; seed < first_seed + seeds; ++seed) {
+    ExecutorOptions options;
+    options.tie_break = TieBreak::kPermuteDisjoint;
+    options.tie_seed = seed;
+    const SimResult permuted = TaskGraphExecutor{options}.run(graph);
+    ASSERT_EQ(canonical.makespan(), permuted.makespan()) << "seed " << seed;
+    for (std::size_t i = 0; i < graph.task_count(); ++i) {
+      const auto id = static_cast<TaskId>(i);
+      ASSERT_EQ(canonical.timing(id).start, permuted.timing(id).start)
+          << "task " << i << " seed " << seed;
+      ASSERT_EQ(canonical.timing(id).finish, permuted.timing(id).finish)
+          << "task " << i << " seed " << seed;
+    }
+    for (std::size_t r = 0; r < graph.resource_count(); ++r) {
+      const auto res = static_cast<ResourceId>(r);
+      ASSERT_EQ(canonical.resource_busy(res), permuted.resource_busy(res));
+    }
+  }
 }
 
 class ExecutorFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -117,34 +197,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorFuzz,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
 
 /// The resource-disjoint tie permutation only reorders placements that
-/// commute, so on ANY graph — including ones with noop joins releasing
-/// same-time dependents — its results must be bitwise identical to the
-/// canonical discipline. This is the invariant `holmes_cli check` relies
-/// on: a divergence under kPermuteDisjoint is an executor bug, never a
-/// property of the graph.
+/// commute, so on ANY graph — including ones with noop joins and zero-cost
+/// tasks releasing same-time dependents — its results must be bitwise
+/// identical to the canonical discipline. This is the invariant `holmes_cli
+/// check` relies on: a divergence under kPermuteDisjoint is an executor
+/// bug, never a property of the graph.
 TEST_P(ExecutorFuzz, DisjointPermutationIsOutcomePreserving) {
   Rng rng(GetParam() ^ 0x9E3779B97F4A7C15ull);
   for (int trial = 0; trial < 20; ++trial) {
     RandomGraph rg = make_random_graph(rng);
-    const SimResult canonical = TaskGraphExecutor{}.run(rg.graph);
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      ExecutorOptions options;
-      options.tie_break = TieBreak::kPermuteDisjoint;
-      options.tie_seed = seed;
-      const SimResult permuted = TaskGraphExecutor{options}.run(rg.graph);
-      ASSERT_EQ(canonical.makespan(), permuted.makespan());
-      for (std::size_t i = 0; i < rg.graph.task_count(); ++i) {
-        const auto id = static_cast<TaskId>(i);
-        ASSERT_EQ(canonical.timing(id).start, permuted.timing(id).start)
-            << "task " << i << " seed " << seed;
-        ASSERT_EQ(canonical.timing(id).finish, permuted.timing(id).finish)
-            << "task " << i << " seed " << seed;
-      }
-      for (std::size_t r = 0; r < rg.graph.resource_count(); ++r) {
-        const auto res = static_cast<ResourceId>(r);
-        ASSERT_EQ(canonical.resource_busy(res), permuted.resource_busy(res));
-      }
-    }
+    expect_disjoint_matches_canonical(rg.graph, 1, 3);
+    if (HasFatalFailure()) return;
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    RandomGraph rg = make_tie_heavy_graph(rng);
+    expect_disjoint_matches_canonical(rg.graph, 1, 3);
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -185,6 +253,39 @@ TEST(ExecutorTieBreak, PermuteAllSwapsContendingTies) {
     }
   }
   EXPECT_TRUE(swapped);
+}
+
+/// A zero-cost compute on r1 releases d at t = 0, where d ties on r2 with b,
+/// whose id is higher: canonical order starts d at 0 s and b at 1 s, so no
+/// seed may place b first.
+TEST(ExecutorTieBreak, DisjointZeroCostReleaseJoinsItsTie) {
+  TaskGraph graph;
+  const ResourceId r1 = graph.add_resource("r1");
+  const ResourceId r2 = graph.add_resource("r2");
+  const TaskId a = graph.add_compute(r1, 0.0, "a");
+  const TaskId d = graph.add_compute(r2, 1.0, "d");
+  const TaskId b = graph.add_compute(r2, 1.0, "b");
+  graph.add_dep(d, a);
+  const SimResult canonical = TaskGraphExecutor{}.run(graph);
+  ASSERT_EQ(canonical.timing(d).start, 0.0);
+  ASSERT_EQ(canonical.timing(b).start, 1.0);
+  expect_disjoint_matches_canonical(graph, 0, 8);
+}
+
+/// Canonical order places b (id 1) on r before the noop n (id 2); n then
+/// releases d (id 0), which queues behind b and starts at 1 s. Placing the
+/// noop first would release d early and let it take r at 0 s.
+TEST(ExecutorTieBreak, DisjointNoopKeepsIdOrderInItsTie) {
+  TaskGraph graph;
+  const ResourceId r = graph.add_resource("r");
+  const TaskId d = graph.add_compute(r, 1.0, "d");
+  const TaskId b = graph.add_compute(r, 1.0, "b");
+  const TaskId n = graph.add_noop("n");
+  graph.add_dep(d, n);
+  const SimResult canonical = TaskGraphExecutor{}.run(graph);
+  ASSERT_EQ(canonical.timing(b).start, 0.0);
+  ASSERT_EQ(canonical.timing(d).start, 1.0);
+  expect_disjoint_matches_canonical(graph, 0, 8);
 }
 
 }  // namespace

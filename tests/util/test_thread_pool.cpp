@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace holmes {
@@ -46,6 +48,22 @@ TEST(ThreadPool, ParallelForRethrows) {
                                    if (i == 3) throw std::runtime_error("x");
                                  }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForWaitsForEveryTaskBeforeRethrowing) {
+  // Queued tasks reference the caller's callable, so parallel_for may only
+  // rethrow once every task has finished with it.
+  ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.parallel_for(8,
+                                 [&finished](std::size_t i) {
+                                   if (i == 0) throw std::runtime_error("x");
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(5));
+                                   finished.fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 7);
 }
 
 TEST(ThreadPool, ManyTasksAllComplete) {

@@ -19,7 +19,7 @@
 ///   --json[=FILE]    the subcommand's stable JSON document (see JSON
 ///                    output below)
 ///   --self-profile[=FILE]  engine self-profile of the run: bare, an
-///                    extra text section; =FILE, holmes.self_profile.v2
+///                    extra text section; =FILE, holmes.self_profile.v3
 ///
 ///   holmes_cli simulate <topology> <group> [options]
 ///       Plan + simulate one scenario; print metrics.
@@ -228,7 +228,6 @@
 #include "obs/critical_path.h"
 #include "obs/self_profile.h"
 #include "obs/summary.h"
-#include "sim/scenario_runner.h"
 #include "sim/trace.h"
 #include "util/build_info.h"
 #include "util/error.h"
@@ -1200,26 +1199,6 @@ int cmd_bench(const Args& args) {
       if (i >= warmup) wall.push_back(seconds);
       suite_profile = artifacts.self_profile;
     }
-    // Memoized scenario fan demo: two structurally identical scenarios
-    // through a single-worker ScenarioRunner sharing one SimMemo —
-    // deterministically one miss then one structural hit. Folded into the
-    // suite profile so the memo/scenario counters anchor the trajectory.
-    {
-      obs::SelfProfiler demo_profiler;
-      sim::SimMemo memo;
-      sim::ScenarioRunner scenario_runner(1);
-      scenario_runner.run_all(2, [&](std::size_t) {
-        TrainingSimulator simulator;
-        simulator.set_memo(&memo);
-        simulator.run(topo, plan, 3);
-      });
-      memo.flush_profile();
-      const obs::SelfProfileCounters& d = demo_profiler.snapshot().counters;
-      suite_profile->counters.scenarios_run = d.scenarios_run;
-      suite_profile->counters.memo_hits = d.memo_hits;
-      suite_profile->counters.memo_misses = d.memo_misses;
-      suite_profile->counters.memo_bypass = d.memo_bypass;
-    }
     const SampleStats stats = summarize_samples(std::move(wall));
     std::vector<JsonValue> metrics;
     const auto metric = [&metrics](const std::string& name, double value) {
@@ -1227,7 +1206,7 @@ int cmd_bench(const Args& args) {
           JsonValue::object({{"name", JsonValue::string(name)},
                              {"value", JsonValue::number(value)}}));
     };
-    // Every self-profile counter, named as in holmes.self_profile.v2.
+    // Every self-profile counter, named as in holmes.self_profile.v3.
     const JsonValue counters =
         json_parse(obs::counters_json(suite_profile->counters));
     for (const auto& [name, value] : counters.as_object()) {
