@@ -159,14 +159,26 @@ TaskHandles Communicator::lower_steps(sim::TaskGraph& graph,
   // and effective bus bandwidth without label parsing.
   const sim::ChannelId channel = graph.channel(name_);
 
+  // Labels are built once per round ("<op>.r<round>") or once per call
+  // (joins, done points); the graph interns them, so emitting a task
+  // allocates nothing.
+  std::string round_label = op + ".r";
+  const std::size_t round_prefix = round_label.size();
+  const std::string join_label = op + ".join";
+  const std::string done_label = op + ".done";
+
   // Process round by round; a send depends on what its rank had received by
   // the *end of the previous round* (never on same-round arrivals, which
-  // would serialize the ring and destroy its pipelining).
+  // would serialize the ring and destroy its pipelining). The snapshot and
+  // the per-member arrival lists are reused across rounds.
+  TaskHandles recv_snapshot;
+  std::vector<std::vector<sim::TaskId>> arrivals(static_cast<std::size_t>(n));
   std::size_t i = 0;
   while (i < steps.size()) {
     const int round = steps[i].round;
-    const TaskHandles recv_snapshot = last_recv;
-    std::vector<std::vector<sim::TaskId>> arrivals(static_cast<std::size_t>(n));
+    recv_snapshot = last_recv;
+    round_label.resize(round_prefix);
+    round_label += std::to_string(round);
     for (; i < steps.size() && steps[i].round == round; ++i) {
       const CollectiveStep& s = steps[i];
       const int src_rank = ranks_[static_cast<std::size_t>(s.src)];
@@ -177,11 +189,9 @@ TaskHandles Communicator::lower_steps(sim::TaskGraph& graph,
           (internode_override_ && cross_node)
               ? net::emit_transfer_on(graph, ports, *topo_,
                                       *internode_override_, src_rank, dst_rank,
-                                      s.count, op + ".r" + std::to_string(round),
-                                      tag, channel)
+                                      s.count, round_label, tag, channel)
               : net::emit_transfer(graph, ports, *topo_, src_rank, dst_rank,
-                                   s.count, op + ".r" + std::to_string(round),
-                                   tag, channel);
+                                   s.count, round_label, tag, channel);
       graph.add_deps(t, {recv_snapshot[static_cast<std::size_t>(s.src)]});
       arrivals[static_cast<std::size_t>(s.dst)].push_back(t);
       last_send[static_cast<std::size_t>(s.src)] = t;
@@ -192,10 +202,11 @@ TaskHandles Communicator::lower_steps(sim::TaskGraph& graph,
       if (in.size() == 1) {
         last_recv[static_cast<std::size_t>(m)] = in.front();
       } else {
-        const sim::TaskId join = graph.add_noop(op + ".join", tag);
+        const sim::TaskId join = graph.add_noop(join_label, tag);
         graph.add_deps(join, in);
         last_recv[static_cast<std::size_t>(m)] = join;
       }
+      in.clear();
     }
   }
 
@@ -208,7 +219,7 @@ TaskHandles Communicator::lower_steps(sim::TaskGraph& graph,
     } else if (recv == sim::kInvalidTask || recv == send) {
       done[static_cast<std::size_t>(m)] = send;
     } else {
-      const sim::TaskId join = graph.add_noop(op + ".done", tag);
+      const sim::TaskId join = graph.add_noop(done_label, tag);
       graph.add_deps(join, {recv, send});
       done[static_cast<std::size_t>(m)] = join;
     }

@@ -299,11 +299,10 @@ obs::CriticalPathSummary build_critical_path_summary(
   }
   s.top_segments.reserve(longest.size());
   for (const obs::PathSegment& segment : longest) {
-    const sim::Task& task = graph.task(segment.task);
+    const std::string& label = graph.label(segment.task);
     obs::CriticalPathSummary::Segment out;
     out.task = segment.task;
-    out.label = task.label.empty() ? "task" + std::to_string(segment.task)
-                                   : task.label;
+    out.label = label.empty() ? "task" + std::to_string(segment.task) : label;
     out.kind = obs::to_string(segment.kind);
     out.edge = obs::to_string(segment.edge);
     out.resource =

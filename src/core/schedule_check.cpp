@@ -50,7 +50,7 @@ Documents serialize(const net::Topology& topo, const TrainingPlan& plan,
 
 std::string task_subject(const sim::TaskGraph& graph, sim::TaskId id) {
   std::string subject = "task " + std::to_string(id);
-  const std::string& label = graph.task(id).label;
+  const std::string& label = graph.label(id);
   if (!label.empty()) subject += " '" + label + "'";
   return subject;
 }

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "comm/communicator.h"
@@ -80,6 +83,36 @@ std::vector<pipeline::StageProgram> build_programs(const TrainingPlan& plan) {
       return pipeline::InterleavedSchedule{plan.chunks()}.programs(p, m);
   }
   throw ConfigError("unknown schedule policy");
+}
+
+static_assert(kTaskBudget <= std::numeric_limits<sim::TaskId>::max() &&
+                  kDepBudget <= std::numeric_limits<std::uint32_t>::max(),
+              "budgets must fit TaskId and the uint32 CSR offsets");
+
+/// Reserves the whole chained graph once iteration 0 is lowered. Every later
+/// iteration lowers the same tasks, and iteration 0's dependencies plus
+/// `carried` edges: the gate and prefetch edges iteration 0 had no earlier
+/// iteration to point at. Throws ConfigError when the run would pass
+/// kTaskBudget or kDepBudget, rather than growing until memory runs out.
+void reserve_iterations(sim::TaskGraph& graph, int iterations,
+                        std::size_t carried) {
+  const std::uint64_t tasks = graph.task_count();
+  const std::uint64_t deps = graph.dep_count() + carried;
+  const auto count = static_cast<std::uint64_t>(iterations);
+  // Compared by division, so the projection cannot overflow.
+  if (tasks > kTaskBudget / count) {
+    throw ConfigError(std::to_string(iterations) + " iterations of " +
+                      std::to_string(tasks) +
+                      " tasks each exceed the task budget of " +
+                      std::to_string(kTaskBudget) + " tasks");
+  }
+  if (deps > kDepBudget / count) {
+    throw ConfigError(std::to_string(iterations) + " iterations of " +
+                      std::to_string(deps) +
+                      " dependencies each exceed the dependency budget of " +
+                      std::to_string(kDepBudget) + " dependencies");
+  }
+  graph.reserve(tasks * count, graph.dep_count() + (count - 1) * deps);
 }
 
 }  // namespace
@@ -452,6 +485,15 @@ SimArtifacts TrainingSimulator::lower(const net::Topology& topo,
       }
     }
     iteration_markers.push_back(marker);
+
+    if (it == 0) {
+      std::size_t carried = 0;
+      for (int rank = 0; rank < n; ++rank) {
+        carried += (gate[static_cast<std::size_t>(rank)] != sim::kInvalidTask) +
+                   prefetch[static_cast<std::size_t>(rank)].size();
+      }
+      reserve_iterations(graph, iterations, carried);
+    }
   }
 
   lowered.compute_resource.reserve(static_cast<std::size_t>(n));

@@ -9,6 +9,7 @@
 /// warm pipelines — emerge from the dependency structure rather than being
 /// modeled analytically.
 
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <vector>
@@ -85,6 +86,15 @@ struct SimArtifacts {
   SimTime window_end() const;
 };
 
+/// Size budget of one lowered run, all iterations together: 2^24 tasks,
+/// about 2.1 GiB at the ~135 bytes of peak memory a lowered task costs, and
+/// 20x the 800k tasks of the largest 256-GPU parameter groups. Dependencies
+/// get four per task (lowered graphs carry fewer than two). Both stay well
+/// inside TaskId's int32 range and the uint32 CSR offsets;
+/// TrainingSimulator::lower rejects a run projected past either.
+inline constexpr std::uint64_t kTaskBudget = std::uint64_t{1} << 24;
+inline constexpr std::uint64_t kDepBudget = 4 * kTaskBudget;
+
 /// Lowers a plan once and executes it as often as the caller needs:
 /// `lower` builds the graph, `execute` runs it under one set of executor
 /// options, `account` reads the steady-state metrics, and `run` is the
@@ -104,9 +114,10 @@ class TrainingSimulator {
   /// Pre-flights `plan` (debug mode only, see core/preflight.h) and lowers
   /// `iterations` chained training iterations of it on `topo` into
   /// artifacts with an empty `result`. `iterations` must be >= 2 (one
-  /// warm-up minimum). `perturbations` optionally slows individual devices,
-  /// adds seeded compute jitter, or degrades NICs through the artifacts'
-  /// rate timeline (see core/perturbation.h).
+  /// warm-up minimum), and the chained graph must fit kTaskBudget and
+  /// kDepBudget (else ConfigError). `perturbations` optionally slows
+  /// individual devices, adds seeded compute jitter, or degrades NICs
+  /// through the artifacts' rate timeline (see core/perturbation.h).
   SimArtifacts lower(const net::Topology& topo, const TrainingPlan& plan,
                      int iterations = 3,
                      const Perturbations& perturbations = {}) const;

@@ -78,21 +78,21 @@ sim::ResourceId PortMap::rx(int rank, FabricKind fabric) const {
 
 sim::TaskId emit_transfer(sim::TaskGraph& graph, const PortMap& ports,
                           const Topology& topo, int src, int dst, Bytes bytes,
-                          std::string label, sim::TaskTag tag,
+                          std::string_view label, sim::TaskTag tag,
                           sim::ChannelId channel) {
   return emit_transfer_on(graph, ports, topo, topo.fabric_between(src, dst),
-                          src, dst, bytes, std::move(label), tag, channel);
+                          src, dst, bytes, label, tag, channel);
 }
 
 sim::TaskId emit_transfer_on(sim::TaskGraph& graph, const PortMap& ports,
                              const Topology& topo, FabricKind fabric, int src,
-                             int dst, Bytes bytes, std::string label,
+                             int dst, Bytes bytes, std::string_view label,
                              sim::TaskTag tag, sim::ChannelId channel) {
   HOLMES_CHECK_MSG(src != dst, "transfer endpoints must differ");
   const PathInfo path = topo.path_on(src, dst, fabric);
   return graph.add_transfer(ports.tx(src, fabric), ports.rx(dst, fabric),
-                            bytes, path.bandwidth, path.latency,
-                            std::move(label), tag, channel);
+                            bytes, path.bandwidth, path.latency, label, tag,
+                            channel);
 }
 
 }  // namespace holmes::net

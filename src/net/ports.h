@@ -15,6 +15,7 @@
 /// Ethernet training is so much slower than its 25 Gbps nominal rate
 /// suggests, and why a global Ethernet fallback is catastrophic.
 
+#include <string_view>
 #include <vector>
 
 #include "net/topology.h"
@@ -62,7 +63,7 @@ class PortMap {
 /// optionally attributes the traffic to a communicator for accounting.
 sim::TaskId emit_transfer(sim::TaskGraph& graph, const PortMap& ports,
                           const Topology& topo, int src, int dst, Bytes bytes,
-                          std::string label = {},
+                          std::string_view label = {},
                           sim::TaskTag tag = sim::kUntagged,
                           sim::ChannelId channel = sim::kInvalidChannel);
 
@@ -72,7 +73,7 @@ sim::TaskId emit_transfer(sim::TaskGraph& graph, const PortMap& ports,
 /// fastest_common_fabric; this function checks only that endpoints exist.
 sim::TaskId emit_transfer_on(sim::TaskGraph& graph, const PortMap& ports,
                              const Topology& topo, FabricKind fabric, int src,
-                             int dst, Bytes bytes, std::string label = {},
+                             int dst, Bytes bytes, std::string_view label = {},
                              sim::TaskTag tag = sim::kUntagged,
                              sim::ChannelId channel = sim::kInvalidChannel);
 

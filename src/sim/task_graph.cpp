@@ -23,7 +23,7 @@ ResourceId TaskGraph::add_resource(std::string name) {
   return static_cast<ResourceId>(resource_names_.size() - 1);
 }
 
-TaskId TaskGraph::push(Task task) {
+TaskId TaskGraph::push(const Task& task) {
   HOLMES_CHECK(tasks_.size() <
                static_cast<std::size_t>(std::numeric_limits<TaskId>::max()));
   if (prof::enabled()) {
@@ -41,12 +41,23 @@ TaskId TaskGraph::push(Task task) {
     }
   }
   adjacency_valid_ = false;
-  tasks_.push_back(std::move(task));
+  tasks_.push_back(task);
   return static_cast<TaskId>(tasks_.size() - 1);
 }
 
+LabelId TaskGraph::intern(std::string_view label) {
+  if (label.empty()) return kNoLabel;
+  const auto it = label_ids_.find(label);
+  if (it != label_ids_.end()) return it->second;
+  HOLMES_CHECK(labels_.size() < std::numeric_limits<LabelId>::max());
+  const auto id = static_cast<LabelId>(labels_.size());
+  labels_.emplace_back(label);
+  label_ids_.emplace(labels_.back(), id);
+  return id;
+}
+
 TaskId TaskGraph::add_compute(ResourceId resource, SimTime duration,
-                              std::string label, TaskTag tag) {
+                              std::string_view label, TaskTag tag) {
   HOLMES_CHECK_MSG(resource >= 0 &&
                        static_cast<std::size_t>(resource) < resource_names_.size(),
                    "unknown resource");
@@ -55,14 +66,14 @@ TaskId TaskGraph::add_compute(ResourceId resource, SimTime duration,
   t.kind = TaskKind::kCompute;
   t.resource = resource;
   t.duration = duration;
-  t.label = std::move(label);
+  t.label = intern(label);
   t.tag = tag;
-  return push(std::move(t));
+  return push(t);
 }
 
 TaskId TaskGraph::add_transfer(ResourceId src_port, ResourceId dst_port,
                                Bytes bytes, double bandwidth, SimTime latency,
-                               std::string label, TaskTag tag,
+                               std::string_view label, TaskTag tag,
                                ChannelId channel) {
   HOLMES_CHECK_MSG(src_port >= 0 &&
                        static_cast<std::size_t>(src_port) < resource_names_.size(),
@@ -86,17 +97,17 @@ TaskId TaskGraph::add_transfer(ResourceId src_port, ResourceId dst_port,
   t.bytes = bytes;
   t.bandwidth = bandwidth;
   t.latency = latency;
-  t.label = std::move(label);
+  t.label = intern(label);
   t.tag = tag;
-  return push(std::move(t));
+  return push(t);
 }
 
-TaskId TaskGraph::add_noop(std::string label, TaskTag tag) {
+TaskId TaskGraph::add_noop(std::string_view label, TaskTag tag) {
   Task t;
   t.kind = TaskKind::kNoop;
-  t.label = std::move(label);
+  t.label = intern(label);
   t.tag = tag;
-  return push(std::move(t));
+  return push(t);
 }
 
 void TaskGraph::add_dep(TaskId task, TaskId dep) {
@@ -110,15 +121,24 @@ void TaskGraph::add_dep(TaskId task, TaskId dep) {
   edges_.push_back(Edge{task, dep});
 }
 
-void TaskGraph::add_deps(TaskId task, const std::vector<TaskId>& deps) {
+void TaskGraph::add_deps(TaskId task, std::span<const TaskId> deps) {
   for (TaskId dep : deps) {
     if (dep != kInvalidTask) add_dep(task, dep);
   }
 }
 
+void TaskGraph::reserve(std::size_t tasks, std::size_t deps) {
+  tasks_.reserve(tasks);
+  edges_.reserve(deps);
+}
+
 const Task& TaskGraph::task(TaskId id) const {
   HOLMES_CHECK(id >= 0 && static_cast<std::size_t>(id) < tasks_.size());
   return tasks_[static_cast<std::size_t>(id)];
+}
+
+const std::string& TaskGraph::label(TaskId id) const {
+  return labels_[task(id).label];
 }
 
 const std::string& TaskGraph::resource_name(ResourceId id) const {

@@ -23,11 +23,17 @@
 /// million-edge graph performs zero per-dependency heap allocations, and
 /// the executor walks contiguous arrays. Read dependencies through
 /// `deps(id)` / `dependents(id)`; the first call after a mutation pays one
-/// linear counting-sort pass, later calls are free.
+/// linear counting-sort pass, later calls are free. Labels are interned in a
+/// per-graph table, so a task stores a 4-byte LabelId and lowering a label
+/// seen before allocates nothing; read them through `label(id)`.
 
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "util/units.h"
@@ -43,15 +49,20 @@ using ResourceId = std::int32_t;
 /// without parsing labels; they have no effect on scheduling.
 using ChannelId = std::int32_t;
 
+/// Index into the owning graph's label table (TaskGraph::label()). Equal
+/// labels share one id; kNoLabel is the empty label.
+using LabelId = std::uint32_t;
+
 inline constexpr TaskId kInvalidTask = -1;
 inline constexpr ChannelId kInvalidChannel = -1;
+inline constexpr LabelId kNoLabel = 0;
 
 enum class TaskKind : std::uint8_t { kCompute, kTransfer, kNoop };
 
 /// Compact per-task scheduling record: everything placing one task needs —
 /// resources, precomputed costs, *and* the first dependents — fused into
-/// exactly one cache line (vs the ~96-byte Task with its label string and a
-/// separate adjacency lookup). On large graphs task ids reach the ready
+/// exactly one cache line (vs the 64-byte Task, which holds no dependents,
+/// plus a separate adjacency lookup). On large graphs task ids reach the ready
 /// queue in near-random order, so placement is bound by cache misses; one
 /// line per task is the difference between one miss and three. Built and
 /// cached by TaskGraph::build_adjacency(); `cost` is the compute duration or
@@ -108,17 +119,21 @@ struct Task {
   SimTime latency = 0;   ///< propagation latency of the resolved path
   ChannelId channel = kInvalidChannel;  ///< owning communicator, if any
 
-  std::string label;  ///< optional; used in traces and error messages
+  /// Optional; used in traces and error messages. An id into the owning
+  /// graph's label table: read the text through TaskGraph::label().
+  LabelId label = kNoLabel;
 };
+static_assert(sizeof(Task) == 64, "Task must stay 64 bytes, no heap data");
 
 class TaskGraph {
  public:
   /// Registers a serial resource and returns its id.
   ResourceId add_resource(std::string name);
 
-  /// Adds a compute task occupying `resource` for `duration` seconds.
+  /// Adds a compute task occupying `resource` for `duration` seconds. The
+  /// label is interned (see label()), here and in add_transfer/add_noop.
   TaskId add_compute(ResourceId resource, SimTime duration,
-                     std::string label = {}, TaskTag tag = kUntagged);
+                     std::string_view label = {}, TaskTag tag = kUntagged);
 
   /// Adds a point-to-point transfer of `bytes` over a path with the given
   /// bandwidth (bytes/s) and latency (s). The TX and RX ports are occupied
@@ -126,7 +141,7 @@ class TaskGraph {
   /// additionally wait for the propagation latency.
   TaskId add_transfer(ResourceId src_port, ResourceId dst_port, Bytes bytes,
                       double bandwidth, SimTime latency,
-                      std::string label = {}, TaskTag tag = kUntagged,
+                      std::string_view label = {}, TaskTag tag = kUntagged,
                       ChannelId channel = kInvalidChannel);
 
   /// Returns the channel named `name`, registering it on first use. Channel
@@ -134,14 +149,22 @@ class TaskGraph {
   ChannelId channel(const std::string& name);
 
   /// Adds a zero-cost join/fork point.
-  TaskId add_noop(std::string label = {}, TaskTag tag = kUntagged);
+  TaskId add_noop(std::string_view label = {}, TaskTag tag = kUntagged);
 
   /// Declares that `task` cannot start before `dep` finishes.
   void add_dep(TaskId task, TaskId dep);
 
   /// Declares dependencies on several tasks at once; kInvalidTask entries
   /// are ignored, which lets callers pass optional predecessors verbatim.
-  void add_deps(TaskId task, const std::vector<TaskId>& deps);
+  /// The initializer-list form lets `add_deps(t, {a, b})` allocate nothing.
+  void add_deps(TaskId task, std::span<const TaskId> deps);
+  void add_deps(TaskId task, std::initializer_list<TaskId> deps) {
+    add_deps(task, std::span<const TaskId>(deps.begin(), deps.size()));
+  }
+
+  /// Reserves room for `tasks` tasks and `deps` dependency edges in total,
+  /// so a caller that knows the final size pays no regrowth.
+  void reserve(std::size_t tasks, std::size_t deps);
 
   std::size_t task_count() const { return tasks_.size(); }
   std::size_t resource_count() const { return resource_names_.size(); }
@@ -154,6 +177,8 @@ class TaskGraph {
   std::size_t max_dependent_count() const;
 
   const Task& task(TaskId id) const;
+  /// The task's label; empty when it was added without one.
+  const std::string& label(TaskId id) const;
   const std::string& resource_name(ResourceId id) const;
   const std::string& channel_name(ChannelId id) const;
 
@@ -184,7 +209,8 @@ class TaskGraph {
   void build_adjacency() const;
 
  private:
-  TaskId push(Task task);
+  TaskId push(const Task& task);
+  LabelId intern(std::string_view label);
 
   /// One dependency edge: `task` waits for `dep`.
   struct Edge {
@@ -196,6 +222,18 @@ class TaskGraph {
   std::vector<Edge> edges_;
   std::vector<std::string> resource_names_;
   std::vector<std::string> channel_names_;
+
+  /// Transparent hash, so interning looks a string_view up without building
+  /// a std::string.
+  struct LabelHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::vector<std::string> labels_{std::string()};  ///< LabelId -> text
+  std::unordered_map<std::string, LabelId, LabelHash, std::equal_to<>>
+      label_ids_;  ///< text -> LabelId, for every label but kNoLabel's
 
   // Cached CSR views of edges_, built by build_adjacency(). offsets have
   // task_count()+1 entries; lists are edge-count long. Stable: per-task

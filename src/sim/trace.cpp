@@ -20,6 +20,12 @@ const char* kind_name(TaskKind kind) {
   return "?";
 }
 
+/// A slice's name: the task's label, or its kind when it has none.
+std::string slice_name(const TaskGraph& graph, TaskId id) {
+  const std::string& label = graph.label(id);
+  return json_escape(label.empty() ? kind_name(graph.task(id).kind) : label);
+}
+
 /// Accumulates step deltas per timestamp for one counter track and emits
 /// the resulting staircase as "C" events. Steps append to a flat vector —
 /// one sort at emit time replaces the per-step ordered-map rebalancing the
@@ -139,8 +145,7 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
     if (!first) out << ",";
     first = false;
     // Chrome trace timestamps are microseconds.
-    out << "\n{\"name\":\""
-        << json_escape(task.label.empty() ? kind_name(task.kind) : task.label)
+    out << "\n{\"name\":\"" << slice_name(graph, static_cast<TaskId>(i))
         << "\",\"cat\":\"" << kind_name(task.kind)
         << "\",\"ph\":\"X\",\"pid\":" << options.pid << ",\"tid\":" << row
         << ",\"ts\":" << timing.start * 1e6 << ",\"dur\":" << duration * 1e6
@@ -185,8 +190,7 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
     if (duration < options.min_duration) continue;
     if (!first) out << ",";
     first = false;
-    out << "\n{\"name\":\""
-        << json_escape(task.label.empty() ? kind_name(task.kind) : task.label)
+    out << "\n{\"name\":\"" << slice_name(graph, id)
         << "\",\"cat\":\"critical\",\"ph\":\"X\",\"pid\":" << options.pid
         << ",\"tid\":" << critical_row << ",\"ts\":" << timing.start * 1e6
         << ",\"dur\":" << duration * 1e6 << ",\"args\":{\"task\":" << id

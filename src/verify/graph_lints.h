@@ -16,14 +16,15 @@
 /// rather than trusting TaskGraph's construction-time checks — the point of
 /// the verifier is to survive refactors that bypass or weaken those checks.
 /// The TaskSetRef view makes that testable: known-bad fixtures are raw
-/// `std::vector<sim::Task>` values, with their dependencies in a parallel
-/// per-task array, that the TaskGraph API would refuse to build.
+/// `std::vector<sim::Task>` values, with their dependencies and labels in
+/// parallel per-task arrays, that the TaskGraph API would refuse to build.
 ///
 /// Cost: lint_graph is O(tasks + deps) plus per-resource and endpoint sorts.
 
 #include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/executor.h"
@@ -42,6 +43,8 @@ struct TaskSetRef {
   const sim::TaskGraph* graph = nullptr;
   /// Raw fixtures only: task `i`'s dependencies, parallel to `tasks`.
   const std::vector<std::vector<sim::TaskId>>* fixture_deps = nullptr;
+  /// Raw fixtures only: task `i`'s label, parallel to `tasks`.
+  const std::vector<std::string>* fixture_labels = nullptr;
 
   /// Dependencies of task `i`: a TaskGraph stores them in its flat edge
   /// list, a raw fixture in `fixture_deps` (none when that is null).
@@ -49,6 +52,14 @@ struct TaskSetRef {
     if (graph != nullptr) return graph->deps(static_cast<sim::TaskId>(i));
     if (fixture_deps == nullptr) return {};
     return (*fixture_deps)[i];
+  }
+
+  /// Label of task `i`: a TaskGraph interns it, a raw fixture keeps it in
+  /// `fixture_labels` (empty when that is null).
+  std::string_view label(std::size_t i) const {
+    if (graph != nullptr) return graph->label(static_cast<sim::TaskId>(i));
+    if (fixture_labels == nullptr) return {};
+    return (*fixture_labels)[i];
   }
 };
 

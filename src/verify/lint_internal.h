@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -33,9 +34,9 @@ inline std::string channel_name(const TaskSetRef& view, sim::ChannelId id) {
 }
 
 inline std::string task_subject(const TaskSetRef& view, std::size_t id) {
-  const sim::Task& task = (*view.tasks)[id];
+  const std::string_view label = view.label(id);
   std::string subject = "task " + std::to_string(id);
-  if (!task.label.empty()) subject += " '" + task.label + "'";
+  if (!label.empty()) subject.append(" '").append(label).append("'");
   return subject;
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "core/experiment.h"
 #include "util/error.h"
 
@@ -66,6 +70,33 @@ TEST(TrainingSim, RequiresWarmupIteration) {
                                 .plan(topo, model::parameter_group(1));
   EXPECT_THROW(TrainingSimulator{}.run(topo, plan, 1), ConfigError);
   EXPECT_NO_THROW(TrainingSimulator{}.run(topo, plan, 2));
+}
+
+TEST(TrainingSim, RejectsRunsPastTheTaskBudget) {
+  Topology topo = Topology::homogeneous(2, NicType::kInfiniBand);
+  const TrainingPlan plan = Planner(FrameworkConfig::holmes())
+                                .plan(topo, model::parameter_group(1));
+  const TrainingSimulator simulator;
+  // Every iteration lowers the same tasks.
+  const std::size_t two = simulator.lower(topo, plan, 2).graph.task_count();
+  const std::size_t five = simulator.lower(topo, plan, 5).graph.task_count();
+  ASSERT_EQ(two % 2, 0u);
+  const std::uint64_t per_iteration = two / 2;
+  EXPECT_EQ(five, 5 * per_iteration);
+
+  const auto fits = static_cast<int>(kTaskBudget / per_iteration);
+  for (const int iterations : {fits + 1, std::numeric_limits<int>::max()}) {
+    try {
+      simulator.lower(topo, plan, iterations);
+      ADD_FAILURE() << iterations << " iterations were lowered";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "config error: " + std::to_string(iterations) +
+                    " iterations of " +
+                    std::to_string(per_iteration) +
+                    " tasks each exceed the task budget of 16777216 tasks");
+    }
+  }
 }
 
 TEST(TrainingSim, FasterFabricTrainsFaster) {

@@ -27,6 +27,15 @@ TaskGraph chain_graph(sim::SimResult* result_out) {
   return g;
 }
 
+/// "class/<label>" of the task a classifier is handed: the blocking
+/// occupant for a queue wait, else the segment's own task.
+std::string by_label(const TaskGraph& g, const PathSegment& segment) {
+  const TaskId source = segment.kind == SegmentKind::kQueueWait
+                            ? segment.holder
+                            : segment.task;
+  return "class/" + g.label(source);
+}
+
 std::string by_kind(const PathSegment& segment, const sim::Task& task) {
   (void)task;
   return segment.kind == SegmentKind::kCompute ? "compute" : "link";
@@ -94,8 +103,8 @@ TEST(Sensitivity, QueueWaitCreditsTheBlockingOccupant) {
   const sim::SimResult result = TaskGraphExecutor{}.run(g);
   const CriticalPath path = extract_critical_path(g, result);
   const std::vector<WhatIf> whatifs = what_if_sensitivities(
-      g, path, [](const PathSegment&, const sim::Task& task) {
-        return "class/" + task.label;
+      g, path, [&g](const PathSegment& segment, const sim::Task&) {
+        return by_label(g, segment);
       });
 
   ASSERT_EQ(whatifs.size(), 2u);
@@ -150,7 +159,7 @@ TEST(Sensitivity, SortsDescendingWithNameTiebreak) {
   const CriticalPath path = extract_critical_path(g, result);
   const std::vector<WhatIf> whatifs = what_if_sensitivities(
       g, path, [&g](const PathSegment& segment, const sim::Task&) {
-        return "class/" + g.task(segment.task).label;
+        return by_label(g, segment);
       });
   ASSERT_EQ(whatifs.size(), 2u);
   EXPECT_EQ(whatifs[0].target, "class/a");

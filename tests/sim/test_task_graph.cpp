@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/error.h"
 
 namespace holmes::sim {
@@ -25,7 +28,7 @@ TEST(TaskGraph, ComputeTaskStoresFields) {
   EXPECT_EQ(task.kind, TaskKind::kCompute);
   EXPECT_EQ(task.resource, r);
   EXPECT_DOUBLE_EQ(task.duration, 0.25);
-  EXPECT_EQ(task.label, "fwd");
+  EXPECT_EQ(g.label(t), "fwd");
   EXPECT_EQ(task.tag, 7);
 }
 
@@ -74,7 +77,72 @@ TEST(TaskGraph, AddDepsSkipsInvalidTaskSentinel) {
   const ResourceId r = g.add_resource("r");
   const TaskId a = g.add_compute(r, 1.0);
   const TaskId b = g.add_compute(r, 1.0);
+  const TaskId c = g.add_compute(r, 1.0);
   g.add_deps(b, {kInvalidTask, a, kInvalidTask});
+  EXPECT_EQ(g.deps(b).size(), 1u);
+  // From a vector (the span overload), in order.
+  const std::vector<TaskId> preds = {a, kInvalidTask, b};
+  g.add_deps(c, preds);
+  EXPECT_EQ(std::vector<TaskId>(g.deps(c).begin(), g.deps(c).end()),
+            (std::vector<TaskId>{a, b}));
+  EXPECT_EQ(g.dep_count(), 3u);
+}
+
+TEST(TaskGraph, EqualLabelsShareOneIdAcrossKinds) {
+  TaskGraph g;
+  const ResourceId r = g.add_resource("r");
+  const TaskId compute = g.add_compute(r, 1.0, "dp0.allreduce.r3");
+  const TaskId transfer = g.add_transfer(r, r, 0, 0.0, 1e-6, "dp0.allreduce.r3");
+  const TaskId noop = g.add_noop(std::string("dp0.allreduce.r3"));
+  const TaskId other = g.add_noop("dp0.allreduce.join");
+  EXPECT_EQ(g.task(transfer).label, g.task(compute).label);
+  EXPECT_EQ(g.task(noop).label, g.task(compute).label);
+  EXPECT_NE(g.task(other).label, g.task(compute).label);
+  EXPECT_EQ(g.label(transfer), "dp0.allreduce.r3");
+  EXPECT_EQ(g.label(other), "dp0.allreduce.join");
+}
+
+TEST(TaskGraph, UnlabeledTaskReadsBackEmpty) {
+  TaskGraph g;
+  const ResourceId r = g.add_resource("r");
+  const TaskId compute = g.add_compute(r, 1.0);
+  const TaskId noop = g.add_noop("");
+  EXPECT_EQ(g.task(compute).label, kNoLabel);
+  EXPECT_EQ(g.task(noop).label, kNoLabel);
+  EXPECT_EQ(g.label(compute), "");
+  EXPECT_EQ(g.label(noop), "");
+}
+
+TEST(TaskGraph, LabelsSurviveCopyAndAdjacency) {
+  TaskGraph g;
+  const ResourceId r = g.add_resource("r");
+  const TaskId fwd = g.add_compute(r, 1.0, "fwd");
+  const TaskId bwd = g.add_compute(r, 1.0, "bwd");
+  g.add_dep(bwd, fwd);
+  TaskGraph copy = g;
+  g.add_noop("only-in-the-original");
+  copy.build_adjacency();
+  EXPECT_EQ(copy.label(fwd), "fwd");
+  EXPECT_EQ(copy.label(bwd), "bwd");
+  // The copy keeps interning against its own table.
+  const TaskId again = copy.add_compute(r, 1.0, "fwd");
+  const TaskId fresh = copy.add_noop("join");
+  EXPECT_EQ(copy.task(again).label, copy.task(fwd).label);
+  EXPECT_EQ(copy.label(fresh), "join");
+  EXPECT_EQ(g.label(fwd), "fwd");
+  EXPECT_EQ(g.task_count(), 3u);
+}
+
+TEST(TaskGraph, ReserveChangesNoCounts) {
+  TaskGraph g;
+  const ResourceId r = g.add_resource("r");
+  g.reserve(1000, 2000);
+  EXPECT_EQ(g.task_count(), 0u);
+  EXPECT_EQ(g.dep_count(), 0u);
+  const TaskId a = g.add_compute(r, 1.0, "a");
+  const TaskId b = g.add_compute(r, 1.0, "b");
+  g.add_dep(b, a);
+  EXPECT_EQ(g.task_count(), 2u);
   EXPECT_EQ(g.deps(b).size(), 1u);
 }
 

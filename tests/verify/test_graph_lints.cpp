@@ -34,12 +34,15 @@ bool checked(const LintReport& report, const char* rule) {
 struct RawTask {
   Task task;
   std::vector<TaskId> deps;
+  std::string label;
 };
 
-/// Owns a raw fixture: the tasks plus their dependencies, parallel per task.
+/// Owns a raw fixture: the tasks plus their dependencies and labels,
+/// parallel per task.
 struct RawTasks {
   std::vector<Task> tasks;
   std::vector<std::vector<TaskId>> deps;
+  std::vector<std::string> labels;
 
   RawTasks(std::initializer_list<RawTask> items = {}) {
     for (const RawTask& t : items) push_back(t);
@@ -47,6 +50,7 @@ struct RawTasks {
   void push_back(const RawTask& t) {
     tasks.push_back(t.task);
     deps.push_back(t.deps);
+    labels.push_back(t.label);
   }
 };
 
@@ -56,11 +60,11 @@ RawTask compute(ResourceId resource, SimTime duration,
   task.kind = TaskKind::kCompute;
   task.resource = resource;
   task.duration = duration;
-  return {task, std::move(deps)};
+  return {task, std::move(deps), {}};
 }
 
 RawTask labeled(RawTask t, std::string label) {
-  t.task.label = std::move(label);
+  t.label = std::move(label);
   return t;
 }
 
@@ -75,13 +79,13 @@ RawTask transfer(ResourceId src, ResourceId dst, Bytes bytes, double bandwidth,
   task.bandwidth = bandwidth;
   task.latency = latency;
   task.channel = channel;
-  return {task, std::move(deps)};
+  return {task, std::move(deps), {}};
 }
 
 TaskSetRef raw(const RawTasks& fixture, std::size_t resources,
                std::size_t channels = 0) {
   return TaskSetRef{&fixture.tasks, resources, channels, nullptr,
-                    &fixture.deps};
+                    &fixture.deps, &fixture.labels};
 }
 
 /// A small well-formed graph: two devices computing, one transfer between

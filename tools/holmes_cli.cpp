@@ -5,7 +5,8 @@
 /// Run options (each subcommand reads the subset listed for it):
 ///   --framework F    holmes | megatron-lm | megatron-deepspeed |
 ///                    megatron-llama            (default holmes)
-///   --iterations N   simulated iterations      (default 3)
+///   --iterations N   simulated iterations      (default 3); all of them
+///                    together must fit the 2^24-task budget
 ///   --straggler R:F  rank R computes F times slower (repeatable). Each
 ///                    is one fault-plan straggler, linted by HV501-503:
 ///                    R is a rank of the topology, F a positive finite
@@ -70,7 +71,8 @@
 ///       disjoint tie seeds. Fires HV406 when the Ethernet fallback fabric
 ///       is saturated beyond --warn-share of the window (default the full
 ///       run); exit codes as for lint.
-///       --buckets N      curve resolution         (default 48)
+///       --buckets N      curve resolution         (default 48, at most
+///                        10000)
 ///       --resource S     keep only resources whose name contains S
 ///       --top N          top talkers shown        (default 8)
 ///       --saturation F   busy-port fraction that counts as saturated
@@ -310,14 +312,19 @@ T option(const Args& args, const std::string& key, T fallback) {
                                   : parse_strict<T>(it->second, "--" + key);
 }
 
-/// `--key N` as a count of at least `min`: "--top 0" is an error where a
-/// top-N needs one row, never an empty table or a lifted cap.
+/// `--key N` as a count in [min, max]: "--top 0" is an error where a top-N
+/// needs one row, never an empty table or a lifted cap, and a count past
+/// `max` is an error where cost grows with it.
 int option_count(const Args& args, const std::string& key, int fallback,
-                 int min) {
+                 int min, int max = std::numeric_limits<int>::max()) {
   const int count = option(args, key, fallback);
   if (count < min) {
     throw ConfigError("--" + key + " expects a count of at least " +
                       std::to_string(min) + ", got " + std::to_string(count));
+  }
+  if (count > max) {
+    throw ConfigError("--" + key + " expects a count of at most " +
+                      std::to_string(max) + ", got " + std::to_string(count));
   }
   return count;
 }
@@ -811,11 +818,16 @@ int cmd_explain(const Args& args) {
   return 0;
 }
 
+/// Upper bound on `timeline --buckets`: time and output grow linearly with
+/// the count (10,000 buckets already write ~3.7 MB of JSON for 16 GPUs).
+constexpr int kMaxTimelineBuckets = 10000;
+
 int cmd_timeline(const Args& args) {
   const Run run = resolve_run(args);
   TimelineReportOptions options;
   options.window = option_window(args).value_or(WindowSpec{});
-  options.buckets = option_count(args, "buckets", 48, 1);
+  options.buckets =
+      option_count(args, "buckets", 48, 1, kMaxTimelineBuckets);
   options.top_talkers = option_count(args, "top", 8, 0);
   const auto resource = args.options.find("resource");
   if (resource != args.options.end()) options.resource_filter = resource->second;
