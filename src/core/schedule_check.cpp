@@ -123,7 +123,6 @@ ScheduleCheckResult check_schedule_determinism(
   SimArtifacts artifacts = TrainingSimulator{}.lower(
       topo, plan, options.iterations, options.perturbations);
   artifacts.result = TrainingSimulator::execute(artifacts, {});
-  const Documents canonical = serialize(topo, plan, artifacts);
   result.makespan_s = artifacts.result->makespan();
   result.flow = verify::analyze_flow(artifacts.graph);
 
@@ -139,10 +138,12 @@ ScheduleCheckResult check_schedule_determinism(
 
   result.report.mark_checked(verify::kRuleScheduleRace);
   // Permuted executions only read the shared graph; fan them across a pool
-  // when asked. Each keeps its SimResult alone, and the documents are built
-  // and compared in seed order on this thread afterwards, so the report
-  // bytes do not depend on the thread count.
-  std::vector<std::optional<sim::SimResult>> permuted(
+  // when asked. The documents are a pure function of the shared artifacts
+  // and the result, so a permutation bit-identical to the canonical run
+  // cannot diverge and is dropped at once. Only a differing result is kept;
+  // its documents are built and compared in seed order on this thread
+  // afterwards, so the report bytes do not depend on the thread count.
+  std::vector<std::optional<sim::SimResult>> differing(
       static_cast<std::size_t>(std::max(options.permutations, 0)));
   auto seed_of = [&](std::size_t k) {
     return options.base_seed + static_cast<std::uint64_t>(k);
@@ -151,24 +152,30 @@ ScheduleCheckResult check_schedule_determinism(
     sim::ExecutorOptions exec;
     exec.tie_break = options.tie_break;
     exec.tie_seed = seed_of(k);
-    permuted[k] = TrainingSimulator::execute(artifacts, exec);
+    sim::SimResult permuted = TrainingSimulator::execute(artifacts, exec);
+    if (!permuted.bit_identical(*artifacts.result)) {
+      differing[k] = std::move(permuted);
+    }
   };
-  if (options.threads == 1 || permuted.size() <= 1) {
-    for (std::size_t k = 0; k < permuted.size(); ++k) execute_permutation(k);
+  if (options.threads == 1 || differing.size() <= 1) {
+    for (std::size_t k = 0; k < differing.size(); ++k) execute_permutation(k);
   } else {
-    ThreadPool(options.threads).parallel_for(permuted.size(),
+    ThreadPool(options.threads).parallel_for(differing.size(),
                                              execute_permutation);
   }
-  for (std::size_t k = 0; k < permuted.size(); ++k) {
-    result.permutations += 1;
-    std::swap(artifacts.result, permuted[k]);
+  result.permutations = static_cast<int>(differing.size());
+  std::optional<Documents> canonical;  // built for the first that differs
+  for (std::size_t k = 0; k < differing.size(); ++k) {
+    if (!differing[k]) continue;
+    if (!canonical) canonical = serialize(topo, plan, artifacts);
+    std::swap(artifacts.result, differing[k]);
     const Documents docs = serialize(topo, plan, artifacts);
-    std::swap(artifacts.result, permuted[k]);
-    if (docs == canonical) continue;
+    std::swap(artifacts.result, differing[k]);
+    if (docs == *canonical) continue;
     result.diverged += 1;
     auto [subject, message] =
-        describe_divergence(artifacts.graph, *artifacts.result, canonical,
-                            *permuted[k], docs, seed_of(k));
+        describe_divergence(artifacts.graph, *artifacts.result, *canonical,
+                            *differing[k], docs, seed_of(k));
     result.report.add(verify::kRuleScheduleRace, verify::Severity::kError,
                       std::move(subject), std::move(message));
   }

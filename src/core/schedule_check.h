@@ -6,10 +6,14 @@
 /// verify::check_determinism probes a bare task graph; this module drives
 /// the same probe through the whole pipeline the CLI exercises: plan ->
 /// TrainingSimulator -> run summary + critical path JSON. The plan is
-/// lowered once and its canonical execution serialized; then every seeded
-/// tie permutation re-executes the same compiled graph and the two
-/// documents are byte-compared. Any differing byte is
-/// a schedule race (HV405): either the executor's outcome depends on how
+/// lowered once and executed canonically; then every seeded tie
+/// permutation re-executes the same compiled graph. A permuted result that
+/// is bit-identical to the canonical one (sim::SimResult::bit_identical)
+/// cannot change either document, since both are a pure function of the
+/// shared lowered artifacts and the result, so nothing is serialized for
+/// it. For a result that differs, the run summary and critical path of both
+/// runs are serialized and byte-compared. Any differing byte is a schedule
+/// race (HV405): either the executor's outcome depends on how
 /// equal-ready-time ties happen to be ordered, or downstream accounting is
 /// order-sensitive. The HV4xx flow cross-checks (static lower bound vs
 /// simulated makespan) ride along on the canonical artifacts, so a single
@@ -45,9 +49,9 @@ struct ScheduleCheckOptions {
   int iterations = 3;
   /// Worker threads for the permutation fan-out (1 = serial in the calling
   /// thread, 0 = hardware concurrency). The permuted executions share the
-  /// one lowered graph read-only, and their documents are built and
-  /// compared in seed order on the calling thread, so the report is
-  /// byte-identical at any thread count.
+  /// one lowered graph read-only, and the documents of those that differ
+  /// are built and compared in seed order on the calling thread, so the
+  /// report is byte-identical at any thread count.
   std::size_t threads = 1;
   /// Perturbations applied identically to the canonical run and every tie
   /// permutation — a fault plan's degradation windows and stragglers lower
@@ -66,7 +70,9 @@ struct ScheduleCheckResult {
   verify::FlowAnalysis flow;
   double makespan_s = 0;      ///< canonical run's makespan
   int permutations = 0;       ///< re-runs actually compared
-  int diverged = 0;           ///< re-runs whose JSON differed
+  /// Re-runs whose JSON differed. A re-run bit-identical to the canonical
+  /// run never counts; one that differs counts only if a document does.
+  int diverged = 0;
   sim::TieBreak tie_break = sim::TieBreak::kPermuteDisjoint;
   std::uint64_t base_seed = 0;
 };
@@ -75,13 +81,15 @@ struct ScheduleCheckResult {
 /// "disjoint", "all").
 std::string to_string(sim::TieBreak tie_break);
 
-/// Lowers `plan` on `topo` once, executes it canonically and serializes its
-/// `holmes.run_summary.v1` and `holmes.critical_path.v1` documents, then
-/// re-executes the same graph under `options.permutations` seeded tie
-/// permutations and byte-compares both documents against the canonical
-/// bytes. Divergences
-/// are reported as HV405 errors naming the first task whose timing differs;
-/// the HV4xx flow lints on the canonical artifacts are merged in.
+/// Lowers `plan` on `topo` once, executes it canonically, then re-executes
+/// the same graph under `options.permutations` seeded tie permutations and
+/// compares each result with the canonical one bit for bit. Only for a
+/// result that differs are the `holmes.run_summary.v1` and
+/// `holmes.critical_path.v1` documents of both runs serialized (the
+/// canonical pair once, on the first difference) and byte-compared.
+/// Divergences are reported as HV405 errors naming the first task whose
+/// timing differs; the HV4xx flow lints on the canonical artifacts are
+/// merged in.
 ScheduleCheckResult check_schedule_determinism(
     const net::Topology& topo, const TrainingPlan& plan,
     const ScheduleCheckOptions& options = {});

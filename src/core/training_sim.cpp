@@ -11,6 +11,7 @@
 #include "core/preflight.h"
 #include "core/tags.h"
 #include "net/ports.h"
+#include "net/topology.h"
 #include "obs/accounting.h"
 #include "optimizer/dp_strategy.h"
 #include "pipeline/schedule.h"
@@ -88,6 +89,11 @@ std::vector<pipeline::StageProgram> build_programs(const TrainingPlan& plan) {
 static_assert(kTaskBudget <= std::numeric_limits<sim::TaskId>::max() &&
                   kDepBudget <= std::numeric_limits<std::uint32_t>::max(),
               "budgets must fit TaskId and the uint32 CSR offsets");
+// Each device lowers at least four compute tasks (overhead, fwd, bwd, the
+// optimizer step) in each of at least two iterations, so the device budget
+// may reject only worlds that kTaskBudget rejects as well.
+static_assert(net::kDeviceBudget >= kTaskBudget / (4 * 2),
+              "the device budget must admit every world the task budget does");
 
 /// Reserves the whole chained graph once iteration 0 is lowered. Every later
 /// iteration lowers the same tasks, and iteration 0's dependencies plus

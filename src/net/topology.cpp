@@ -10,11 +10,14 @@
 
 namespace holmes::net {
 
+static_assert(kDeviceBudget <= std::numeric_limits<int>::max(),
+              "ranks are ints");
+
 Topology::Topology(std::vector<ClusterSpec> clusters, FabricCatalog catalog)
     : clusters_(std::move(clusters)), catalog_(catalog) {
   if (clusters_.empty()) throw ConfigError("topology needs at least one cluster");
-  // Ranks are ints: count the world in 64 bits and refuse one past int's
-  // range before allocating a device for it.
+  // Count the world in 64 bits and refuse one past the device budget before
+  // allocating a device for it.
   std::int64_t world = 0;
   for (const ClusterSpec& c : clusters_) {
     if (c.nodes <= 0) {
@@ -23,13 +26,12 @@ Topology::Topology(std::vector<ClusterSpec> clusters, FabricCatalog catalog)
     if (c.gpus_per_node <= 0) {
       throw ConfigError("cluster '" + c.name + "' has no GPUs per node");
     }
-    constexpr std::int64_t kMaxWorld = std::numeric_limits<int>::max();
     world += std::int64_t{c.nodes} * c.gpus_per_node;
-    if (world > kMaxWorld) {
+    if (world > kDeviceBudget) {
       throw ConfigError("cluster '" + c.name + "' (" + format_cluster(c) +
                         ") brings the world size to " + std::to_string(world) +
-                        " GPUs, past the limit of " +
-                        std::to_string(kMaxWorld));
+                        " GPUs, past the device budget of " +
+                        std::to_string(kDeviceBudget) + " GPUs");
     }
   }
   int rank = 0;

@@ -16,6 +16,7 @@
 ///                                  high-speed switch; IB and RoCE are
 ///                                  mutually incompatible anyway)
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -63,10 +64,17 @@ struct InterClusterLink {
   SimTime extra_latency = units::microseconds(500);
 };
 
+/// Largest world a Topology accepts: 2^21 devices. Every device lowers at
+/// least four compute tasks per iteration (overhead, forward, backward,
+/// optimizer) over at least two iterations, so a larger world passes
+/// core::kTaskBudget (2^24 tasks) under any plan and can never be
+/// simulated; core/training_sim.cpp asserts the relation.
+inline constexpr std::int64_t kDeviceBudget = std::int64_t{1} << 21;
+
 class Topology {
  public:
   /// Builds a topology from cluster specs. Throws ConfigError when a spec is
-  /// degenerate (no nodes, no GPUs).
+  /// degenerate (no nodes, no GPUs) or the world passes kDeviceBudget.
   Topology(std::vector<ClusterSpec> clusters, FabricCatalog catalog = {});
 
   // ---- Convenience factories used across tests and benches ----

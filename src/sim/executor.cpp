@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "obs/self_profile.h"
@@ -142,6 +144,24 @@ SimTime SimResult::tag_span(const TaskGraph& graph, TaskTag tag) const {
     }
   }
   return any ? last - first : 0;
+}
+
+// bit_identical compares timings as raw bytes, which is exact only while
+// TaskTiming is three doubles with no padding between or after them.
+static_assert(std::is_trivially_copyable_v<TaskTiming> &&
+                  sizeof(TaskTiming) == 3 * sizeof(SimTime),
+              "TaskTiming must have no padding");
+
+bool SimResult::bit_identical(const SimResult& other) const {
+  auto same_bytes = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+  };
+  return std::bit_cast<std::uint64_t>(makespan_) ==
+             std::bit_cast<std::uint64_t>(other.makespan_) &&
+         same_bytes(timing_, other.timing_) &&
+         same_bytes(resource_busy_, other.resource_busy_);
 }
 
 SimResult TaskGraphExecutor::run(const TaskGraph& graph) {

@@ -63,6 +63,12 @@ class SimResult {
   /// 0 when no task carries the tag.
   SimTime tag_span(const TaskGraph& graph, TaskTag tag) const;
 
+  /// True when `other` holds exactly the same bits: the makespan, every
+  /// task's start, finish and ports_free, and every resource busy time.
+  /// Conservative by design: +0.0 and -0.0 compare unequal, so `false`
+  /// means the results may differ in value, not that they do.
+  bool bit_identical(const SimResult& other) const;
+
  private:
   std::vector<TaskTiming> timing_;
   std::vector<SimTime> resource_busy_;

@@ -5,11 +5,16 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/plan.h"
+#include "core/run_stats.h"
 #include "model/gpt_zoo.h"
 #include "net/topology.h"
+#include "obs/critical_path.h"
 #include "obs/self_profile.h"
+#include "obs/summary.h"
 #include "util/build_info.h"
 #include "util/json.h"
 #include "verify/rules.h"
@@ -87,24 +92,30 @@ TEST(ScheduleCheck, ReportJsonIsStampedParsableAndStable) {
 TEST(ScheduleCheck, ParallelFanOutMatchesSerialReportBytes) {
   // The permutation fan-out is embarrassingly parallel; the report must be
   // byte-identical whether the permuted runs execute serially or across a
-  // pool sharing the one lowered graph.
+  // pool sharing the one lowered graph. Under kPermuteAll every result
+  // differs, so pool threads keep them out of order for the seed-order
+  // comparison.
   const net::Topology topo = net::Topology::hybrid_two_clusters(1);
   const TrainingPlan plan = plan_for(FrameworkConfig::holmes(), topo);
-  ScheduleCheckOptions serial = quick_options();
-  serial.permutations = 4;
-  ScheduleCheckOptions parallel = serial;
-  parallel.threads = 4;
-  const ScheduleCheckResult a =
-      check_schedule_determinism(topo, plan, serial);
-  const ScheduleCheckResult b =
-      check_schedule_determinism(topo, plan, parallel);
-  std::ostringstream sa;
-  std::ostringstream sb;
-  write_check_report_json(sa, a, current_build_info());
-  write_check_report_json(sb, b, current_build_info());
-  EXPECT_EQ(sa.str(), sb.str());
-  EXPECT_EQ(b.permutations, 4);
-  EXPECT_EQ(b.diverged, 0);
+  for (const sim::TieBreak policy :
+       {sim::TieBreak::kPermuteDisjoint, sim::TieBreak::kPermuteAll}) {
+    ScheduleCheckOptions serial = quick_options();
+    serial.permutations = 4;
+    serial.tie_break = policy;
+    ScheduleCheckOptions parallel = serial;
+    parallel.threads = 4;
+    const ScheduleCheckResult a =
+        check_schedule_determinism(topo, plan, serial);
+    const ScheduleCheckResult b =
+        check_schedule_determinism(topo, plan, parallel);
+    std::ostringstream sa;
+    std::ostringstream sb;
+    write_check_report_json(sa, a, current_build_info());
+    write_check_report_json(sb, b, current_build_info());
+    EXPECT_EQ(sa.str(), sb.str()) << to_string(policy);
+    EXPECT_EQ(b.permutations, 4);
+    EXPECT_EQ(b.diverged, policy == sim::TieBreak::kPermuteAll ? 4 : 0);
+  }
 }
 
 TEST(ScheduleCheck, LowersOneGraphPerInvocation) {
@@ -185,6 +196,78 @@ TEST(ScheduleCheck, FaultedParallelFanOutMatchesSerialReportBytes) {
   const ScheduleCheckResult baseline =
       check_schedule_determinism(topo, plan, clean);
   EXPECT_GT(a.makespan_s, baseline.makespan_s);
+}
+
+TEST(ScheduleCheck, PermuteAllDivergenceNamesTheFirstMovedTask) {
+  // Every permute-all result differs, so each takes the path that builds
+  // and byte-compares the documents; the divergences name the first task
+  // that moved, in seed order, byte for byte as a check that serializes
+  // every permutation reports them.
+  const net::Topology topo = net::Topology::hybrid_two_clusters(1);
+  const TrainingPlan plan = plan_for(FrameworkConfig::holmes(), topo);
+  ScheduleCheckOptions options;
+  options.permutations = 3;
+  options.tie_break = sim::TieBreak::kPermuteAll;
+  const ScheduleCheckResult result =
+      check_schedule_determinism(topo, plan, options);
+  EXPECT_EQ(result.permutations, 3);
+  EXPECT_EQ(result.diverged, 3);
+  const std::string moved =
+      " moved it from start 0.987566519814 s to 1.05467538381 s (finish "
+      "1.44022238679 s -> 1.50733125079 s)";
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"task 3 'bwd'", "tie permutation (seed 79505419748691)" + moved},
+      {"task 307 'bwd'", "tie permutation (seed 79505419748692)" + moved},
+      {"task 3 'bwd'", "tie permutation (seed 79505419748693)" + moved},
+  };
+  std::vector<std::pair<std::string, std::string>> races;
+  for (const verify::Diagnostic& d : result.report.diagnostics()) {
+    if (d.rule == verify::kRuleScheduleRace) {
+      races.emplace_back(d.subject, d.message);
+    }
+  }
+  EXPECT_EQ(races, expected);
+}
+
+/// The two documents check_schedule_determinism byte-compares, serialized
+/// independently of it: the run summary and the critical path, as JSON.
+std::pair<std::string, std::string> documents(const net::Topology& topo,
+                                              const TrainingPlan& plan,
+                                              const SimArtifacts& executed) {
+  const IterationMetrics metrics = TrainingSimulator::account(plan, executed);
+  std::ostringstream summary;
+  obs::write_json(summary, build_run_summary(topo, plan, metrics, executed));
+  std::ostringstream path;
+  obs::write_json(path,
+                  build_critical_path_summary(topo, plan, metrics, executed));
+  return {summary.str(), path.str()};
+}
+
+TEST(ScheduleCheck, BitIdenticalResultsSerializeIdenticalDocuments) {
+  // The oracle behind skipping the documents: a disjoint permutation's
+  // result is bit-identical to the canonical one, and so are both of its
+  // serialized documents, clean and with faults active.
+  const net::Topology topo = net::Topology::hybrid_two_clusters(1);
+  const TrainingPlan plan = plan_for(FrameworkConfig::holmes(), topo);
+  const ScheduleCheckOptions options;
+  for (const Perturbations& perturbations :
+       {Perturbations{}, faulted_perturbations()}) {
+    SimArtifacts artifacts = TrainingSimulator{}.lower(
+        topo, plan, options.iterations, perturbations);
+    artifacts.result = TrainingSimulator::execute(artifacts, {});
+    const sim::SimResult canonical = *artifacts.result;
+    const auto expected = documents(topo, plan, artifacts);
+    for (std::uint64_t k = 0; k < 4; ++k) {
+      sim::ExecutorOptions exec;
+      exec.tie_break = sim::TieBreak::kPermuteDisjoint;
+      exec.tie_seed = options.base_seed + k;
+      artifacts.result = TrainingSimulator::execute(artifacts, exec);
+      EXPECT_TRUE(artifacts.result->bit_identical(canonical)) << "seed " << k;
+      const auto docs = documents(topo, plan, artifacts);
+      EXPECT_EQ(docs.first, expected.first) << "run summary, seed " << k;
+      EXPECT_EQ(docs.second, expected.second) << "critical path, seed " << k;
+    }
+  }
 }
 
 TEST(ScheduleCheck, TieBreakNamesAreStable) {

@@ -76,7 +76,8 @@ TEST(Topology, WorldSizePastIntIsRejectedBeforeAllocating) {
   EXPECT_NE(message.find("'big' (2x1073741824:ib)"), std::string::npos)
       << message;
   EXPECT_NE(message.find("2147483648 GPUs"), std::string::npos) << message;
-  EXPECT_NE(message.find("limit of 2147483647"), std::string::npos) << message;
+  EXPECT_NE(message.find("device budget of 2097152 GPUs"), std::string::npos)
+      << message;
   // 65536 x 65536 overflows a 32-bit product on its own.
   EXPECT_NE(config_error({ClusterSpec{"square", 65536, 65536,
                                       NicType::kRoCE}})
@@ -87,12 +88,27 @@ TEST(Topology, WorldSizePastIntIsRejectedBeforeAllocating) {
 }
 
 TEST(Topology, WorldSizeLimitCountsEveryCluster) {
-  // Each cluster fits on its own; the second one takes the sum past int.
+  // Each cluster fits on its own; the second one takes the sum past the
+  // device budget.
   const std::string message = config_error(
-      {ClusterSpec{"first", 1073741824, 1, NicType::kInfiniBand},
-       ClusterSpec{"second", 1073741824, 1, NicType::kRoCE}});
-  EXPECT_NE(message.find("'second' (1073741824x1:roce)"), std::string::npos)
+      {ClusterSpec{"first", 262144, 8, NicType::kInfiniBand},
+       ClusterSpec{"second", 1, 1, NicType::kRoCE}});
+  EXPECT_NE(message.find("'second' (1x1:roce)"), std::string::npos) << message;
+  EXPECT_NE(message.find("2097153 GPUs"), std::string::npos) << message;
+}
+
+TEST(Topology, DeviceBudgetBoundsAWorldThatFitsInt) {
+  // 1.6 billion GPUs fit in int but could never be simulated: rejected
+  // before a device is allocated, naming the cluster spec and the budget.
+  const std::string message = config_error(
+      {ClusterSpec{"ib-cluster", 200000000, 8, NicType::kInfiniBand}});
+  EXPECT_NE(message.find("'ib-cluster' (200000000x8:ib)"), std::string::npos)
       << message;
+  EXPECT_NE(message.find("device budget of 2097152 GPUs"), std::string::npos)
+      << message;
+  // A world of exactly the budget is still accepted.
+  const Topology edge = Topology::homogeneous(262144, NicType::kInfiniBand);
+  EXPECT_EQ(edge.world_size(), kDeviceBudget);
 }
 
 TEST(Topology, SameNodeUsesNVLink) {

@@ -134,6 +134,8 @@ void expect_disjoint_matches_canonical(const TaskGraph& graph,
       const auto res = static_cast<ResourceId>(r);
       ASSERT_EQ(canonical.resource_busy(res), permuted.resource_busy(res));
     }
+    // The raw bits match as well, ports_free included.
+    ASSERT_TRUE(permuted.bit_identical(canonical)) << "seed " << seed;
   }
 }
 
@@ -250,9 +252,26 @@ TEST(ExecutorTieBreak, PermuteAllSwapsContendingTies) {
     const SimResult permuted = TaskGraphExecutor{options}.run(graph);
     if (permuted.timing(first).start != canonical.timing(first).start) {
       swapped = true;
+      EXPECT_FALSE(permuted.bit_identical(canonical)) << "seed " << seed;
     }
   }
   EXPECT_TRUE(swapped);
+}
+
+/// bit_identical compares raw bits, so it is conservative: a difference in
+/// one resource busy time, or +0.0 against -0.0 where values compare equal,
+/// makes results unequal.
+TEST(SimResultBits, AnyDifferingBitMakesResultsUnequal) {
+  const std::vector<TaskTiming> timings = {{0.0, 1.0, 1.0}, {1.0, 2.5, 2.0}};
+  const SimResult base(timings, {2.0, 0.5}, 2.5);
+  EXPECT_TRUE(base.bit_identical(SimResult(timings, {2.0, 0.5}, 2.5)));
+  EXPECT_FALSE(base.bit_identical(SimResult(timings, {2.0, 0.75}, 2.5)));
+  std::vector<TaskTiming> negative_zero = timings;
+  negative_zero[0].start = -0.0;
+  ASSERT_EQ(negative_zero[0].start, timings[0].start);
+  EXPECT_FALSE(base.bit_identical(SimResult(negative_zero, {2.0, 0.5}, 2.5)));
+  EXPECT_FALSE(SimResult({}, {}, 0.0).bit_identical(SimResult({}, {}, -0.0)));
+  EXPECT_TRUE(SimResult({}, {}, 0.0).bit_identical(SimResult({}, {}, 0.0)));
 }
 
 /// A zero-cost compute on r1 releases d at t = 0, where d ties on r2 with b,

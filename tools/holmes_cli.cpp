@@ -109,13 +109,16 @@
 ///   holmes_cli check <topology> <group> [options]
 ///       Schedule-race determinism check (rule HV405): simulate the
 ///       scenario canonically, then re-run it under N seeded permutations
-///       of equal-ready-time ties and byte-compare the run-summary and
-///       critical-path JSON documents. Any divergence is an error naming
-///       the first task that moved. The HV4xx flow bounds (static lower
-///       bound vs simulated makespan) are checked on the same run, with a
+///       of equal-ready-time ties and compare each result with the
+///       canonical one bit for bit. Only for a result that differs are the
+///       run-summary and critical-path JSON documents of both runs built
+///       and byte-compared. Any divergence is an error naming the first
+///       task that moved. The HV4xx flow bounds (static lower bound vs
+///       simulated makespan) are checked on the same run, with a
 ///       --fault-plan's faults active in every permutation. Exit codes as
 ///       for lint.
-///       --permutations N as described             (default 5)
+///       --permutations N as described             (default 5, at most
+///                        1000)
 ///       --seed S         base tie seed            (default 0x484F4C4D4553)
 ///       --policy P       disjoint | all           (default disjoint;
 ///                        disjoint must never diverge, all also flags
@@ -1007,13 +1010,19 @@ int cmd_lint(const Args& args) {
   return verdict_exit_code(report);
 }
 
+/// Upper bound on `check --permutations`: time grows linearly with the count
+/// (one permuted run of a 256-GPU group-7 plan takes ~35 ms on a 4-core
+/// x86-64 host, so 1,000 take ~35 s).
+constexpr int kMaxCheckPermutations = 1000;
+
 int cmd_check(const Args& args) {
   // A fault plan's runtime faults (degradation windows, stragglers) are
   // active in the canonical run and every permutation alike — the check
   // then proves byte-determinism *with the faults injected*.
   const Run run = resolve_run(args);
   ScheduleCheckOptions options;
-  options.permutations = option_count(args, "permutations", 5, 1);
+  options.permutations =
+      option_count(args, "permutations", 5, 1, kMaxCheckPermutations);
   options.iterations = run.iterations;
   options.threads =
       static_cast<std::size_t>(option_count(args, "threads", 1, 0));
