@@ -3,15 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/run_stats.h"
 #include "model/gpt_zoo.h"
-#include "obs/timeline.h"
 #include "net/nic.h"
+#include "net/topology_parse.h"
+#include "obs/timeline.h"
 #include "pipeline/partition.h"
 #include "util/error.h"
 #include "util/json.h"
@@ -121,43 +124,60 @@ std::string window_subject(const NicDegradation& w, std::size_t index) {
 // Measured stage speeds from an executed run
 // ---------------------------------------------------------------------------
 
+/// A graph's resource names in sorted order, so effective_busy resolves a
+/// rank's ports by binary search instead of scanning every name per rank.
+using NameIndex = std::vector<std::pair<std::string_view, sim::ResourceId>>;
+
+NameIndex index_resource_names(const sim::TaskGraph& graph) {
+  NameIndex index;
+  index.reserve(graph.resource_count());
+  for (std::size_t r = 0; r < graph.resource_count(); ++r) {
+    const auto id = static_cast<sim::ResourceId>(r);
+    index.emplace_back(graph.resource_name(id), id);
+  }
+  std::sort(index.begin(), index.end());
+  return index;
+}
+
+/// Busy time of the busiest resource named exactly `name` or, with
+/// `prefix` set, whose name starts with it (0 when none is).
+double busiest_named(const NameIndex& index, const sim::SimResult& result,
+                     std::string_view name, bool prefix) {
+  double busy = 0;
+  auto it = std::lower_bound(
+      index.begin(), index.end(), name,
+      [](const auto& entry, std::string_view key) { return entry.first < key; });
+  for (; it != index.end() &&
+         (prefix ? it->first.starts_with(name) : it->first == name);
+       ++it) {
+    busy = std::max(busy, result.resource_busy(it->second));
+  }
+  return busy;
+}
+
 /// Effective busy seconds of `rank` in the executed graph: compute
 /// occupancy plus the heavier direction of its primary NIC's port occupancy
 /// (stretched occupancy under an active fault timeline, so degraded fabrics
 /// register just like slow devices).
 double effective_busy(const net::Topology& topo, const SimArtifacts& artifacts,
-                      int rank) {
+                      const NameIndex& names, int rank) {
   const sim::SimResult& result = *artifacts.result;
-  double busy = result.resource_busy(
+  const double busy = result.resource_busy(
       artifacts.compute_resource[static_cast<std::size_t>(rank)]);
 
   const net::DeviceInfo& device = topo.device(rank);
-  double port = 0;
   if (device.nic == net::NicType::kEthernet) {
     // Node-shared ports: take the busiest Ethernet port of the rank's node.
-    const std::string prefix =
-        "node" + std::to_string(device.global_node) + ".Ethernet";
-    for (std::size_t r = 0; r < artifacts.graph.resource_count(); ++r) {
-      const std::string& name =
-          artifacts.graph.resource_name(static_cast<sim::ResourceId>(r));
-      if (name.compare(0, prefix.size(), prefix) == 0) {
-        port = std::max(port,
-                        result.resource_busy(static_cast<sim::ResourceId>(r)));
-      }
-    }
-  } else {
-    const std::string base = "gpu" + std::to_string(rank) + "." +
-                             to_string(net::rdma_fabric(device.nic));
-    for (std::size_t r = 0; r < artifacts.graph.resource_count(); ++r) {
-      const std::string& name =
-          artifacts.graph.resource_name(static_cast<sim::ResourceId>(r));
-      if (name == base + ".tx" || name == base + ".rx") {
-        port = std::max(port,
-                        result.resource_busy(static_cast<sim::ResourceId>(r)));
-      }
-    }
+    return busy + busiest_named(names, result,
+                                "node" + std::to_string(device.global_node) +
+                                    ".Ethernet",
+                                /*prefix=*/true);
   }
-  return busy + port;
+  const std::string base = "gpu" + std::to_string(rank) + "." +
+                           to_string(net::rdma_fabric(device.nic));
+  return busy +
+         std::max(busiest_named(names, result, base + ".tx", /*prefix=*/false),
+                  busiest_named(names, result, base + ".rx", /*prefix=*/false));
 }
 
 /// Per-virtual-stage speed weights measured from the faulted run: a stage's
@@ -175,12 +195,13 @@ std::vector<double> measure_stage_weights(const net::Topology& topo,
   for (std::size_t v = 0; v < stages; ++v) {
     phys_layers[v % static_cast<std::size_t>(p)] += plan.partition[v];
   }
+  const NameIndex names = index_resource_names(artifacts.graph);
   std::vector<double> phys_busy(static_cast<std::size_t>(p), 0.0);
   for (int s = 0; s < p; ++s) {
     for (int rank : plan.groups.stage_ranks(s)) {
       phys_busy[static_cast<std::size_t>(s)] =
           std::max(phys_busy[static_cast<std::size_t>(s)],
-                   effective_busy(topo, artifacts, rank));
+                   effective_busy(topo, artifacts, names, rank));
     }
   }
   std::vector<double> weights(stages, 1.0);
@@ -206,25 +227,74 @@ RecoveryRun summarize(const IterationMetrics& metrics,
   return run;
 }
 
-/// HV504 for one executed leg: the leg's makespan must dominate its own
-/// graph's fault-free flow chain bound (declared costs; NIC stretching only
-/// ever grows spans, so the bound stays valid under any fault timeline).
-void check_recovery_invariant(verify::LintReport& report,
-                              const std::string& leg,
-                              const SimArtifacts& artifacts) {
+/// HV504's inputs for one executed leg: its makespan and its own graph's
+/// fault-free flow chain bound (declared costs; NIC stretching only ever
+/// grows spans, so the bound stays valid under any fault timeline).
+struct LegBound {
+  const char* leg = "";
+  double makespan_s = 0;
+  double chain_bound_s = 0;
+  bool valid = false;  ///< the flow analysis produced a bound
+};
+
+LegBound leg_bound(const char* leg, const SimArtifacts& artifacts) {
   const verify::FlowAnalysis flow = verify::analyze_flow(artifacts.graph);
-  if (!flow.valid) return;
-  const double makespan = artifacts.result->makespan();
+  return {leg, artifacts.result->makespan(), flow.chain_bound_s, flow.valid};
+}
+
+/// HV504 for one executed leg: its makespan must dominate its chain bound.
+void check_recovery_invariant(verify::LintReport& report,
+                              const LegBound& bound) {
+  if (!bound.valid) return;
   // Exact comparison is too strict across the stretching arithmetic; allow
   // the same relative tolerance the flow lints use.
-  const double eps = 1e-9 * std::max(1.0, flow.chain_bound_s);
-  if (makespan < flow.chain_bound_s - eps) {
-    report.add(verify::kRuleRecoveryInvariant, verify::Severity::kError, leg,
-               "recovered makespan " + format_seconds(makespan) +
+  const double eps = 1e-9 * std::max(1.0, bound.chain_bound_s);
+  if (bound.makespan_s < bound.chain_bound_s - eps) {
+    report.add(verify::kRuleRecoveryInvariant, verify::Severity::kError,
+               bound.leg,
+               "recovered makespan " + format_seconds(bound.makespan_s) +
                    " s beats the fault-free chain bound " +
-                   format_seconds(flow.chain_bound_s) +
+                   format_seconds(bound.chain_bound_s) +
                    " s — recovery accounting is wrong");
   }
+}
+
+using ClassCurves = std::map<std::string, std::vector<double>>;
+
+/// Per-NIC-class occupancy of one executed leg (busy ports / class ports),
+/// kTimelineBuckets time-weighted means over the leg's own [0, makespan).
+ClassCurves class_occupancy(const SimArtifacts& artifacts) {
+  const double makespan = artifacts.result->makespan();
+  ClassCurves curves;
+  for (const obs::ClassTimeline& cls : obs::extract_class_timelines(
+           artifacts.graph, *artifacts.result, resource_class_of)) {
+    std::vector<double> values = cls.busy_ports.bucketize(
+        0.0, makespan, RecoveryReport::kTimelineBuckets);
+    if (cls.ports > 0) {
+      for (double& v : values) v /= static_cast<double>(cls.ports);
+    }
+    curves[cls.nic_class] = std::move(values);
+  }
+  return curves;
+}
+
+/// What the report reads of the fault-free or the faulted leg, taken while
+/// its graph is alive.
+struct LegDigest {
+  RecoveryRun run;
+  std::vector<obs::CriticalPathSummary::Bucket> buckets;
+  ClassCurves curves;
+};
+
+LegDigest digest_leg(const net::Topology& topo, const TrainingPlan& plan,
+                     const IterationMetrics& metrics,
+                     const SimArtifacts& artifacts) {
+  LegDigest leg;
+  leg.run = summarize(metrics, artifacts);
+  leg.buckets =
+      build_critical_path_summary(topo, plan, metrics, artifacts).buckets;
+  leg.curves = class_occupancy(artifacts);
+  return leg;
 }
 
 std::string json_int_array(const std::vector<int>& values) {
@@ -476,27 +546,46 @@ RecoveryReport run_fault_injection(const net::Topology& topo,
   const Perturbations perturb = lower_fault_plan(plan, topo);
 
   TrainingSimulator simulator;
+  // Each leg is reduced to what the report reads right after it runs, and
+  // its graph and timings are freed before the next leg lowers: at most two
+  // lowered graphs (the best re-plan round and the round being simulated)
+  // are alive at once.
 
   // Leg 1: fault-free baseline.
-  SimArtifacts ff_artifacts;
-  const IterationMetrics ff_metrics = simulator.run(
-      topo, static_plan, options.iterations, {}, nullptr, &ff_artifacts);
-  report.fault_free = summarize(ff_metrics, ff_artifacts);
+  LegDigest fault_free;
+  {
+    SimArtifacts artifacts;
+    const IterationMetrics metrics = simulator.run(
+        topo, static_plan, options.iterations, {}, nullptr, &artifacts);
+    fault_free = digest_leg(topo, static_plan, metrics, artifacts);
+  }
+  report.fault_free = fault_free.run;
 
-  // Identity strings come from the canonical summary builder so the report
-  // names things exactly like the run summary does.
-  const obs::RunSummary identity =
-      build_run_summary(topo, static_plan, ff_metrics, ff_artifacts);
-  report.topology = identity.topology;
-  report.framework = identity.framework;
-  report.workload = identity.workload;
+  // Identity strings as every run summary spells them.
+  report.topology = net::format_topology(topo);
+  report.framework = static_plan.framework.name;
+  report.workload = workload_label(static_plan);
 
-  // Leg 2: the static plan under the fault schedule.
-  SimArtifacts fs_artifacts;
-  const IterationMetrics fs_metrics =
-      simulator.run(topo, static_plan, options.iterations, perturb, nullptr,
-                    &fs_artifacts);
-  report.faulted = summarize(fs_metrics, fs_artifacts);
+  // Leg 2: the static plan under the fault schedule. Besides its digest it
+  // keeps the measured weights, its HV504 bound and the iteration markers'
+  // finish times (the checkpoint accounting below).
+  LegDigest faulted;
+  LegBound faulted_bound;
+  std::vector<double> marker_finish;
+  {
+    SimArtifacts artifacts;
+    const IterationMetrics metrics = simulator.run(
+        topo, static_plan, options.iterations, perturb, nullptr, &artifacts);
+    faulted = digest_leg(topo, static_plan, metrics, artifacts);
+    faulted_bound = leg_bound("faulted", artifacts);
+    report.measured_weights =
+        measure_stage_weights(topo, static_plan, artifacts);
+    marker_finish.reserve(artifacts.iteration_markers.size());
+    for (const sim::TaskId marker : artifacts.iteration_markers) {
+      marker_finish.push_back(artifacts.result->timing(marker).finish);
+    }
+  }
+  report.faulted = faulted.run;
 
   // Leg 3: measured-speed re-partition, simulated under the same faults.
   // A single measurement under-corrects: effective busy time folds in
@@ -506,36 +595,39 @@ RecoveryReport run_fault_injection(const net::Topology& topo,
   // (bounded rounds; oscillation is broken by keeping the best-throughput
   // round). Each round is one deterministic simulation, so the loop — and
   // therefore the report — stays byte-stable.
-  report.measured_weights =
-      measure_stage_weights(topo, static_plan, fs_artifacts);
   std::vector<double> weights = report.measured_weights;
   TrainingPlan tuned = static_plan;
   IterationMetrics rp_metrics{};
-  SimArtifacts rp_artifacts;  // best round's artifacts (HV504 below)
-  std::vector<int> last_partition;  // last candidate actually simulated
-  bool have_best = false;
-  for (int round = 0; round < 4; ++round) {
-    TrainingPlan candidate = static_plan;
-    // Alpha 1.05 is the paper's Eq. (2) over-allocation: measured busy time
-    // folds in communication and thus *over*estimates a slow stage's speed,
-    // so fast stages deliberately get a little more than proportional.
-    candidate.partition = pipeline::proportional_partition(
-        workload.config.layers, weights, 1.05);
-    if (candidate.partition == last_partition) break;  // fixed point
-    last_partition = candidate.partition;
-    SimArtifacts artifacts;
-    const IterationMetrics metrics = simulator.run(
-        topo, candidate, options.iterations, perturb, nullptr, &artifacts);
-    weights = measure_stage_weights(topo, candidate, artifacts);
-    if (!have_best || metrics.throughput > rp_metrics.throughput) {
-      have_best = true;
-      tuned = candidate;
-      rp_metrics = metrics;
-      rp_artifacts = std::move(artifacts);
+  LegBound replanned_bound;
+  {
+    SimArtifacts best;  // the best round's graph, for HV504 below
+    std::vector<int> last_partition;  // last candidate actually simulated
+    bool have_best = false;
+    for (int round = 0; round < 4; ++round) {
+      TrainingPlan candidate = static_plan;
+      // Alpha 1.05 is the paper's Eq. (2) over-allocation: measured busy
+      // time folds in communication and thus *over*estimates a slow stage's
+      // speed, so fast stages deliberately get a little more than
+      // proportional.
+      candidate.partition = pipeline::proportional_partition(
+          workload.config.layers, weights, 1.05);
+      if (candidate.partition == last_partition) break;  // fixed point
+      last_partition = candidate.partition;
+      SimArtifacts artifacts;
+      const IterationMetrics metrics = simulator.run(
+          topo, candidate, options.iterations, perturb, nullptr, &artifacts);
+      weights = measure_stage_weights(topo, candidate, artifacts);
+      if (!have_best || metrics.throughput > rp_metrics.throughput) {
+        have_best = true;
+        tuned = candidate;
+        rp_metrics = metrics;
+        best = std::move(artifacts);
+      }
     }
+    report.replanned = summarize(rp_metrics, best);
+    replanned_bound = leg_bound("replanned", best);
   }
   report.replanned_partition = tuned.partition;
-  report.replanned = summarize(rp_metrics, rp_artifacts);
   report.recovered_makespan_s = report.replanned.makespan_s;
 
   const double lost = report.fault_free.throughput - report.faulted.throughput;
@@ -546,6 +638,7 @@ RecoveryReport run_fault_injection(const net::Topology& topo,
 
   // Node loss: checkpoint-replay accounting plus an elastic re-plan on the
   // surviving topology.
+  std::optional<LegBound> elastic_bound;
   if (plan.has_node_failure()) {
     report.node_lost = true;
     report.restart_s = plan.checkpoint.restart_s;
@@ -555,17 +648,13 @@ RecoveryReport run_fault_injection(const net::Topology& topo,
     // A checkpoint taken at iteration i (1-based, every `period`) becomes
     // durable save_s after the iteration's marker finishes. The failure
     // destroys all progress since the last durable checkpoint.
-    const sim::SimResult& fs_result = *fs_artifacts.result;
-    const double horizon = fs_result.makespan();
+    const double horizon = report.faulted.makespan_s;
     const double at = std::min(failure.at_s, horizon);
     const int period = plan.checkpoint.period_iterations;
     double last_durable = 0;
     for (int i = period; i <= options.iterations && period > 0; i += period) {
-      const sim::TaskId marker =
-          fs_artifacts.iteration_markers[static_cast<std::size_t>(i - 1)];
-      const double durable =
-          fs_result.timings()[static_cast<std::size_t>(marker)].finish +
-          plan.checkpoint.save_s;
+      const double durable = marker_finish[static_cast<std::size_t>(i - 1)] +
+                             plan.checkpoint.save_s;
       if (durable <= at) {
         report.checkpointed_iterations = i;
         last_durable = durable;
@@ -603,7 +692,7 @@ RecoveryReport run_fault_injection(const net::Topology& topo,
         report.recovered_makespan_s =
             at + report.checkpoint_overhead_s + report.restart_s +
             static_cast<double>(remaining) * el_metrics.iteration_time;
-        check_recovery_invariant(report.lint, "elastic", el_artifacts);
+        elastic_bound = leg_bound("elastic", el_artifacts);
       } catch (const ConfigError& e) {
         report.recoverable = false;
         report.unrecoverable_reason = e.what();
@@ -613,21 +702,18 @@ RecoveryReport run_fault_injection(const net::Topology& topo,
 
   // HV504 on every executed leg.
   report.lint.mark_checked(verify::kRuleRecoveryInvariant);
-  check_recovery_invariant(report.lint, "faulted", fs_artifacts);
-  check_recovery_invariant(report.lint, "replanned", rp_artifacts);
+  if (elastic_bound) check_recovery_invariant(report.lint, *elastic_bound);
+  check_recovery_invariant(report.lint, faulted_bound);
+  check_recovery_invariant(report.lint, replanned_bound);
 
   // Critical-path attribution delta (faulted vs fault-free), joined by
   // bucket name, plus the synthetic recovery buckets.
-  const obs::CriticalPathSummary ff_path =
-      build_critical_path_summary(topo, static_plan, ff_metrics, ff_artifacts);
-  const obs::CriticalPathSummary fs_path =
-      build_critical_path_summary(topo, static_plan, fs_metrics, fs_artifacts);
   std::map<std::string, RecoveryReport::BucketDelta> joined;
-  for (const obs::CriticalPathSummary::Bucket& b : ff_path.buckets) {
+  for (const obs::CriticalPathSummary::Bucket& b : fault_free.buckets) {
     joined[b.name].name = b.name;
     joined[b.name].fault_free_s = b.seconds;
   }
-  for (const obs::CriticalPathSummary::Bucket& b : fs_path.buckets) {
+  for (const obs::CriticalPathSummary::Bucket& b : faulted.buckets) {
     joined[b.name].name = b.name;
     joined[b.name].faulted_s = b.seconds;
   }
@@ -645,37 +731,14 @@ RecoveryReport run_fault_injection(const net::Topology& topo,
 
   // Per-NIC-class occupancy shape delta, each leg bucketed over its own
   // full run so the curves compare even though faults stretch the span.
-  const auto class_occupancy = [](const SimArtifacts& artifacts) {
-    const obs::Timeline timeline = obs::extract_timeline(
-        artifacts.graph, *artifacts.result, {},
-        [](const std::string& name) -> std::string {
-          if (name.find(".compute") != std::string::npos) return "compute";
-          return nic_class_of(name);
-        });
-    std::map<std::string, std::vector<double>> curves;
-    for (const obs::ClassTimeline& cls : timeline.classes) {
-      std::vector<double> values =
-          cls.busy_ports.bucketize(timeline.window.begin, timeline.window.end,
-                                   RecoveryReport::kTimelineBuckets);
-      if (cls.ports > 0) {
-        for (double& v : values) v /= static_cast<double>(cls.ports);
-      }
-      curves[cls.nic_class] = std::move(values);
-    }
-    return curves;
-  };
-  const std::map<std::string, std::vector<double>> ff_curves =
-      class_occupancy(ff_artifacts);
-  const std::map<std::string, std::vector<double>> fs_curves =
-      class_occupancy(fs_artifacts);
   std::map<std::string, RecoveryReport::ClassOccupancyDelta> shapes;
-  for (const auto& [name, curve] : ff_curves) {
+  for (auto& [name, curve] : fault_free.curves) {
     shapes[name].nic_class = name;
-    shapes[name].fault_free = curve;
+    shapes[name].fault_free = std::move(curve);
   }
-  for (const auto& [name, curve] : fs_curves) {
+  for (auto& [name, curve] : faulted.curves) {
     shapes[name].nic_class = name;
-    shapes[name].faulted = curve;
+    shapes[name].faulted = std::move(curve);
   }
   for (auto& [name, shape] : shapes) {
     const std::vector<double> zeros(RecoveryReport::kTimelineBuckets, 0.0);

@@ -20,10 +20,15 @@
 /// with the measured speeds (Eq. (2) generalized beyond NIC classes), and
 /// reports how much of the lost throughput the re-plan recovers. A node
 /// loss additionally rebuilds the topology without the dead node, re-plans
-/// on the survivors, and accounts the checkpoint-replay downtime. The
-/// result serializes as `holmes.recovery_report.v1` — deliberately
-/// *unstamped* (no build fingerprint), so a committed golden report is
-/// byte-stable across machines like the engine goldens.
+/// on the survivors, and accounts the checkpoint-replay downtime. Each
+/// simulated leg is reduced to what the report reads as soon as it has run
+/// (its RecoveryRun, critical-path buckets, class occupancy curves and
+/// HV504 bound) and its graph is freed before the next leg is lowered, so
+/// at most two lowered graphs are alive at once: the best re-plan round
+/// and the round being simulated. The result serializes as
+/// `holmes.recovery_report.v1` — deliberately *unstamped* (no build
+/// fingerprint), so a committed golden report is byte-stable across
+/// machines like the engine goldens.
 ///
 /// Fault sanity is the HV5xx verifier family (see verify/rules.h): HV501
 /// window sanity, HV502 scope resolution, HV503 checkpoint-model sanity —

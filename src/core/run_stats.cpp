@@ -51,6 +51,11 @@ const char* nic_class_of(const std::string& resource_name) {
   return "unknown";
 }
 
+std::string resource_class_of(const std::string& resource_name) {
+  if (resource_name.find(".compute") != std::string::npos) return "compute";
+  return nic_class_of(resource_name);
+}
+
 obs::Window clip_window(const WindowSpec& window, double makespan) {
   const double begin = std::max(0.0, window.begin);
   const double end =
@@ -242,11 +247,9 @@ obs::CriticalPathSummary build_critical_path_summary(
       case obs::SegmentKind::kCommLatency:
         return std::string("latency/") +
                nic_class_of(graph.resource_name(segment.resource));
-      case obs::SegmentKind::kQueueWait: {
-        const std::string& name = graph.resource_name(segment.resource);
-        if (name.find(".compute") != std::string::npos) return "wait/compute";
-        return std::string("wait/") + nic_class_of(name);
-      }
+      case obs::SegmentKind::kQueueWait:
+        return "wait/" +
+               resource_class_of(graph.resource_name(segment.resource));
     }
     return "other";
   };

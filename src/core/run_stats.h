@@ -30,6 +30,12 @@ namespace holmes::core {
 /// so every surface classifies fabrics identically.
 const char* nic_class_of(const std::string& resource_name);
 
+/// Reporting class of any resource: "compute" for a device's compute engine
+/// ("gpu3.compute"), else its nic_class_of. The timeline report, the
+/// recovery report's occupancy curves and the critical path's queue-wait
+/// buckets all classify resources through this one function.
+std::string resource_class_of(const std::string& resource_name);
+
 /// Clips a requested window to the run: [max(0, begin), end < 0 ? makespan
 /// : min(end, makespan)). Every report's window goes through here, so
 /// stats, explain and timeline share one semantics. Throws ConfigError

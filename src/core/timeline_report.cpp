@@ -111,13 +111,8 @@ TimelineSummary build_timeline_summary(const net::Topology& topo,
 
   const sim::RateTimeline* rates =
       artifacts.rates.empty() ? nullptr : &artifacts.rates;
-  summary.timeline = obs::extract_timeline(
-      artifacts.graph, result, extract,
-      [](const std::string& name) -> std::string {
-        if (name.find(".compute") != std::string::npos) return "compute";
-        return nic_class_of(name);
-      },
-      rates);
+  summary.timeline = obs::extract_timeline(artifacts.graph, result, extract,
+                                           resource_class_of, rates);
 
   // HV406: the Fig. 3 diagnosis. The rule is always *checked* once a
   // timeline exists; it *fires* when the Ethernet fallback fabric is

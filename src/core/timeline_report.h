@@ -5,7 +5,7 @@
 ///
 /// obs/timeline.h extracts the exact time-resolved telemetry; this module
 /// joins it with the plan's identity strings and the topology's NIC naming
-/// (core::nic_class_of), runs the HV406 fallback-fabric saturation lint
+/// (core::resource_class_of), runs the HV406 fallback-fabric saturation lint
 /// over the class occupancy curves, and serializes the result as
 /// fingerprint-stamped, byte-stable JSON plus a terminal report with ASCII
 /// sparklines — everything `holmes_cli timeline` surfaces.

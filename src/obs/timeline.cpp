@@ -23,6 +23,28 @@ SimTime serialization_of(const sim::Task& task,
   return std::max(0.0, timing.finish - timing.start - task.latency);
 }
 
+/// End of the interval a task holds its resources: a compute task holds its
+/// device to the finish, a transfer its ports for the serialization only.
+SimTime busy_end(const sim::Task& task, const sim::TaskTiming& timing) {
+  return task.kind == sim::TaskKind::kCompute
+             ? timing.finish
+             : timing.start + serialization_of(task, timing);
+}
+
+/// Calls `fn` with each resource a compute or transfer task occupies: the
+/// device, or the source port and (when distinct) the destination port.
+template <typename Fn>
+void for_each_port(const sim::Task& task, Fn&& fn) {
+  if (task.kind == sim::TaskKind::kCompute) {
+    fn(static_cast<std::size_t>(task.resource));
+    return;
+  }
+  fn(static_cast<std::size_t>(task.src_port));
+  if (task.dst_port != task.src_port) {
+    fn(static_cast<std::size_t>(task.dst_port));
+  }
+}
+
 using Deltas = std::vector<std::pair<SimTime, double>>;
 
 /// Visits the constant segments of a step series restricted to [begin, end).
@@ -369,6 +391,74 @@ std::vector<std::pair<SimTime, SimTime>> StepSeries::intervals_at_least(
   return intervals;
 }
 
+std::vector<ClassTimeline> extract_class_timelines(
+    const sim::TaskGraph& graph, const sim::SimResult& result,
+    const ResourceClassifier& classify) {
+  const std::vector<sim::Task>& tasks = graph.tasks();
+  // Links are the resources some transfer serializes on (the accounting
+  // layer's is_link). A compute task on a link still counts toward its
+  // class, so every link is known before the timed pass.
+  std::vector<bool> is_link(graph.resource_count(), false);
+  for (const sim::Task& task : tasks) {
+    if (task.kind != sim::TaskKind::kTransfer) continue;
+    is_link[static_cast<std::size_t>(task.src_port)] = true;
+    is_link[static_cast<std::size_t>(task.dst_port)] = true;
+  }
+
+  // Class slots in name order; ports counted in id order.
+  std::vector<std::string> link_class(is_link.size());
+  std::map<std::string, std::size_t> class_index;
+  for (std::size_t r = 0; r < is_link.size(); ++r) {
+    if (!is_link[r]) continue;
+    link_class[r] =
+        classify ? classify(graph.resource_name(static_cast<sim::ResourceId>(r)))
+                 : std::string("unknown");
+    class_index.emplace(link_class[r], 0);
+  }
+  std::vector<ClassTimeline> classes(class_index.size());
+  {
+    std::size_t next = 0;
+    for (auto& [name, index] : class_index) {
+      index = next;
+      classes[next].nic_class = name;
+      ++next;
+    }
+  }
+  constexpr std::size_t kNoClass = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> res_class(is_link.size(), kNoClass);
+  for (std::size_t r = 0; r < is_link.size(); ++r) {
+    if (!is_link[r]) continue;
+    res_class[r] = class_index[link_class[r]];
+    classes[res_class[r]].ports += 1;
+  }
+
+  // +1 at each busy start, -1 at each busy end, per class, in task-id
+  // order; the deferred time-sort usually reduces to an is_sorted check.
+  std::vector<std::vector<SimTime>> up(classes.size());
+  std::vector<std::vector<SimTime>> down(classes.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const sim::Task& task = tasks[i];
+    if (task.kind == sim::TaskKind::kNoop) continue;
+    const sim::TaskTiming& timing = result.timing(static_cast<sim::TaskId>(i));
+    const SimTime end = busy_end(task, timing);
+    if (!(end > timing.start)) continue;
+    for_each_port(task, [&](std::size_t port) {
+      const std::size_t cls = res_class[port];
+      if (cls == kNoClass) return;
+      up[cls].push_back(timing.start);
+      down[cls].push_back(end);
+    });
+  }
+  for (std::size_t k = 0; k < classes.size(); ++k) {
+    sort_times(up[k]);
+    sort_times(down[k]);
+    classes[k].busy_ports = merge_counts(up[k], down[k]);
+    std::vector<SimTime>().swap(up[k]);  // release before the next merge
+    std::vector<SimTime>().swap(down[k]);
+  }
+  return classes;
+}
+
 Timeline extract_timeline(const sim::TaskGraph& graph,
                           const sim::SimResult& result,
                           const TimelineOptions& options,
@@ -383,6 +473,10 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
     timeline.window.end = timeline.window.begin;
   }
   const Window& window = timeline.window;
+
+  // Class busy-port curves first, so their event lists are gone before the
+  // per-resource and per-channel lists below are built.
+  timeline.classes = extract_class_timelines(graph, result, classify);
 
   // Aggregates come straight from the accounting layer: same per-task
   // arithmetic, same id iteration order, so the timeline's totals are
@@ -405,8 +499,12 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
   timeline.resources.resize(accounts.size());
   timeline.channels.resize(channel_accounts.size());
 
-  // Resource metadata, link classes, and the resource -> class slot map.
+  // Resource metadata; class busy totals summed over member links in id
+  // order.
   std::map<std::string, std::size_t> class_index;
+  for (std::size_t k = 0; k < timeline.classes.size(); ++k) {
+    class_index.emplace(timeline.classes[k].nic_class, k);
+  }
   for (std::size_t r = 0; r < accounts.size(); ++r) {
     ResourceTimeline& res = timeline.resources[r];
     res.id = accounts[r].id;
@@ -418,61 +516,30 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
     res.waiting_total = accounts[r].waiting;
     res.bytes = accounts[r].bytes;
     res.tasks = accounts[r].tasks;
-    if (res.is_link) class_index.emplace(res.nic_class, 0);
-  }
-  timeline.classes.resize(class_index.size());
-  {
-    std::size_t next = 0;
-    for (auto& [name, index] : class_index) {
-      index = next;
-      timeline.classes[next].nic_class = name;
-      ++next;
-    }
-  }
-  constexpr std::size_t kNoClass = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> res_class(accounts.size(), kNoClass);
-  for (std::size_t r = 0; r < accounts.size(); ++r) {
-    const ResourceTimeline& res = timeline.resources[r];
     if (!res.is_link) continue;
-    const std::size_t cls = class_index[res.nic_class];
-    res_class[r] = cls;
-    timeline.classes[cls].ports += 1;
-    timeline.classes[cls].busy_total += res.busy_total;
+    const auto cls = class_index.find(res.nic_class);
+    HOLMES_CHECK_MSG(cls != class_index.end(),
+                     "resource accounts do not match the task graph's links");
+    timeline.classes[cls->second].busy_total += res.busy_total;
   }
 
   // One id-ordered O(V + E) pass derives each task's ready instant (latest
   // dependency finish) and busy-interval end — the `ports_free` stretching
   // for transfers, via the accounting layer's serialization helper — and
-  // appends its events to per-resource / per-class / per-channel lists.
-  // The lists inherit id order; time-sorting them is deferred into the
-  // per-slot finalizers (where it usually reduces to an is_sorted check).
+  // appends its events to per-resource / per-channel lists. The lists
+  // inherit id order; time-sorting them is deferred into the per-slot
+  // finalizers (where it usually reduces to an is_sorted check).
   struct PortEvents {
     std::vector<Interval> busy;       ///< occupancy intervals
     std::vector<SimTime> queue_up;    ///< +1 at ready
     std::vector<SimTime> queue_down;  ///< -1 at start
-  };
-  struct ClassEvents {
-    std::vector<SimTime> up;    ///< +1 at busy start
-    std::vector<SimTime> down;  ///< -1 at busy end
   };
   struct ChannelEvents {
     ByteEvents start;   ///< +bytes at start (in-flight rise)
     ByteEvents finish;  ///< -bytes at finish; cumulative delivery
   };
   std::vector<PortEvents> ports(accounts.size());
-  std::vector<ClassEvents> class_events(timeline.classes.size());
   std::vector<ChannelEvents> channel_events(channel_accounts.size());
-
-  const auto each_port = [&](const sim::Task& task, auto&& fn) {
-    if (task.kind == sim::TaskKind::kCompute) {
-      fn(static_cast<std::size_t>(task.resource));
-      return;
-    }
-    fn(static_cast<std::size_t>(task.src_port));
-    if (task.dst_port != task.src_port) {
-      fn(static_cast<std::size_t>(task.dst_port));
-    }
-  };
 
   const std::size_t task_count = graph.task_count();
   for (std::size_t i = 0; i < task_count; ++i) {
@@ -484,21 +551,14 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
     for (sim::TaskId dep : graph.deps(id)) {
       ready = std::max(ready, result.timing(dep).finish);
     }
-    const SimTime end_busy =
-        task.kind == sim::TaskKind::kCompute
-            ? timing.finish
-            : timing.start + serialization_of(task, timing);
+    const SimTime end_busy = busy_end(task, timing);
     if (end_busy > timing.start) {
-      each_port(task, [&](std::size_t port) {
+      for_each_port(task, [&](std::size_t port) {
         ports[port].busy.push_back({timing.start, end_busy});
-        if (res_class[port] != kNoClass) {
-          class_events[res_class[port]].up.push_back(timing.start);
-          class_events[res_class[port]].down.push_back(end_busy);
-        }
       });
     }
     if (timing.start > ready) {
-      each_port(task, [&](std::size_t port) {
+      for_each_port(task, [&](std::size_t port) {
         ports[port].queue_up.push_back(ready);
         ports[port].queue_down.push_back(timing.start);
       });
@@ -575,12 +635,7 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
     chan.peak_in_flight = chan.in_flight.maximum(window.begin, window.end);
     chan.peak_at = chan.in_flight.maximum_at(window.begin, window.end);
   }
-  for (std::size_t k = 0; k < timeline.classes.size(); ++k) {
-    ClassTimeline& cls = timeline.classes[k];
-    ClassEvents& events = class_events[k];
-    sort_times(events.up);
-    sort_times(events.down);
-    cls.busy_ports = merge_counts(events.up, events.down);
+  for (ClassTimeline& cls : timeline.classes) {
     const double bar =
         options.saturation_threshold * static_cast<double>(cls.ports);
     cls.saturated =

@@ -28,7 +28,10 @@
 /// (key, id)-sorted views of the executed tasks — by start, by busy end, by
 /// ready instant, by channel finish — followed by linear walks and
 /// two-pointer merges; every delta is integer-valued, so the merged running
-/// sums match an id-ordered from_deltas construction bit for bit.
+/// sums match an id-ordered from_deltas construction bit for bit. The
+/// per-class busy-port curves come from one routine,
+/// extract_class_timelines, which callers needing only those curves use
+/// on its own.
 
 #include <functional>
 #include <string>
@@ -192,5 +195,17 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
                           const TimelineOptions& options = {},
                           const ResourceClassifier& classify = {},
                           const sim::RateTimeline* rates = nullptr);
+
+/// The per-NIC-class busy-port curves alone: each link class's
+/// `nic_class`, `ports` and `busy_ports`, sorted by name, exactly as
+/// extract_timeline reports them (it builds its `classes` here).
+/// `busy_total` and the saturation fields are left empty. One scan of the
+/// graph finds the links; one pass over the executed tasks collects their
+/// busy intervals. No accounting, dependency walk, or per-resource or
+/// per-channel series, so callers that need only the class curves (the
+/// recovery report's occupancy deltas) skip the rest of the timeline.
+std::vector<ClassTimeline> extract_class_timelines(
+    const sim::TaskGraph& graph, const sim::SimResult& result,
+    const ResourceClassifier& classify = {});
 
 }  // namespace holmes::obs

@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -33,9 +34,12 @@ std::string json_escape(const std::string& s) {
 
 std::string json_number(double value) {
   if (!std::isfinite(value)) return "0";
+  // std::to_chars in general format with a precision prints exactly what
+  // printf's "%.12g" does, without the locale and format-string parsing.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  return buf;
+  const std::to_chars_result end = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 12);
+  return std::string(buf, end.ptr);
 }
 
 bool JsonValue::as_bool() const {

@@ -23,9 +23,10 @@ namespace holmes {
 /// backslashes, ASCII control characters).
 std::string json_escape(const std::string& s);
 
-/// Formats a double as a JSON number: finite values via "%.12g" (stable
-/// across runs, round-trips the precisions we care about), non-finite
-/// values as 0 (JSON has no Inf/NaN literals).
+/// Formats a double as a JSON number: finite values as "%.12g" prints them
+/// (stable across runs, round-trips the precisions we care about), written
+/// with std::to_chars; non-finite values as 0 (JSON has no Inf/NaN
+/// literals).
 std::string json_number(double value);
 
 /// A parsed JSON value. Objects keep their keys in *document order* so a

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/experiment.h"
+#include "core/run_stats.h"
+#include "model/gpt_zoo.h"
+#include "obs/timeline.h"
 #include "util/error.h"
 #include "util/json.h"
 #include "verify/rules.h"
@@ -289,6 +296,79 @@ TEST(FaultRecovery, NodeLossAccountsCheckpointReplayDowntime) {
     }
   }
   EXPECT_TRUE(found_restart);
+}
+
+/// A committed fault-plan fixture (tests/core/fixtures/<name>.fault_plan.json).
+FaultPlan fixture_plan(const std::string& name) {
+  std::ifstream in(std::string(HOLMES_FAULT_FIXTURE_DIR) + "/" + name +
+                   ".fault_plan.json");
+  EXPECT_TRUE(in) << name;
+  return parse_fault_plan(std::string(std::istreambuf_iterator<char>(in),
+                                      std::istreambuf_iterator<char>()));
+}
+
+/// Occupancy curves the way the recovery report first computed them: a full
+/// extract_timeline of the re-simulated leg, each class's busy ports
+/// bucketed over [0, makespan) and divided by the class's port count.
+std::map<std::string, std::vector<double>> full_timeline_curves(
+    const net::Topology& topo, const TrainingPlan& plan,
+    const Perturbations& perturb) {
+  SimArtifacts artifacts;
+  TrainingSimulator().run(topo, plan, RecoveryOptions{}.iterations, perturb,
+                          nullptr, &artifacts);
+  const obs::Timeline timeline = obs::extract_timeline(
+      artifacts.graph, *artifacts.result, {},
+      [](const std::string& name) -> std::string {
+        if (name.find(".compute") != std::string::npos) return "compute";
+        return nic_class_of(name);
+      });
+  std::map<std::string, std::vector<double>> curves;
+  for (const obs::ClassTimeline& cls : timeline.classes) {
+    std::vector<double> values = cls.busy_ports.bucketize(
+        0.0, artifacts.result->makespan(), RecoveryReport::kTimelineBuckets);
+    for (double& v : values) v /= static_cast<double>(cls.ports);
+    curves[cls.nic_class] = values;
+  }
+  return curves;
+}
+
+TEST(FaultRecovery, OccupancyCurvesMatchAFullTimelineExtraction) {
+  const net::Topology topo = hybrid();
+  const TrainingPlan static_plan = Planner(RecoveryOptions{}.framework)
+                                       .plan(topo, model::parameter_group(1));
+  for (const char* fixture : {"hybrid_straggler", "hybrid_node_loss"}) {
+    SCOPED_TRACE(fixture);
+    const FaultPlan plan = fixture_plan(fixture);
+    const RecoveryReport report = run_fault_injection(topo, plan);
+    ASSERT_TRUE(report.valid);
+    const auto fault_free = full_timeline_curves(topo, static_plan, {});
+    const auto faulted =
+        full_timeline_curves(topo, static_plan, lower_fault_plan(plan, topo));
+
+    std::map<std::string, int> classes;
+    for (const auto& [name, curve] : fault_free) ++classes[name];
+    for (const auto& [name, curve] : faulted) ++classes[name];
+    ASSERT_EQ(report.timeline_deltas.size(), classes.size());
+    const std::vector<double> zeros(RecoveryReport::kTimelineBuckets, 0.0);
+    for (const RecoveryReport::ClassOccupancyDelta& d :
+         report.timeline_deltas) {
+      SCOPED_TRACE(d.nic_class);
+      const auto ff = fault_free.find(d.nic_class);
+      const auto fs = faulted.find(d.nic_class);
+      const std::vector<double>& want_ff =
+          ff == fault_free.end() ? zeros : ff->second;
+      const std::vector<double>& want_fs =
+          fs == faulted.end() ? zeros : fs->second;
+      ASSERT_EQ(d.fault_free.size(), want_ff.size());
+      ASSERT_EQ(d.faulted.size(), want_fs.size());
+      ASSERT_EQ(d.delta.size(), want_fs.size());
+      for (std::size_t b = 0; b < d.delta.size(); ++b) {
+        EXPECT_EQ(d.fault_free[b], want_ff[b]) << "bucket " << b;
+        EXPECT_EQ(d.faulted[b], want_fs[b]) << "bucket " << b;
+        EXPECT_EQ(d.delta[b], want_fs[b] - want_ff[b]) << "bucket " << b;
+      }
+    }
+  }
 }
 
 TEST(FaultRecovery, HV504IsCheckedOnEveryLeg) {

@@ -245,6 +245,47 @@ TEST(ExtractTimeline, ClassSaturationIntervals) {
   EXPECT_DOUBLE_EQ(t.classes[1].saturated[0].second, 3.0);
   EXPECT_DOUBLE_EQ(t.classes[0].saturated[0].first, 5.0);
   EXPECT_DOUBLE_EQ(t.classes[0].saturated[0].second, 9.0);
+
+  // The class-only routine reports the same classes, port counts and
+  // busy-port breakpoints, and nothing of the window-dependent fields.
+  const std::vector<ClassTimeline> only =
+      extract_class_timelines(g, result, classify);
+  ASSERT_EQ(only.size(), t.classes.size());
+  for (std::size_t k = 0; k < only.size(); ++k) {
+    EXPECT_EQ(only[k].nic_class, t.classes[k].nic_class);
+    EXPECT_EQ(only[k].ports, t.classes[k].ports);
+    EXPECT_EQ(only[k].busy_ports.times(), t.classes[k].busy_ports.times());
+    EXPECT_EQ(only[k].busy_ports.values(), t.classes[k].busy_ports.values());
+    EXPECT_EQ(only[k].busy_total, 0.0);
+    EXPECT_TRUE(only[k].saturated.empty());
+  }
+}
+
+TEST(ExtractTimeline, ClassCurvesCountComputeOnALinkResource) {
+  // A resource that carries a transfer is a link, so a compute task that
+  // runs on it later in id order still occupies one of the class's ports,
+  // exactly as the per-resource busy series shows it.
+  TaskGraph g;
+  const auto tx = g.add_resource("gpu0.InfiniBand.tx");
+  const auto rx = g.add_resource("gpu1.InfiniBand.rx");
+  const auto first = g.add_compute(tx, 2.0, "on-port");
+  const auto x = g.add_transfer(tx, rx, 1000, 1000.0, 0.0, "p2p");
+  g.add_dep(x, first);
+  const sim::SimResult result = TaskGraphExecutor{}.run(g);
+  const auto classify = [](const std::string&) -> std::string {
+    return "InfiniBand";
+  };
+  const Timeline t = extract_timeline(g, result, {}, classify);
+  const std::vector<ClassTimeline> only =
+      extract_class_timelines(g, result, classify);
+  ASSERT_EQ(only.size(), 1u);
+  EXPECT_EQ(only[0].ports, 2u);
+  // One port busy on [0, 2) for the compute, two on [2, 3) for the transfer.
+  EXPECT_EQ(only[0].busy_ports.times(), (std::vector<SimTime>{0.0, 2.0, 3.0}));
+  EXPECT_EQ(only[0].busy_ports.values(), (std::vector<double>{1.0, 2.0, 0.0}));
+  ASSERT_EQ(t.classes.size(), 1u);
+  EXPECT_EQ(t.classes[0].busy_ports.times(), only[0].busy_ports.times());
+  EXPECT_EQ(t.classes[0].busy_ports.values(), only[0].busy_ports.values());
 }
 
 TEST(ExtractTimeline, TopTalkersRankByBytesThenId) {

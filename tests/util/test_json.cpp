@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace holmes {
 namespace {
@@ -139,6 +147,45 @@ TEST(JsonRoundTrip, NumberFormattingIsStable) {
     const std::string text = json_number(value);
     const double parsed = json_parse(text).as_number();
     EXPECT_EQ(json_number(parsed), text) << value;
+  }
+
+  // Every committed golden and digest was written by printf's "%.12g", so
+  // json_number must print exactly those bytes for every finite double:
+  // edge values (signed zeros, subnormals, the fixed/scientific switch at
+  // 1e-5 and 1e12, rounding ties at the 12th digit) plus seeded random bit
+  // patterns across the whole range.
+  const auto printf_g12 = [](double value) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.12g", value);
+    return std::string(buf);
+  };
+  using limits = std::numeric_limits<double>;
+  for (const double value :
+       {0.0, -0.0, limits::denorm_min(), -limits::denorm_min(),
+        limits::min(), std::nextafter(limits::min(), 0.0), limits::max(),
+        limits::lowest(), limits::epsilon(), 1e-5, 9.99999999999e-6,
+        0.0001, 1e12, 999999999999.0, 999999999999.5, 999999999999.4,
+        1e15, 1e16, 1e17, 123456789012.0, 1234567890123.0, 0.5, 2.5e-7,
+        0.30000000000000004}) {
+    EXPECT_EQ(json_number(value), printf_g12(value)) << value;
+  }
+  // Raw bit patterns mostly land far from 1 in magnitude, so every other
+  // draw is a value in the range simulated seconds and bytes live in.
+  Rng rng(0x6A50C0DE);
+  for (int i = 0; i < 200000; ++i) {
+    double value = 0;
+    if (i % 2 == 0) {
+      const std::uint64_t bits = rng();
+      std::memcpy(&value, &bits, sizeof(value));
+    } else {
+      value = rng.uniform(-1.0, 1.0) *
+              std::pow(10.0, static_cast<double>(rng.uniform_int(-7, 17)));
+    }
+    if (!std::isfinite(value)) {
+      ASSERT_EQ(json_number(value), "0");
+      continue;
+    }
+    ASSERT_EQ(json_number(value), printf_g12(value)) << value;
   }
 }
 
