@@ -547,17 +547,18 @@ RecoveryReport run_fault_injection(const net::Topology& topo,
 
   TrainingSimulator simulator;
   // Each leg is reduced to what the report reads right after it runs, and
-  // its graph and timings are freed before the next leg lowers: at most two
-  // lowered graphs (the best re-plan round and the round being simulated)
-  // are alive at once.
+  // the next leg is lowered into the same artifacts: one lowered graph is
+  // alive at a time, and every leg reuses the arrays the first one
+  // allocated, so what a request keeps resident does not depend on how
+  // many legs its fault plan calls for.
+  SimArtifacts leg;
 
   // Leg 1: fault-free baseline.
   LegDigest fault_free;
   {
-    SimArtifacts artifacts;
     const IterationMetrics metrics = simulator.run(
-        topo, static_plan, options.iterations, {}, nullptr, &artifacts);
-    fault_free = digest_leg(topo, static_plan, metrics, artifacts);
+        topo, static_plan, options.iterations, {}, nullptr, &leg);
+    fault_free = digest_leg(topo, static_plan, metrics, leg);
   }
   report.fault_free = fault_free.run;
 
@@ -573,16 +574,14 @@ RecoveryReport run_fault_injection(const net::Topology& topo,
   LegBound faulted_bound;
   std::vector<double> marker_finish;
   {
-    SimArtifacts artifacts;
     const IterationMetrics metrics = simulator.run(
-        topo, static_plan, options.iterations, perturb, nullptr, &artifacts);
-    faulted = digest_leg(topo, static_plan, metrics, artifacts);
-    faulted_bound = leg_bound("faulted", artifacts);
-    report.measured_weights =
-        measure_stage_weights(topo, static_plan, artifacts);
-    marker_finish.reserve(artifacts.iteration_markers.size());
-    for (const sim::TaskId marker : artifacts.iteration_markers) {
-      marker_finish.push_back(artifacts.result->timing(marker).finish);
+        topo, static_plan, options.iterations, perturb, nullptr, &leg);
+    faulted = digest_leg(topo, static_plan, metrics, leg);
+    faulted_bound = leg_bound("faulted", leg);
+    report.measured_weights = measure_stage_weights(topo, static_plan, leg);
+    marker_finish.reserve(leg.iteration_markers.size());
+    for (const sim::TaskId marker : leg.iteration_markers) {
+      marker_finish.push_back(leg.result->timing(marker).finish);
     }
   }
   report.faulted = faulted.run;
@@ -597,10 +596,8 @@ RecoveryReport run_fault_injection(const net::Topology& topo,
   // therefore the report — stays byte-stable.
   std::vector<double> weights = report.measured_weights;
   TrainingPlan tuned = static_plan;
-  IterationMetrics rp_metrics{};
   LegBound replanned_bound;
   {
-    SimArtifacts best;  // the best round's graph, for HV504 below
     std::vector<int> last_partition;  // last candidate actually simulated
     bool have_best = false;
     for (int round = 0; round < 4; ++round) {
@@ -613,19 +610,18 @@ RecoveryReport run_fault_injection(const net::Topology& topo,
           workload.config.layers, weights, 1.05);
       if (candidate.partition == last_partition) break;  // fixed point
       last_partition = candidate.partition;
-      SimArtifacts artifacts;
       const IterationMetrics metrics = simulator.run(
-          topo, candidate, options.iterations, perturb, nullptr, &artifacts);
-      weights = measure_stage_weights(topo, candidate, artifacts);
-      if (!have_best || metrics.throughput > rp_metrics.throughput) {
+          topo, candidate, options.iterations, perturb, nullptr, &leg);
+      weights = measure_stage_weights(topo, candidate, leg);
+      // A new best round is reduced at once, like every other leg, so the
+      // next round can be lowered into its artifacts.
+      if (!have_best || metrics.throughput > report.replanned.throughput) {
         have_best = true;
         tuned = candidate;
-        rp_metrics = metrics;
-        best = std::move(artifacts);
+        report.replanned = summarize(metrics, leg);
+        replanned_bound = leg_bound("replanned", leg);
       }
     }
-    report.replanned = summarize(rp_metrics, best);
-    replanned_bound = leg_bound("replanned", best);
   }
   report.replanned_partition = tuned.partition;
   report.recovered_makespan_s = report.replanned.makespan_s;
@@ -681,10 +677,9 @@ RecoveryReport run_fault_injection(const net::Topology& topo,
             Planner(options.framework).plan(survivors, workload);
         const Perturbations elastic_perturb =
             lower_fault_plan(plan, survivors);
-        SimArtifacts el_artifacts;
         const IterationMetrics el_metrics =
             simulator.run(survivors, elastic_plan, options.iterations,
-                          elastic_perturb, nullptr, &el_artifacts);
+                          elastic_perturb, nullptr, &leg);
         report.recoverable = true;
         report.elastic_throughput = el_metrics.throughput;
         const int remaining =
@@ -692,7 +687,7 @@ RecoveryReport run_fault_injection(const net::Topology& topo,
         report.recovered_makespan_s =
             at + report.checkpoint_overhead_s + report.restart_s +
             static_cast<double>(remaining) * el_metrics.iteration_time;
-        elastic_bound = leg_bound("elastic", el_artifacts);
+        elastic_bound = leg_bound("elastic", leg);
       } catch (const ConfigError& e) {
         report.recoverable = false;
         report.unrecoverable_reason = e.what();

@@ -23,9 +23,10 @@
 /// on the survivors, and accounts the checkpoint-replay downtime. Each
 /// simulated leg is reduced to what the report reads as soon as it has run
 /// (its RecoveryRun, critical-path buckets, class occupancy curves and
-/// HV504 bound) and its graph is freed before the next leg is lowered, so
-/// at most two lowered graphs are alive at once: the best re-plan round
-/// and the round being simulated. The result serializes as
+/// HV504 bound) and the next leg is lowered into the same artifacts,
+/// reusing their storage: one lowered graph is alive at a time, a re-plan
+/// round included, so the request's footprint does not depend on how many
+/// legs the fault plan calls for. The result serializes as
 /// `holmes.recovery_report.v1` — deliberately *unstamped* (no build
 /// fingerprint), so a committed golden report is byte-stable across
 /// machines like the engine goldens.

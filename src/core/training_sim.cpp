@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/communicator.h"
@@ -137,7 +138,8 @@ SimTime SimArtifacts::window_end() const {
 
 SimArtifacts TrainingSimulator::lower(const net::Topology& topo,
                                      const TrainingPlan& plan, int iterations,
-                                     const Perturbations& perturbations) const {
+                                     const Perturbations& perturbations,
+                                     SimArtifacts storage) const {
   if (iterations < 2) {
     throw ConfigError("need at least 2 iterations (1 warm-up + 1 measured)");
   }
@@ -169,7 +171,13 @@ SimArtifacts TrainingSimulator::lower(const net::Topology& topo,
                                             cost_.activation_bytes_per_value) /
       t;
 
-  SimArtifacts lowered;
+  SimArtifacts lowered = std::move(storage);
+  lowered.graph.clear();
+  lowered.result.reset();
+  lowered.iteration_markers.clear();
+  lowered.compute_resource.clear();
+  lowered.self_profile.reset();
+  lowered.rates = {};
   sim::TaskGraph& graph = lowered.graph;
   const net::PortMap ports(topo, graph);
 
@@ -589,7 +597,10 @@ IterationMetrics TrainingSimulator::run(const net::Topology& topo,
     profile_before = *prof::tl_active;
     run_start = std::chrono::steady_clock::now();
   }
-  SimArtifacts lowered = lower(topo, plan, iterations, perturbations);
+  SimArtifacts lowered = lower(
+      topo, plan, iterations, perturbations,
+      artifacts != nullptr ? std::exchange(*artifacts, SimArtifacts{})
+                           : SimArtifacts{});
   lowered.result = execute(lowered, exec_options_);
   if (chrome_trace != nullptr) {
     sim::TraceOptions trace_options;

@@ -118,9 +118,12 @@ class TrainingSimulator {
   /// kDepBudget (else ConfigError). `perturbations` optionally slows
   /// individual devices, adds seeded compute jitter, or degrades NICs
   /// through the artifacts' rate timeline (see core/perturbation.h).
+  /// `storage`, typically an earlier run's artifacts, lends its graph's
+  /// arrays to the new graph; its contents are discarded.
   SimArtifacts lower(const net::Topology& topo, const TrainingPlan& plan,
                      int iterations = 3,
-                     const Perturbations& perturbations = {}) const;
+                     const Perturbations& perturbations = {},
+                     SimArtifacts storage = {}) const;
 
   /// One executor run of `lowered.graph` under `options`' tie-break and
   /// `lowered.rates` (which replace `options.rates`). Only reads `lowered`,
@@ -137,7 +140,9 @@ class TrainingSimulator {
   /// `plan` on `topo` (arguments as for `lower`). `chrome_trace`, when
   /// non-null, receives the run as a Chrome trace. `artifacts`, when
   /// non-null, receives the task graph and timings for post-hoc accounting,
-  /// and the run's self-profile when a profiler is active.
+  /// and the run's self-profile when a profiler is active; the run it held
+  /// before is replaced and its storage reused (see `lower`), and it is
+  /// left empty if this run throws.
   IterationMetrics run(const net::Topology& topo, const TrainingPlan& plan,
                        int iterations = 3,
                        const Perturbations& perturbations = {},

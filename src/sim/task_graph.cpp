@@ -132,6 +132,18 @@ void TaskGraph::reserve(std::size_t tasks, std::size_t deps) {
   edges_.reserve(deps);
 }
 
+void TaskGraph::clear() {
+  tasks_.clear();
+  edges_.clear();
+  resource_names_.clear();
+  channel_names_.clear();
+  labels_.resize(1);  // kNoLabel's ""
+  label_ids_.clear();
+  // build_adjacency() reassigns the CSR arrays in place.
+  adjacency_valid_ = false;
+  max_dependents_ = 0;
+}
+
 const Task& TaskGraph::task(TaskId id) const {
   HOLMES_CHECK(id >= 0 && static_cast<std::size_t>(id) < tasks_.size());
   return tasks_[static_cast<std::size_t>(id)];

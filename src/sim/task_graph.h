@@ -166,6 +166,11 @@ class TaskGraph {
   /// so a caller that knows the final size pays no regrowth.
   void reserve(std::size_t tasks, std::size_t deps);
 
+  /// Removes every task, edge, resource, channel and label but keeps the
+  /// storage, so a graph lowered again into this one reuses it instead of
+  /// allocating (and first touching) its arrays anew.
+  void clear();
+
   std::size_t task_count() const { return tasks_.size(); }
   std::size_t resource_count() const { return resource_names_.size(); }
   std::size_t channel_count() const { return channel_names_.size(); }

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/experiment.h"
+#include "obs/self_profile.h"
 #include "util/error.h"
 
 namespace holmes::core {
@@ -95,6 +96,70 @@ TEST(TrainingSim, RejectsRunsPastTheTaskBudget) {
                     " iterations of " +
                     std::to_string(per_iteration) +
                     " tasks each exceed the task budget of 16777216 tasks");
+    }
+  }
+}
+
+TEST(TrainingSim, RunIntoEarlierArtifactsMatchesAFreshRun) {
+  // `run` lowers into the artifacts it is handed, reusing their storage.
+  // Whatever they held before (a larger world, a NIC-degradation rate
+  // timeline, a self-profile), the run reads back exactly like one into
+  // fresh artifacts, in both directions.
+  const Topology small = Topology::hybrid_two_clusters(2);
+  const Topology large = Topology::hybrid_two_clusters(4);
+  const Planner planner(FrameworkConfig::holmes());
+  const TrainingPlan small_plan =
+      planner.plan(small, model::parameter_group(1));
+  const TrainingPlan large_plan =
+      planner.plan(large, model::parameter_group(1));
+  Perturbations degraded;
+  NicDegradation window;
+  window.cluster = 1;
+  window.begin_s = 0.0;
+  window.end_s = 30.0;
+  window.bandwidth_factor = 0.25;
+  degraded.nic_degradation.push_back(window);
+  degraded.device_slowdown[1] = 1.5;
+
+  struct Leg {
+    const Topology* topo;
+    const TrainingPlan* plan;
+    Perturbations perturb;
+  };
+  const Leg legs[] = {{&large, &large_plan, degraded},
+                      {&small, &small_plan, {}},
+                      {&small, &small_plan, degraded},
+                      {&large, &large_plan, {}}};
+  const TrainingSimulator simulator;
+  SimArtifacts reused;
+  {
+    const obs::SelfProfiler profiler;
+    simulator.run(large, large_plan, 3, degraded, nullptr, &reused);
+    ASSERT_TRUE(reused.self_profile.has_value());
+  }
+  for (const Leg& leg : legs) {
+    SimArtifacts fresh;
+    const IterationMetrics want =
+        simulator.run(*leg.topo, *leg.plan, 3, leg.perturb, nullptr, &fresh);
+    const IterationMetrics got =
+        simulator.run(*leg.topo, *leg.plan, 3, leg.perturb, nullptr, &reused);
+    EXPECT_EQ(got.iteration_time, want.iteration_time);
+    EXPECT_EQ(got.throughput, want.throughput);
+    EXPECT_EQ(got.task_count, want.task_count);
+    ASSERT_EQ(reused.graph.task_count(), fresh.graph.task_count());
+    EXPECT_EQ(reused.graph.dep_count(), fresh.graph.dep_count());
+    EXPECT_EQ(reused.graph.resource_count(), fresh.graph.resource_count());
+    EXPECT_EQ(reused.graph.channel_count(), fresh.graph.channel_count());
+    EXPECT_EQ(reused.iteration_markers, fresh.iteration_markers);
+    EXPECT_EQ(reused.compute_resource, fresh.compute_resource);
+    EXPECT_EQ(reused.rates.window_count(), fresh.rates.window_count());
+    EXPECT_EQ(reused.iterations, fresh.iterations);
+    EXPECT_FALSE(reused.self_profile.has_value());
+    ASSERT_TRUE(reused.result.has_value());
+    EXPECT_TRUE(reused.result->bit_identical(*fresh.result));
+    for (sim::TaskId t = 0;
+         t < static_cast<sim::TaskId>(fresh.graph.task_count()); ++t) {
+      ASSERT_EQ(reused.graph.label(t), fresh.graph.label(t)) << t;
     }
   }
 }

@@ -146,6 +146,62 @@ TEST(TaskGraph, ReserveChangesNoCounts) {
   EXPECT_EQ(g.deps(b).size(), 1u);
 }
 
+TEST(TaskGraph, ClearedGraphRebuildsLikeAFreshOne) {
+  // A compiled graph, cleared, then refilled with a different graph, reads
+  // back exactly like that graph built from scratch: nothing of the first
+  // (tasks, edges, resources, channels, interned labels, adjacency) leaks.
+  TaskGraph reused;
+  {
+    const ResourceId r = reused.add_resource("old.r");
+    const ChannelId c = reused.channel("old.c");
+    const TaskId a = reused.add_compute(r, 1.0, "old.a");
+    const TaskId b = reused.add_transfer(r, r, 10, 1e9, 0, "shared", 0, c);
+    const TaskId j = reused.add_noop("old.join");
+    reused.add_deps(j, {a, b});
+    reused.build_adjacency();
+  }
+  reused.clear();
+  EXPECT_EQ(reused.task_count(), 0u);
+  EXPECT_EQ(reused.dep_count(), 0u);
+  EXPECT_EQ(reused.resource_count(), 0u);
+  EXPECT_EQ(reused.channel_count(), 0u);
+
+  auto fill = [](TaskGraph& g) {
+    const ResourceId tx = g.add_resource("tx");
+    const ResourceId rx = g.add_resource("rx");
+    const ChannelId pp = g.channel("pp");
+    const TaskId send = g.add_transfer(tx, rx, 64, 1e9, 1e-6, "shared", 3, pp);
+    const TaskId fwd = g.add_compute(rx, 0.5, "fwd");
+    const TaskId bwd = g.add_compute(rx, 0.5);
+    g.add_dep(fwd, send);
+    g.add_dep(bwd, fwd);
+  };
+  TaskGraph fresh;
+  fill(fresh);
+  fill(reused);
+  ASSERT_EQ(reused.task_count(), fresh.task_count());
+  EXPECT_EQ(reused.dep_count(), fresh.dep_count());
+  EXPECT_EQ(reused.channel_name(0), "pp");
+  EXPECT_EQ(reused.max_dependent_count(), fresh.max_dependent_count());
+  for (std::size_t r = 0; r < fresh.resource_count(); ++r) {
+    EXPECT_EQ(reused.resource_name(static_cast<ResourceId>(r)),
+              fresh.resource_name(static_cast<ResourceId>(r)));
+  }
+  for (TaskId t = 0; t < static_cast<TaskId>(fresh.task_count()); ++t) {
+    EXPECT_EQ(reused.task(t).label, fresh.task(t).label) << t;
+    EXPECT_EQ(reused.label(t), fresh.label(t)) << t;
+    EXPECT_EQ(reused.task(t).channel, fresh.task(t).channel) << t;
+    EXPECT_EQ(std::vector<TaskId>(reused.deps(t).begin(), reused.deps(t).end()),
+              std::vector<TaskId>(fresh.deps(t).begin(), fresh.deps(t).end()));
+    EXPECT_EQ(std::vector<TaskId>(reused.dependents(t).begin(),
+                                  reused.dependents(t).end()),
+              std::vector<TaskId>(fresh.dependents(t).begin(),
+                                  fresh.dependents(t).end()));
+    EXPECT_EQ(reused.sched_tasks()[static_cast<std::size_t>(t)].out_count,
+              fresh.sched_tasks()[static_cast<std::size_t>(t)].out_count);
+  }
+}
+
 TEST(TaskGraph, SelfDependencyRejected) {
   TaskGraph g;
   const ResourceId r = g.add_resource("r");
