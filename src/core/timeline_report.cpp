@@ -40,33 +40,12 @@ std::string sparkline(const std::vector<double>& values) {
   return line;
 }
 
-void write_bucket_array(std::ostream& out, const obs::StepSeries& series,
-                        const obs::Window& window, int buckets,
-                        double scale = 1.0) {
-  const std::vector<double> values =
-      series.bucketize(window.begin, window.end, buckets);
+void write_array(std::ostream& out, const std::vector<double>& values,
+                 double scale = 1.0) {
   out << "[";
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) out << ",";
     out << json_number(values[i] * scale);
-  }
-  out << "]";
-}
-
-/// Cumulative curves are sampled at bucket *right edges* (the delivered
-/// total by the end of each bucket) rather than time-averaged, so the last
-/// sample equals the window's delivered total exactly.
-void write_sampled_array(std::ostream& out, const obs::StepSeries& series,
-                         const obs::Window& window, int buckets) {
-  const double span = window.end - window.begin;
-  out << "[";
-  for (int i = 0; i < buckets; ++i) {
-    if (i != 0) out << ",";
-    const double edge =
-        i + 1 == buckets
-            ? window.end
-            : window.begin + span * (static_cast<double>(i + 1) / buckets);
-    out << json_number(series.value_at(edge));
   }
   out << "]";
 }
@@ -105,9 +84,12 @@ TimelineSummary build_timeline_summary(const net::Topology& topo,
   summary.options.buckets = std::max(1, options.buckets);
   summary.options.top_talkers = std::max(0, options.top_talkers);
 
+  summary.artifacts = &artifacts;
+
   obs::TimelineOptions extract;
   extract.window = clip_window(options.window, result.makespan());
   extract.saturation_threshold = options.saturation_threshold;
+  extract.buckets = summary.options.buckets;
 
   const sim::RateTimeline* rates =
       artifacts.rates.empty() ? nullptr : &artifacts.rates;
@@ -161,6 +143,12 @@ void write_timeline_json(std::ostream& out, const TimelineSummary& summary) {
       << json_number(summary.options.saturation_warn_share);
 
   out << ",\"resources\":[";
+  HOLMES_CHECK_MSG(summary.artifacts != nullptr &&
+                       summary.artifacts->result.has_value(),
+                   "a timeline summary is written from the artifacts it was "
+                   "built from");
+  const obs::ResourceSeriesIndex curves(summary.artifacts->graph,
+                                        *summary.artifacts->result);
   bool first = true;
   for (const obs::ResourceTimeline& res : t.resources) {
     if (!keep_resource(res, summary.options)) continue;
@@ -175,9 +163,10 @@ void write_timeline_json(std::ostream& out, const TimelineSummary& summary) {
         << json_number(span > 0 ? res.busy_total / span : 0.0)
         << ",\"bytes\":" << res.bytes << ",\"tasks\":" << res.tasks
         << ",\"occupancy\":";
-    write_bucket_array(out, res.busy, window, buckets);
+    const obs::ResourceSeries series = curves.series(res.id);
+    write_array(out, series.busy.bucketize(window.begin, window.end, buckets));
     out << ",\"queue_depth\":";
-    write_bucket_array(out, res.queue, window, buckets);
+    write_array(out, series.queue.bucketize(window.begin, window.end, buckets));
     out << "}";
   }
   out << "]";
@@ -195,9 +184,9 @@ void write_timeline_json(std::ostream& out, const TimelineSummary& summary) {
         << ",\"peak_in_flight_bytes\":" << json_number(chan.peak_in_flight)
         << ",\"peak_at_s\":" << json_number(chan.peak_at)
         << ",\"in_flight\":";
-    write_bucket_array(out, chan.in_flight, window, buckets);
+    write_array(out, chan.in_flight);
     out << ",\"cumulative\":";
-    write_sampled_array(out, chan.cumulative, window, buckets);
+    write_array(out, chan.cumulative);
     out << "}";
   }
   out << "]";
@@ -211,8 +200,9 @@ void write_timeline_json(std::ostream& out, const TimelineSummary& summary) {
     out << "{\"class\":\"" << json_escape(cls.nic_class)
         << "\",\"ports\":" << cls.ports
         << ",\"busy_s\":" << json_number(cls.busy_total) << ",\"occupancy\":";
-    write_bucket_array(out, cls.busy_ports, window, buckets,
-                       ports > 0 ? 1.0 / ports : 0.0);
+    write_array(out,
+                cls.busy_ports.bucketize(window.begin, window.end, buckets),
+                ports > 0 ? 1.0 / ports : 0.0);
     out << ",\"saturated_s\":" << json_number(cls.saturated_total)
         << ",\"saturated_share\":"
         << json_number(span > 0 ? cls.saturated_total / span : 0.0)
@@ -235,7 +225,8 @@ void write_timeline_json(std::ostream& out, const TimelineSummary& summary) {
         << json_escape(overlay.name)
         << "\",\"degraded_s\":" << json_number(overlay.degraded_total)
         << ",\"effective_rate\":";
-    write_bucket_array(out, overlay.effective, window, buckets);
+    write_array(out,
+                overlay.effective.bucketize(window.begin, window.end, buckets));
     out << "}";
   }
   out << "]";
@@ -322,8 +313,7 @@ void print_timeline(std::ostream& out, const TimelineSummary& summary) {
       out << "\nchannels (peak bytes in flight):\n";
       header = true;
     }
-    std::vector<double> values =
-        chan.in_flight.bucketize(window.begin, window.end, buckets);
+    std::vector<double> values = chan.in_flight;
     if (chan.peak_in_flight > 0) {
       for (double& v : values) v /= chan.peak_in_flight;
     }

@@ -58,18 +58,24 @@ struct TimelineSummary {
   obs::Timeline timeline;
   TimelineReportOptions options;  ///< as resolved by the builder
   verify::LintReport lint;        ///< HV406 saturation diagnosis
+  /// The run the summary was built from. write_timeline_json builds each
+  /// resource's curves from its graph and timings as it writes them.
+  const SimArtifacts* artifacts = nullptr;
 };
 
 /// Extracts the timeline of `artifacts` (which must be populated) and runs
 /// the saturation lint. The artifacts' persisted rate timeline feeds the
-/// effective-rate overlays.
+/// effective-rate overlays. The summary keeps a pointer to `artifacts`, so
+/// they must outlive it: write_timeline_json reads them.
 TimelineSummary build_timeline_summary(
     const net::Topology& topo, const TrainingPlan& plan,
     const IterationMetrics& metrics, const SimArtifacts& artifacts,
     const TimelineReportOptions& options = {});
 
 /// Stable holmes.timeline.v1 JSON, fingerprint-stamped, fixed key order,
-/// no trailing newline: byte-identical for identical runs.
+/// no trailing newline: byte-identical for identical runs. Each written
+/// resource's occupancy and queue-depth buckets are built from the
+/// summary's artifacts one resource at a time.
 void write_timeline_json(std::ostream& out, const TimelineSummary& summary);
 
 /// Terminal report: per-class occupancy sparklines with saturation totals,

@@ -79,18 +79,27 @@ struct Interval {
 /// (time, bytes) events of one channel, in emission (task-id) order.
 using ByteEvents = std::vector<std::pair<SimTime, double>>;
 
+/// Buffers of radix_sort_times: the keys, their ping-pong copy and the
+/// 16-bit digit counts. Each caller owns one, so the buffers, sized to the
+/// caller's largest list, are freed when the caller returns.
+struct SortScratch {
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> scratch;
+  std::vector<std::uint64_t> counts;
+};
+
 /// LSD radix sort on the IEEE-754 bit patterns (sign-flipped so the integer
 /// order matches the double order for every finite value, -0.0 included).
 /// Comparison sorts run at ~n log n branchy compares; the big per-class
 /// event lists here are worth the four counting passes instead.
-void radix_sort_times(std::vector<SimTime>& v) {
+void radix_sort_times(std::vector<SimTime>& v, SortScratch& buffers) {
   const std::size_t n = v.size();
-  // Reused across calls: the big per-class lists would otherwise pay fresh
-  // page faults on every call.
-  thread_local std::vector<std::uint64_t> keys;
-  thread_local std::vector<std::uint64_t> scratch;
+  std::vector<std::uint64_t>& keys = buffers.keys;
+  std::vector<std::uint64_t>& scratch = buffers.scratch;
+  std::vector<std::uint64_t>& counts = buffers.counts;
   keys.resize(n);
   scratch.resize(n);
+  counts.resize(std::size_t{1} << 16);
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(SimTime));
@@ -98,7 +107,6 @@ void radix_sort_times(std::vector<SimTime>& v) {
     bits ^= (bits >> 63) != 0 ? ~std::uint64_t{0} : std::uint64_t{1} << 63;
     keys[i] = bits;
   }
-  thread_local std::vector<std::uint64_t> counts(1 << 16);
   for (int pass = 0; pass < 4; ++pass) {
     const int shift = pass * 16;
     std::fill(counts.begin(), counts.end(), 0);
@@ -128,10 +136,10 @@ void radix_sort_times(std::vector<SimTime>& v) {
 /// usually saves the sort). Every consumer below coalesces equal-time
 /// events into one commutative integer-valued sum, so the output does not
 /// depend on how — or whether — the equal-key sort ran.
-void sort_times(std::vector<SimTime>& v) {
+void sort_times(std::vector<SimTime>& v, SortScratch& buffers) {
   if (std::is_sorted(v.begin(), v.end())) return;
   if (v.size() >= 4096) {
-    radix_sort_times(v);
+    radix_sort_times(v, buffers);
   } else {
     std::sort(v.begin(), v.end());
   }
@@ -272,6 +280,44 @@ StepSeries busy_from_intervals(const std::vector<Interval>& intervals) {
     values.push_back(0.0);
   }
   return StepSeries::from_levels(std::move(times), std::move(values));
+}
+
+/// Groups task ids by slot as a CSR: slot s holds ids[offsets[s] ..
+/// offsets[s + 1]) in ascending id order. `slots_of(task, add)` calls
+/// add(slot) once for each slot `task` belongs to.
+template <typename SlotsOf>
+void index_tasks(const std::vector<sim::Task>& tasks, std::size_t slots,
+                 SlotsOf&& slots_of, std::vector<std::uint32_t>& offsets,
+                 std::vector<sim::TaskId>& ids) {
+  offsets.assign(slots + 1, 0);
+  for (const sim::Task& task : tasks) {
+    slots_of(task, [&](std::size_t slot) { ++offsets[slot + 1]; });
+  }
+  for (std::size_t s = 0; s < slots; ++s) offsets[s + 1] += offsets[s];
+  ids.resize(offsets[slots]);
+  std::vector<std::uint32_t> next(offsets.begin(), offsets.end() - 1);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    slots_of(tasks[i], [&](std::size_t slot) {
+      ids[next[slot]++] = static_cast<sim::TaskId>(i);
+    });
+  }
+}
+
+/// `buckets` samples of `series` at the right edges of equal buckets tiling
+/// the window, the last at the window's end itself.
+std::vector<double> sample_right_edges(const StepSeries& series,
+                                       const Window& window, int buckets) {
+  const double span = window.end - window.begin;
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(buckets));
+  for (int i = 0; i < buckets; ++i) {
+    const double edge =
+        i + 1 == buckets
+            ? window.end
+            : window.begin + span * (static_cast<double>(i + 1) / buckets);
+    samples.push_back(series.value_at(edge));
+  }
+  return samples;
 }
 
 }  // namespace
@@ -449,9 +495,10 @@ std::vector<ClassTimeline> extract_class_timelines(
       down[cls].push_back(end);
     });
   }
+  SortScratch buffers;
   for (std::size_t k = 0; k < classes.size(); ++k) {
-    sort_times(up[k]);
-    sort_times(down[k]);
+    sort_times(up[k], buffers);
+    sort_times(down[k], buffers);
     classes[k].busy_ports = merge_counts(up[k], down[k]);
     std::vector<SimTime>().swap(up[k]);  // release before the next merge
     std::vector<SimTime>().swap(down[k]);
@@ -475,26 +522,16 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
   const Window& window = timeline.window;
 
   // Class busy-port curves first, so their event lists are gone before the
-  // per-resource and per-channel lists below are built.
+  // channel lists below are built.
   timeline.classes = extract_class_timelines(graph, result, classify);
 
   // Aggregates come straight from the accounting layer: same per-task
   // arithmetic, same id iteration order, so the timeline's totals are
-  // bit-identical to what `stats` reports for this window. Callers that
-  // already ran accounting over the resolved window pass the results in;
-  // otherwise it runs here.
-  std::vector<ResourceAccount> own_accounts;
-  std::vector<ChannelAccount> own_channels;
-  const bool need_resources = options.resource_accounts == nullptr;
-  const bool need_channels = options.channel_accounts == nullptr;
-  if (need_resources) own_accounts = account_resources(graph, result, window);
-  if (need_channels) own_channels = account_channels(graph, result, window);
-  const std::vector<ResourceAccount>& accounts =
-      need_resources ? own_accounts : *options.resource_accounts;
-  const std::vector<ChannelAccount>& channel_accounts =
-      need_channels ? own_channels : *options.channel_accounts;
-  HOLMES_CHECK_MSG(accounts.size() == graph.resource_count(),
-                   "resource accounts do not match the task graph");
+  // bit-identical to what `stats` reports for this window.
+  const std::vector<ResourceAccount> accounts =
+      account_resources(graph, result, window);
+  const std::vector<ChannelAccount> channel_accounts =
+      account_channels(graph, result, window);
 
   timeline.resources.resize(accounts.size());
   timeline.channels.resize(channel_accounts.size());
@@ -523,57 +560,54 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
     timeline.classes[cls->second].busy_total += res.busy_total;
   }
 
-  // One id-ordered O(V + E) pass derives each task's ready instant (latest
-  // dependency finish) and busy-interval end — the `ports_free` stretching
-  // for transfers, via the accounting layer's serialization helper — and
-  // appends its events to per-resource / per-channel lists. The lists
-  // inherit id order; time-sorting them is deferred into the per-slot
-  // finalizers (where it usually reduces to an is_sorted check).
-  struct PortEvents {
-    std::vector<Interval> busy;       ///< occupancy intervals
-    std::vector<SimTime> queue_up;    ///< +1 at ready
-    std::vector<SimTime> queue_down;  ///< -1 at start
-  };
-  struct ChannelEvents {
-    ByteEvents start;   ///< +bytes at start (in-flight rise)
-    ByteEvents finish;  ///< -bytes at finish; cumulative delivery
-  };
-  std::vector<PortEvents> ports(accounts.size());
-  std::vector<ChannelEvents> channel_events(channel_accounts.size());
-
-  const std::size_t task_count = graph.task_count();
-  for (std::size_t i = 0; i < task_count; ++i) {
-    const sim::Task& task = graph.tasks()[i];
-    if (task.kind == sim::TaskKind::kNoop) continue;
-    const auto id = static_cast<sim::TaskId>(i);
-    const sim::TaskTiming& timing = result.timing(id);
-    SimTime ready = 0;
-    for (sim::TaskId dep : graph.deps(id)) {
-      ready = std::max(ready, result.timing(dep).finish);
-    }
-    const SimTime end_busy = busy_end(task, timing);
-    if (end_busy > timing.start) {
-      for_each_port(task, [&](std::size_t port) {
-        ports[port].busy.push_back({timing.start, end_busy});
-      });
-    }
-    if (timing.start > ready) {
-      for_each_port(task, [&](std::size_t port) {
-        ports[port].queue_up.push_back(ready);
-        ports[port].queue_down.push_back(timing.start);
-      });
-    }
-    if (task.kind == sim::TaskKind::kTransfer &&
-        task.channel != sim::kInvalidChannel) {
-      ChannelEvents& chan =
-          channel_events[static_cast<std::size_t>(task.channel)];
+  // Channels one at a time, from an index of each channel's transfers in
+  // id order: +bytes at each start (in-flight rise), -bytes at each finish
+  // (in-flight fall, cumulative delivery). Each channel's series are
+  // reduced to its peak, buckets and right-edge samples before the next
+  // channel's are built.
+  const std::vector<sim::Task>& tasks = graph.tasks();
+  std::vector<std::uint32_t> channel_offsets;
+  std::vector<sim::TaskId> channel_tasks;
+  index_tasks(
+      tasks, channel_accounts.size(),
+      [](const sim::Task& task, auto&& add) {
+        if (task.kind == sim::TaskKind::kTransfer &&
+            task.channel != sim::kInvalidChannel) {
+          add(static_cast<std::size_t>(task.channel));
+        }
+      },
+      channel_offsets, channel_tasks);
+  const int buckets = std::max(1, options.buckets);
+  ByteEvents start;
+  ByteEvents finish;
+  for (std::size_t c = 0; c < channel_accounts.size(); ++c) {
+    start.clear();
+    finish.clear();
+    for (std::uint32_t k = channel_offsets[c]; k < channel_offsets[c + 1];
+         ++k) {
+      const sim::TaskId id = channel_tasks[k];
+      const sim::TaskTiming& timing = result.timing(id);
+      const auto bytes =
+          static_cast<double>(tasks[static_cast<std::size_t>(id)].bytes);
       if (timing.finish > timing.start) {
-        chan.start.emplace_back(timing.start,
-                                static_cast<double>(task.bytes));
+        start.emplace_back(timing.start, bytes);
       }
-      chan.finish.emplace_back(timing.finish,
-                               static_cast<double>(task.bytes));
+      finish.emplace_back(timing.finish, bytes);
     }
+    sort_events(start);
+    sort_events(finish);
+    ChannelTimeline& chan = timeline.channels[c];
+    chan.id = channel_accounts[c].id;
+    chan.name = channel_accounts[c].name;
+    chan.bytes = channel_accounts[c].bytes;
+    chan.transfers = channel_accounts[c].transfers;
+    chan.busy_total = channel_accounts[c].busy;
+    const StepSeries in_flight = merge_bytes(start, finish);
+    chan.peak_in_flight = in_flight.maximum(window.begin, window.end);
+    chan.peak_at = in_flight.maximum_at(window.begin, window.end);
+    chan.in_flight = in_flight.bucketize(window.begin, window.end, buckets);
+    chan.cumulative =
+        sample_right_edges(accumulate_bytes(finish), window, buckets);
   }
 
   // Effective-rate overlays: one per resource a rate window touched.
@@ -609,32 +643,7 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
   }
   timeline.overlays.resize(overlay_events.size());
 
-  // Finalize each resource, channel, class and overlay from the event
-  // lists above, including its own deferred time-sort.
-  for (std::size_t r = 0; r < accounts.size(); ++r) {
-    ResourceTimeline& res = timeline.resources[r];
-    PortEvents& events = ports[r];
-    sort_intervals(events.busy);
-    sort_times(events.queue_up);
-    sort_times(events.queue_down);
-    res.busy = busy_from_intervals(events.busy);
-    res.queue = merge_counts(events.queue_up, events.queue_down);
-  }
-  for (std::size_t c = 0; c < channel_accounts.size(); ++c) {
-    ChannelTimeline& chan = timeline.channels[c];
-    ChannelEvents& events = channel_events[c];
-    sort_events(events.start);
-    sort_events(events.finish);
-    chan.id = channel_accounts[c].id;
-    chan.name = channel_accounts[c].name;
-    chan.bytes = channel_accounts[c].bytes;
-    chan.transfers = channel_accounts[c].transfers;
-    chan.busy_total = channel_accounts[c].busy;
-    chan.in_flight = merge_bytes(events.start, events.finish);
-    chan.cumulative = accumulate_bytes(events.finish);
-    chan.peak_in_flight = chan.in_flight.maximum(window.begin, window.end);
-    chan.peak_at = chan.in_flight.maximum_at(window.begin, window.end);
-  }
+  // Saturation intervals and the overlays' degraded time, in-window.
   for (ClassTimeline& cls : timeline.classes) {
     const double bar =
         options.saturation_threshold * static_cast<double>(cls.ports);
@@ -693,6 +702,51 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
                      return a.resource < b.resource;
                    });
   return timeline;
+}
+
+ResourceSeriesIndex::ResourceSeriesIndex(const sim::TaskGraph& graph,
+                                         const sim::SimResult& result)
+    : graph_(graph), result_(result) {
+  index_tasks(
+      graph.tasks(), graph.resource_count(),
+      [](const sim::Task& task, auto&& add) {
+        if (task.kind != sim::TaskKind::kNoop) for_each_port(task, add);
+      },
+      offsets_, tasks_);
+}
+
+ResourceSeries ResourceSeriesIndex::series(sim::ResourceId resource) const {
+  const auto r = static_cast<std::size_t>(resource);
+  HOLMES_CHECK_MSG(resource >= 0 && r + 1 < offsets_.size(),
+                   "resource is not in the task graph");
+  // The resource's tasks in id order, each contributing its busy interval
+  // (the `ports_free` stretching for transfers, via the accounting layer's
+  // serialization helper) and, when it waited, +1 at its ready instant
+  // (latest dependency finish) and -1 at its start.
+  std::vector<Interval> busy;
+  std::vector<SimTime> queue_up;
+  std::vector<SimTime> queue_down;
+  const std::vector<sim::Task>& tasks = graph_.tasks();
+  for (std::uint32_t k = offsets_[r]; k < offsets_[r + 1]; ++k) {
+    const sim::TaskId id = tasks_[k];
+    const sim::Task& task = tasks[static_cast<std::size_t>(id)];
+    const sim::TaskTiming& timing = result_.timing(id);
+    const SimTime end_busy = busy_end(task, timing);
+    if (end_busy > timing.start) busy.push_back({timing.start, end_busy});
+    SimTime ready = 0;
+    for (sim::TaskId dep : graph_.deps(id)) {
+      ready = std::max(ready, result_.timing(dep).finish);
+    }
+    if (timing.start > ready) {
+      queue_up.push_back(ready);
+      queue_down.push_back(timing.start);
+    }
+  }
+  SortScratch buffers;
+  sort_intervals(busy);
+  sort_times(queue_up, buffers);
+  sort_times(queue_down, buffers);
+  return {busy_from_intervals(busy), merge_counts(queue_up, queue_down)};
 }
 
 }  // namespace holmes::obs

@@ -24,15 +24,29 @@
 /// arithmetic in the same task-id iteration order — so the timeline's
 /// totals equal the accounting layer's *bit for bit*. Occupancy intervals
 /// use the executor's `ports_free` stretching via serialization_of, never a
-/// recomputed bytes/bandwidth. The step series are built from four
-/// (key, id)-sorted views of the executed tasks — by start, by busy end, by
-/// ready instant, by channel finish — followed by linear walks and
-/// two-pointer merges; every delta is integer-valued, so the merged running
-/// sums match an id-ordered from_deltas construction bit for bit. The
-/// per-class busy-port curves come from one routine,
-/// extract_class_timelines, which callers needing only those curves use
-/// on its own.
+/// recomputed bytes/bandwidth.
+///
+/// Construction: curves are built one slot (a resource, a channel or a NIC
+/// class) at a time and reduced to what a report prints before the next is
+/// built, so nothing held grows with slots x breakpoints. A slot's events
+/// are emitted in task-id order, each list is time-sorted (usually just an
+/// is_sorted check), and one linear walk turns it into a StepSeries. Every
+/// delta is integer-valued (+-1 port or queue counts, +-bytes), so the
+/// walks' running sums match an id-ordered from_deltas construction bit
+/// for bit.
+///  - extract_timeline keeps each channel's bucketed in-flight curve, its
+///    right-edge cumulative samples and its peak, built from a per-channel
+///    index of the transfers; the per-class busy-port curves and the rate
+///    overlays stay whole series.
+///  - Per-resource occupancy and queue depth are not part of Timeline:
+///    ResourceSeriesIndex builds them from a per-port index of the executed
+///    tasks for one resource per call, only for the resources a writer
+///    asks for.
+///  - The per-class busy-port curves come from one routine,
+///    extract_class_timelines, which callers needing only those curves use
+///    on its own.
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -110,18 +124,15 @@ using ResourceClassifier = std::function<std::string(const std::string&)>;
 
 struct TimelineOptions {
   /// Observation window for the aggregates, saturation extraction, and
-  /// derived analysis. The step series always cover the whole run.
+  /// bucketed channel curves. The class and overlay series always cover
+  /// the whole run.
   Window window = {};
   /// An instant is *saturated* for a class when at least this fraction of
   /// the class's ports are simultaneously busy (1.0 = every port).
   double saturation_threshold = 1.0;
-  /// Precomputed accounting aggregates to copy instead of re-deriving them.
-  /// The exactness contract is on the caller: these must come from
-  /// account_resources / account_channels over this extraction's *resolved*
-  /// window (see Timeline::window), or the copied totals will not match the
-  /// step series. Null (the default): accounting runs inside extraction.
-  const std::vector<ResourceAccount>* resource_accounts = nullptr;
-  const std::vector<ChannelAccount>* channel_accounts = nullptr;
+  /// Equal buckets tiling the window for each channel's in-flight means
+  /// and cumulative samples (values below 1 count as 1).
+  int buckets = 48;
 };
 
 struct ResourceTimeline {
@@ -134,8 +145,6 @@ struct ResourceTimeline {
   SimTime waiting_total = 0;  ///< accounting-exact, window-clipped
   Bytes bytes = 0;
   std::size_t tasks = 0;
-  StepSeries busy;   ///< 0/1 occupancy (serial resources never overlap)
-  StepSeries queue;  ///< ready-but-blocked task count for this resource
 };
 
 struct ChannelTimeline {
@@ -144,8 +153,12 @@ struct ChannelTimeline {
   Bytes bytes = 0;  ///< accounting-exact, start-in-window attribution
   std::size_t transfers = 0;
   SimTime busy_total = 0;
-  StepSeries in_flight;   ///< bytes in flight (start..finish of members)
-  StepSeries cumulative;  ///< bytes delivered (steps up at each finish)
+  /// Bytes in flight (start..finish of members): the time-weighted mean of
+  /// each of TimelineOptions::buckets equal buckets of the window.
+  std::vector<double> in_flight;
+  /// Bytes delivered by each bucket's right edge, so the last sample is
+  /// the total delivered by the window's end.
+  std::vector<double> cumulative;
   double peak_in_flight = 0;  ///< max in-flight bytes inside the window
   SimTime peak_at = 0;        ///< first instant the peak is attained
 };
@@ -187,7 +200,9 @@ struct Timeline {
   std::vector<TopTalker> top_talkers;       ///< links by bytes desc, id asc
 };
 
-/// Extracts the full time-resolved telemetry of one executed run. `rates`
+/// Extracts the time-resolved telemetry of one executed run: every
+/// aggregate, the bucketed channel curves, the class curves and the rate
+/// overlays (per-resource curves come from ResourceSeriesIndex). `rates`
 /// (optional) contributes the effective-rate overlays; `classify` names the
 /// NIC class of each resource.
 Timeline extract_timeline(const sim::TaskGraph& graph,
@@ -207,5 +222,31 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
 std::vector<ClassTimeline> extract_class_timelines(
     const sim::TaskGraph& graph, const sim::SimResult& result,
     const ResourceClassifier& classify = {});
+
+/// One resource's step series over the whole run.
+struct ResourceSeries {
+  StepSeries busy;   ///< 0/1 occupancy (serial resources never overlap)
+  StepSeries queue;  ///< ready-but-blocked task count for this resource
+};
+
+/// Builds each resource's occupancy and ready-queue depth on demand, one
+/// resource per call, from a per-port index of the executed compute and
+/// transfer tasks (task ids in id order: 4 bytes per port a task holds).
+/// A task's ready instant (its latest dependency finish) is derived when
+/// one of its ports is built. Holds references to `graph` and `result`,
+/// which must outlive it.
+class ResourceSeriesIndex {
+ public:
+  ResourceSeriesIndex(const sim::TaskGraph& graph,
+                      const sim::SimResult& result);
+
+  ResourceSeries series(sim::ResourceId resource) const;
+
+ private:
+  const sim::TaskGraph& graph_;
+  const sim::SimResult& result_;
+  std::vector<std::uint32_t> offsets_;  ///< resource r's tasks: [r], [r+1)
+  std::vector<sim::TaskId> tasks_;
+};
 
 }  // namespace holmes::obs

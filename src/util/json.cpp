@@ -169,8 +169,17 @@ class JsonParser {
   JsonValue parse_value() {
     skip_whitespace();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // One recursion per level: past the cap, fail instead of overflowing
+      // the stack.
+      if (++depth_ > kMaxJsonDepth) {
+        fail("arrays and objects nest deeper than the limit of " +
+             std::to_string(kMaxJsonDepth) + " levels");
+      }
+      JsonValue nested = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return nested;
+    }
     if (c == '"') return JsonValue::string(parse_string());
     if (consume_literal("true")) return JsonValue::boolean(true);
     if (consume_literal("false")) return JsonValue::boolean(false);
@@ -302,6 +311,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects currently open
 };
 
 }  // namespace

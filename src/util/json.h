@@ -71,8 +71,13 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
-/// Parses one JSON document (throws holmes::ConfigError on syntax errors or
-/// trailing garbage).
+/// Deepest nesting of arrays and objects json_parse accepts. The parser
+/// recurses once per level, so the cap keeps a hostile document from
+/// overflowing the stack; the repo's own documents nest at most 5 deep.
+inline constexpr int kMaxJsonDepth = 64;
+
+/// Parses one JSON document (throws holmes::ConfigError on syntax errors,
+/// trailing garbage, or nesting deeper than kMaxJsonDepth).
 JsonValue json_parse(const std::string& text);
 
 /// Serializes a value back to compact JSON: object keys in document order,

@@ -9,12 +9,18 @@
 #include "sim/executor.h"
 #include "sim/rate_timeline.h"
 #include "sim/task_graph.h"
+#include "timeline_oracle.h"
 
 namespace holmes::obs {
 namespace {
 
 using sim::TaskGraph;
 using sim::TaskGraphExecutor;
+using testing::expect_matches_naive;
+using testing::naive_timeline;
+using testing::NaiveChannel;
+using testing::NaiveResource;
+using testing::NaiveTimeline;
 
 // ---------------------------------------------------------------- StepSeries
 
@@ -140,6 +146,7 @@ TEST(ExtractTimeline, AggregatesAreBitEqualToAccounting) {
   const TaskGraph g = mixed_graph();
   const sim::SimResult result = TaskGraphExecutor{}.run(g);
   const Timeline t = extract_timeline(g, result);
+  const NaiveTimeline naive = naive_timeline(g, result);
   const auto accounts = account_resources(g, result, t.window);
   const auto channel_accounts = account_channels(g, result, t.window);
 
@@ -156,8 +163,9 @@ TEST(ExtractTimeline, AggregatesAreBitEqualToAccounting) {
     // The busy series must integrate to exactly the accounted busy time: a
     // serial resource's 0/1 occupancy sums disjoint task intervals in the
     // same order as the accounting pass.
-    EXPECT_DOUBLE_EQ(t.resources[r].busy.integral(t.window.begin, t.window.end),
-                     t.resources[r].busy_total)
+    EXPECT_DOUBLE_EQ(
+        naive.resources[r].busy.integral(t.window.begin, t.window.end),
+        t.resources[r].busy_total)
         << accounts[r].name;
   }
   ASSERT_EQ(t.channels.size(), channel_accounts.size());
@@ -167,6 +175,7 @@ TEST(ExtractTimeline, AggregatesAreBitEqualToAccounting) {
     EXPECT_EQ(t.channels[c].busy_total, channel_accounts[c].busy);
     EXPECT_EQ(t.channels[c].name, channel_accounts[c].name);
   }
+  expect_matches_naive(naive, g, result, {});
 }
 
 TEST(ExtractTimeline, DeviceOccupancyAndQueueDepth) {
@@ -176,8 +185,10 @@ TEST(ExtractTimeline, DeviceOccupancyAndQueueDepth) {
   g.add_compute(gpu, 3.0, "b");  // ready at 0, starts at 2
   const sim::SimResult result = TaskGraphExecutor{}.run(g);
   const Timeline t = extract_timeline(g, result);
+  const NaiveTimeline naive = naive_timeline(g, result);
   ASSERT_EQ(t.resources.size(), 1u);
-  const ResourceTimeline& res = t.resources[0];
+  ASSERT_EQ(naive.resources.size(), 1u);
+  const NaiveResource& res = naive.resources[0];
   EXPECT_DOUBLE_EQ(res.busy.value_at(0.0), 1.0);
   EXPECT_DOUBLE_EQ(res.busy.value_at(4.9), 1.0);
   EXPECT_DOUBLE_EQ(res.busy.value_at(5.0), 0.0);
@@ -186,8 +197,9 @@ TEST(ExtractTimeline, DeviceOccupancyAndQueueDepth) {
   EXPECT_DOUBLE_EQ(res.queue.value_at(0.0), 1.0);
   EXPECT_DOUBLE_EQ(res.queue.value_at(1.9), 1.0);
   EXPECT_DOUBLE_EQ(res.queue.value_at(2.0), 0.0);
-  EXPECT_DOUBLE_EQ(res.queue.integral(0.0, 5.0), res.waiting_total);
+  EXPECT_DOUBLE_EQ(res.queue.integral(0.0, 5.0), t.resources[0].waiting_total);
   EXPECT_DOUBLE_EQ(t.makespan, 5.0);
+  expect_matches_naive(naive, g, result, {});
 }
 
 TEST(ExtractTimeline, ChannelInFlightAndCumulativeCurves) {
@@ -200,19 +212,32 @@ TEST(ExtractTimeline, ChannelInFlightAndCumulativeCurves) {
   g.add_transfer(tx, rx, 1000, 1000.0, 0.5, "x", 0, dp);
   const sim::SimResult result = TaskGraphExecutor{}.run(g);
   const Timeline t = extract_timeline(g, result);
+  const NaiveTimeline naive = naive_timeline(g, result);
   ASSERT_EQ(t.channels.size(), 1u);
+  ASSERT_EQ(naive.channels.size(), 1u);
   const ChannelTimeline& chan = t.channels[0];
+  const NaiveChannel& curves = naive.channels[0];
   EXPECT_EQ(chan.name, "dp0");
-  EXPECT_DOUBLE_EQ(chan.in_flight.value_at(0.0), 1000.0);
-  EXPECT_DOUBLE_EQ(chan.in_flight.value_at(1.49), 1000.0);
-  EXPECT_DOUBLE_EQ(chan.in_flight.value_at(1.5), 0.0);
-  EXPECT_DOUBLE_EQ(chan.cumulative.value_at(1.0), 0.0);
-  EXPECT_DOUBLE_EQ(chan.cumulative.value_at(1.5), 1000.0);
+  EXPECT_DOUBLE_EQ(curves.in_flight.value_at(0.0), 1000.0);
+  EXPECT_DOUBLE_EQ(curves.in_flight.value_at(1.49), 1000.0);
+  EXPECT_DOUBLE_EQ(curves.in_flight.value_at(1.5), 0.0);
+  EXPECT_DOUBLE_EQ(curves.cumulative.value_at(1.0), 0.0);
+  EXPECT_DOUBLE_EQ(curves.cumulative.value_at(1.5), 1000.0);
   EXPECT_DOUBLE_EQ(chan.peak_in_flight, 1000.0);
   EXPECT_DOUBLE_EQ(chan.peak_at, 0.0);
   // The TX/RX ports are busy for the serialization second only.
-  EXPECT_DOUBLE_EQ(t.resources[tx].busy.integral(0.0, t.makespan), 1.0);
-  EXPECT_DOUBLE_EQ(t.resources[rx].busy.integral(0.0, t.makespan), 1.0);
+  EXPECT_DOUBLE_EQ(naive.resources[tx].busy.integral(0.0, t.makespan), 1.0);
+  EXPECT_DOUBLE_EQ(naive.resources[rx].busy.integral(0.0, t.makespan), 1.0);
+  // Over the whole 1.5 s run in 3 buckets, the in-flight means read the
+  // full transfer and the cumulative samples step up at the last edge.
+  TimelineOptions three;
+  three.buckets = 3;
+  const Timeline bucketed = extract_timeline(g, result, three);
+  EXPECT_EQ(bucketed.channels[0].in_flight,
+            (std::vector<double>{1000.0, 1000.0, 1000.0}));
+  EXPECT_EQ(bucketed.channels[0].cumulative,
+            (std::vector<double>{0.0, 0.0, 1000.0}));
+  expect_matches_naive(naive, g, result, {});
 }
 
 TEST(ExtractTimeline, ClassSaturationIntervals) {
@@ -286,6 +311,8 @@ TEST(ExtractTimeline, ClassCurvesCountComputeOnALinkResource) {
   ASSERT_EQ(t.classes.size(), 1u);
   EXPECT_EQ(t.classes[0].busy_ports.times(), only[0].busy_ports.times());
   EXPECT_EQ(t.classes[0].busy_ports.values(), only[0].busy_ports.values());
+  expect_matches_naive(naive_timeline(g, result, classify), g, result, {},
+                       classify);
 }
 
 TEST(ExtractTimeline, TopTalkersRankByBytesThenId) {
@@ -314,11 +341,24 @@ TEST(ExtractTimeline, WindowClipsAggregatesButNotSeries) {
   for (std::size_t r = 0; r < accounts.size(); ++r) {
     EXPECT_EQ(t.resources[r].busy_total, accounts[r].busy);
   }
+  // The series themselves still cover the whole run: the Ethernet transfer
+  // serializes on [5, 9), past the window.
+  const NaiveTimeline naive = naive_timeline(g, result);
+  EXPECT_DOUBLE_EQ(naive.resources[4].busy.integral(0.0, t.makespan), 4.0);
+  EXPECT_DOUBLE_EQ(naive.resources[4].busy.integral(t.window.begin,
+                                                    t.window.end),
+                   0.0);
+  expect_matches_naive(naive, g, result, options);
   // A window end past the makespan clips to the makespan.
   TimelineOptions wide;
   wide.window = Window{0.0, 1e9};
   const Timeline clipped = extract_timeline(g, result, wide);
   EXPECT_DOUBLE_EQ(clipped.window.end, clipped.makespan);
+  expect_matches_naive(naive, g, result, wide);
+  // A window that opens mid-run clips both edges.
+  TimelineOptions inner;
+  inner.window = Window{2.5, 7.25};
+  expect_matches_naive(naive, g, result, inner);
 }
 
 TEST(ExtractTimeline, RateOverlayTracksEffectiveRate) {
@@ -335,6 +375,7 @@ TEST(ExtractTimeline, RateOverlayTracksEffectiveRate) {
   // the last 2 s at nominal -> makespan 5 s.
   EXPECT_DOUBLE_EQ(result.makespan(), 5.0);
   const Timeline t = extract_timeline(g, result, {}, {}, &rates);
+  const NaiveTimeline naive = naive_timeline(g, result, {}, &rates);
   ASSERT_EQ(t.overlays.size(), 1u);
   const RateOverlay& overlay = t.overlays[0];
   EXPECT_EQ(overlay.resource, tx);
@@ -346,9 +387,10 @@ TEST(ExtractTimeline, RateOverlayTracksEffectiveRate) {
   EXPECT_DOUBLE_EQ(overlay.degraded_total, 2.0);
   // The stretched occupancy is what the busy series records — exactness
   // holds under degradation because ports_free carries the stretch.
-  EXPECT_DOUBLE_EQ(t.resources[tx].busy.integral(0.0, t.makespan),
+  EXPECT_DOUBLE_EQ(naive.resources[tx].busy.integral(0.0, t.makespan),
                    t.resources[tx].busy_total);
   EXPECT_DOUBLE_EQ(t.resources[tx].busy_total, 5.0);
+  expect_matches_naive(naive, g, result, {}, {}, &rates);
 }
 
 }  // namespace

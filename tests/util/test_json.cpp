@@ -69,6 +69,51 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(json_parse("1 2"), ConfigError);  // trailing garbage
 }
 
+/// `depth` levels of alternating arrays and objects around a 1.
+std::string nested(int depth) {
+  std::string text;
+  for (int level = 0; level < depth; ++level) {
+    text += level % 2 == 0 ? "[" : "{\"k\":";
+  }
+  text += "1";
+  for (int level = depth - 1; level >= 0; --level) {
+    text += level % 2 == 0 ? "]" : "}";
+  }
+  return text;
+}
+
+TEST(JsonParse, NestingIsCappedAtTheDocumentedDepth) {
+  // The cap is a limit, not an off-by-one: kMaxJsonDepth levels parse.
+  const JsonValue deepest = json_parse(nested(kMaxJsonDepth));
+  EXPECT_TRUE(deepest.is_array());
+  EXPECT_EQ(json_serialize(deepest), nested(kMaxJsonDepth));
+  EXPECT_NO_THROW(json_parse(std::string(kMaxJsonDepth, '[') +
+                             std::string(kMaxJsonDepth, ']')));
+  // One more level, in either container, is a config error naming the
+  // limit; so is a document deep enough to overflow an unbounded
+  // recursive parser's stack.
+  for (const std::string& text :
+       {nested(kMaxJsonDepth + 1), nested(kMaxJsonDepth + 2),
+        std::string(50000, '['), nested(200000)}) {
+    try {
+      json_parse(text);
+      ADD_FAILURE() << "accepted " << text.size() << " bytes";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "nest deeper than the limit of 64 levels"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Depth counts open containers, not containers seen: siblings at the
+  // cap do not add up.
+  std::string wide = "[";
+  for (int i = 0; i < 100; ++i) {
+    wide += (i > 0 ? "," : "") + nested(kMaxJsonDepth - 1);
+  }
+  EXPECT_EQ(json_parse(wide + "]").as_array().size(), 100u);
+}
+
 TEST(JsonParse, AccessorKindMismatchThrows) {
   const JsonValue v = json_parse("[1]");
   EXPECT_THROW(v.as_object(), ConfigError);

@@ -391,12 +391,21 @@ std::string read_text_file(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// Rethrows an error met while reading `source` as a config error that
+/// names `source` first (without repeating the "config error: " prefix).
+[[noreturn]] void rethrow_naming(const std::string& source, const Error& e) {
+  std::string why = e.what();
+  const std::string prefix = "config error: ";
+  if (why.rfind(prefix, 0) == 0) why.erase(0, prefix.size());
+  throw ConfigError(source + ": " + why);
+}
+
 /// Parses `text` as JSON; a syntax error is a config error naming `source`.
 JsonValue parse_json(const std::string& text, const std::string& source) {
   try {
     return json_parse(text);
   } catch (const Error& e) {
-    throw ConfigError(source + ": " + e.what());
+    rethrow_naming(source, e);
   }
 }
 
@@ -447,8 +456,13 @@ Run resolve_run(const Args& args) {
   std::string source;
   const auto file = args.options.find("fault-plan");
   if (file != args.options.end()) {
-    run.faults = parse_fault_plan(read_text_file(file->second));
     source = "fault plan " + file->second;
+    const std::string text = read_text_file(file->second);
+    try {
+      run.faults = parse_fault_plan(text);
+    } catch (const ConfigError& e) {
+      rethrow_naming(source, e);
+    }
   }
   for (const std::string& spec : args.stragglers) {
     run.faults.stragglers.push_back(parse_straggler(spec));
@@ -1160,6 +1174,12 @@ int cmd_bench(const Args& args) {
   if (bins.empty() && !run_probe) {
     throw ConfigError("nothing to run: no bench binaries and --no-probe");
   }
+  // Read the baseline before any bench runs, so a bad file fails at once.
+  const auto baseline = args.options.find("baseline");
+  const std::optional<JsonValue> before =
+      baseline == args.options.end()
+          ? std::nullopt
+          : std::optional<JsonValue>(read_json_file(baseline->second));
 
   // Each binary runs as a subprocess with the shared BenchReport flags and
   // writes one holmes.bench.v1 document to a temp file; "bench" becomes
@@ -1275,11 +1295,8 @@ int cmd_bench(const Args& args) {
 
   // Baseline comparison: structure changes and moved leaves, fingerprint
   // drift excluded (both empty without --baseline).
-  const auto baseline = args.options.find("baseline");
   JsonDiffResult diff;
-  if (baseline != args.options.end()) {
-    diff = diff_json(read_json_file(baseline->second), json_parse(trajectory));
-  }
+  if (before) diff = diff_json(*before, json_parse(trajectory));
   const std::vector<std::string> structural = structure_changes(diff);
   std::vector<JsonDelta> moved;  // descending |rel_change|, like diff.deltas
   for (const JsonDelta& delta : diff.deltas) {
