@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "reference_executor.h"
 #include "sim/executor.h"
 #include "util/rng.h"
 
@@ -230,6 +231,25 @@ TEST_P(ExecutorFuzz, DefaultOptionsMatchCanonical) {
     const auto id = static_cast<TaskId>(i);
     ASSERT_EQ(a.timing(id).start, b.timing(id).start);
     ASSERT_EQ(a.timing(id).finish, b.timing(id).finish);
+  }
+}
+
+/// The engine against the naive reference scheduler (reference_executor.h)
+/// on the same random and tie-heavy DAGs: every timing, busy total and the
+/// makespan agree bit for bit.
+TEST_P(ExecutorFuzz, MatchesReferenceExecutor) {
+  Rng rng(GetParam() ^ 0x2545F4914F6CDD1Dull);
+  for (int trial = 0; trial < 20; ++trial) {
+    const RandomGraph rg = make_random_graph(rng);
+    EXPECT_TRUE(TaskGraphExecutor{}.run(rg.graph).bit_identical(
+        testing::reference_run(rg.graph)))
+        << "random trial " << trial;
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    const RandomGraph rg = make_tie_heavy_graph(rng);
+    EXPECT_TRUE(TaskGraphExecutor{}.run(rg.graph).bit_identical(
+        testing::reference_run(rg.graph)))
+        << "tie-heavy trial " << trial;
   }
 }
 
