@@ -76,7 +76,8 @@ static void BM_AccountOverlap(benchmark::State& state) {
   const SimResult result = TaskGraphExecutor{}.run(g);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        obs::account_overlap(g, result, obs::tag_in({3}), obs::tag_in({1})));
+        obs::account_overlap(g, result, obs::tag_in(g, {3}),
+                             obs::tag_in(g, {1})));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(g.task_count()));

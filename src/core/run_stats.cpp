@@ -26,7 +26,8 @@ std::string format_g(double value) {
 /// Communicator kind of a transfer, from its canonical per-iteration tag
 /// (tag = base + iteration * kIterationStride); falls back to the channel
 /// name for transfers outside the canonical set.
-std::string comm_kind_of(const sim::TaskGraph& graph, const sim::Task& task) {
+std::string comm_kind_of(const sim::TaskGraph& graph,
+                         const sim::TaskInfo& task) {
   switch (task.tag % tags::kIterationStride) {
     case tags::kActivationP2P: return "pp p2p";
     case tags::kGradReduceScatter: return "grad reduce-scatter";
@@ -147,8 +148,11 @@ obs::RunSummary build_run_summary(const net::Topology& topo,
     const sim::TaskTag bwd = last_tag(tags::kBackward);
     const obs::SpanAccount acct = obs::account_tasks(
         graph, result,
-        [&](sim::TaskId, const sim::Task& task) {
-          return (task.tag == fwd || task.tag == bwd) && task.resource >= 0 &&
+        [&](sim::TaskId id) {
+          const sim::TaskTag tag = graph.info(id).tag;
+          const sim::Task& task = graph.task(id);
+          return (tag == fwd || tag == bwd) &&
+                 task.kind == sim::TaskKind::kCompute &&
                  on_stage[static_cast<std::size_t>(task.resource)];
         },
         window);
@@ -180,16 +184,16 @@ obs::RunSummary build_run_summary(const net::Topology& topo,
   }
 
   // ---- exposed vs overlapped communication, measured iteration ----
-  const obs::TaskPredicate compute_cover =
-      obs::tag_in({last_tag(tags::kForward), last_tag(tags::kBackward)});
+  const obs::TaskPredicate compute_cover = obs::tag_in(
+      graph, {last_tag(tags::kForward), last_tag(tags::kBackward)});
   const obs::OverlapAccount grad = obs::account_overlap(
       graph, result,
-      obs::tag_in({last_tag(tags::kGradReduceScatter),
-                   last_tag(tags::kGradAllReduce)}),
+      obs::tag_in(graph, {last_tag(tags::kGradReduceScatter),
+                          last_tag(tags::kGradAllReduce)}),
       compute_cover, window);
   s.grad_sync = {grad.total, grad.overlapped, grad.exposed};
   const obs::OverlapAccount gather = obs::account_overlap(
-      graph, result, obs::tag_in({last_tag(tags::kParamAllGather)}),
+      graph, result, obs::tag_in(graph, {last_tag(tags::kParamAllGather)}),
       compute_cover, window);
   s.param_allgather = {gather.total, gather.overlapped, gather.exposed};
 
@@ -243,7 +247,7 @@ obs::CriticalPathSummary build_critical_path_summary(
       case obs::SegmentKind::kCommBusy:
         return std::string("comm/") +
                nic_class_of(graph.resource_name(segment.resource)) + "/" +
-               comm_kind_of(graph, graph.task(segment.task));
+               comm_kind_of(graph, graph.info(segment.task));
       case obs::SegmentKind::kCommLatency:
         return std::string("latency/") +
                nic_class_of(graph.resource_name(segment.resource));
@@ -319,12 +323,13 @@ obs::CriticalPathSummary build_critical_path_summary(
   // ---- first-order what-if sensitivities over the windowed path ----
   const std::vector<obs::WhatIf> whatifs = obs::what_if_sensitivities(
       graph, clipped,
-      // `task` is the segment's controlling task: its own for busy spans,
+      // `kind` is the segment's controlling task's: its own for busy spans,
       // the blocking occupant for queue waits. Either way segment.resource
       // is the resource that task occupied (a wait's contended resource IS
       // the holder's), so the class lookups below work for both.
-      [&](const obs::PathSegment& segment, const sim::Task& task) -> std::string {
-        if (task.kind == sim::TaskKind::kCompute) {
+      [&](const obs::PathSegment& segment,
+          sim::TaskKind kind) -> std::string {
+        if (kind == sim::TaskKind::kCompute) {
           const std::string bucket = stage_bucket(segment.resource);
           return bucket == "compute/other" ? std::string() : bucket;
         }

@@ -87,7 +87,8 @@ struct SimArtifacts {
 };
 
 /// Size budget of one lowered run, all iterations together: 2^24 tasks,
-/// about 2.1 GiB at the ~135 bytes of peak memory a lowered task costs, and
+/// about 2.7 GiB at the ~174 bytes of peak memory a lowered task costs
+/// (`simulate 64x8:ib+64x8:roce 7`: 1.65M tasks, 274 MiB peak RSS), and
 /// 20x the 800k tasks of the largest 256-GPU parameter groups. Dependencies
 /// get four per task (lowered graphs carry fewer than two). Both stay well
 /// inside TaskId's int32 range and the uint32 CSR offsets;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/timing_internal.h"
+
 namespace holmes::obs {
 
 SimTime Window::clip(SimTime s, SimTime f) const {
@@ -13,27 +15,15 @@ SimTime Window::clip(SimTime s, SimTime f) const {
 
 namespace {
 
-/// Serialization time of a transfer as the executor scheduled it.
-SimTime serialization_of(const sim::Task& task,
-                         const sim::TaskTiming& timing) {
-  return std::max(0.0, timing.finish - timing.start - task.latency);
-}
+using detail::busy_end;
+using detail::ready_time;
+using detail::serialization_of;
 
 /// True when [s, f) (or the instant s for zero-length tasks) intersects the
 /// window.
 bool in_window(const Window& window, SimTime s, SimTime f) {
   if (s >= window.begin && s < window.end) return true;
   return f > window.begin && s < window.end;
-}
-
-/// Latest dependency finish (the task's data-ready time).
-SimTime dep_ready(const sim::TaskGraph& graph, const sim::SimResult& result,
-                  sim::TaskId id) {
-  SimTime ready = 0;
-  for (sim::TaskId dep : graph.deps(id)) {
-    ready = std::max(ready, result.timing(dep).finish);
-  }
-  return ready;
 }
 
 /// Measure of the union of intervals (assumed individually well-formed).
@@ -97,53 +87,28 @@ std::vector<ResourceAccount> account_resources(const sim::TaskGraph& graph,
 
   for (std::size_t i = 0; i < graph.task_count(); ++i) {
     const sim::Task& task = graph.tasks()[i];
-    const sim::TaskTiming& timing = result.timing(static_cast<sim::TaskId>(i));
-    switch (task.kind) {
-      case sim::TaskKind::kCompute: {
-        ResourceAccount& acc =
-            accounts[static_cast<std::size_t>(task.resource)];
-        acc.is_device = true;
-        acc.busy += window.clip(timing.start, timing.finish);
-        if (in_window(window, timing.start, timing.finish)) ++acc.tasks;
-        const SimTime ready =
-            dep_ready(graph, result, static_cast<sim::TaskId>(i));
-        acc.waiting += window.clip(ready, timing.start);
-        break;
+    if (task.kind == sim::TaskKind::kNoop) continue;
+    const auto id = static_cast<sim::TaskId>(i);
+    const sim::TaskTiming& timing = result.timing(id);
+    const bool compute = task.kind == sim::TaskKind::kCompute;
+    const SimTime held_until = busy_end(task, timing);
+    const SimTime busy = window.clip(timing.start, held_until);
+    const SimTime wait = window.clip(ready_time(graph, result, id),
+                                     timing.start);
+    const bool counted = in_window(window, timing.start, held_until);
+    const Bytes bytes = graph.infos()[i].bytes;  // 0 for a compute
+    auto charge = [&](sim::ResourceId resource) {
+      ResourceAccount& acc = accounts[static_cast<std::size_t>(resource)];
+      (compute ? acc.is_device : acc.is_link) = true;
+      acc.busy += busy;
+      acc.waiting += wait;
+      if (counted) {
+        acc.bytes += bytes;
+        ++acc.tasks;
       }
-      case sim::TaskKind::kTransfer: {
-        const SimTime serialization = serialization_of(task, timing);
-        const SimTime busy =
-            window.clip(timing.start, timing.start + serialization);
-        const SimTime wait =
-            window.clip(dep_ready(graph, result, static_cast<sim::TaskId>(i)),
-                        timing.start);
-        const bool counted =
-            in_window(window, timing.start, timing.start + serialization);
-        ResourceAccount& src =
-            accounts[static_cast<std::size_t>(task.src_port)];
-        src.is_link = true;
-        src.busy += busy;
-        src.waiting += wait;
-        if (counted) {
-          src.bytes += task.bytes;
-          ++src.tasks;
-        }
-        if (task.dst_port != task.src_port) {
-          ResourceAccount& dst =
-              accounts[static_cast<std::size_t>(task.dst_port)];
-          dst.is_link = true;
-          dst.busy += busy;
-          dst.waiting += wait;
-          if (counted) {
-            dst.bytes += task.bytes;
-            ++dst.tasks;
-          }
-        }
-        break;
-      }
-      case sim::TaskKind::kNoop:
-        break;
-    }
+    };
+    charge(task.resource);
+    if (task.dst_port != task.resource) charge(task.dst_port);
   }
   return accounts;
 }
@@ -162,20 +127,20 @@ std::vector<ChannelAccount> account_channels(const sim::TaskGraph& graph,
   }
   for (std::size_t i = 0; i < graph.task_count(); ++i) {
     const sim::Task& task = graph.tasks()[i];
+    const sim::TaskInfo& info = graph.infos()[i];
     if (task.kind != sim::TaskKind::kTransfer ||
-        task.channel == sim::kInvalidChannel) {
+        info.channel == sim::kInvalidChannel) {
       continue;
     }
     const sim::TaskTiming& timing = result.timing(static_cast<sim::TaskId>(i));
     if (timing.start < window.begin || timing.start >= window.end) continue;
-    ChannelAccount& acc = accounts[static_cast<std::size_t>(task.channel)];
-    acc.bytes += task.bytes;
+    const auto c = static_cast<std::size_t>(info.channel);
+    ChannelAccount& acc = accounts[c];
+    acc.bytes += info.bytes;
     ++acc.transfers;
     acc.busy += serialization_of(task, timing);
-    first[static_cast<std::size_t>(task.channel)] =
-        std::min(first[static_cast<std::size_t>(task.channel)], timing.start);
-    last[static_cast<std::size_t>(task.channel)] =
-        std::max(last[static_cast<std::size_t>(task.channel)], timing.finish);
+    first[c] = std::min(first[c], timing.start);
+    last[c] = std::max(last[c], timing.finish);
   }
   for (std::size_t c = 0; c < accounts.size(); ++c) {
     if (accounts[c].transfers > 0) {
@@ -193,9 +158,8 @@ SpanAccount account_tasks(const sim::TaskGraph& graph,
   SimTime first = std::numeric_limits<SimTime>::infinity();
   SimTime last = -std::numeric_limits<SimTime>::infinity();
   for (std::size_t i = 0; i < graph.task_count(); ++i) {
-    const sim::Task& task = graph.tasks()[i];
-    if (task.kind == sim::TaskKind::kNoop) continue;
-    if (!predicate(static_cast<sim::TaskId>(i), task)) continue;
+    if (graph.tasks()[i].kind == sim::TaskKind::kNoop) continue;
+    if (!predicate(static_cast<sim::TaskId>(i))) continue;
     const sim::TaskTiming& timing = result.timing(static_cast<sim::TaskId>(i));
     const SimTime busy = window.clip(timing.start, timing.finish);
     if (busy <= 0 &&
@@ -223,18 +187,14 @@ OverlapAccount account_overlap(const sim::TaskGraph& graph,
   std::vector<std::pair<SimTime, SimTime>> spans;
   std::vector<std::pair<SimTime, SimTime>> covers;
   for (std::size_t i = 0; i < graph.task_count(); ++i) {
-    const sim::Task& task = graph.tasks()[i];
-    if (task.kind == sim::TaskKind::kNoop) continue;
-    const sim::TaskTiming& timing = result.timing(static_cast<sim::TaskId>(i));
+    if (graph.tasks()[i].kind == sim::TaskKind::kNoop) continue;
+    const auto id = static_cast<sim::TaskId>(i);
+    const sim::TaskTiming& timing = result.timing(id);
     const SimTime lo = std::max(timing.start, window.begin);
     const SimTime hi = std::min(timing.finish, window.end);
     if (hi <= lo) continue;
-    if (span_tasks(static_cast<sim::TaskId>(i), task)) {
-      spans.emplace_back(lo, hi);
-    }
-    if (cover_tasks(static_cast<sim::TaskId>(i), task)) {
-      covers.emplace_back(lo, hi);
-    }
+    if (span_tasks(id)) spans.emplace_back(lo, hi);
+    if (cover_tasks(id)) covers.emplace_back(lo, hi);
   }
   OverlapAccount account;
   const std::vector<std::pair<SimTime, SimTime>> merged_covers =
@@ -249,9 +209,11 @@ OverlapAccount account_overlap(const sim::TaskGraph& graph,
   return account;
 }
 
-TaskPredicate tag_in(std::vector<sim::TaskTag> tags) {
-  return [tags = std::move(tags)](sim::TaskId, const sim::Task& task) {
-    return std::find(tags.begin(), tags.end(), task.tag) != tags.end();
+TaskPredicate tag_in(const sim::TaskGraph& graph,
+                     std::vector<sim::TaskTag> tags) {
+  return [&graph, tags = std::move(tags)](sim::TaskId id) {
+    const sim::TaskTag tag = graph.info(id).tag;
+    return std::find(tags.begin(), tags.end(), tag) != tags.end();
   };
 }
 

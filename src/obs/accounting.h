@@ -93,7 +93,8 @@ struct SpanAccount {
   std::size_t tasks = 0;
 };
 
-using TaskPredicate = std::function<bool(sim::TaskId, const sim::Task&)>;
+/// Selects tasks by id; a predicate reads what it needs through the graph.
+using TaskPredicate = std::function<bool(sim::TaskId)>;
 
 /// Aggregates every task matching `predicate` over `window`. Noops are
 /// skipped (zero duration, they only distort spans).
@@ -117,8 +118,10 @@ OverlapAccount account_overlap(const sim::TaskGraph& graph,
                                const TaskPredicate& cover_tasks,
                                const Window& window = {});
 
-/// Predicate matching any of the given tags (convenience for the canonical
-/// per-iteration tag scheme).
-TaskPredicate tag_in(std::vector<sim::TaskTag> tags);
+/// Predicate matching `graph`'s tasks that carry any of the given tags
+/// (convenience for the canonical per-iteration tag scheme). The predicate
+/// reads `graph`, which must outlive it.
+TaskPredicate tag_in(const sim::TaskGraph& graph,
+                     std::vector<sim::TaskTag> tags);
 
 }  // namespace holmes::obs

@@ -4,6 +4,7 @@
 #include <limits>
 #include <ostream>
 
+#include "obs/timing_internal.h"
 #include "util/error.h"
 #include "util/json.h"
 #include "util/table.h"
@@ -13,22 +14,7 @@ namespace holmes::obs {
 
 namespace {
 
-/// The instant `task` releases its serial resources — the executor's own
-/// recorded ports_free, so comparisons against start times are exact even
-/// when a fault timeline stretched the occupancy beyond bytes/bandwidth.
-SimTime release_time(const sim::Task& /*task*/, const sim::TaskTiming& timing) {
-  return timing.ports_free;
-}
-
-/// When `task`'s dependencies had all finished (the executor's ready time).
-SimTime ready_time(const sim::TaskGraph& graph, const sim::SimResult& result,
-                   sim::TaskId id) {
-  SimTime ready = 0;
-  for (sim::TaskId dep : graph.deps(id)) {
-    ready = std::max(ready, result.timing(dep).finish);
-  }
-  return ready;
-}
+using detail::ready_time;
 
 /// One occupancy of a serial resource.
 struct Occupancy {
@@ -74,22 +60,20 @@ CriticalPath extract_critical_path(const sim::TaskGraph& graph,
   if (n == 0) return path;
 
   // Per-resource occupancy lists in acquire order (ties by task id), for
-  // finding the occupant whose release bound a resource-blocked start.
+  // finding the occupant whose release bound a resource-blocked start. A
+  // task releases its resources at the executor's own recorded ports_free,
+  // so comparisons against start times are exact even when a fault timeline
+  // stretched the occupancy beyond bytes/bandwidth.
   std::vector<std::vector<Occupancy>> occupancy(graph.resource_count());
   for (std::size_t i = 0; i < n; ++i) {
     const sim::Task& task = graph.tasks()[i];
+    if (task.kind == sim::TaskKind::kNoop) continue;
     const sim::TaskTiming& timing = result.timing(static_cast<sim::TaskId>(i));
-    const SimTime release = release_time(task, timing);
-    if (task.kind == sim::TaskKind::kCompute) {
-      occupancy[static_cast<std::size_t>(task.resource)].push_back(
-          {timing.start, release, static_cast<sim::TaskId>(i)});
-    } else if (task.kind == sim::TaskKind::kTransfer) {
-      occupancy[static_cast<std::size_t>(task.src_port)].push_back(
-          {timing.start, release, static_cast<sim::TaskId>(i)});
-      if (task.dst_port != task.src_port) {
-        occupancy[static_cast<std::size_t>(task.dst_port)].push_back(
-            {timing.start, release, static_cast<sim::TaskId>(i)});
-      }
+    const Occupancy held{timing.start, timing.ports_free,
+                         static_cast<sim::TaskId>(i)};
+    occupancy[static_cast<std::size_t>(task.resource)].push_back(held);
+    if (task.dst_port != task.resource) {
+      occupancy[static_cast<std::size_t>(task.dst_port)].push_back(held);
     }
   }
   // Prefix maxima of release times let the blocker search below stop as
@@ -175,10 +159,9 @@ CriticalPath extract_critical_path(const sim::TaskGraph& graph,
     // Resource-bound: one of the task's serial resources was held until
     // exactly this start time.
     std::vector<sim::ResourceId> resources;
-    if (task.kind == sim::TaskKind::kCompute) {
+    if (task.kind != sim::TaskKind::kNoop) {
       resources = {task.resource};
-    } else if (task.kind == sim::TaskKind::kTransfer) {
-      resources = {task.src_port, task.dst_port};
+      if (task.dst_port != task.resource) resources.push_back(task.dst_port);
     }
     sim::TaskId pred = sim::kInvalidTask;
     sim::ResourceId bound_resource = -1;
@@ -217,12 +200,10 @@ CriticalPath extract_critical_path(const sim::TaskGraph& graph,
     const bool last = k + 1 == chain.size();
     const SimTime next_bind =
         last ? path.makespan : result.timing(chain[k + 1].task).start;
-    const SimTime release = release_time(task, timing);
+    const SimTime release = timing.ports_free;
     const SegmentKind busy_kind = task.kind == sim::TaskKind::kTransfer
                                       ? SegmentKind::kCommBusy
                                       : SegmentKind::kCompute;
-    const sim::ResourceId own_resource =
-        task.kind == sim::TaskKind::kTransfer ? task.src_port : task.resource;
 
     if (!last && chain[k + 1].edge == PathEdge::kResource) {
       // The successor sat ready while this task held the resource: the tail
@@ -230,7 +211,7 @@ CriticalPath extract_critical_path(const sim::TaskGraph& graph,
       const SimTime ready_next = ready_time(graph, result, chain[k + 1].task);
       const SimTime wait_begin = std::max(timing.start, ready_next);
       emit(link.task, busy_kind, link.edge, timing.start, wait_begin,
-           own_resource, link.task);
+           task.resource, link.task);
       emit(chain[k + 1].task, SegmentKind::kQueueWait, PathEdge::kResource,
            wait_begin, next_bind, chain[k + 1].blocked_resource, link.task);
     } else {
@@ -238,9 +219,9 @@ CriticalPath extract_critical_path(const sim::TaskGraph& graph,
       // runs to this task's finish; a transfer contributes its propagation
       // latency after the ports free.
       emit(link.task, busy_kind, link.edge, timing.start,
-           std::min(release, next_bind), own_resource, link.task);
+           std::min(release, next_bind), task.resource, link.task);
       emit(link.task, SegmentKind::kCommLatency, link.edge,
-           std::min(release, next_bind), next_bind, own_resource, link.task);
+           std::min(release, next_bind), next_bind, task.resource, link.task);
     }
   }
   return path;

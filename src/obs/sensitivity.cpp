@@ -22,7 +22,7 @@ std::vector<WhatIf> what_if_sensitivities(const sim::TaskGraph& graph,
       source = segment.holder;
     }
     if (source == sim::kInvalidTask) continue;
-    const std::string target = classify(segment, graph.task(source));
+    const std::string target = classify(segment, graph.task(source).kind);
     if (target.empty()) continue;
     totals[target] += segment.duration();
   }

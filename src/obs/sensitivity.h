@@ -49,11 +49,11 @@ struct WhatIf {
 };
 
 /// Maps a segment to the name of its speedup-addressable class, or "" to
-/// exclude it. For busy segments the task is the segment's own; for
-/// kQueueWait it is the blocking occupant (PathSegment::holder). Latency
-/// segments are never offered.
+/// exclude it, given the kind of the segment's controlling task: for busy
+/// segments the segment's own task, for kQueueWait the blocking occupant
+/// (PathSegment::holder). Latency segments are never offered.
 using SegmentClassifier =
-    std::function<std::string(const PathSegment&, const sim::Task&)>;
+    std::function<std::string(const PathSegment&, sim::TaskKind)>;
 
 /// Aggregates the path's busy segments into per-class sensitivities,
 /// descending by critical_s (ties by name). Classes whose path time is 0

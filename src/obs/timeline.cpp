@@ -6,6 +6,7 @@
 #include <map>
 #include <utility>
 
+#include "obs/timing_internal.h"
 #include "sim/rate_timeline.h"
 #include "util/error.h"
 
@@ -13,34 +14,15 @@ namespace holmes::obs {
 
 namespace {
 
-/// Serialization time of a transfer as the executor scheduled it — the
-/// ports' occupancy interval, including any RateTimeline stretching (the
-/// executor folded it into finish/ports_free; recomputing bytes/bandwidth
-/// would be wrong under a fault window). Identical to the accounting
-/// layer's helper.
-SimTime serialization_of(const sim::Task& task,
-                         const sim::TaskTiming& timing) {
-  return std::max(0.0, timing.finish - timing.start - task.latency);
-}
+using detail::busy_end;
+using detail::ready_time;
 
-/// End of the interval a task holds its resources: a compute task holds its
-/// device to the finish, a transfer its ports for the serialization only.
-SimTime busy_end(const sim::Task& task, const sim::TaskTiming& timing) {
-  return task.kind == sim::TaskKind::kCompute
-             ? timing.finish
-             : timing.start + serialization_of(task, timing);
-}
-
-/// Calls `fn` with each resource a compute or transfer task occupies: the
-/// device, or the source port and (when distinct) the destination port.
+/// Calls `fn` with each resource a compute or transfer task occupies: its
+/// resource and, when distinct, its destination port.
 template <typename Fn>
 void for_each_port(const sim::Task& task, Fn&& fn) {
-  if (task.kind == sim::TaskKind::kCompute) {
-    fn(static_cast<std::size_t>(task.resource));
-    return;
-  }
-  fn(static_cast<std::size_t>(task.src_port));
-  if (task.dst_port != task.src_port) {
+  fn(static_cast<std::size_t>(task.resource));
+  if (task.dst_port != task.resource) {
     fn(static_cast<std::size_t>(task.dst_port));
   }
 }
@@ -283,21 +265,21 @@ StepSeries busy_from_intervals(const std::vector<Interval>& intervals) {
 }
 
 /// Groups task ids by slot as a CSR: slot s holds ids[offsets[s] ..
-/// offsets[s + 1]) in ascending id order. `slots_of(task, add)` calls
-/// add(slot) once for each slot `task` belongs to.
+/// offsets[s + 1]) in ascending id order. `slots_of(i, add)` calls add(slot)
+/// once for each slot task `i` belongs to.
 template <typename SlotsOf>
-void index_tasks(const std::vector<sim::Task>& tasks, std::size_t slots,
-                 SlotsOf&& slots_of, std::vector<std::uint32_t>& offsets,
+void index_tasks(std::size_t tasks, std::size_t slots, SlotsOf&& slots_of,
+                 std::vector<std::uint32_t>& offsets,
                  std::vector<sim::TaskId>& ids) {
   offsets.assign(slots + 1, 0);
-  for (const sim::Task& task : tasks) {
-    slots_of(task, [&](std::size_t slot) { ++offsets[slot + 1]; });
+  for (std::size_t i = 0; i < tasks; ++i) {
+    slots_of(i, [&](std::size_t slot) { ++offsets[slot + 1]; });
   }
   for (std::size_t s = 0; s < slots; ++s) offsets[s + 1] += offsets[s];
   ids.resize(offsets[slots]);
   std::vector<std::uint32_t> next(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    slots_of(tasks[i], [&](std::size_t slot) {
+  for (std::size_t i = 0; i < tasks; ++i) {
+    slots_of(i, [&](std::size_t slot) {
       ids[next[slot]++] = static_cast<sim::TaskId>(i);
     });
   }
@@ -447,8 +429,7 @@ std::vector<ClassTimeline> extract_class_timelines(
   std::vector<bool> is_link(graph.resource_count(), false);
   for (const sim::Task& task : tasks) {
     if (task.kind != sim::TaskKind::kTransfer) continue;
-    is_link[static_cast<std::size_t>(task.src_port)] = true;
-    is_link[static_cast<std::size_t>(task.dst_port)] = true;
+    for_each_port(task, [&](std::size_t port) { is_link[port] = true; });
   }
 
   // Class slots in name order; ports counted in id order.
@@ -565,15 +546,15 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
   // (in-flight fall, cumulative delivery). Each channel's series are
   // reduced to its peak, buckets and right-edge samples before the next
   // channel's are built.
-  const std::vector<sim::Task>& tasks = graph.tasks();
+  const std::vector<sim::TaskInfo>& infos = graph.infos();
   std::vector<std::uint32_t> channel_offsets;
   std::vector<sim::TaskId> channel_tasks;
   index_tasks(
-      tasks, channel_accounts.size(),
-      [](const sim::Task& task, auto&& add) {
-        if (task.kind == sim::TaskKind::kTransfer &&
-            task.channel != sim::kInvalidChannel) {
-          add(static_cast<std::size_t>(task.channel));
+      graph.task_count(), channel_accounts.size(),
+      [&](std::size_t i, auto&& add) {
+        if (graph.tasks()[i].kind == sim::TaskKind::kTransfer &&
+            infos[i].channel != sim::kInvalidChannel) {
+          add(static_cast<std::size_t>(infos[i].channel));
         }
       },
       channel_offsets, channel_tasks);
@@ -588,7 +569,7 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
       const sim::TaskId id = channel_tasks[k];
       const sim::TaskTiming& timing = result.timing(id);
       const auto bytes =
-          static_cast<double>(tasks[static_cast<std::size_t>(id)].bytes);
+          static_cast<double>(infos[static_cast<std::size_t>(id)].bytes);
       if (timing.finish > timing.start) {
         start.emplace_back(timing.start, bytes);
       }
@@ -707,10 +688,11 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
 ResourceSeriesIndex::ResourceSeriesIndex(const sim::TaskGraph& graph,
                                          const sim::SimResult& result)
     : graph_(graph), result_(result) {
+  const std::vector<sim::Task>& tasks = graph.tasks();
   index_tasks(
-      graph.tasks(), graph.resource_count(),
-      [](const sim::Task& task, auto&& add) {
-        if (task.kind != sim::TaskKind::kNoop) for_each_port(task, add);
+      tasks.size(), graph.resource_count(),
+      [&](std::size_t i, auto&& add) {
+        if (tasks[i].kind != sim::TaskKind::kNoop) for_each_port(tasks[i], add);
       },
       offsets_, tasks_);
 }
@@ -720,7 +702,7 @@ ResourceSeries ResourceSeriesIndex::series(sim::ResourceId resource) const {
   HOLMES_CHECK_MSG(resource >= 0 && r + 1 < offsets_.size(),
                    "resource is not in the task graph");
   // The resource's tasks in id order, each contributing its busy interval
-  // (the `ports_free` stretching for transfers, via the accounting layer's
+  // (the `ports_free` stretching for transfers, via the shared
   // serialization helper) and, when it waited, +1 at its ready instant
   // (latest dependency finish) and -1 at its start.
   std::vector<Interval> busy;
@@ -733,10 +715,7 @@ ResourceSeries ResourceSeriesIndex::series(sim::ResourceId resource) const {
     const sim::TaskTiming& timing = result_.timing(id);
     const SimTime end_busy = busy_end(task, timing);
     if (end_busy > timing.start) busy.push_back({timing.start, end_busy});
-    SimTime ready = 0;
-    for (sim::TaskId dep : graph_.deps(id)) {
-      ready = std::max(ready, result_.timing(dep).finish);
-    }
+    const SimTime ready = ready_time(graph_, result_, id);
     if (timing.start > ready) {
       queue_up.push_back(ready);
       queue_down.push_back(timing.start);

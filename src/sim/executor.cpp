@@ -125,7 +125,7 @@ double SimResult::resource_utilization(ResourceId resource) const {
 SimTime SimResult::tag_busy(const TaskGraph& graph, TaskTag tag) const {
   SimTime total = 0;
   for (std::size_t i = 0; i < graph.task_count(); ++i) {
-    if (graph.tasks()[i].tag == tag) {
+    if (graph.infos()[i].tag == tag) {
       total += timing_[i].finish - timing_[i].start;
     }
   }
@@ -137,7 +137,7 @@ SimTime SimResult::tag_span(const TaskGraph& graph, TaskTag tag) const {
   SimTime last = -std::numeric_limits<SimTime>::infinity();
   bool any = false;
   for (std::size_t i = 0; i < graph.task_count(); ++i) {
-    if (graph.tasks()[i].tag == tag) {
+    if (graph.infos()[i].tag == tag) {
       any = true;
       first = std::min(first, timing_[i].start);
       last = std::max(last, timing_[i].finish);
@@ -177,11 +177,11 @@ SimResult TaskGraphExecutor::run(const TaskGraph& graph) {
 
   const std::size_t n = graph.task_count();
 
-  // The CSR adjacency and compact scheduling records are cached on the
-  // graph, so repeated runs over the same graph pay for them once. The hot
-  // loop walks the raw arrays directly.
+  // The CSR adjacency and the records' inline dependents are compiled once
+  // per graph, so repeated runs over the same graph pay for them once. The
+  // hot loop walks the raw arrays directly.
   graph.build_adjacency();
-  const std::span<const SchedTask> sched = graph.sched_tasks();
+  const Task* const tasks = graph.tasks().data();
   const std::uint32_t* const dep_off = graph.dep_offsets().data();
   const TaskId* const out_list = graph.dependent_list().data();
 
@@ -191,8 +191,8 @@ SimResult TaskGraphExecutor::run(const TaskGraph& graph) {
   }
 
   std::vector<TaskTiming> timing(n);
-  // One extra slot: the scratch resource noop SchedTasks resolve to (see the
-  // SchedTask doc). Its busy tally only ever accumulates zeros and is
+  // One extra slot: the scratch resource noops resolve to (see the Task
+  // doc). Its busy tally only ever accumulates zeros and is
   // dropped before the result is built.
   std::vector<SimTime> resource_avail(graph.resource_count() + 1, 0);
   std::vector<SimTime> resource_busy(graph.resource_count() + 1, 0);
@@ -224,20 +224,20 @@ SimResult TaskGraphExecutor::run(const TaskGraph& graph) {
   // by every tie-break driver so the placement semantics cannot drift
   // between them.
   auto place_task = [&](SimTime ready_at, TaskId id, auto&& emit) {
-    const SchedTask& task = sched[static_cast<std::size_t>(id)];
+    const Task& task = tasks[static_cast<std::size_t>(id)];
 
     // Dependent state lines are the placement's only unpredictable demand
     // loads left; start them before the arithmetic below needs the results.
     {
       const std::uint32_t pin =
-          task.out_count < SchedTask::kInlineOut ? task.out_count
-                                                 : SchedTask::kInlineOut;
+          task.out_count < Task::kInlineOut ? task.out_count
+                                                 : Task::kInlineOut;
       for (std::uint32_t j = 0; j < pin; ++j) {
         __builtin_prefetch(&state[static_cast<std::size_t>(task.out[j])], 1);
       }
     }
 
-    // Unified branch-free placement; bit-exact per kind (SchedTask doc).
+    // Unified branch-free placement; bit-exact per kind (Task doc).
     // Ports are occupied only for the (precomputed) serialization time; the
     // propagation latency delays the dependents, not the ports.
     SimTime& src = resource_avail[static_cast<std::size_t>(task.resource)];
@@ -276,16 +276,16 @@ SimResult TaskGraphExecutor::run(const TaskGraph& graph) {
         // of placements on large graphs). Task ids arrive in near-random
         // order there, so the lines its placement will touch are almost
         // never resident — warm them now, off the critical path. Everything
-        // placement reads lives in the task's single SchedTask line.
-        __builtin_prefetch(&sched[static_cast<std::size_t>(next)]);
+        // placement reads lives in the task's single Task line.
+        __builtin_prefetch(&tasks[static_cast<std::size_t>(next)]);
         __builtin_prefetch(&timing[static_cast<std::size_t>(next)], 1);
       }
     };
     const std::uint32_t inline_out =
-        task.out_count < SchedTask::kInlineOut ? task.out_count
-                                               : SchedTask::kInlineOut;
+        task.out_count < Task::kInlineOut ? task.out_count
+                                               : Task::kInlineOut;
     for (std::uint32_t j = 0; j < inline_out; ++j) release(task.out[j]);
-    for (std::uint32_t j = SchedTask::kInlineOut; j < task.out_count; ++j) {
+    for (std::uint32_t j = Task::kInlineOut; j < task.out_count; ++j) {
       release(out_list[task.out_begin + j]);
     }
   };
@@ -393,7 +393,7 @@ SimResult TaskGraphExecutor::run(const TaskGraph& graph) {
 
         std::size_t cut = head;
         while (cut < pool.size()) {
-          const SchedTask& task = sched[static_cast<std::size_t>(pool[cut])];
+          const Task& task = tasks[static_cast<std::size_t>(pool[cut])];
           if ((now + task.latency) + task.cost == now) break;
           ++cut;
         }
@@ -409,7 +409,7 @@ SimResult TaskGraphExecutor::run(const TaskGraph& graph) {
           PoolComponents uf(width);
           ++epoch;
           for (std::size_t i = 0; i < width; ++i) {
-            const SchedTask& task = sched[static_cast<std::size_t>(prefix[i])];
+            const Task& task = tasks[static_cast<std::size_t>(prefix[i])];
             for (ResourceId r : {task.resource, task.dst_port}) {
               const auto ri = static_cast<std::size_t>(r);
               if (owner_epoch[ri] == epoch) {

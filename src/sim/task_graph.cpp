@@ -23,25 +23,13 @@ ResourceId TaskGraph::add_resource(std::string name) {
   return static_cast<ResourceId>(resource_names_.size() - 1);
 }
 
-TaskId TaskGraph::push(const Task& task) {
+TaskId TaskGraph::push(const Task& task, const TaskInfo& info) {
   HOLMES_CHECK(tasks_.size() <
                static_cast<std::size_t>(std::numeric_limits<TaskId>::max()));
-  if (prof::enabled()) {
-    prof::count(&SelfProfileCounters::tasks_created);
-    switch (task.kind) {
-      case TaskKind::kCompute:
-        prof::count(&SelfProfileCounters::compute_tasks);
-        break;
-      case TaskKind::kTransfer:
-        prof::count(&SelfProfileCounters::transfer_tasks);
-        break;
-      case TaskKind::kNoop:
-        prof::count(&SelfProfileCounters::noop_tasks);
-        break;
-    }
-  }
+  prof::count(&SelfProfileCounters::tasks_created);
   adjacency_valid_ = false;
   tasks_.push_back(task);
+  infos_.push_back(info);
   return static_cast<TaskId>(tasks_.size() - 1);
 }
 
@@ -65,10 +53,13 @@ TaskId TaskGraph::add_compute(ResourceId resource, SimTime duration,
   Task t;
   t.kind = TaskKind::kCompute;
   t.resource = resource;
-  t.duration = duration;
-  t.label = intern(label);
-  t.tag = tag;
-  return push(t);
+  t.dst_port = resource;
+  t.cost = duration;
+  TaskInfo info;
+  info.label = intern(label);
+  info.tag = tag;
+  prof::count(&SelfProfileCounters::compute_tasks);
+  return push(t, info);
 }
 
 TaskId TaskGraph::add_transfer(ResourceId src_port, ResourceId dst_port,
@@ -91,23 +82,30 @@ TaskId TaskGraph::add_transfer(ResourceId src_port, ResourceId dst_port,
                    "unknown channel");
   Task t;
   t.kind = TaskKind::kTransfer;
-  t.channel = channel;
-  t.src_port = src_port;
+  t.resource = src_port;
   t.dst_port = dst_port;
-  t.bytes = bytes;
-  t.bandwidth = bandwidth;
+  // The ports are held for the serialization time; the division is done
+  // here once, so placement never divides.
+  t.cost = bytes > 0 ? static_cast<double>(bytes) / bandwidth : 0.0;
   t.latency = latency;
-  t.label = intern(label);
-  t.tag = tag;
-  return push(t);
+  TaskInfo info;
+  info.bytes = bytes;
+  info.bandwidth = bandwidth;
+  info.channel = channel;
+  info.label = intern(label);
+  info.tag = tag;
+  prof::count(&SelfProfileCounters::transfer_tasks);
+  return push(t, info);
 }
 
 TaskId TaskGraph::add_noop(std::string_view label, TaskTag tag) {
-  Task t;
-  t.kind = TaskKind::kNoop;
-  t.label = intern(label);
-  t.tag = tag;
-  return push(t);
+  // Its resources are set to the scratch slot by build_adjacency(): more
+  // resources may still be added.
+  TaskInfo info;
+  info.label = intern(label);
+  info.tag = tag;
+  prof::count(&SelfProfileCounters::noop_tasks);
+  return push(Task{}, info);
 }
 
 void TaskGraph::add_dep(TaskId task, TaskId dep) {
@@ -129,11 +127,13 @@ void TaskGraph::add_deps(TaskId task, std::span<const TaskId> deps) {
 
 void TaskGraph::reserve(std::size_t tasks, std::size_t deps) {
   tasks_.reserve(tasks);
+  infos_.reserve(tasks);
   edges_.reserve(deps);
 }
 
 void TaskGraph::clear() {
   tasks_.clear();
+  infos_.clear();
   edges_.clear();
   resource_names_.clear();
   channel_names_.clear();
@@ -149,8 +149,13 @@ const Task& TaskGraph::task(TaskId id) const {
   return tasks_[static_cast<std::size_t>(id)];
 }
 
+const TaskInfo& TaskGraph::info(TaskId id) const {
+  HOLMES_CHECK(id >= 0 && static_cast<std::size_t>(id) < infos_.size());
+  return infos_[static_cast<std::size_t>(id)];
+}
+
 const std::string& TaskGraph::label(TaskId id) const {
-  return labels_[task(id).label];
+  return labels_[info(id).label];
 }
 
 const std::string& TaskGraph::resource_name(ResourceId id) const {
@@ -188,11 +193,6 @@ std::span<const TaskId> TaskGraph::dependents(TaskId id) const {
   const std::size_t i = static_cast<std::size_t>(id);
   return {dependent_list_.data() + dependent_offset_[i],
           dependent_list_.data() + dependent_offset_[i + 1]};
-}
-
-std::span<const SchedTask> TaskGraph::sched_tasks() const {
-  if (!adjacency_valid_) build_adjacency();
-  return {sched_tasks_.data(), sched_tasks_.size()};
 }
 
 std::span<const std::uint32_t> TaskGraph::dep_offsets() const {
@@ -245,40 +245,20 @@ void TaskGraph::build_adjacency() const {
     dependent_list_[dependent_cursor[static_cast<std::size_t>(e.dep)]++] =
         e.task;
   }
-  sched_tasks_.assign(n, SchedTask{});
+  // See the Task doc comment: noops resolve to the scratch slot so
+  // placement is branch-free.
+  const auto scratch = static_cast<ResourceId>(resource_names_.size());
   for (std::size_t i = 0; i < n; ++i) {
-    const Task& t = tasks_[i];
-    SchedTask& s = sched_tasks_[i];
-    s.out_begin = dependent_offset_[i];
-    s.out_count = dependent_offset_[i + 1] - dependent_offset_[i];
-    const std::uint32_t inl = std::min(s.out_count, SchedTask::kInlineOut);
+    Task& t = tasks_[i];
+    t.out_begin = dependent_offset_[i];
+    t.out_count = dependent_offset_[i + 1] - dependent_offset_[i];
+    const std::uint32_t inl = std::min(t.out_count, Task::kInlineOut);
     for (std::uint32_t j = 0; j < inl; ++j) {
-      s.out[j] = dependent_list_[s.out_begin + j];
+      t.out[j] = dependent_list_[t.out_begin + j];
     }
-    s.kind = t.kind;
-    // See the SchedTask doc comment: every kind resolves to valid resource
-    // indices so placement is branch-free; noops park on the scratch slot.
-    const auto scratch = static_cast<ResourceId>(resource_names_.size());
-    switch (t.kind) {
-      case TaskKind::kCompute:
-        s.resource = t.resource;
-        s.dst_port = t.resource;
-        s.cost = t.duration;
-        s.latency = 0;
-        break;
-      case TaskKind::kTransfer:
-        s.resource = t.src_port;
-        s.dst_port = t.dst_port;
-        s.cost = t.bytes > 0 ? static_cast<double>(t.bytes) / t.bandwidth
-                             : 0.0;
-        s.latency = t.latency;
-        break;
-      case TaskKind::kNoop:
-        s.resource = scratch;
-        s.dst_port = scratch;
-        s.cost = 0;
-        s.latency = 0;
-        break;
+    if (t.kind == TaskKind::kNoop) {
+      t.resource = scratch;
+      t.dst_port = scratch;
     }
   }
   adjacency_valid_ = true;

@@ -17,15 +17,18 @@
 /// express themselves purely through this structure; overlap of computation
 /// with communication falls out of resources being independent.
 ///
-/// Memory layout: dependencies live in one flat edge list, compiled on
-/// demand into a cached CSR adjacency (dep and dependent index arrays).
-/// Tasks therefore carry no per-task dependency vector — building a
-/// million-edge graph performs zero per-dependency heap allocations, and
-/// the executor walks contiguous arrays. Read dependencies through
-/// `deps(id)` / `dependents(id)`; the first call after a mutation pays one
-/// linear counting-sort pass, later calls are free. Labels are interned in a
-/// per-graph table, so a task stores a 4-byte LabelId and lowering a label
-/// seen before allocates nothing; read them through `label(id)`.
+/// Memory layout: each task is stored once, as a 64-byte Task record the
+/// executor places directly, plus a 32-byte TaskInfo holding what only
+/// readers use. Dependencies live in one flat edge list, compiled on demand
+/// into a cached CSR adjacency (dep and dependent index arrays) whose first
+/// dependents the compile also copies into each Task. Tasks therefore carry
+/// no per-task dependency vector — building a million-edge graph performs
+/// zero per-dependency heap allocations, and the executor walks contiguous
+/// arrays. Read dependencies through `deps(id)` / `dependents(id)`; the first
+/// call after a mutation pays one linear counting-sort pass, later calls are
+/// free. Labels are interned in a per-graph table, so a task stores a 4-byte
+/// LabelId and lowering a label seen before allocates nothing; read them
+/// through `label(id)`.
 
 #include <cstdint>
 #include <functional>
@@ -59,71 +62,61 @@ inline constexpr LabelId kNoLabel = 0;
 
 enum class TaskKind : std::uint8_t { kCompute, kTransfer, kNoop };
 
-/// Compact per-task scheduling record: everything placing one task needs —
-/// resources, precomputed costs, *and* the first dependents — fused into
-/// exactly one cache line (vs the 64-byte Task, which holds no dependents,
-/// plus a separate adjacency lookup). On large graphs task ids reach the ready
-/// queue in near-random order, so placement is bound by cache misses; one
-/// line per task is the difference between one miss and three. Built and
-/// cached by TaskGraph::build_adjacency(); `cost` is the compute duration or
-/// the transfer serialization time (bytes / bandwidth, precomputed — the
-/// division leaves the hot loop). Dependents beyond the inline capacity
-/// continue in dependent_list()[out_begin + kInlineOut ...].
-struct alignas(64) SchedTask {
-  /// Dependents stored inline; graphs built from collectives and pipeline
-  /// schedules have out-degree <= 2 almost everywhere.
-  static constexpr std::uint32_t kInlineOut = 7;
-
-  /// `resource` and `dst_port` are always valid indices so placement needs
-  /// no per-kind branching: a compute sets dst_port = resource, and a noop
-  /// parks both on the scratch slot at index resource_count() (executors
-  /// size their per-resource arrays resource_count() + 1). With latency and
-  /// cost 0 for the degenerate kinds, every task places as
-  ///   start  = max(ready, avail[resource], avail[dst_port])
-  ///   ports  = start + cost
-  ///   finish = (start + latency) + cost
-  /// which is bit-exact against the per-kind formulas: x + 0.0 == x for the
-  /// non-negative times the graph admits, and the scratch slot's avail can
-  /// never exceed `ready` because tasks place in nondecreasing ready order.
-  SimTime cost = 0;         ///< occupancy time of the claimed resource(s)
-  SimTime latency = 0;      ///< transfer propagation latency (0 otherwise)
-  ResourceId resource = -1; ///< compute resource / TX port / scratch (noop)
-  ResourceId dst_port = -1; ///< RX port; = resource (compute), scratch (noop)
-  std::uint32_t out_begin = 0;  ///< this task's slice of dependent_list()
-  std::uint32_t out_count = 0;  ///< total dependent count
-  TaskKind kind = TaskKind::kNoop;
-  TaskId out[kInlineOut] = {};  ///< first min(out_count, kInlineOut) dependents
-};
-static_assert(sizeof(SchedTask) == 64, "SchedTask must fill one cache line");
-
 /// Accounting category for a task. Metrics aggregate start/finish spans and
 /// busy time per tag (e.g. "time spent in grads-reduce-scatter", Fig. 3).
 /// Tags are plain integers; the core library defines the canonical values.
 using TaskTag = std::int32_t;
 inline constexpr TaskTag kUntagged = 0;
 
-struct Task {
+/// One task, in the form the executor places it: the resources, the costs
+/// *and* the first dependents fused into exactly one cache line. On large
+/// graphs task ids reach the ready queue in near-random order, so placement
+/// is bound by cache misses; one line per task is the difference between
+/// one miss and three. add_compute / add_transfer / add_noop write the
+/// record; build_adjacency() fills the dependents. Dependents beyond the
+/// inline capacity continue in dependent_list()[out_begin + kInlineOut ...].
+/// What only readers use (tag, channel, label, bytes, bandwidth) lives in
+/// the task's TaskInfo.
+struct alignas(64) Task {
+  /// Dependents stored inline; graphs built from collectives and pipeline
+  /// schedules have out-degree <= 2 almost everywhere.
+  static constexpr std::uint32_t kInlineOut = 7;
+
+  /// `resource` and `dst_port` are always valid indices once the adjacency
+  /// is compiled, so placement needs no per-kind branching: a compute sets
+  /// dst_port = resource, and a noop is parked on the scratch slot at index
+  /// resource_count() by build_adjacency() (executors size their
+  /// per-resource arrays resource_count() + 1). With latency and cost 0 for
+  /// the degenerate kinds, every task places as
+  ///   start  = max(ready, avail[resource], avail[dst_port])
+  ///   ports  = start + cost
+  ///   finish = (start + latency) + cost
+  /// which is bit-exact against the per-kind formulas: x + 0.0 == x for the
+  /// non-negative times the graph admits, and the scratch slot's avail can
+  /// never exceed `ready` because tasks place in nondecreasing ready order.
+  SimTime cost = 0;     ///< compute duration / transfer bytes / bandwidth
+  SimTime latency = 0;  ///< transfer propagation latency (0 otherwise)
+  ResourceId resource = -1;  ///< compute resource / TX port / scratch (noop)
+  ResourceId dst_port = -1;  ///< RX port; = resource (compute), scratch (noop)
+  std::uint32_t out_begin = 0;  ///< this task's slice of dependent_list()
+  std::uint32_t out_count = 0;  ///< total dependent count
   TaskKind kind = TaskKind::kNoop;
+  TaskId out[kInlineOut] = {};  ///< first min(out_count, kInlineOut) dependents
+};
+static_assert(sizeof(Task) == 64, "Task must fill one cache line");
+
+/// The fields of a task that only readers use (accounting, traces, the
+/// verifier); the executor never touches them. Parallel to the Task records.
+struct TaskInfo {
+  Bytes bytes = 0;       ///< transfer payload (0 otherwise)
+  double bandwidth = 0;  ///< transfer path bytes per second (0 otherwise)
   TaskTag tag = kUntagged;
-
-  // Compute: the executing resource. Transfer: unused (-1).
-  ResourceId resource = -1;
-  // Compute: duration in seconds.
-  SimTime duration = 0;
-
-  // Transfer fields.
-  ResourceId src_port = -1;
-  ResourceId dst_port = -1;
-  Bytes bytes = 0;
-  double bandwidth = 0;  ///< bytes per second on the resolved path
-  SimTime latency = 0;   ///< propagation latency of the resolved path
   ChannelId channel = kInvalidChannel;  ///< owning communicator, if any
-
   /// Optional; used in traces and error messages. An id into the owning
   /// graph's label table: read the text through TaskGraph::label().
   LabelId label = kNoLabel;
 };
-static_assert(sizeof(Task) == 64, "Task must stay 64 bytes, no heap data");
+static_assert(sizeof(TaskInfo) == 32, "TaskInfo must stay 32 bytes");
 
 class TaskGraph {
  public:
@@ -181,13 +174,19 @@ class TaskGraph {
   /// release buffers. Compiled with the adjacency.
   std::size_t max_dependent_count() const;
 
+  /// The task's record. Its dependents (out_*) and a noop's scratch slot
+  /// are valid once the adjacency is compiled (build_adjacency()).
   const Task& task(TaskId id) const;
+  /// The task's reader-only fields.
+  const TaskInfo& info(TaskId id) const;
   /// The task's label; empty when it was added without one.
   const std::string& label(TaskId id) const;
   const std::string& resource_name(ResourceId id) const;
   const std::string& channel_name(ChannelId id) const;
 
+  /// Every task's record and reader-only fields, indexed by TaskId.
   const std::vector<Task>& tasks() const { return tasks_; }
+  const std::vector<TaskInfo>& infos() const { return infos_; }
 
   /// Dependencies of `id` in add_dep order (a view into the cached CSR
   /// adjacency; valid until the next graph mutation).
@@ -195,10 +194,6 @@ class TaskGraph {
 
   /// Tasks that depend on `id`, in edge-declaration order (same validity).
   std::span<const TaskId> dependents(TaskId id) const;
-
-  /// Compact scheduling records, one per task (same cache validity as the
-  /// adjacency views).
-  std::span<const SchedTask> sched_tasks() const;
 
   /// Raw CSR arrays, for hot loops that inline the adjacency walk or issue
   /// prefetches by address. `offsets` has task_count()+1 entries; task `i`'s
@@ -208,13 +203,14 @@ class TaskGraph {
   std::span<const std::uint32_t> dependent_offsets() const;
   std::span<const TaskId> dependent_list() const;
 
-  /// Compiles the CSR adjacency now if any mutation invalidated it.
+  /// Compiles the CSR adjacency now if any mutation invalidated it, filling
+  /// each Task's dependents and parking noops on the scratch slot.
   /// Implied by deps()/dependents(); call explicitly before sharing the
   /// graph read-only across threads (lazy builds are not synchronized).
   void build_adjacency() const;
 
  private:
-  TaskId push(const Task& task);
+  TaskId push(const Task& task, const TaskInfo& info);
   LabelId intern(std::string_view label);
 
   /// One dependency edge: `task` waits for `dep`.
@@ -223,7 +219,10 @@ class TaskGraph {
     TaskId dep;
   };
 
-  std::vector<Task> tasks_;
+  // Written by add_*; build_adjacency() fills the out_* fields and the
+  // noops' scratch slot in place, hence mutable.
+  mutable std::vector<Task> tasks_;
+  std::vector<TaskInfo> infos_;
   std::vector<Edge> edges_;
   std::vector<std::string> resource_names_;
   std::vector<std::string> channel_names_;
@@ -248,7 +247,6 @@ class TaskGraph {
   mutable std::vector<TaskId> dep_list_;
   mutable std::vector<std::uint32_t> dependent_offset_;
   mutable std::vector<TaskId> dependent_list_;
-  mutable std::vector<SchedTask> sched_tasks_;
   mutable std::size_t max_dependents_ = 0;
 };
 

@@ -113,6 +113,7 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
 
   for (std::size_t i = 0; i < graph.task_count(); ++i) {
     const Task& task = graph.tasks()[i];
+    const TaskInfo& info = graph.infos()[i];
     const TaskTiming& timing = result.timing(static_cast<TaskId>(i));
     const SimTime duration = timing.finish - timing.start;
     if (task.kind == TaskKind::kNoop) continue;
@@ -131,26 +132,24 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
           link_track.step(timing.start, 1);
           link_track.step(timing.start + serialization, -1);
         }
-        if (task.bytes > 0 && duration > 0) {
-          bytes_track.step(timing.start, static_cast<double>(task.bytes));
-          bytes_track.step(timing.finish, -static_cast<double>(task.bytes));
+        if (info.bytes > 0 && duration > 0) {
+          bytes_track.step(timing.start, static_cast<double>(info.bytes));
+          bytes_track.step(timing.finish, -static_cast<double>(info.bytes));
         }
       }
     }
 
     if (duration < options.min_duration) continue;
-    const ResourceId row =
-        task.kind == TaskKind::kTransfer ? task.src_port : task.resource;
-    slice_row[i] = row;
+    slice_row[i] = task.resource;  // a transfer's row is its TX port's
     if (!first) out << ",";
     first = false;
     // Chrome trace timestamps are microseconds.
     out << "\n{\"name\":\"" << slice_name(graph, static_cast<TaskId>(i))
         << "\",\"cat\":\"" << kind_name(task.kind)
-        << "\",\"ph\":\"X\",\"pid\":" << options.pid << ",\"tid\":" << row
-        << ",\"ts\":" << timing.start * 1e6 << ",\"dur\":" << duration * 1e6
-        << ",\"args\":{\"task\":" << i << ",\"tag\":" << task.tag
-        << ",\"bytes\":" << task.bytes << "}}";
+        << "\",\"ph\":\"X\",\"pid\":" << options.pid
+        << ",\"tid\":" << task.resource << ",\"ts\":" << timing.start * 1e6
+        << ",\"dur\":" << duration * 1e6 << ",\"args\":{\"task\":" << i
+        << ",\"tag\":" << info.tag << ",\"bytes\":" << info.bytes << "}}";
   }
 
   if (options.flows) {
@@ -183,8 +182,8 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
   // Duplicate the critical chain onto its own lane so the binding sequence
   // reads contiguously; cat "critical" makes the lane filterable.
   for (TaskId id : options.critical_tasks) {
-    const Task& task = graph.task(id);
-    if (task.kind == TaskKind::kNoop) continue;
+    if (graph.task(id).kind == TaskKind::kNoop) continue;
+    const TaskInfo& info = graph.info(id);
     const TaskTiming& timing = result.timing(id);
     const SimTime duration = timing.finish - timing.start;
     if (duration < options.min_duration) continue;
@@ -194,7 +193,7 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
         << "\",\"cat\":\"critical\",\"ph\":\"X\",\"pid\":" << options.pid
         << ",\"tid\":" << critical_row << ",\"ts\":" << timing.start * 1e6
         << ",\"dur\":" << duration * 1e6 << ",\"args\":{\"task\":" << id
-        << ",\"tag\":" << task.tag << ",\"bytes\":" << task.bytes << "}}";
+        << ",\"tag\":" << info.tag << ",\"bytes\":" << info.bytes << "}}";
   }
 
   if (options.counters) {

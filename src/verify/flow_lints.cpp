@@ -19,15 +19,16 @@ using sim::Task;
 using sim::TaskId;
 using sim::TaskKind;
 
-/// The minimum wall-clock span a task occupies regardless of schedule.
-/// Malformed negative costs (HV203's findings) clamp to zero so the chain
-/// stays a valid lower bound.
-double min_span_of(const Task& task) {
+/// The time a task holds its resource(s): a compute's duration, a
+/// transfer's serialization recomputed from its bytes and bandwidth.
+/// Malformed negative costs (HV203's findings) clamp to zero so the bounds
+/// below stay valid.
+double occupancy_of(const Task& task, const sim::TaskInfo& info) {
   switch (task.kind) {
     case TaskKind::kCompute:
-      return std::max(0.0, task.duration);
+      return std::max(0.0, task.cost);
     case TaskKind::kTransfer:
-      return serialization_of(task) + std::max(0.0, task.latency);
+      return serialization_of(info);
     case TaskKind::kNoop:
       return 0.0;
   }
@@ -44,7 +45,8 @@ std::string format_seconds(double s) {
 }  // namespace
 
 FlowAnalysis analyze_flow(const TaskSetRef& view) {
-  HOLMES_CHECK_MSG(view.tasks != nullptr, "TaskSetRef needs tasks");
+  HOLMES_CHECK_MSG(view.tasks != nullptr && view.infos != nullptr,
+                   "TaskSetRef needs tasks and their infos");
   FlowAnalysis analysis;
   const std::size_t n = view.tasks->size();
   const std::vector<TaskId> order = topological_order(view);
@@ -59,6 +61,7 @@ FlowAnalysis analyze_flow(const TaskSetRef& view) {
   for (const TaskId id : order) {
     const auto i = static_cast<std::size_t>(id);
     const Task& task = (*view.tasks)[i];
+    const double occupancy = occupancy_of(task, (*view.infos)[i]);
     double longest_dep = 0.0;
     TaskId pred = sim::kInvalidTask;
     for (TaskId dep : view.deps(i)) {
@@ -69,7 +72,11 @@ FlowAnalysis analyze_flow(const TaskSetRef& view) {
         pred = dep;
       }
     }
-    dist[i] = longest_dep + min_span_of(task);
+    // The minimum wall-clock span a task occupies regardless of schedule.
+    dist[i] = longest_dep +
+              (task.kind == TaskKind::kTransfer
+                   ? occupancy + std::max(0.0, task.latency)
+                   : occupancy);
     best_pred[i] = pred;
     if (dist[i] > analysis.chain_bound_s) {
       analysis.chain_bound_s = dist[i];
@@ -77,28 +84,14 @@ FlowAnalysis analyze_flow(const TaskSetRef& view) {
     }
 
     // Aggregate occupancy, mirroring the executor's busy accounting.
-    switch (task.kind) {
-      case TaskKind::kCompute:
-        if (resource_ok(view, task.resource)) {
-          analysis.resource_load_s[static_cast<std::size_t>(task.resource)] +=
-              std::max(0.0, task.duration);
-        }
-        break;
-      case TaskKind::kTransfer: {
-        const double serialization = serialization_of(task);
-        if (resource_ok(view, task.src_port)) {
-          analysis.resource_load_s[static_cast<std::size_t>(task.src_port)] +=
-              serialization;
-        }
-        if (resource_ok(view, task.dst_port) &&
-            task.dst_port != task.src_port) {
-          analysis.resource_load_s[static_cast<std::size_t>(task.dst_port)] +=
-              serialization;
-        }
-        break;
-      }
-      case TaskKind::kNoop:
-        break;
+    if (task.kind == TaskKind::kNoop) continue;
+    if (resource_ok(view, task.resource)) {
+      analysis.resource_load_s[static_cast<std::size_t>(task.resource)] +=
+          occupancy;
+    }
+    if (resource_ok(view, task.dst_port) && task.dst_port != task.resource) {
+      analysis.resource_load_s[static_cast<std::size_t>(task.dst_port)] +=
+          occupancy;
     }
   }
   if (analysis.chain_bound_s > 0) {
@@ -136,7 +129,7 @@ FlowAnalysis analyze_flow(const TaskSetRef& view) {
   }
   auto receives = [&](std::size_t i) {
     const Task& task = (*view.tasks)[i];
-    return task.kind == TaskKind::kTransfer && task.bytes > 0 &&
+    return task.kind == TaskKind::kTransfer && (*view.infos)[i].bytes > 0 &&
            resource_ok(view, task.dst_port);
   };
   const EndpointIndex endpoints = intern_endpoints(view);
@@ -152,13 +145,13 @@ FlowAnalysis analyze_flow(const TaskSetRef& view) {
   auto free_after = [&](std::size_t i, std::size_t pos) {
     if (last_use[i] != pos || freed[i] || !receives(i)) return;
     freed[i] = true;  // a dependent may list the same dep twice
-    live[endpoint_of_receive(i)] -= (*view.tasks)[i].bytes;
+    live[endpoint_of_receive(i)] -= (*view.infos)[i].bytes;
   };
   for (std::size_t pos = 0; pos < n; ++pos) {
     const auto i = static_cast<std::size_t>(order[pos]);
     if (receives(i)) {
       const std::uint32_t e = endpoint_of_receive(i);
-      live[e] += (*view.tasks)[i].bytes;
+      live[e] += (*view.infos)[i].bytes;
       peak[e] = std::max(peak[e], live[e]);
     }
     free_after(i, pos);
@@ -185,7 +178,8 @@ LintReport lint_flow(const TaskSetRef& view, const sim::SimResult* result,
 LintReport lint_flow(const TaskSetRef& view, const FlowAnalysis& analysis,
                      const sim::SimResult* result,
                      const FlowLintOptions& options) {
-  HOLMES_CHECK_MSG(view.tasks != nullptr, "TaskSetRef needs tasks");
+  HOLMES_CHECK_MSG(view.tasks != nullptr && view.infos != nullptr,
+                   "TaskSetRef needs tasks and their infos");
   LintReport report;
   if (!analysis.valid) return report;  // HV201/HV202 own broken graphs
 
@@ -279,14 +273,16 @@ LintReport lint_flow(const TaskSetRef& view, const FlowAnalysis& analysis,
     };
     // channel -> unordered cluster pair (lo, hi) -> both directions' bytes.
     std::vector<std::map<std::pair<int, int>, CutFlow>> cut(view.channel_count);
-    for (const Task& task : *view.tasks) {
-      if (!channel_transfer(view, task)) continue;
-      const int a = cluster_of(task.src_port);
+    for (std::size_t i = 0; i < view.tasks->size(); ++i) {
+      if (!channel_transfer(view, i)) continue;
+      const Task& task = (*view.tasks)[i];
+      const sim::TaskInfo& info = (*view.infos)[i];
+      const int a = cluster_of(task.resource);
       const int b = cluster_of(task.dst_port);
       if (a >= 0 && b >= 0 && a != b) {
-        CutFlow& cf = cut[static_cast<std::size_t>(task.channel)]
+        CutFlow& cf = cut[static_cast<std::size_t>(info.channel)]
                          [{std::min(a, b), std::max(a, b)}];
-        (a < b ? cf.forward : cf.backward) += task.bytes;
+        (a < b ? cf.forward : cf.backward) += info.bytes;
       }
     }
     const std::vector<bool> closed =

@@ -95,37 +95,44 @@ void lint_task_fields(const TaskSetRef& view, const GraphLintOptions& options,
   };
   for (std::size_t i = 0; i < view.tasks->size(); ++i) {
     const Task& task = (*view.tasks)[i];
+    const sim::TaskInfo& info = (*view.infos)[i];
     switch (task.kind) {
       case TaskKind::kCompute:
         if (!resource_ok(view, task.resource)) {
           emit(i, "compute task references unknown resource " +
                       std::to_string(task.resource));
         }
-        if (task.duration < 0) emit(i, "compute task has negative duration");
+        // The executor claims dst_port too: a compute must name its own
+        // resource there.
+        if (task.dst_port != task.resource) {
+          emit(i, "compute task also claims resource " +
+                      std::to_string(task.dst_port));
+        }
+        if (task.cost < 0) emit(i, "compute task has negative duration");
         break;
       case TaskKind::kTransfer:
-        if (!resource_ok(view, task.src_port)) {
+        if (!resource_ok(view, task.resource)) {
           emit(i, "transfer references unknown TX port " +
-                      std::to_string(task.src_port));
+                      std::to_string(task.resource));
         }
         if (!resource_ok(view, task.dst_port)) {
           emit(i, "transfer references unknown RX port " +
                       std::to_string(task.dst_port));
         }
-        if (resource_ok(view, task.src_port) && task.src_port == task.dst_port) {
+        if (resource_ok(view, task.resource) && task.resource == task.dst_port) {
           emit(i, "transfer TX and RX port are the same resource '" +
-                      resource_name(view, task.src_port) + "'");
+                      resource_name(view, task.resource) + "'");
         }
-        if (task.bytes < 0) emit(i, "transfer moves a negative byte count");
-        if (task.bytes > 0 && task.bandwidth <= 0) {
+        if (info.bytes < 0) emit(i, "transfer moves a negative byte count");
+        if (info.bytes > 0 && info.bandwidth <= 0) {
           emit(i, "non-empty transfer has no positive bandwidth");
         }
         if (task.latency < 0) emit(i, "transfer has negative latency");
-        if (task.channel != sim::kInvalidChannel &&
-            (task.channel < 0 ||
-             static_cast<std::size_t>(task.channel) >= view.channel_count)) {
+        if (info.channel != sim::kInvalidChannel &&
+            (info.channel < 0 ||
+             static_cast<std::size_t>(info.channel) >= view.channel_count)) {
           emit(i, "transfer references unknown channel " +
-                      std::to_string(task.channel));
+                      std::to_string(info.channel));
         }
         break;
       case TaskKind::kNoop:
@@ -214,12 +221,12 @@ void lint_timing_monotone(const TaskSetRef& view, const sim::SimResult& result,
     const double span = timing.finish - timing.start;
     switch (task.kind) {
       case TaskKind::kCompute:
-        if (!near(span, task.duration, options.tolerance)) {
+        if (!near(span, task.cost, options.tolerance)) {
           emit(i, "compute span disagrees with its declared duration");
         }
         break;
       case TaskKind::kTransfer:
-        if (!near(span, serialization_of(task) + task.latency,
+        if (!near(span, serialization_of((*view.infos)[i]) + task.latency,
                   options.tolerance)) {
           emit(i, "transfer span disagrees with serialization + latency");
         }
@@ -264,23 +271,18 @@ void lint_resource_exclusive(const TaskSetRef& view,
   };
   for (std::size_t i = 0; i < view.tasks->size(); ++i) {
     const Task& task = (*view.tasks)[i];
+    if (task.kind == TaskKind::kNoop) continue;
     const sim::TaskTiming& timing = result.timings()[i];
-    switch (task.kind) {
-      case TaskKind::kCompute:
-        occupy(task.resource, timing.start, timing.start + task.duration, i);
-        break;
-      case TaskKind::kTransfer: {
-        // Ports are held for the serialization time only; the propagation
-        // latency delays dependents, not the ports.
-        const SimTime end = timing.start + serialization_of(task);
-        occupy(task.src_port, timing.start, end, i);
-        if (task.dst_port != task.src_port) {
-          occupy(task.dst_port, timing.start, end, i);
-        }
-        break;
-      }
-      case TaskKind::kNoop:
-        break;
+    // A compute holds its resource for its duration; a transfer holds its
+    // ports for the serialization time only (the propagation latency delays
+    // dependents, not the ports).
+    const SimTime end =
+        timing.start + (task.kind == TaskKind::kCompute
+                            ? task.cost
+                            : serialization_of((*view.infos)[i]));
+    occupy(task.resource, timing.start, end, i);
+    if (task.dst_port != task.resource) {
+      occupy(task.dst_port, timing.start, end, i);
     }
   }
   std::size_t findings = 0;
@@ -337,12 +339,13 @@ bool lint_result_complete(const TaskSetRef& view, const sim::SimResult& result,
 }  // namespace
 
 TaskSetRef as_ref(const sim::TaskGraph& graph) {
-  return TaskSetRef{&graph.tasks(), graph.resource_count(),
+  return TaskSetRef{&graph.tasks(), &graph.infos(), graph.resource_count(),
                     graph.channel_count(), &graph};
 }
 
 LintReport lint_graph(const TaskSetRef& view, const GraphLintOptions& options) {
-  HOLMES_CHECK_MSG(view.tasks != nullptr, "TaskSetRef needs tasks");
+  HOLMES_CHECK_MSG(view.tasks != nullptr && view.infos != nullptr,
+                   "TaskSetRef needs tasks and their infos");
   LintReport report;
   const bool deps_ok = lint_deps_valid(view, options, report);
   lint_task_fields(view, options, report);
@@ -361,7 +364,8 @@ LintReport lint_graph(const sim::TaskGraph& graph,
 
 LintReport lint_execution(const TaskSetRef& view, const sim::SimResult& result,
                           const GraphLintOptions& options) {
-  HOLMES_CHECK_MSG(view.tasks != nullptr, "TaskSetRef needs tasks");
+  HOLMES_CHECK_MSG(view.tasks != nullptr && view.infos != nullptr,
+                   "TaskSetRef needs tasks and their infos");
   LintReport report;
   if (lint_result_complete(view, result, options, report)) {
     lint_timing_monotone(view, result, options, report);

@@ -12,12 +12,15 @@
 /// monotone timings that honor dependencies and declared costs, exclusive
 /// occupancy of every serial resource, and completeness of the result.
 ///
-/// The passes deliberately re-derive everything from the Task records
+/// The passes deliberately re-derive everything from the task records
 /// rather than trusting TaskGraph's construction-time checks — the point of
 /// the verifier is to survive refactors that bypass or weaken those checks.
-/// The TaskSetRef view makes that testable: known-bad fixtures are raw
-/// `std::vector<sim::Task>` values, with their dependencies and labels in
-/// parallel per-task arrays, that the TaskGraph API would refuse to build.
+/// A transfer's serialization time, in particular, is recomputed from its
+/// TaskInfo's bytes and bandwidth, never read from the Task's precomputed
+/// cost. The TaskSetRef view makes that testable: known-bad fixtures are raw
+/// `std::vector<sim::Task>` and `std::vector<sim::TaskInfo>` values, with
+/// their dependencies and labels in parallel per-task arrays, that the
+/// TaskGraph API would refuse to build.
 ///
 /// Cost: lint_graph is O(tasks + deps) plus per-resource and endpoint sorts.
 
@@ -38,6 +41,8 @@ namespace holmes::verify {
 /// pairing; when absent, synthetic names ("r7", "ch2") are used.
 struct TaskSetRef {
   const std::vector<sim::Task>* tasks = nullptr;
+  /// Each task's reader-only fields, parallel to `tasks`.
+  const std::vector<sim::TaskInfo>* infos = nullptr;
   std::size_t resource_count = 0;
   std::size_t channel_count = 0;
   const sim::TaskGraph* graph = nullptr;

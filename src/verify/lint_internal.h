@@ -47,10 +47,11 @@ inline std::string endpoint_of(const std::string& port) {
   return paired ? port.substr(0, port.size() - 3) : port;
 }
 
-/// Serialization time a transfer occupies its ports for.
-inline SimTime serialization_of(const sim::Task& task) {
-  return task.bytes > 0 && task.bandwidth > 0
-             ? static_cast<double>(task.bytes) / task.bandwidth
+/// Serialization time a transfer occupies its ports for, recomputed from
+/// its bytes and bandwidth (the Task's precomputed cost is not trusted).
+inline SimTime serialization_of(const sim::TaskInfo& info) {
+  return info.bytes > 0 && info.bandwidth > 0
+             ? static_cast<double>(info.bytes) / info.bandwidth
              : 0.0;
 }
 
@@ -139,11 +140,14 @@ inline EndpointIndex intern_endpoints(const TaskSetRef& view) {
   return index;
 }
 
-/// A transfer on a registered channel between known ports (else HV203's).
-inline bool channel_transfer(const TaskSetRef& view, const sim::Task& task) {
-  return task.kind == sim::TaskKind::kTransfer && task.channel >= 0 &&
-         static_cast<std::size_t>(task.channel) < view.channel_count &&
-         resource_ok(view, task.src_port) && resource_ok(view, task.dst_port);
+/// Task `i` is a transfer on a registered channel between known ports (else
+/// HV203's).
+inline bool channel_transfer(const TaskSetRef& view, std::size_t i) {
+  const sim::Task& task = (*view.tasks)[i];
+  const sim::ChannelId channel = (*view.infos)[i].channel;
+  return task.kind == sim::TaskKind::kTransfer && channel >= 0 &&
+         static_cast<std::size_t>(channel) < view.channel_count &&
+         resource_ok(view, task.resource) && resource_ok(view, task.dst_port);
 }
 
 /// Bytes one endpoint sent and received on one channel.
@@ -176,14 +180,16 @@ inline ChannelFlows tally_channels(const TaskSetRef& view,
     if (added) tally.flows.push_back({c, e});
     return tally.flows[it->second];
   };
-  for (const sim::Task& task : *view.tasks) {
-    if (!channel_transfer(view, task)) continue;
+  for (std::size_t i = 0; i < view.tasks->size(); ++i) {
+    if (!channel_transfer(view, i)) continue;
+    const sim::Task& task = (*view.tasks)[i];
+    const sim::TaskInfo& info = (*view.infos)[i];
     // Done with `src` before the `dst` lookup may grow `flows`.
-    EndpointFlow& src = flow_of(task.channel, task.src_port);
-    src.tx += task.bytes;
+    EndpointFlow& src = flow_of(info.channel, task.resource);
+    src.tx += info.bytes;
     src.sends = true;
-    EndpointFlow& dst = flow_of(task.channel, task.dst_port);
-    dst.rx += task.bytes;
+    EndpointFlow& dst = flow_of(info.channel, task.dst_port);
+    dst.rx += info.bytes;
     dst.receives = true;
   }
   std::sort(tally.flows.begin(), tally.flows.end(),

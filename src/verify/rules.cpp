@@ -68,9 +68,10 @@ const std::vector<RuleInfo>& rule_catalog() {
        "edge) or the task itself."},
       {kRuleTaskFields, RuleFamily::kGraph, Severity::kError,
        "task-fields",
-       "A task's fields are inconsistent: compute without a valid resource "
-       "or with negative duration; transfer with invalid/identical ports, "
-       "negative bytes/latency, or missing bandwidth; unknown channel."},
+       "A task's fields are inconsistent: compute without a valid resource, "
+       "claiming a second one, or with negative duration; transfer with "
+       "invalid/identical ports, negative bytes/latency, or missing "
+       "bandwidth; unknown channel."},
       {kRuleSerialOrder, RuleFamily::kGraph, Severity::kError,
        "serial-order",
        "A device's declared program order (task creation order on a serial "

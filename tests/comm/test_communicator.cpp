@@ -255,9 +255,9 @@ TEST(CommunicatorLowering, TransfersCarryTheCommunicatorChannel) {
   ASSERT_EQ(graph.channel_count(), 1u);
   const sim::ChannelId dp0 = graph.channel("dp0");
   std::size_t transfers = 0;
-  for (const sim::Task& task : graph.tasks()) {
-    if (task.kind != sim::TaskKind::kTransfer) continue;
-    EXPECT_EQ(task.channel, dp0);
+  for (std::size_t i = 0; i < graph.task_count(); ++i) {
+    if (graph.tasks()[i].kind != sim::TaskKind::kTransfer) continue;
+    EXPECT_EQ(graph.infos()[i].channel, dp0);
     ++transfers;
   }
   // Ring all-reduce over 4 members: 2*(n-1) rounds of n transfers.

@@ -62,7 +62,7 @@ TEST(EmitTransfer, ResolvesFabricFromTopology) {
   const auto cross = emit_transfer(graph, ports, topo, 0, 4, 1000);
   // Intra-node transfer uses the fat NVLink pipe; the cross-cluster one the
   // thin Ethernet pipe.
-  EXPECT_GT(graph.task(intra).bandwidth, graph.task(cross).bandwidth);
+  EXPECT_GT(graph.info(intra).bandwidth, graph.info(cross).bandwidth);
   EXPECT_LT(graph.task(intra).latency, graph.task(cross).latency);
 }
 
@@ -87,7 +87,7 @@ TEST(EmitTransfer, ForcedFabricOverridesResolution) {
   const auto t = emit_transfer_on(graph, ports, topo, FabricKind::kEthernet,
                                   0, 1, 1000);
   const auto spec = topo.catalog().spec(FabricKind::kEthernet);
-  EXPECT_DOUBLE_EQ(graph.task(t).bandwidth, spec.effective_bandwidth());
+  EXPECT_DOUBLE_EQ(graph.info(t).bandwidth, spec.effective_bandwidth());
 }
 
 TEST(EmitTransfer, SelfTransferRejected) {

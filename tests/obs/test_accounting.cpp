@@ -101,16 +101,16 @@ TEST(AccountTasks, PredicateAndWindow) {
   g.add_noop("join", /*tag=*/1);  // noops never count
   const sim::SimResult result = TaskGraphExecutor{}.run(g);
 
-  const SpanAccount both = account_tasks(g, result, tag_in({1, 2}));
+  const SpanAccount both = account_tasks(g, result, tag_in(g, {1, 2}));
   EXPECT_DOUBLE_EQ(both.busy, 3.0);
   EXPECT_DOUBLE_EQ(both.span, 3.0);
   EXPECT_EQ(both.tasks, 2u);
 
-  const SpanAccount only_fwd = account_tasks(g, result, tag_in({1}));
+  const SpanAccount only_fwd = account_tasks(g, result, tag_in(g, {1}));
   EXPECT_DOUBLE_EQ(only_fwd.busy, 1.0);
   EXPECT_EQ(only_fwd.tasks, 1u);
 
-  const SpanAccount none = account_tasks(g, result, tag_in({99}));
+  const SpanAccount none = account_tasks(g, result, tag_in(g, {99}));
   EXPECT_EQ(none.tasks, 0u);
   EXPECT_DOUBLE_EQ(none.span, 0.0);
 }
@@ -132,7 +132,7 @@ TEST(AccountOverlap, SplitsExposedFromHidden) {
   const sim::SimResult result = TaskGraphExecutor{}.run(g);
   ASSERT_DOUBLE_EQ(result.timing(x).start, 1.0);
   const OverlapAccount acc =
-      account_overlap(g, result, tag_in({4}), tag_in({2}));
+      account_overlap(g, result, tag_in(g, {4}), tag_in(g, {2}));
   EXPECT_DOUBLE_EQ(acc.total, 2.0);
   EXPECT_DOUBLE_EQ(acc.overlapped, 1.0);
   EXPECT_DOUBLE_EQ(acc.exposed, 1.0);
@@ -147,12 +147,12 @@ TEST(AccountOverlap, FullyHiddenAndFullyExposed) {
   g.add_transfer(tx, rx, 1000, 1000.0, 0.0, "rs", /*tag=*/4);  // [0,1)
   const sim::SimResult result = TaskGraphExecutor{}.run(g);
   const OverlapAccount hidden =
-      account_overlap(g, result, tag_in({4}), tag_in({2}));
+      account_overlap(g, result, tag_in(g, {4}), tag_in(g, {2}));
   EXPECT_DOUBLE_EQ(hidden.exposed, 0.0);
   EXPECT_DOUBLE_EQ(hidden.overlapped, 1.0);
   // With no cover tasks, everything is exposed.
   const OverlapAccount exposed =
-      account_overlap(g, result, tag_in({4}), tag_in({99}));
+      account_overlap(g, result, tag_in(g, {4}), tag_in(g, {99}));
   EXPECT_DOUBLE_EQ(exposed.exposed, 1.0);
   EXPECT_DOUBLE_EQ(exposed.overlapped, 0.0);
 }

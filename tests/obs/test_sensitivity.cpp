@@ -36,8 +36,8 @@ std::string by_label(const TaskGraph& g, const PathSegment& segment) {
   return "class/" + g.label(source);
 }
 
-std::string by_kind(const PathSegment& segment, const sim::Task& task) {
-  (void)task;
+std::string by_kind(const PathSegment& segment, sim::TaskKind kind) {
+  (void)kind;
   return segment.kind == SegmentKind::kCompute ? "compute" : "link";
 }
 
@@ -103,7 +103,7 @@ TEST(Sensitivity, QueueWaitCreditsTheBlockingOccupant) {
   const sim::SimResult result = TaskGraphExecutor{}.run(g);
   const CriticalPath path = extract_critical_path(g, result);
   const std::vector<WhatIf> whatifs = what_if_sensitivities(
-      g, path, [&g](const PathSegment& segment, const sim::Task&) {
+      g, path, [&g](const PathSegment& segment, sim::TaskKind) {
         return by_label(g, segment);
       });
 
@@ -133,7 +133,7 @@ TEST(Sensitivity, EmptyClassNamesAreExcluded) {
   const TaskGraph g = chain_graph(&result);
   const CriticalPath path = extract_critical_path(g, result);
   const std::vector<WhatIf> whatifs = what_if_sensitivities(
-      g, path, [](const PathSegment& segment, const sim::Task&) {
+      g, path, [](const PathSegment& segment, sim::TaskKind) {
         return segment.kind == SegmentKind::kCompute ? "compute" : "";
       });
   ASSERT_EQ(whatifs.size(), 1u);
@@ -158,7 +158,7 @@ TEST(Sensitivity, SortsDescendingWithNameTiebreak) {
   const sim::SimResult result = TaskGraphExecutor{}.run(g);
   const CriticalPath path = extract_critical_path(g, result);
   const std::vector<WhatIf> whatifs = what_if_sensitivities(
-      g, path, [&g](const PathSegment& segment, const sim::Task&) {
+      g, path, [&g](const PathSegment& segment, sim::TaskKind) {
         return by_label(g, segment);
       });
   ASSERT_EQ(whatifs.size(), 2u);

@@ -54,7 +54,7 @@ inline NaiveTimeline naive_timeline(const sim::TaskGraph& graph,
   std::vector<bool> is_link(graph.resource_count(), false);
   for (const sim::Task& task : tasks) {
     if (task.kind != sim::TaskKind::kTransfer) continue;
-    is_link[static_cast<std::size_t>(task.src_port)] = true;
+    is_link[static_cast<std::size_t>(task.resource)] = true;
     is_link[static_cast<std::size_t>(task.dst_port)] = true;
   }
   std::vector<std::string> class_of(is_link.size());
@@ -85,14 +85,9 @@ inline NaiveTimeline naive_timeline(const sim::TaskGraph& graph,
     for (sim::TaskId dep : graph.deps(id)) {
       ready = std::max(ready, result.timing(dep).finish);
     }
-    std::vector<std::size_t> ports;
-    if (compute) {
-      ports.push_back(static_cast<std::size_t>(task.resource));
-    } else {
-      ports.push_back(static_cast<std::size_t>(task.src_port));
-      if (task.dst_port != task.src_port) {
-        ports.push_back(static_cast<std::size_t>(task.dst_port));
-      }
+    std::vector<std::size_t> ports{static_cast<std::size_t>(task.resource)};
+    if (task.dst_port != task.resource) {
+      ports.push_back(static_cast<std::size_t>(task.dst_port));
     }
     for (std::size_t port : ports) {
       if (held_until > timing.start) {
@@ -108,9 +103,10 @@ inline NaiveTimeline naive_timeline(const sim::TaskGraph& graph,
         queue[port].emplace_back(timing.start, -1.0);
       }
     }
-    if (!compute && task.channel != sim::kInvalidChannel) {
-      const auto c = static_cast<std::size_t>(task.channel);
-      const auto bytes = static_cast<double>(task.bytes);
+    const sim::TaskInfo& info = graph.info(id);
+    if (!compute && info.channel != sim::kInvalidChannel) {
+      const auto c = static_cast<std::size_t>(info.channel);
+      const auto bytes = static_cast<double>(info.bytes);
       in_flight[c].emplace_back(timing.start, bytes);
       in_flight[c].emplace_back(timing.finish, -bytes);
       delivered[c].emplace_back(timing.finish, bytes);

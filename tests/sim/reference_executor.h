@@ -42,15 +42,17 @@ inline ReferenceTask reference_task(const TaskGraph& graph, TaskId id) {
   switch (task.kind) {
     case TaskKind::kCompute:
       out.held = {task.resource};
-      out.cost = task.duration;
+      out.cost = task.cost;
       break;
-    case TaskKind::kTransfer:
-      out.held = {task.src_port, task.dst_port};
-      out.cost = task.bytes > 0
-                     ? static_cast<double>(task.bytes) / task.bandwidth
+    case TaskKind::kTransfer: {
+      const TaskInfo& info = graph.info(id);
+      out.held = {task.resource, task.dst_port};
+      out.cost = info.bytes > 0
+                     ? static_cast<double>(info.bytes) / info.bandwidth
                      : 0.0;
       out.latency = task.latency;
       break;
+    }
     case TaskKind::kNoop:
       break;
   }

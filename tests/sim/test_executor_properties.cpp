@@ -163,7 +163,7 @@ TEST_P(ExecutorFuzz, InvariantsHoldOnRandomDags) {
       }
       // Durations match the declared cost model.
       if (tasks[i].kind == TaskKind::kCompute) {
-        ASSERT_NEAR(timing.finish - timing.start, tasks[i].duration, 1e-12);
+        ASSERT_NEAR(timing.finish - timing.start, tasks[i].cost, 1e-12);
       }
       if (tasks[i].kind == TaskKind::kNoop) {
         ASSERT_NEAR(timing.finish - timing.start, 0.0, 1e-12);

@@ -97,16 +97,18 @@ TEST(FlowAnalysis, InvalidOnCyclicGraph) {
 TEST(FlowAnalysis, WatermarksSortByEndpointName) {
   // Twelve unnamed resources (r0..r11): name order puts r1 < r10 < r2.
   std::vector<sim::Task> tasks(3);
+  std::vector<sim::TaskInfo> infos(3);
   const ResourceId dst[] = {2, 10, 1};
   const Bytes bytes[] = {700, 100, 50};
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     tasks[i].kind = sim::TaskKind::kTransfer;
-    tasks[i].src_port = 0;
+    tasks[i].resource = 0;
     tasks[i].dst_port = dst[i];
-    tasks[i].bytes = bytes[i];
-    tasks[i].bandwidth = 1e3;
+    tasks[i].cost = static_cast<double>(bytes[i]) / 1e3;
+    infos[i].bytes = bytes[i];
+    infos[i].bandwidth = 1e3;
   }
-  const FlowAnalysis flow = analyze_flow(TaskSetRef{&tasks, 12, 0});
+  const FlowAnalysis flow = analyze_flow(TaskSetRef{&tasks, &infos, 12, 0});
   ASSERT_TRUE(flow.valid);
   std::vector<std::pair<std::string, Bytes>> watermarks;
   for (const auto& wm : flow.watermarks) {

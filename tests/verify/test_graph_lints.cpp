@@ -33,14 +33,16 @@ bool checked(const LintReport& report, const char* rule) {
 /// Raw-task fixtures: task sets the TaskGraph API would refuse to build.
 struct RawTask {
   Task task;
+  sim::TaskInfo info;
   std::vector<TaskId> deps;
   std::string label;
 };
 
-/// Owns a raw fixture: the tasks plus their dependencies and labels,
-/// parallel per task.
+/// Owns a raw fixture: the task records plus their reader-only fields,
+/// dependencies and labels, parallel per task.
 struct RawTasks {
   std::vector<Task> tasks;
+  std::vector<sim::TaskInfo> infos;
   std::vector<std::vector<TaskId>> deps;
   std::vector<std::string> labels;
 
@@ -49,18 +51,22 @@ struct RawTasks {
   }
   void push_back(const RawTask& t) {
     tasks.push_back(t.task);
+    infos.push_back(t.info);
     deps.push_back(t.deps);
     labels.push_back(t.label);
   }
 };
 
+/// A compute record as add_compute writes it: the resource in both slots,
+/// the duration as the cost.
 RawTask compute(ResourceId resource, SimTime duration,
                 std::vector<TaskId> deps = {}) {
   Task task;
   task.kind = TaskKind::kCompute;
   task.resource = resource;
-  task.duration = duration;
-  return {task, std::move(deps), {}};
+  task.dst_port = resource;
+  task.cost = duration;
+  return {task, {}, std::move(deps), {}};
 }
 
 RawTask labeled(RawTask t, std::string label) {
@@ -68,24 +74,31 @@ RawTask labeled(RawTask t, std::string label) {
   return t;
 }
 
+/// A transfer record as add_transfer writes it, minus its checks: the TX
+/// port as the resource, bytes / bandwidth as the cost (0 when either is
+/// not positive), and bytes, bandwidth and channel in its info.
 RawTask transfer(ResourceId src, ResourceId dst, Bytes bytes, double bandwidth,
                  SimTime latency, sim::ChannelId channel = sim::kInvalidChannel,
                  std::vector<TaskId> deps = {}) {
   Task task;
   task.kind = TaskKind::kTransfer;
-  task.src_port = src;
+  task.resource = src;
   task.dst_port = dst;
-  task.bytes = bytes;
-  task.bandwidth = bandwidth;
+  task.cost = bytes > 0 && bandwidth > 0
+                  ? static_cast<double>(bytes) / bandwidth
+                  : 0.0;
   task.latency = latency;
-  task.channel = channel;
-  return {task, std::move(deps), {}};
+  sim::TaskInfo info;
+  info.bytes = bytes;
+  info.bandwidth = bandwidth;
+  info.channel = channel;
+  return {task, info, std::move(deps), {}};
 }
 
 TaskSetRef raw(const RawTasks& fixture, std::size_t resources,
                std::size_t channels = 0) {
-  return TaskSetRef{&fixture.tasks, resources, channels, nullptr,
-                    &fixture.deps, &fixture.labels};
+  return TaskSetRef{&fixture.tasks, &fixture.infos, resources, channels,
+                    nullptr,        &fixture.deps,   &fixture.labels};
 }
 
 /// A small well-formed graph: two devices computing, one transfer between
@@ -150,6 +163,20 @@ TEST(GraphLints, HV203ErrorOnUnknownResourceAndNegativeDuration) {
   const LintReport report = lint_graph(raw(tasks, 1));
   EXPECT_TRUE(report.fired(kRuleTaskFields));
   EXPECT_EQ(report.count(Severity::kError), 2u);
+}
+
+TEST(GraphLints, HV203ErrorOnComputeClaimingASecondResource) {
+  // The executor places a compute on its resource and its dst_port alike,
+  // so a record naming another resource there would occupy that one too.
+  RawTask claims_two = compute(0, 1.0);
+  claims_two.task.dst_port = 1;
+  const RawTasks tasks = {claims_two, compute(1, 1.0)};
+  const LintReport report = lint_graph(raw(tasks, 2));
+  ASSERT_EQ(report.count(Severity::kError), 1u);
+  EXPECT_EQ(report.diagnostics()[0].rule, kRuleTaskFields);
+  EXPECT_EQ(report.diagnostics()[0].subject, "task 0");
+  EXPECT_EQ(report.diagnostics()[0].message,
+            "compute task also claims resource 1");
 }
 
 TEST(GraphLints, HV203ErrorOnBrokenTransferFields) {
@@ -389,14 +416,15 @@ std::vector<double> naive_dist(const RawTasks& fixture) {
   for (std::size_t round = 0; round < n; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
       const Task& task = fixture.tasks[i];
+      const sim::TaskInfo& info = fixture.infos[i];
       double longest = 0.0;
       for (TaskId dep : fixture.deps[i]) {
         longest = std::max(longest, dist[static_cast<std::size_t>(dep)]);
       }
       const double span =
           task.kind == TaskKind::kCompute
-              ? task.duration
-              : static_cast<double>(task.bytes) / task.bandwidth + task.latency;
+              ? task.cost
+              : static_cast<double>(info.bytes) / info.bandwidth + task.latency;
       dist[i] = longest + span;
     }
   }
