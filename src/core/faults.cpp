@@ -437,13 +437,35 @@ verify::LintReport lint_fault_plan(const FaultPlan& plan,
                               " s — it can never take effect");
     }
   }
+  // Each rank's slowdown compounds in plan order, as lower_fault_plan
+  // multiplies it; an entry already rejected on its own is left out.
+  std::map<int, double> compounded;
   for (std::size_t i = 0; i < plan.stragglers.size(); ++i) {
     const ComputeStraggler& s = plan.stragglers[i];
-    if (!(std::isfinite(s.slowdown) && s.slowdown > 0)) {
+    auto reject = [&](const std::string& message) {
       report.add(verify::kRuleFaultWindowSane, verify::Severity::kError,
-                 "stragglers[" + std::to_string(i) + "]",
-                 "slowdown " + format_seconds(s.slowdown) +
-                     " must be positive and finite");
+                 "stragglers[" + std::to_string(i) + "]", message);
+    };
+    const std::string slowdown = "slowdown " + format_seconds(s.slowdown);
+    const std::string bound = "the bound of " + format_seconds(kMaxSlowdown);
+    if (!(std::isfinite(s.slowdown) && s.slowdown > 0)) {
+      reject(slowdown + " must be positive and finite");
+    } else if (s.slowdown > kMaxSlowdown) {
+      reject(slowdown + " exceeds " + bound);
+    } else {
+      std::string crossed;  // names the first rank this entry pushes past
+      for (int rank : straggler_ranks(topo, s)) {
+        double& product = compounded.try_emplace(rank, 1.0).first->second;
+        if (product <= kMaxSlowdown && product * s.slowdown > kMaxSlowdown &&
+            crossed.empty()) {
+          crossed = "compounds rank " + std::to_string(rank) +
+                    "'s slowdown to " +
+                    format_seconds(product * s.slowdown) +
+                    " with the stragglers before it, past " + bound;
+        }
+        product *= s.slowdown;
+      }
+      if (!crossed.empty()) reject(crossed);
     }
   }
 

@@ -53,6 +53,13 @@ namespace holmes::core {
 inline constexpr const char* kFaultPlanSchema = "holmes.fault_plan.v1";
 inline constexpr const char* kRecoveryReportSchema = "holmes.recovery_report.v1";
 
+/// Largest compute slowdown HV501 admits, for one straggler and for the
+/// running product of the stragglers on one rank, in plan order
+/// (lower_fault_plan multiplies them). A million-fold slowdown is far past any real straggler (the
+/// fixtures use 1.5 and 2.0); past it, simulated times lose their precision
+/// and two 1e200 factors overflow to infinity.
+inline constexpr double kMaxSlowdown = 1e6;
+
 /// Persistent compute straggler. Scope is either one explicit rank
 /// (`rank >= 0`) or every rank matching the cluster/node filters
 /// (-1 = wildcard), mirroring NicDegradation's scoping.

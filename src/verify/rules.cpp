@@ -128,8 +128,9 @@ const std::vector<RuleInfo>& rule_catalog() {
        "fault-window-sane",
        "A NIC degradation window is malformed (negative start, end not after "
        "begin, or a non-positive or non-finite bandwidth factor), a "
-       "straggler's slowdown is non-positive or non-finite, or a window opens "
-       "after the simulation horizon and can never take effect."},
+       "straggler's slowdown is non-positive, non-finite or above 1e6 (alone "
+       "or compounded with the stragglers before it on one rank), or a window "
+       "opens after the simulation horizon and can never take effect."},
       {kRuleFaultScopeValid, RuleFamily::kFault, Severity::kError,
        "fault-scope-valid",
        "A fault's scope resolves to no device in the topology: unknown "

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -132,6 +133,56 @@ TEST(FaultLint, NonFiniteFactorsFireHV501) {
                     .fired(verify::kRuleFaultWindowSane))
         << bad;
   }
+}
+
+TEST(FaultLint, SlowdownsPastTheBoundFireHV501) {
+  // A single factor past kMaxSlowdown is rejected on its own, and so is
+  // the entry whose factor pushes a rank's running product past it; the
+  // bound itself, alone or compounded, is admitted.
+  auto on_rank_zero = [](std::initializer_list<double> slowdowns) {
+    FaultPlan plan;
+    for (const double slowdown : slowdowns) {
+      ComputeStraggler straggler;
+      straggler.rank = 0;
+      straggler.slowdown = slowdown;
+      plan.stragglers.push_back(straggler);
+    }
+    return plan;
+  };
+  auto errors = [](const FaultPlan& plan) {
+    std::vector<std::string> out;
+    const verify::LintReport report = lint_fault_plan(plan, hybrid());
+    for (const verify::Diagnostic& d : report.diagnostics()) {
+      EXPECT_EQ(d.rule, verify::kRuleFaultWindowSane);
+      out.push_back(d.subject + ": " + d.message);
+    }
+    return out;
+  };
+  EXPECT_TRUE(errors(on_rank_zero({kMaxSlowdown})).empty());
+  EXPECT_TRUE(errors(on_rank_zero({1e3, 1e3})).empty());
+  EXPECT_EQ(errors(on_rank_zero({1e308})),
+            (std::vector<std::string>{
+                "stragglers[0]: slowdown 1e+308 exceeds the bound of 1000000"}));
+  EXPECT_EQ(errors(on_rank_zero({1e200, 1e200})),
+            (std::vector<std::string>{
+                "stragglers[0]: slowdown 1e+200 exceeds the bound of 1000000",
+                "stragglers[1]: slowdown 1e+200 exceeds the bound of 1000000"}));
+  EXPECT_EQ(errors(on_rank_zero({1e3, 1e3, 10, 10})),
+            (std::vector<std::string>{
+                "stragglers[2]: compounds rank 0's slowdown to 10000000 with "
+                "the stragglers before it, past the bound of 1000000"}));
+  // A scoped straggler compounds on every rank it covers; its entry is
+  // reported once, naming the first rank it pushes past the bound.
+  FaultPlan scoped = straggler_plan(1e4);
+  scoped.stragglers.push_back(scoped.stragglers[0]);
+  const std::vector<std::string> scoped_errors = errors(scoped);
+  ASSERT_EQ(scoped_errors.size(), 1u);
+  EXPECT_EQ(scoped_errors[0].rfind("stragglers[1]: compounds rank ", 0), 0u)
+      << scoped_errors[0];
+  // The lowering would have multiplied the same factors.
+  EXPECT_EQ(lower_fault_plan(on_rank_zero({1e3, 1e3}), hybrid())
+                .device_slowdown.at(0),
+            kMaxSlowdown);
 }
 
 TEST(FaultLint, WindowBeyondHorizonWarns) {
