@@ -12,6 +12,7 @@
 
 #include "reference_executor.h"
 #include "sim/executor.h"
+#include "sim/rate_timeline.h"
 #include "util/rng.h"
 
 namespace holmes::sim {
@@ -250,6 +251,29 @@ TEST_P(ExecutorFuzz, MatchesReferenceExecutor) {
     EXPECT_TRUE(TaskGraphExecutor{}.run(rg.graph).bit_identical(
         testing::reference_run(rg.graph)))
         << "tie-heavy trial " << trial;
+  }
+}
+
+/// The same comparison under a seeded rate timeline that degrades (or
+/// speeds up) random resources, so occupancy is stretched on computes and
+/// on either port of a transfer alone.
+TEST_P(ExecutorFuzz, MatchesReferenceExecutorUnderRateWindows) {
+  Rng rng(GetParam() ^ 0x9FB21C651E98DF25ull);
+  for (int trial = 0; trial < 50; ++trial) {
+    const RandomGraph rg = make_random_graph(rng);
+    RateTimeline rates;
+    const auto last = static_cast<std::int64_t>(rg.graph.resource_count()) - 1;
+    for (std::int64_t w = rng.uniform_int(1, 4); w > 0; --w) {
+      const double begin = rng.uniform(0.0, 3.0);
+      rates.add_window(static_cast<ResourceId>(rng.uniform_int(0, last)),
+                       begin, begin + rng.uniform(0.1, 2.0),
+                       rng.uniform(0.2, 1.5));
+    }
+    ExecutorOptions options;
+    options.rates = &rates;
+    EXPECT_TRUE(TaskGraphExecutor{options}.run(rg.graph).bit_identical(
+        testing::reference_run(rg.graph, &rates)))
+        << "trial " << trial;
   }
 }
 
