@@ -1,6 +1,7 @@
-/// Engine probe: the GPT-3-scale synthetic stress graph (bench/synthetic_graph.h,
-/// ~110k tasks) through the raw TaskGraphExecutor under a SelfProfiler, its
-/// self-profile counters exported as bench metrics.
+/// Engine probe: the GPT-3-scale synthetic stress graph
+/// (bench/synthetic_graph.h, ~110k tasks) through the raw TaskGraphExecutor
+/// under a SelfProfiler, its self-profile counters exported as bench
+/// metrics.
 ///
 /// Unlike the experiment benches (whose metrics are simulated seconds) and
 /// the micro benches (whose metrics are noisy wall times), the probe's

@@ -55,9 +55,9 @@ inline constexpr const char* kRecoveryReportSchema = "holmes.recovery_report.v1"
 
 /// Largest compute slowdown HV501 admits, for one straggler and for the
 /// running product of the stragglers on one rank, in plan order
-/// (lower_fault_plan multiplies them). A million-fold slowdown is far past any real straggler (the
-/// fixtures use 1.5 and 2.0); past it, simulated times lose their precision
-/// and two 1e200 factors overflow to infinity.
+/// (lower_fault_plan multiplies them). A million-fold slowdown is far past
+/// any real straggler (the fixtures use 1.5 and 2.0); past it, simulated
+/// times lose their precision and two 1e200 factors overflow to infinity.
 inline constexpr double kMaxSlowdown = 1e6;
 
 /// Persistent compute straggler. Scope is either one explicit rank

@@ -574,7 +574,8 @@ IterationMetrics TrainingSimulator::account(const TrainingPlan& plan,
       graph, result,
       obs::tag_in(graph, {last_tag(tags::kGradReduceScatter),
                           last_tag(tags::kGradAllReduce)}),
-      obs::tag_in(graph, {last_tag(tags::kForward), last_tag(tags::kBackward)}));
+      obs::tag_in(graph,
+                  {last_tag(tags::kForward), last_tag(tags::kBackward)}));
   metrics.grad_sync_overlapped = grad_overlap.overlapped;
   metrics.grad_sync_exposed = grad_overlap.exposed;
   return metrics;

@@ -231,7 +231,7 @@ SimResult TaskGraphExecutor::run(const TaskGraph& graph) {
     {
       const std::uint32_t pin =
           task.out_count < Task::kInlineOut ? task.out_count
-                                                 : Task::kInlineOut;
+                                            : Task::kInlineOut;
       for (std::uint32_t j = 0; j < pin; ++j) {
         __builtin_prefetch(&state[static_cast<std::size_t>(task.out[j])], 1);
       }
@@ -283,7 +283,7 @@ SimResult TaskGraphExecutor::run(const TaskGraph& graph) {
     };
     const std::uint32_t inline_out =
         task.out_count < Task::kInlineOut ? task.out_count
-                                               : Task::kInlineOut;
+                                          : Task::kInlineOut;
     for (std::uint32_t j = 0; j < inline_out; ++j) release(task.out[j]);
     for (std::uint32_t j = Task::kInlineOut; j < task.out_count; ++j) {
       release(out_list[task.out_begin + j]);

@@ -119,7 +119,8 @@ void lint_task_fields(const TaskSetRef& view, const GraphLintOptions& options,
           emit(i, "transfer references unknown RX port " +
                       std::to_string(task.dst_port));
         }
-        if (resource_ok(view, task.resource) && task.resource == task.dst_port) {
+        if (resource_ok(view, task.resource) &&
+            task.resource == task.dst_port) {
           emit(i, "transfer TX and RX port are the same resource '" +
                       resource_name(view, task.resource) + "'");
         }

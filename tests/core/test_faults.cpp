@@ -160,13 +160,13 @@ TEST(FaultLint, SlowdownsPastTheBoundFireHV501) {
   };
   EXPECT_TRUE(errors(on_rank_zero({kMaxSlowdown})).empty());
   EXPECT_TRUE(errors(on_rank_zero({1e3, 1e3})).empty());
+  const std::string past = " exceeds the bound of 1000000";
   EXPECT_EQ(errors(on_rank_zero({1e308})),
-            (std::vector<std::string>{
-                "stragglers[0]: slowdown 1e+308 exceeds the bound of 1000000"}));
+            std::vector<std::string>{"stragglers[0]: slowdown 1e+308" + past});
   EXPECT_EQ(errors(on_rank_zero({1e200, 1e200})),
             (std::vector<std::string>{
-                "stragglers[0]: slowdown 1e+200 exceeds the bound of 1000000",
-                "stragglers[1]: slowdown 1e+200 exceeds the bound of 1000000"}));
+                "stragglers[0]: slowdown 1e+200" + past,
+                "stragglers[1]: slowdown 1e+200" + past}));
   EXPECT_EQ(errors(on_rank_zero({1e3, 1e3, 10, 10})),
             (std::vector<std::string>{
                 "stragglers[2]: compounds rank 0's slowdown to 10000000 with "
