@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "core/run_stats.h"
@@ -40,14 +41,34 @@ std::string format_seconds(double s) {
   throw ConfigError("fault plan: unknown key '" + key + "' in " + where);
 }
 
+/// The number at `key` of `obj`, `fallback` when absent (HV501-503 lint it).
 double num_or(const JsonValue& obj, const std::string& key, double fallback) {
   const JsonValue* v = obj.find(key);
   return v == nullptr ? fallback : v->as_number();
 }
 
-int int_or(const JsonValue& obj, const std::string& key, int fallback) {
+/// The whole number at `key` of `obj` within [lo, hi], `fallback` when
+/// absent. A fraction, infinity or a value out of range is a ConfigError
+/// naming the key path (`path` + `key`, e.g. "stragglers[0].rank").
+std::int64_t whole_or(const JsonValue& obj, const std::string& path,
+                      const char* key, std::int64_t lo, std::int64_t hi,
+                      std::int64_t fallback) {
   const JsonValue* v = obj.find(key);
-  return v == nullptr ? fallback : static_cast<int>(v->as_number());
+  const double x = v == nullptr ? fallback : v->as_number();
+  if (x >= static_cast<double>(lo) && x <= static_cast<double>(hi) &&
+      x == std::trunc(x)) {
+    return static_cast<std::int64_t>(x);
+  }
+  throw ConfigError("fault plan: " + path + key +
+                    " must be a whole number from " + std::to_string(lo) +
+                    " to " + std::to_string(hi) + ", got " + format_seconds(x));
+}
+
+/// A scope field: a whole int, -1 (the wildcard) or above.
+int scope_or(const JsonValue& obj, const std::string& path, const char* key,
+             int fallback) {
+  return static_cast<int>(whole_or(obj, path, key, -1,
+                                   std::numeric_limits<int>::max(), fallback));
 }
 
 void check_keys(const JsonValue& obj, const std::string& where,
@@ -61,26 +82,27 @@ void check_keys(const JsonValue& obj, const std::string& where,
   }
 }
 
-NicDegradation parse_window(const JsonValue& obj) {
+NicDegradation parse_window(const JsonValue& obj, const std::string& path) {
   check_keys(obj, "nic_degradation[]",
              {"cluster", "node_in_cluster", "begin_s", "end_s",
               "bandwidth_factor"});
   NicDegradation w;
-  w.cluster = int_or(obj, "cluster", -1);
-  w.node_in_cluster = int_or(obj, "node_in_cluster", -1);
+  w.cluster = scope_or(obj, path, "cluster", -1);
+  w.node_in_cluster = scope_or(obj, path, "node_in_cluster", -1);
   w.begin_s = num_or(obj, "begin_s", 0);
   w.end_s = num_or(obj, "end_s", 0);
   w.bandwidth_factor = num_or(obj, "bandwidth_factor", 1.0);
   return w;
 }
 
-ComputeStraggler parse_straggler(const JsonValue& obj) {
+ComputeStraggler parse_straggler(const JsonValue& obj,
+                                 const std::string& path) {
   check_keys(obj, "stragglers[]",
              {"rank", "cluster", "node_in_cluster", "slowdown"});
   ComputeStraggler s;
-  s.rank = int_or(obj, "rank", -1);
-  s.cluster = int_or(obj, "cluster", -1);
-  s.node_in_cluster = int_or(obj, "node_in_cluster", -1);
+  s.rank = scope_or(obj, path, "rank", -1);
+  s.cluster = scope_or(obj, path, "cluster", -1);
+  s.node_in_cluster = scope_or(obj, path, "node_in_cluster", -1);
   s.slowdown = num_or(obj, "slowdown", 1.0);
   return s;
 }
@@ -89,27 +111,13 @@ ComputeStraggler parse_straggler(const JsonValue& obj) {
 // Scope resolution shared by the lints and the lowering
 // ---------------------------------------------------------------------------
 
-std::vector<int> ranks_in_scope(const net::Topology& topo, int cluster,
-                                int node_in_cluster) {
-  std::vector<int> ranks;
-  for (int rank = 0; rank < topo.world_size(); ++rank) {
-    const net::DeviceInfo& device = topo.device(rank);
-    if (cluster >= 0 && device.cluster != cluster) continue;
-    if (node_in_cluster >= 0 && device.node_in_cluster != node_in_cluster) {
-      continue;
-    }
-    ranks.push_back(rank);
-  }
-  return ranks;
-}
-
 std::vector<int> straggler_ranks(const net::Topology& topo,
                                  const ComputeStraggler& s) {
   if (s.rank >= 0) {
     if (s.rank >= topo.world_size()) return {};
     return {s.rank};
   }
-  return ranks_in_scope(topo, s.cluster, s.node_in_cluster);
+  return topo.ranks_in_scope(s.cluster, s.node_in_cluster);
 }
 
 std::string window_subject(const NicDegradation& w, std::size_t index) {
@@ -124,60 +132,29 @@ std::string window_subject(const NicDegradation& w, std::size_t index) {
 // Measured stage speeds from an executed run
 // ---------------------------------------------------------------------------
 
-/// A graph's resource names in sorted order, so effective_busy resolves a
-/// rank's ports by binary search instead of scanning every name per rank.
-using NameIndex = std::vector<std::pair<std::string_view, sim::ResourceId>>;
-
-NameIndex index_resource_names(const sim::TaskGraph& graph) {
-  NameIndex index;
-  index.reserve(graph.resource_count());
-  for (std::size_t r = 0; r < graph.resource_count(); ++r) {
-    const auto id = static_cast<sim::ResourceId>(r);
-    index.emplace_back(graph.resource_name(id), id);
-  }
-  std::sort(index.begin(), index.end());
-  return index;
-}
-
-/// Busy time of the busiest resource named exactly `name` or, with
-/// `prefix` set, whose name starts with it (0 when none is).
-double busiest_named(const NameIndex& index, const sim::SimResult& result,
-                     std::string_view name, bool prefix) {
-  double busy = 0;
-  auto it = std::lower_bound(
-      index.begin(), index.end(), name,
-      [](const auto& entry, std::string_view key) { return entry.first < key; });
-  for (; it != index.end() &&
-         (prefix ? it->first.starts_with(name) : it->first == name);
-       ++it) {
-    busy = std::max(busy, result.resource_busy(it->second));
-  }
-  return busy;
-}
-
 /// Effective busy seconds of `rank` in the executed graph: compute
 /// occupancy plus the heavier direction of its primary NIC's port occupancy
 /// (stretched occupancy under an active fault timeline, so degraded fabrics
 /// register just like slow devices).
 double effective_busy(const net::Topology& topo, const SimArtifacts& artifacts,
-                      const NameIndex& names, int rank) {
+                      int rank) {
   const sim::SimResult& result = *artifacts.result;
-  const double busy = result.resource_busy(
-      artifacts.compute_resource[static_cast<std::size_t>(rank)]);
+  const net::PortMap& ports = artifacts.ports;
+  const double busy = result.resource_busy(ports.compute(rank));
 
   const net::DeviceInfo& device = topo.device(rank);
+  double nic = 0;
   if (device.nic == net::NicType::kEthernet) {
     // Node-shared ports: take the busiest Ethernet port of the rank's node.
-    return busy + busiest_named(names, result,
-                                "node" + std::to_string(device.global_node) +
-                                    ".Ethernet",
-                                /*prefix=*/true);
+    for (sim::ResourceId port : ports.node_ethernet_ports(device.global_node)) {
+      nic = std::max(nic, result.resource_busy(port));
+    }
+  } else {
+    const net::FabricKind fabric = net::rdma_fabric(device.nic);
+    nic = std::max(result.resource_busy(ports.tx(rank, fabric)),
+                   result.resource_busy(ports.rx(rank, fabric)));
   }
-  const std::string base = "gpu" + std::to_string(rank) + "." +
-                           to_string(net::rdma_fabric(device.nic));
-  return busy +
-         std::max(busiest_named(names, result, base + ".tx", /*prefix=*/false),
-                  busiest_named(names, result, base + ".rx", /*prefix=*/false));
+  return busy + nic;
 }
 
 /// Per-virtual-stage speed weights measured from the faulted run: a stage's
@@ -195,13 +172,12 @@ std::vector<double> measure_stage_weights(const net::Topology& topo,
   for (std::size_t v = 0; v < stages; ++v) {
     phys_layers[v % static_cast<std::size_t>(p)] += plan.partition[v];
   }
-  const NameIndex names = index_resource_names(artifacts.graph);
   std::vector<double> phys_busy(static_cast<std::size_t>(p), 0.0);
   for (int s = 0; s < p; ++s) {
     for (int rank : plan.groups.stage_ranks(s)) {
       phys_busy[static_cast<std::size_t>(s)] =
           std::max(phys_busy[static_cast<std::size_t>(s)],
-                   effective_busy(topo, artifacts, names, rank));
+                   effective_busy(topo, artifacts, rank));
     }
   }
   std::vector<double> weights(stages, 1.0);
@@ -266,8 +242,12 @@ using ClassCurves = std::map<std::string, std::vector<double>>;
 ClassCurves class_occupancy(const SimArtifacts& artifacts) {
   const double makespan = artifacts.result->makespan();
   ClassCurves curves;
+  const net::PortMap& ports = artifacts.ports;
   for (const obs::ClassTimeline& cls : obs::extract_class_timelines(
-           artifacts.graph, *artifacts.result, resource_class_of)) {
+           artifacts.graph, *artifacts.result,
+           [&ports](sim::ResourceId resource) {
+             return ports.resource_class(resource);
+           })) {
     std::vector<double> values = cls.busy_ports.bucketize(
         0.0, makespan, RecoveryReport::kTimelineBuckets);
     if (cls.ports > 0) {
@@ -341,27 +321,36 @@ FaultPlan parse_fault_plan(const std::string& json) {
                       kFaultPlanSchema + "\"");
   }
   FaultPlan plan;
-  plan.seed = static_cast<std::uint64_t>(num_or(doc, "seed", 0x5EED));
+  plan.seed = static_cast<std::uint64_t>(
+      whole_or(doc, "", "seed", 0, kMaxSeed, 0x5EED));
   if (const JsonValue* windows = doc.find("nic_degradation")) {
     for (const JsonValue& w : windows->as_array()) {
-      plan.nic_degradation.push_back(parse_window(w));
+      plan.nic_degradation.push_back(parse_window(
+          w, "nic_degradation[" +
+                 std::to_string(plan.nic_degradation.size()) + "]."));
     }
   }
   if (const JsonValue* stragglers = doc.find("stragglers")) {
     for (const JsonValue& s : stragglers->as_array()) {
-      plan.stragglers.push_back(parse_straggler(s));
+      plan.stragglers.push_back(parse_straggler(
+          s, "stragglers[" + std::to_string(plan.stragglers.size()) + "]."));
     }
   }
   if (const JsonValue* failure = doc.find("node_failure")) {
     check_keys(*failure, "node_failure", {"at_s", "cluster", "node_in_cluster"});
     plan.node_failure.at_s = num_or(*failure, "at_s", -1);
-    plan.node_failure.cluster = int_or(*failure, "cluster", 0);
-    plan.node_failure.node_in_cluster = int_or(*failure, "node_in_cluster", 0);
+    plan.node_failure.cluster =
+        scope_or(*failure, "node_failure.", "cluster", 0);
+    plan.node_failure.node_in_cluster =
+        scope_or(*failure, "node_failure.", "node_in_cluster", 0);
   }
   if (const JsonValue* ckpt = doc.find("checkpoint")) {
     check_keys(*ckpt, "checkpoint",
                {"period_iterations", "save_s", "restart_s"});
-    plan.checkpoint.period_iterations = int_or(*ckpt, "period_iterations", 0);
+    plan.checkpoint.period_iterations = static_cast<int>(
+        whole_or(*ckpt, "checkpoint.", "period_iterations",
+                 std::numeric_limits<int>::min(),
+                 std::numeric_limits<int>::max(), 0));
     plan.checkpoint.save_s = num_or(*ckpt, "save_s", 0);
     plan.checkpoint.restart_s = num_or(*ckpt, "restart_s", 0);
   }
@@ -411,6 +400,12 @@ verify::LintReport lint_fault_plan(const FaultPlan& plan,
   for (std::size_t i = 0; i < plan.nic_degradation.size(); ++i) {
     const NicDegradation& w = plan.nic_degradation[i];
     const std::string subject = window_subject(w, i);
+    if (!std::isfinite(w.begin_s) || !std::isfinite(w.end_s)) {
+      report.add(verify::kRuleFaultWindowSane, verify::Severity::kError,
+                 subject, "window bounds begin_s " + format_seconds(w.begin_s) +
+                              " s and end_s " + format_seconds(w.end_s) +
+                              " s must be finite");
+    }
     if (w.begin_s < 0) {
       report.add(verify::kRuleFaultWindowSane, verify::Severity::kError,
                  subject, "window begins at negative simulated time " +
@@ -469,10 +464,17 @@ verify::LintReport lint_fault_plan(const FaultPlan& plan,
     }
   }
 
+  if (!std::isfinite(plan.node_failure.at_s)) {
+    report.add(verify::kRuleFaultWindowSane, verify::Severity::kError,
+               "node_failure",
+               "failure time at_s " + format_seconds(plan.node_failure.at_s) +
+                   " s must be finite (negative for no failure)");
+  }
+
   // HV502: every scope must resolve to at least one device.
   for (std::size_t i = 0; i < plan.nic_degradation.size(); ++i) {
     const NicDegradation& w = plan.nic_degradation[i];
-    if (ranks_in_scope(topo, w.cluster, w.node_in_cluster).empty()) {
+    if (topo.ranks_in_scope(w.cluster, w.node_in_cluster).empty()) {
       report.add(verify::kRuleFaultScopeValid, verify::Severity::kError,
                  window_subject(w, i),
                  "scope resolves to no device in the topology");
@@ -518,9 +520,16 @@ verify::LintReport lint_fault_plan(const FaultPlan& plan,
     report.add(verify::kRuleCheckpointModelSane, verify::Severity::kError,
                "checkpoint", "period_iterations must be >= 0");
   }
-  if (plan.checkpoint.save_s < 0 || plan.checkpoint.restart_s < 0) {
-    report.add(verify::kRuleCheckpointModelSane, verify::Severity::kError,
-               "checkpoint", "save_s and restart_s must be non-negative");
+  for (const auto& [field, cost] :
+       {std::pair{"save_s", plan.checkpoint.save_s},
+        std::pair{"restart_s", plan.checkpoint.restart_s}}) {
+    if (!(cost >= 0 && cost <= kMaxCheckpointCost)) {
+      report.add(verify::kRuleCheckpointModelSane, verify::Severity::kError,
+                 "checkpoint",
+                 std::string(field) + " " + format_seconds(cost) +
+                     " s must be non-negative and at most the bound of " +
+                     format_seconds(kMaxCheckpointCost) + " s");
+    }
   }
   if (plan.has_node_failure() && plan.checkpoint.period_iterations <= 0) {
     report.add(verify::kRuleCheckpointModelSane, verify::Severity::kError,

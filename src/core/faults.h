@@ -60,6 +60,15 @@ inline constexpr const char* kRecoveryReportSchema = "holmes.recovery_report.v1"
 /// times lose their precision and two 1e200 factors overflow to infinity.
 inline constexpr double kMaxSlowdown = 1e6;
 
+/// Largest checkpoint `save_s` and `restart_s` HV503 admits, in simulated
+/// seconds. Like kMaxSlowdown it sits far past any real cost (the fixtures
+/// use 0.5 and 2 s; 1e6 s is 11.6 days), so downtime and the recovered
+/// makespan stay finite and precise.
+inline constexpr double kMaxCheckpointCost = 1e6;
+
+/// Largest fault-plan `seed`: 2^53, past which a JSON number loses digits.
+inline constexpr std::int64_t kMaxSeed = std::int64_t{1} << 53;
+
 /// Persistent compute straggler. Scope is either one explicit rank
 /// (`rank >= 0`) or every rank matching the cluster/node filters
 /// (-1 = wildcard), mirroring NicDegradation's scoping.
@@ -103,9 +112,11 @@ struct FaultPlan {
 
 /// Parses a `holmes.fault_plan.v1` document. Unknown keys are rejected;
 /// missing optional sections default. Throws holmes::ConfigError on
-/// malformed JSON, a wrong schema tag, or ill-typed fields. (Semantic
-/// sanity — window ordering, scope resolution — is lint_fault_plan's job,
-/// so a CLI can report every problem instead of dying on the first.)
+/// malformed JSON, a wrong schema tag, or ill-typed fields, naming the key
+/// path of a scope or period that is not a whole int (scopes >= -1) or a
+/// seed outside [0, kMaxSeed]. (Semantic sanity — finite times, window
+/// ordering, scope resolution, cost bounds — is lint_fault_plan's job, so
+/// a CLI can report every problem instead of dying on the first.)
 FaultPlan parse_fault_plan(const std::string& json);
 
 /// Serializes the plan back to its stable JSON document (no trailing

@@ -50,41 +50,11 @@ verify::LintReport lint_artifacts(const SimArtifacts& artifacts,
 verify::FlowLintOptions make_flow_options(const SimArtifacts& artifacts,
                                           const net::Topology& topo) {
   verify::FlowLintOptions options;
-  const sim::TaskGraph& graph = artifacts.graph;
-  options.resource_cluster.assign(graph.resource_count(), -1);
-
-  // Cluster of a global node index: walk the cluster node counts in rank
-  // order (nodes are numbered across clusters in declaration order).
-  auto cluster_of_node = [&](int node) -> int {
-    int first = 0;
-    for (int c = 0; c < topo.cluster_count(); ++c) {
-      const int nodes = topo.cluster(c).nodes;
-      if (node < first + nodes) return c;
-      first += nodes;
-    }
-    return -1;
-  };
-  auto parse_index = [](const std::string& name, const char* prefix) -> int {
-    const std::size_t plen = std::char_traits<char>::length(prefix);
-    if (name.compare(0, plen, prefix) != 0) return -1;
-    int value = 0;
-    std::size_t i = plen;
-    if (i >= name.size() || name[i] < '0' || name[i] > '9') return -1;
-    for (; i < name.size() && name[i] >= '0' && name[i] <= '9'; ++i) {
-      value = value * 10 + (name[i] - '0');
-    }
-    return value;
-  };
-  for (std::size_t r = 0; r < graph.resource_count(); ++r) {
-    const std::string& name =
-        graph.resource_name(static_cast<sim::ResourceId>(r));
-    int cluster = -1;
-    if (const int rank = parse_index(name, "gpu"); rank >= 0) {
-      if (rank < topo.world_size()) cluster = topo.cluster_of(rank);
-    } else if (const int node = parse_index(name, "node"); node >= 0) {
-      cluster = cluster_of_node(node);
-    }
-    options.resource_cluster[r] = cluster;
+  options.resource_cluster.assign(artifacts.graph.resource_count(), -1);
+  for (std::size_t r = 0; r < options.resource_cluster.size(); ++r) {
+    const int node =
+        artifacts.ports.owner(static_cast<sim::ResourceId>(r)).node;
+    if (node >= 0) options.resource_cluster[r] = topo.cluster_of_node(node);
   }
   return options;
 }

@@ -14,9 +14,9 @@
 ///                       against the artifacts a TrainingSimulator::run left
 ///                       behind
 ///  - make_flow_options — derive the HV4xx options from a topology: the
-///                       resource -> cluster map (parsed from the canonical
-///                       "gpu<rank>.*" / "node<n>.*" resource names) that
-///                       the channel-cut-balance rule needs
+///                       resource -> cluster map (each resource's owning
+///                       node, from the run's net::PortMap) that the
+///                       channel-cut-balance rule needs
 ///  - preflight_or_throw — the debug-mode hook TrainingSimulator::run calls
 ///                       before lowering: logs every diagnostic and throws
 ///                       ConfigError when any rule fires at error severity.
@@ -51,9 +51,9 @@ verify::LintReport lint_artifacts(const SimArtifacts& artifacts,
                                   const net::Topology* topo = nullptr);
 
 /// Builds the HV4xx flow-lint options for `artifacts.graph` on `topo`:
-/// resolves every resource to its owning cluster by parsing the canonical
-/// resource names ("gpu<rank>.*" via the rank's device, "node<n>.*" via the
-/// global node index); unparseable names stay -1 (excluded from HV404).
+/// resolves every resource to the cluster of the node that owns it
+/// (`artifacts.ports`); a resource the map did not register stays -1
+/// (excluded from HV404).
 verify::FlowLintOptions make_flow_options(const SimArtifacts& artifacts,
                                           const net::Topology& topo);
 

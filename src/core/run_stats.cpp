@@ -43,20 +43,6 @@ std::string comm_kind_of(const sim::TaskGraph& graph,
 
 }  // namespace
 
-const char* nic_class_of(const std::string& resource_name) {
-  static constexpr const char* kClasses[] = {"NVLink", "PCIe", "InfiniBand",
-                                             "RoCE", "Ethernet"};
-  for (const char* cls : kClasses) {
-    if (resource_name.find(cls) != std::string::npos) return cls;
-  }
-  return "unknown";
-}
-
-std::string resource_class_of(const std::string& resource_name) {
-  if (resource_name.find(".compute") != std::string::npos) return "compute";
-  return nic_class_of(resource_name);
-}
-
 obs::Window clip_window(const WindowSpec& window, double makespan) {
   const double begin = std::max(0.0, window.begin);
   const double end =
@@ -226,34 +212,28 @@ obs::CriticalPathSummary build_critical_path_summary(
     if (segment.end > segment.begin) clipped.segments.push_back(segment);
   }
 
-  // Compute resource -> pipeline stage, via the plan's group matrices.
-  std::vector<int> stage_of(graph.resource_count(), -1);
-  for (int rank = 0; rank < topo.world_size(); ++rank) {
-    stage_of[static_cast<std::size_t>(
-        artifacts.compute_resource[static_cast<std::size_t>(rank)])] =
-        plan.groups.coord_of(rank).stage;
-  }
+  // A compute engine's pipeline stage, via the plan's group matrices.
+  const net::PortMap& ports = artifacts.ports;
   auto stage_bucket = [&](sim::ResourceId resource) -> std::string {
-    const int stage =
-        resource >= 0 ? stage_of[static_cast<std::size_t>(resource)] : -1;
-    return stage >= 0 ? "compute/stage" + std::to_string(stage)
-                      : std::string("compute/other");
+    const int rank = ports.owner(resource).rank;
+    return rank >= 0 && resource == ports.compute(rank)
+               ? "compute/stage" +
+                     std::to_string(plan.groups.coord_of(rank).stage)
+               : std::string("compute/other");
   };
 
   auto bucket_of = [&](const obs::PathSegment& segment) -> std::string {
+    const std::string cls = ports.resource_class(segment.resource);
     switch (segment.kind) {
       case obs::SegmentKind::kCompute:
         return stage_bucket(segment.resource);
       case obs::SegmentKind::kCommBusy:
-        return std::string("comm/") +
-               nic_class_of(graph.resource_name(segment.resource)) + "/" +
+        return "comm/" + cls + "/" +
                comm_kind_of(graph, graph.info(segment.task));
       case obs::SegmentKind::kCommLatency:
-        return std::string("latency/") +
-               nic_class_of(graph.resource_name(segment.resource));
+        return "latency/" + cls;
       case obs::SegmentKind::kQueueWait:
-        return "wait/" +
-               resource_class_of(graph.resource_name(segment.resource));
+        return "wait/" + cls;
     }
     return "other";
   };
@@ -333,8 +313,7 @@ obs::CriticalPathSummary build_critical_path_summary(
           const std::string bucket = stage_bucket(segment.resource);
           return bucket == "compute/other" ? std::string() : bucket;
         }
-        return std::string("link/") +
-               nic_class_of(graph.resource_name(segment.resource));
+        return "link/" + ports.resource_class(segment.resource);
       });
   s.sensitivities.reserve(whatifs.size());
   for (const obs::WhatIf& w : whatifs) {

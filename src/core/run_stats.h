@@ -23,19 +23,6 @@
 
 namespace holmes::core {
 
-/// NIC class of a port resource ("NVLink", "PCIe", "InfiniBand", "RoCE",
-/// "Ethernet", or "unknown"); the PortMap bakes the fabric name into every
-/// port's resource name ("gpu3.RoCE.tx", "node0.Ethernet0.rx"). Shared by
-/// the critical-path buckets, the timeline report, and the saturation lint
-/// so every surface classifies fabrics identically.
-const char* nic_class_of(const std::string& resource_name);
-
-/// Reporting class of any resource: "compute" for a device's compute engine
-/// ("gpu3.compute"), else its nic_class_of. The timeline report, the
-/// recovery report's occupancy curves and the critical path's queue-wait
-/// buckets all classify resources through this one function.
-std::string resource_class_of(const std::string& resource_name);
-
 /// Clips a requested window to the run: [max(0, begin), end < 0 ? makespan
 /// : min(end, makespan)). Every report's window goes through here, so
 /// stats, explain and timeline share one semantics. Throws ConfigError
@@ -74,7 +61,10 @@ struct CriticalPathOptions {
 /// buckets: per-stage compute ("compute/stage<k>"), per-NIC-class and
 /// per-communicator-kind transfer serialization ("comm/<class>/<kind>"),
 /// propagation latency ("latency/<class>") and queue wait
-/// ("wait/compute" | "wait/<class>"). Bucket seconds sum exactly to the
+/// ("wait/compute" | "wait/<class>"). Every class is the one
+/// `artifacts.ports` gives the segment's resource (net::PortMap::
+/// resource_class), as in the timeline and the recovery report's
+/// occupancy curves. Bucket seconds sum exactly to the
 /// attribution window (the full makespan by default). Also derives the
 /// first-order what-if sensitivities ("compute/stage<k>", "link/<class>").
 /// When `path_out` is non-null it receives the raw (unclipped) path, e.g.

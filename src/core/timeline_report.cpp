@@ -93,8 +93,12 @@ TimelineSummary build_timeline_summary(const net::Topology& topo,
 
   const sim::RateTimeline* rates =
       artifacts.rates.empty() ? nullptr : &artifacts.rates;
-  summary.timeline = obs::extract_timeline(artifacts.graph, result, extract,
-                                           resource_class_of, rates);
+  summary.timeline = obs::extract_timeline(
+      artifacts.graph, result, extract,
+      [&ports = artifacts.ports](sim::ResourceId resource) {
+        return ports.resource_class(resource);
+      },
+      rates);
 
   // HV406: the Fig. 3 diagnosis. The rule is always *checked* once a
   // timeline exists; it *fires* when the Ethernet fallback fabric is

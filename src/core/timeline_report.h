@@ -4,8 +4,8 @@
 /// Builds the stable `holmes.timeline.v1` document from a simulated run.
 ///
 /// obs/timeline.h extracts the exact time-resolved telemetry; this module
-/// joins it with the plan's identity strings and the topology's NIC naming
-/// (core::resource_class_of), runs the HV406 fallback-fabric saturation lint
+/// joins it with the plan's identity strings and each resource's class
+/// (the run's net::PortMap), runs the HV406 fallback-fabric saturation lint
 /// over the class occupancy curves, and serializes the result as
 /// fingerprint-stamped, byte-stable JSON plus a terminal report with ASCII
 /// sparklines — everything `holmes_cli timeline` surfaces.

@@ -179,7 +179,8 @@ SimArtifacts TrainingSimulator::lower(const net::Topology& topo,
   lowered.self_profile.reset();
   lowered.rates = {};
   sim::TaskGraph& graph = lowered.graph;
-  const net::PortMap ports(topo, graph);
+  lowered.ports = net::PortMap(topo, graph);
+  const net::PortMap& ports = lowered.ports;
 
   const std::vector<pipeline::StageProgram> programs = build_programs(plan);
 
@@ -205,16 +206,12 @@ SimArtifacts TrainingSimulator::lower(const net::Topology& topo,
   // shared port exactly once per window, not once per rank riding it).
   for (const NicDegradation& window : perturbations.nic_degradation) {
     std::vector<sim::ResourceId> affected;
-    for (int rank = 0; rank < n; ++rank) {
-      const net::DeviceInfo& device = topo.device(rank);
-      if (window.cluster >= 0 && device.cluster != window.cluster) continue;
-      if (window.node_in_cluster >= 0 &&
-          device.node_in_cluster != window.node_in_cluster) {
-        continue;
-      }
-      const net::FabricKind fabric = device.nic == net::NicType::kEthernet
+    for (int rank :
+         topo.ranks_in_scope(window.cluster, window.node_in_cluster)) {
+      const net::NicType nic = topo.device(rank).nic;
+      const net::FabricKind fabric = nic == net::NicType::kEthernet
                                          ? net::FabricKind::kEthernet
-                                         : net::rdma_fabric(device.nic);
+                                         : net::rdma_fabric(nic);
       affected.push_back(ports.tx(rank, fabric));
       affected.push_back(ports.rx(rank, fabric));
     }

@@ -17,6 +17,7 @@
 #include "core/cost_model.h"
 #include "core/perturbation.h"
 #include "core/plan.h"
+#include "net/ports.h"
 #include "obs/self_profile.h"
 #include "sim/executor.h"
 #include "sim/rate_timeline.h"
@@ -51,8 +52,8 @@ struct IterationMetrics {
 
 /// Everything a run leaves behind beyond the scalar metrics: the lowered
 /// task graph, its timings, and enough structure (iteration markers, the
-/// rank -> compute-resource map) for the observability layer to derive
-/// utilization, bubble, contention, and overlap accounting.
+/// port map that says what each resource is) for the observability layer
+/// to derive utilization, bubble, contention, and overlap accounting.
 /// TrainingSimulator::lower fills every field but `result` and
 /// `self_profile`; TrainingSimulator::execute produces the `result`, and
 /// TrainingSimulator::run hands back all of it through its `artifacts`
@@ -65,6 +66,9 @@ struct SimArtifacts {
   /// One marker noop per simulated iteration; marker i finishes when every
   /// device's optimizer state for iteration i is final.
   std::vector<sim::TaskId> iteration_markers;
+  /// The map `graph`'s resources were registered with: every report asks
+  /// it what a resource is (its class, owning rank or node) by id.
+  net::PortMap ports;
   /// Global rank -> compute resource id in `graph`.
   std::vector<sim::ResourceId> compute_resource;
   int iterations = 0;

@@ -1,79 +1,79 @@
 #include "net/ports.h"
 
+#include <numeric>
+
 #include "util/error.h"
 
 namespace holmes::net {
 
-namespace {
-std::size_t fabric_index(FabricKind fabric) {
-  const auto i = static_cast<std::size_t>(fabric);
-  HOLMES_CHECK(i < 5);
-  return i;
-}
-}  // namespace
-
-PortMap::PortMap(const Topology& topo, sim::TaskGraph& graph,
-                 int ethernet_ports_per_node)
-    : world_size_(topo.world_size()),
-      eth_ports_per_node_(ethernet_ports_per_node) {
-  HOLMES_CHECK_MSG(ethernet_ports_per_node >= 1,
-                   "need at least one Ethernet port per node");
-  compute_.reserve(static_cast<std::size_t>(world_size_));
-  tx_.reserve(static_cast<std::size_t>(world_size_) * kFabricCount);
-  rx_.reserve(static_cast<std::size_t>(world_size_) * kFabricCount);
-  node_of_.reserve(static_cast<std::size_t>(world_size_));
-  gpu_in_node_.reserve(static_cast<std::size_t>(world_size_));
-  // Node-shared Ethernet port pairs.
-  for (int node = 0; node < topo.total_nodes(); ++node) {
-    for (int port = 0; port < eth_ports_per_node_; ++port) {
+PortMap::PortMap(const Topology& topo, sim::TaskGraph& graph)
+    : first_(static_cast<sim::ResourceId>(graph.resource_count())),
+      nodes_(topo.total_nodes()) {
+  // Registered in the order the lookups below compute ids from.
+  for (int node = 0; node < nodes_; ++node) {
+    for (int port = 0; port < kEthernetPortsPerNode; ++port) {
       const std::string base = "node" + std::to_string(node) + ".Ethernet" +
                                std::to_string(port);
-      node_eth_tx_.push_back(graph.add_resource(base + ".tx"));
-      node_eth_rx_.push_back(graph.add_resource(base + ".rx"));
+      graph.add_resource(base + ".tx");
+      graph.add_resource(base + ".rx");
     }
   }
-  for (int rank = 0; rank < world_size_; ++rank) {
+  eth_pair_.reserve(static_cast<std::size_t>(topo.world_size()));
+  for (int rank = 0; rank < topo.world_size(); ++rank) {
+    const DeviceInfo& device = topo.device(rank);
+    eth_pair_.push_back(device.global_node * kEthernetPortsPerNode +
+                        device.gpu_in_node % kEthernetPortsPerNode);
     const std::string base = "gpu" + std::to_string(rank);
-    compute_.push_back(graph.add_resource(base + ".compute"));
-    node_of_.push_back(topo.node_of(rank));
-    gpu_in_node_.push_back(topo.device(rank).gpu_in_node);
+    graph.add_resource(base + ".compute");
     for (int f = 0; f < kFabricCount; ++f) {
       const std::string fname = to_string(static_cast<FabricKind>(f));
-      tx_.push_back(graph.add_resource(base + "." + fname + ".tx"));
-      rx_.push_back(graph.add_resource(base + "." + fname + ".rx"));
+      graph.add_resource(base + "." + fname + ".tx");
+      graph.add_resource(base + "." + fname + ".rx");
     }
   }
+  HOLMES_CHECK(static_cast<sim::ResourceId>(graph.resource_count()) == end());
 }
 
 sim::ResourceId PortMap::compute(int rank) const {
-  HOLMES_CHECK(rank >= 0 && rank < world_size_);
-  return compute_[static_cast<std::size_t>(rank)];
+  HOLMES_CHECK(rank >= 0 && rank < static_cast<int>(eth_pair_.size()));
+  return rank_base() + rank * kPerRank;
 }
 
 sim::ResourceId PortMap::tx(int rank, FabricKind fabric) const {
-  HOLMES_CHECK(rank >= 0 && rank < world_size_);
+  const sim::ResourceId engine = compute(rank);
   if (fabric == FabricKind::kEthernet) {
-    const auto node = node_of_[static_cast<std::size_t>(rank)];
-    const auto port = gpu_in_node_[static_cast<std::size_t>(rank)] %
-                      eth_ports_per_node_;
-    return node_eth_tx_[static_cast<std::size_t>(node * eth_ports_per_node_ +
-                                                 port)];
+    return first_ + eth_pair_[static_cast<std::size_t>(rank)] * 2;
   }
-  return tx_[static_cast<std::size_t>(rank) * kFabricCount +
-             fabric_index(fabric)];
+  return engine + 1 + 2 * static_cast<int>(fabric);
 }
 
 sim::ResourceId PortMap::rx(int rank, FabricKind fabric) const {
-  HOLMES_CHECK(rank >= 0 && rank < world_size_);
-  if (fabric == FabricKind::kEthernet) {
-    const auto node = node_of_[static_cast<std::size_t>(rank)];
-    const auto port = gpu_in_node_[static_cast<std::size_t>(rank)] %
-                      eth_ports_per_node_;
-    return node_eth_rx_[static_cast<std::size_t>(node * eth_ports_per_node_ +
-                                                 port)];
-  }
-  return rx_[static_cast<std::size_t>(rank) * kFabricCount +
-             fabric_index(fabric)];
+  return tx(rank, fabric) + 1;
+}
+
+std::string PortMap::resource_class(sim::ResourceId resource) const {
+  if (resource < first_ || resource >= end()) return "unknown";
+  if (resource < rank_base()) return to_string(FabricKind::kEthernet);
+  // A rank's slot 0 is its compute engine, slot 1 + 2f its fabric f's TX.
+  const int slot = (resource - rank_base()) % kPerRank;
+  return slot == 0 ? "compute"
+                   : to_string(static_cast<FabricKind>((slot - 1) / 2));
+}
+
+PortMap::Owner PortMap::owner(sim::ResourceId resource) const {
+  if (resource < first_ || resource >= end()) return {};
+  if (resource < rank_base()) return {-1, (resource - first_) / kPerNode};
+  const int rank = (resource - rank_base()) / kPerRank;
+  return {rank,
+          eth_pair_[static_cast<std::size_t>(rank)] / kEthernetPortsPerNode};
+}
+
+std::array<sim::ResourceId, 2 * kEthernetPortsPerNode>
+PortMap::node_ethernet_ports(int node) const {
+  HOLMES_CHECK(node >= 0 && node < nodes_);
+  std::array<sim::ResourceId, kPerNode> ports{};
+  std::iota(ports.begin(), ports.end(), first_ + node * kPerNode);
+  return ports;
 }
 
 sim::TaskId emit_transfer(sim::TaskGraph& graph, const PortMap& ports,

@@ -15,6 +15,8 @@
 /// Ethernet training is so much slower than its 25 Gbps nominal rate
 /// suggests, and why a global Ethernet fallback is catastrophic.
 
+#include <array>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -23,15 +25,25 @@
 
 namespace holmes::net {
 
+/// Ethernet NIC port pairs every node exposes; its GPUs share them
+/// round-robin (gpu_in_node % kEthernetPortsPerNode), so an 8-GPU node
+/// puts two GPUs on each pair.
+inline constexpr int kEthernetPortsPerNode = 4;
+
+/// The one owner of resource identity: it registers every resource of a
+/// topology, names it ("gpu3.compute", "gpu3.InfiniBand.tx",
+/// "node1.Ethernet0.rx") and answers what each one is by id, from the
+/// fixed order it registers them in. Reports never parse those names back.
 class PortMap {
  public:
-  /// Registers resources for every device of `topo` in `graph`. The graph
-  /// must outlive neither object; PortMap only stores ids.
-  /// `ethernet_ports_per_node` controls how many Ethernet NIC port pairs a
-  /// node exposes; GPUs share them round-robin (gpu % ports). 1 models a
-  /// single management NIC; gpus_per_node models a fully provisioned pod.
-  PortMap(const Topology& topo, sim::TaskGraph& graph,
-          int ethernet_ports_per_node = 4);
+  /// A map that registered nothing: every resource is "unknown" to it.
+  PortMap() = default;
+
+  /// Registers resources for every device of `topo` in `graph`: first each
+  /// node's kEthernetPortsPerNode Ethernet pairs (TX then RX), then per
+  /// rank its compute engine and a TX/RX pair per fabric, in FabricKind
+  /// order. PortMap only stores ids, so neither object needs to outlive it.
+  PortMap(const Topology& topo, sim::TaskGraph& graph);
 
   /// The device's compute engine (forward/backward kernels run here).
   sim::ResourceId compute(int rank) const;
@@ -44,17 +56,41 @@ class PortMap {
   /// node-shared port.
   sim::ResourceId rx(int rank, FabricKind fabric) const;
 
+  /// The class reports print for `resource`: "compute" for a compute
+  /// engine, the port's fabric (net::to_string) for a port, and "unknown"
+  /// for a resource this map did not register.
+  std::string resource_class(sim::ResourceId resource) const;
+
+  /// Who owns a registered resource. Both fields are -1 for a resource
+  /// this map did not register.
+  struct Owner {
+    int rank = -1;  ///< the owning rank; -1 for a node-shared Ethernet port
+    int node = -1;  ///< the owning global node
+  };
+  Owner owner(sim::ResourceId resource) const;
+
+  /// Global node `node`'s shared Ethernet ports: the TX and RX port of
+  /// each of its kEthernetPortsPerNode pairs.
+  std::array<sim::ResourceId, 2 * kEthernetPortsPerNode> node_ethernet_ports(
+      int node) const;
+
  private:
   static constexpr int kFabricCount = 5;
-  int world_size_;
-  std::vector<sim::ResourceId> compute_;
-  std::vector<sim::ResourceId> tx_;  ///< rank * kFabricCount + fabric
-  std::vector<sim::ResourceId> rx_;
-  int eth_ports_per_node_;
-  std::vector<sim::ResourceId> node_eth_tx_;  ///< node * ports + port
-  std::vector<sim::ResourceId> node_eth_rx_;
-  std::vector<int> node_of_;                  ///< rank -> global node
-  std::vector<int> gpu_in_node_;              ///< rank -> index within node
+  static constexpr int kPerNode = 2 * kEthernetPortsPerNode;
+  /// A rank's compute engine, then its TX/RX pair per fabric.
+  static constexpr int kPerRank = 1 + 2 * kFabricCount;
+
+  /// Rank 0's compute engine, and one past the last resource registered.
+  sim::ResourceId rank_base() const { return first_ + nodes_ * kPerNode; }
+  sim::ResourceId end() const {
+    return rank_base() + static_cast<int>(eth_pair_.size()) * kPerRank;
+  }
+
+  sim::ResourceId first_ = 0;  ///< id of the first resource registered
+  int nodes_ = 0;
+  /// rank -> its shared Ethernet pair, counted over all nodes:
+  /// node * kEthernetPortsPerNode + gpu_in_node % kEthernetPortsPerNode.
+  std::vector<int> eth_pair_;
 };
 
 /// Emits a transfer task moving `bytes` from `src` to `dst` over the fabric

@@ -35,17 +35,16 @@ Topology::Topology(std::vector<ClusterSpec> clusters, FabricCatalog catalog)
     }
   }
   int rank = 0;
-  int global_node = 0;
   for (std::size_t ci = 0; ci < clusters_.size(); ++ci) {
     const auto& c = clusters_[ci];
-    for (int k = 0; k < c.nodes; ++k, ++global_node) {
+    for (int k = 0; k < c.nodes; ++k) {
+      node_cluster_.push_back(static_cast<int>(ci));
       for (int j = 0; j < c.gpus_per_node; ++j, ++rank) {
         devices_.push_back(DeviceInfo{rank, static_cast<int>(ci), k,
-                                      global_node, j, c.nic});
+                                      total_nodes() - 1, j, c.nic});
       }
     }
   }
-  total_nodes_ = global_node;
 }
 
 Topology Topology::homogeneous(int nodes, NicType nic, int gpus_per_node) {
@@ -92,10 +91,18 @@ const DeviceInfo& Topology::device(int rank) const {
   return devices_[static_cast<std::size_t>(rank)];
 }
 
-std::vector<int> Topology::ranks_in_cluster(int cluster) const {
+int Topology::cluster_of_node(int node) const {
+  HOLMES_CHECK_MSG(node >= 0 && node < total_nodes(), "node out of range");
+  return node_cluster_[static_cast<std::size_t>(node)];
+}
+
+std::vector<int> Topology::ranks_in_scope(int cluster,
+                                          int node_in_cluster) const {
   std::vector<int> ranks;
   for (const auto& d : devices_) {
-    if (d.cluster == cluster) ranks.push_back(d.rank);
+    if (cluster >= 0 && d.cluster != cluster) continue;
+    if (node_in_cluster >= 0 && d.node_in_cluster != node_in_cluster) continue;
+    ranks.push_back(d.rank);
   }
   return ranks;
 }
@@ -130,8 +137,8 @@ PathInfo Topology::path_on(int rank_a, int rank_b, FabricKind fabric) const {
                 std::max(from_a.latency, from_b.latency)};
   if (fabric == FabricKind::kEthernet &&
       cluster_of(rank_a) != cluster_of(rank_b)) {
-    path.bandwidth *= inter_cluster_.bandwidth_factor;
-    path.latency += inter_cluster_.extra_latency;
+    path.bandwidth *= kInterClusterBandwidthFactor;
+    path.latency += kInterClusterExtraLatency;
   }
   return path;
 }

@@ -58,11 +58,10 @@ struct PathInfo {
 /// Degradation applied to Ethernet paths that leave a cluster: clusters
 /// share no high-speed interconnect (paper §2.2 case 2), so cross-cluster
 /// traffic crosses routed, oversubscribed aggregation links instead of the
-/// cluster's own switched network.
-struct InterClusterLink {
-  double bandwidth_factor = 0.40;
-  SimTime extra_latency = units::microseconds(500);
-};
+/// cluster's own switched network. The path keeps this fraction of its
+/// bandwidth and pays this much extra latency.
+inline constexpr double kInterClusterBandwidthFactor = 0.40;
+inline constexpr SimTime kInterClusterExtraLatency = units::microseconds(500);
 
 /// Largest world a Topology accepts: 2^21 devices. Every device lowers at
 /// least four compute tasks per iteration (overhead, forward, backward,
@@ -97,7 +96,7 @@ class Topology {
 
   int world_size() const { return static_cast<int>(devices_.size()); }
   int cluster_count() const { return static_cast<int>(clusters_.size()); }
-  int total_nodes() const { return total_nodes_; }
+  int total_nodes() const { return static_cast<int>(node_cluster_.size()); }
   int gpus_per_node() const;  ///< requires all clusters to share G
 
   const std::vector<ClusterSpec>& clusters() const { return clusters_; }
@@ -107,9 +106,17 @@ class Topology {
 
   int cluster_of(int rank) const { return device(rank).cluster; }
   int node_of(int rank) const { return device(rank).global_node; }
+  /// Cluster of global node `node`.
+  int cluster_of_node(int node) const;
 
-  /// Ranks of every device in `cluster`, ascending.
-  std::vector<int> ranks_in_cluster(int cluster) const;
+  /// Ranks of every device in node `node_in_cluster` of `cluster`,
+  /// ascending; -1 in either position matches every cluster or node (the
+  /// fault plan's scope).
+  std::vector<int> ranks_in_scope(int cluster, int node_in_cluster) const;
+  /// Ranks of every device in `cluster` (>= 0), ascending.
+  std::vector<int> ranks_in_cluster(int cluster) const {
+    return ranks_in_scope(cluster, -1);
+  }
 
   // ---- Connectivity ----
 
@@ -123,11 +130,6 @@ class Topology {
   /// (the transport a NIC-oblivious stack forces). Applies the
   /// inter-cluster degradation when the pair spans clusters over Ethernet.
   PathInfo path_on(int rank_a, int rank_b, FabricKind fabric) const;
-
-  const InterClusterLink& inter_cluster_link() const { return inter_cluster_; }
-  void set_inter_cluster_link(const InterClusterLink& link) {
-    inter_cluster_ = link;
-  }
 
   /// The fastest fabric available between *every* pair in `ranks`. This is
   /// the transport a communicator spanning `ranks` ends up on, and is the
@@ -143,8 +145,7 @@ class Topology {
   std::vector<ClusterSpec> clusters_;
   std::vector<DeviceInfo> devices_;
   FabricCatalog catalog_;
-  InterClusterLink inter_cluster_;
-  int total_nodes_ = 0;
+  std::vector<int> node_cluster_;  ///< global node -> cluster
 };
 
 }  // namespace holmes::net

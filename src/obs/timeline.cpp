@@ -437,9 +437,8 @@ std::vector<ClassTimeline> extract_class_timelines(
   std::map<std::string, std::size_t> class_index;
   for (std::size_t r = 0; r < is_link.size(); ++r) {
     if (!is_link[r]) continue;
-    link_class[r] =
-        classify ? classify(graph.resource_name(static_cast<sim::ResourceId>(r)))
-                 : std::string("unknown");
+    link_class[r] = classify ? classify(static_cast<sim::ResourceId>(r))
+                             : std::string("unknown");
     class_index.emplace(link_class[r], 0);
   }
   std::vector<ClassTimeline> classes(class_index.size());
@@ -527,7 +526,7 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
     ResourceTimeline& res = timeline.resources[r];
     res.id = accounts[r].id;
     res.name = accounts[r].name;
-    res.nic_class = classify ? classify(res.name) : std::string("unknown");
+    res.nic_class = classify ? classify(res.id) : std::string("unknown");
     res.is_device = accounts[r].is_device;
     res.is_link = accounts[r].is_link;
     res.busy_total = accounts[r].busy;
@@ -591,40 +590,7 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
         sample_right_edges(accumulate_bytes(finish), window, buckets);
   }
 
-  // Effective-rate overlays: one per resource a rate window touched.
-  std::vector<sim::RateTimeline::AppliedWindow> rate_windows;
-  if (rates != nullptr && !rates->empty()) rate_windows = rates->windows();
-  std::vector<std::pair<sim::ResourceId, Deltas>> overlay_events;
-  for (std::size_t i = 0; i < rate_windows.size();) {
-    const sim::ResourceId resource = rate_windows[i].resource;
-    // Breakpoints where the compound factor may change; the effective rate
-    // on each segment is min(1, product of active factors), the exact
-    // pacing `stretched` integrates through (modulo its 1e-6 floor, far
-    // below any factor a fault plan admits).
-    std::vector<SimTime> bps;
-    const std::size_t first = i;
-    while (i < rate_windows.size() && rate_windows[i].resource == resource) {
-      bps.push_back(rate_windows[i].begin);
-      bps.push_back(rate_windows[i].end);
-      ++i;
-    }
-    std::sort(bps.begin(), bps.end());
-    bps.erase(std::unique(bps.begin(), bps.end()), bps.end());
-    Deltas levels;  // encoded as (time, level) pairs, converted below
-    for (SimTime t : bps) {
-      double factor = 1.0;
-      for (std::size_t w = first; w < i; ++w) {
-        if (rate_windows[w].begin <= t && t < rate_windows[w].end) {
-          factor *= rate_windows[w].factor;
-        }
-      }
-      levels.emplace_back(t, std::min(1.0, factor));
-    }
-    overlay_events.emplace_back(resource, std::move(levels));
-  }
-  timeline.overlays.resize(overlay_events.size());
-
-  // Saturation intervals and the overlays' degraded time, in-window.
+  // Saturation intervals, in-window.
   for (ClassTimeline& cls : timeline.classes) {
     const double bar =
         options.saturation_threshold * static_cast<double>(cls.ports);
@@ -635,17 +601,19 @@ Timeline extract_timeline(const sim::TaskGraph& graph,
       cls.saturated_total += hi - lo;
     }
   }
-  for (std::size_t o = 0; o < overlay_events.size(); ++o) {
-    RateOverlay& overlay = timeline.overlays[o];
-    overlay.resource = overlay_events[o].first;
-    overlay.name = graph.resource_name(overlay_events[o].first);
-    std::vector<SimTime> times;
-    std::vector<double> values;
-    times.push_back(0.0);
-    values.push_back(1.0);
-    for (const auto& [t, level] : overlay_events[o].second) {
-      times.push_back(t);
-      values.push_back(level);
+  // Effective-rate overlays: one per resource a rate window touched, with
+  // its degraded time in-window.
+  for (const sim::RateTimeline::Staircase& stairs :
+       rates != nullptr ? rates->staircases()
+                        : std::vector<sim::RateTimeline::Staircase>{}) {
+    RateOverlay& overlay = timeline.overlays.emplace_back();
+    overlay.resource = stairs.resource;
+    overlay.name = graph.resource_name(overlay.resource);
+    std::vector<SimTime> times{0.0};
+    std::vector<double> values{1.0};
+    for (const sim::RateTimeline::Step& step : stairs.steps) {
+      times.push_back(step.at);
+      values.push_back(step.rate);
     }
     overlay.effective = StepSeries::from_levels(std::move(times),
                                                std::move(values));

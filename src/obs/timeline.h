@@ -117,10 +117,11 @@ class StepSeries {
   std::vector<double> values_;
 };
 
-/// Classifies a resource name into a reporting class (e.g. "Ethernet",
-/// "InfiniBand", "compute"). Supplied by the core layer, which owns the
-/// naming scheme; an empty function classifies everything as "unknown".
-using ResourceClassifier = std::function<std::string(const std::string&)>;
+/// Gives a resource's reporting class (e.g. "Ethernet", "InfiniBand",
+/// "compute") by id. The core layer supplies it from the run's
+/// net::PortMap, which registered the resources and knows what each one
+/// is; an empty function classifies everything as "unknown".
+using ResourceClassifier = std::function<std::string(sim::ResourceId)>;
 
 struct TimelineOptions {
   /// Observation window for the aggregates, saturation extraction, and

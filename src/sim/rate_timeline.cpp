@@ -48,6 +48,30 @@ std::vector<RateTimeline::AppliedWindow> RateTimeline::windows() const {
   return out;  // per-resource lists are kept sorted; ids ascend by loop order
 }
 
+std::vector<RateTimeline::Staircase> RateTimeline::staircases() const {
+  std::vector<Staircase> out;
+  for (std::size_t r = 0; r < per_resource_.size(); ++r) {
+    const std::vector<Window>& windows = per_resource_[r];
+    if (windows.empty()) continue;
+    std::vector<SimTime> edges;
+    for (const Window& w : windows) {
+      edges.push_back(w.begin);
+      edges.push_back(w.end);
+    }
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    Staircase& stairs = out.emplace_back(static_cast<ResourceId>(r));
+    for (SimTime t : edges) {
+      double factor = 1.0;
+      for (const Window& w : windows) {
+        if (w.begin <= t && t < w.end) factor *= w.factor;
+      }
+      stairs.steps.push_back({t, std::min(1.0, factor)});
+    }
+  }
+  return out;
+}
+
 const std::vector<RateTimeline::Window>* RateTimeline::windows_of(
     ResourceId resource) const {
   if (resource < 0 ||

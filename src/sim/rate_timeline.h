@@ -74,6 +74,21 @@ class RateTimeline {
   /// same deterministic order regardless of insertion order.
   std::vector<AppliedWindow> windows() const;
 
+  /// A resource's effective rate from `at` on: min(1, product of the
+  /// windows active at `at`), the pacing `stretched` integrates through
+  /// (modulo its 1e-6 floor).
+  struct Step {
+    SimTime at = 0;
+    double rate = 1.0;
+  };
+  struct Staircase {
+    ResourceId resource = 0;
+    std::vector<Step> steps;  ///< one per distinct window edge; 1 before
+  };
+  /// One staircase per resource with a window, ascending by id, as the
+  /// trace's rate tracks and the timeline's overlays chart it.
+  std::vector<Staircase> staircases() const;
+
  private:
   struct Window {
     SimTime begin = 0;

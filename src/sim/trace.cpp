@@ -11,6 +11,9 @@ namespace holmes::sim {
 
 namespace {
 
+/// Process id of every event: a trace holds one simulation.
+constexpr int kPid = 1;
+
 const char* kind_name(TaskKind kind) {
   switch (kind) {
     case TaskKind::kCompute: return "compute";
@@ -37,7 +40,7 @@ class CounterTrack {
 
   void step(SimTime at, double delta) { steps_.push_back({at, delta}); }
 
-  void emit(std::ostream& out, int pid, bool* first) {
+  void emit(std::ostream& out, bool* first) {
     // stable_sort keeps equal-timestamp deltas in step() call order, so the
     // per-timestamp sum adds in exactly the order the old map accumulated —
     // output stays byte-identical.
@@ -60,7 +63,7 @@ class CounterTrack {
       // Clamp tiny negative float residue so the track never dips below 0.
       const double shown = value < 0 && value > -1e-9 ? 0 : value;
       out << "\n{\"name\":\"" << json_escape(name_)
-          << "\",\"ph\":\"C\",\"pid\":" << pid << ",\"ts\":" << at * 1e6
+          << "\",\"ph\":\"C\",\"pid\":" << kPid << ",\"ts\":" << at * 1e6
           << ",\"args\":{\"" << unit_ << "\":" << json_number(shown) << "}}";
     }
   }
@@ -81,14 +84,14 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
   // Process-name metadata, then thread-name metadata: one row per resource.
   if (!options.process_name.empty()) {
     first = false;
-    out << "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << options.pid
+    out << "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kPid
         << ",\"args\":{\"name\":\"" << json_escape(options.process_name)
         << "\"}}";
   }
   for (std::size_t r = 0; r < graph.resource_count(); ++r) {
     if (!first) out << ",";
     first = false;
-    out << "\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << options.pid
+    out << "\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
         << ",\"tid\":" << r << ",\"args\":{\"name\":\""
         << json_escape(graph.resource_name(static_cast<ResourceId>(r)))
         << "\"}}";
@@ -98,7 +101,7 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
   if (!options.critical_tasks.empty()) {
     if (!first) out << ",";
     first = false;
-    out << "\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << options.pid
+    out << "\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
         << ",\"tid\":" << critical_row
         << ",\"args\":{\"name\":\"critical path\"}}";
   }
@@ -146,7 +149,7 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
     // Chrome trace timestamps are microseconds.
     out << "\n{\"name\":\"" << slice_name(graph, static_cast<TaskId>(i))
         << "\",\"cat\":\"" << kind_name(task.kind)
-        << "\",\"ph\":\"X\",\"pid\":" << options.pid
+        << "\",\"ph\":\"X\",\"pid\":" << kPid
         << ",\"tid\":" << task.resource << ",\"ts\":" << timing.start * 1e6
         << ",\"dur\":" << duration * 1e6 << ",\"args\":{\"task\":" << i
         << ",\"tag\":" << info.tag << ",\"bytes\":" << info.bytes << "}}";
@@ -168,11 +171,11 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
         if (!first) out << ",";
         first = false;
         out << "\n{\"name\":\"dep\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":"
-            << flow_id << ",\"pid\":" << options.pid
+            << flow_id << ",\"pid\":" << kPid
             << ",\"tid\":" << slice_row[d] << ",\"ts\":" << dep_finish * 1e6
             << ",\"args\":{\"task\":" << d << "}}";
         out << ",\n{\"name\":\"dep\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":"
-            << "\"e\",\"id\":" << flow_id << ",\"pid\":" << options.pid
+            << "\"e\",\"id\":" << flow_id << ",\"pid\":" << kPid
             << ",\"tid\":" << slice_row[i] << ",\"ts\":" << timing.start * 1e6
             << ",\"args\":{\"task\":" << i << "}}";
       }
@@ -190,59 +193,40 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
     if (!first) out << ",";
     first = false;
     out << "\n{\"name\":\"" << slice_name(graph, id)
-        << "\",\"cat\":\"critical\",\"ph\":\"X\",\"pid\":" << options.pid
+        << "\",\"cat\":\"critical\",\"ph\":\"X\",\"pid\":" << kPid
         << ",\"tid\":" << critical_row << ",\"ts\":" << timing.start * 1e6
         << ",\"dur\":" << duration * 1e6 << ",\"args\":{\"task\":" << id
         << ",\"tag\":" << info.tag << ",\"bytes\":" << info.bytes << "}}";
   }
 
   if (options.counters) {
-    compute_track.emit(out, options.pid, &first);
-    link_track.emit(out, options.pid, &first);
-    bytes_track.emit(out, options.pid, &first);
+    compute_track.emit(out, &first);
+    link_track.emit(out, &first);
+    bytes_track.emit(out, &first);
   }
 
   // Effective-rate tracks: one breakpoint-exact staircase per resource a
   // rate window degraded, charting min(1, compound factor) — the pacing the
   // executor actually integrated through — so fault windows read as dips
   // right next to the slices they stretch.
-  if (options.rates != nullptr && !options.rates->empty()) {
-    const std::vector<RateTimeline::AppliedWindow> windows =
-        options.rates->windows();
+  if (options.rates != nullptr) {
     auto emit_counter = [&](const std::string& name, SimTime at,
                             double value) {
       if (!first) out << ",";
       first = false;
       out << "\n{\"name\":\"" << json_escape(name)
-          << "\",\"ph\":\"C\",\"pid\":" << options.pid << ",\"ts\":" << at * 1e6
+          << "\",\"ph\":\"C\",\"pid\":" << kPid << ",\"ts\":" << at * 1e6
           << ",\"args\":{\"rate\":" << json_number(value) << "}}";
     };
-    for (std::size_t i = 0; i < windows.size();) {
-      const ResourceId resource = windows[i].resource;
-      const std::size_t begin = i;
-      std::vector<SimTime> bps;
-      while (i < windows.size() && windows[i].resource == resource) {
-        bps.push_back(windows[i].begin);
-        bps.push_back(windows[i].end);
-        ++i;
-      }
-      std::sort(bps.begin(), bps.end());
-      bps.erase(std::unique(bps.begin(), bps.end()), bps.end());
-      const std::string track =
-          "rate " + graph.resource_name(resource);
+    for (const RateTimeline::Staircase& stairs :
+         options.rates->staircases()) {
+      const std::string track = "rate " + graph.resource_name(stairs.resource);
       double last = 1.0;
       emit_counter(track, 0.0, 1.0);
-      for (SimTime t : bps) {
-        double factor = 1.0;
-        for (std::size_t w = begin; w < i; ++w) {
-          if (windows[w].begin <= t && t < windows[w].end) {
-            factor *= windows[w].factor;
-          }
-        }
-        const double effective = std::min(1.0, factor);
-        if (effective == last) continue;
-        emit_counter(track, t, effective);
-        last = effective;
+      for (const RateTimeline::Step& step : stairs.steps) {
+        if (step.rate == last) continue;
+        emit_counter(track, step.at, step.rate);
+        last = step.rate;
       }
     }
   }

@@ -189,7 +189,7 @@ LintReport lint_flow(const TaskSetRef& view, const FlowAnalysis& analysis,
   if (have_result) {
     // HV401: the critical chain is a makespan lower bound.
     report.mark_checked(kRuleFlowChainBound);
-    if (!ge(result->makespan(), analysis.chain_bound_s, options.tolerance)) {
+    if (!ge(result->makespan(), analysis.chain_bound_s)) {
       std::ostringstream os;
       os << "critical chain needs " << format_seconds(analysis.chain_bound_s)
          << " s but the simulated makespan is only "
@@ -217,7 +217,7 @@ LintReport lint_flow(const TaskSetRef& view, const FlowAnalysis& analysis,
     for (std::size_t r = 0; r < analysis.resource_load_s.size(); ++r) {
       const double load = analysis.resource_load_s[r];
       const auto id = static_cast<ResourceId>(r);
-      if (!ge(result->makespan(), load, options.tolerance)) {
+      if (!ge(result->makespan(), load)) {
         emit(id, "aggregate declared occupancy " + format_seconds(load) +
                      " s exceeds the simulated makespan " +
                      format_seconds(result->makespan()) + " s");
@@ -227,8 +227,8 @@ LintReport lint_flow(const TaskSetRef& view, const FlowAnalysis& analysis,
       // more busy time than the static load (degraded resources stretch
       // occupancy); only below-load accounting is impossible then.
       const bool busy_ok = options.allow_stretched
-                               ? ge(busy, load, options.tolerance)
-                               : near(load, busy, options.tolerance);
+                               ? ge(busy, load)
+                               : near(load, busy);
       if (!busy_ok) {
         emit(id, "static aggregate occupancy " + format_seconds(load) +
                      " s disagrees with the executor's accounted busy time " +

@@ -77,8 +77,6 @@ FlowAnalysis analyze_flow(const TaskSetRef& view);
 FlowAnalysis analyze_flow(const sim::TaskGraph& graph);
 
 struct FlowLintOptions {
-  /// Relative tolerance for floating-point comparisons.
-  double tolerance = 1e-9;
   /// Per-endpoint in-flight byte budget for HV403 (the paper's 80 GB A100
   /// by default); 0 disables the rule.
   Bytes buffer_budget = 80LL * 1024 * 1024 * 1024;

@@ -222,18 +222,17 @@ void lint_timing_monotone(const TaskSetRef& view, const sim::SimResult& result,
     const double span = timing.finish - timing.start;
     switch (task.kind) {
       case TaskKind::kCompute:
-        if (!near(span, task.cost, options.tolerance)) {
+        if (!near(span, task.cost)) {
           emit(i, "compute span disagrees with its declared duration");
         }
         break;
       case TaskKind::kTransfer:
-        if (!near(span, serialization_of((*view.infos)[i]) + task.latency,
-                  options.tolerance)) {
+        if (!near(span, serialization_of((*view.infos)[i]) + task.latency)) {
           emit(i, "transfer span disagrees with serialization + latency");
         }
         break;
       case TaskKind::kNoop:
-        if (!near(span, 0.0, options.tolerance)) {
+        if (!near(span, 0.0)) {
           emit(i, "noop consumed simulated time");
         }
         break;
@@ -244,7 +243,7 @@ void lint_timing_monotone(const TaskSetRef& view, const sim::SimResult& result,
       }
       const sim::TaskTiming& dep_timing =
           result.timings()[static_cast<std::size_t>(dep)];
-      if (!ge(timing.start, dep_timing.finish, options.tolerance)) {
+      if (!ge(timing.start, dep_timing.finish)) {
         emit(i, "starts before its dependency " +
                     task_subject(view, static_cast<std::size_t>(dep)) +
                     " finished");
@@ -297,7 +296,7 @@ void lint_resource_exclusive(const TaskSetRef& view,
     for (std::size_t i = 1; i < intervals.size(); ++i) {
       const Occupancy& prev = intervals[i - 1];
       const Occupancy& next = intervals[i];
-      if (ge(next.begin, prev.end, options.tolerance)) continue;
+      if (ge(next.begin, prev.end)) continue;
       if (findings < options.max_diagnostics_per_rule) {
         std::ostringstream os;
         os << task_subject(view, prev.task) << " and "
@@ -314,7 +313,6 @@ void lint_resource_exclusive(const TaskSetRef& view,
 }
 
 bool lint_result_complete(const TaskSetRef& view, const sim::SimResult& result,
-                          const GraphLintOptions& options,
                           LintReport& report) {
   report.mark_checked(kRuleResultComplete);
   if (result.timings().size() != view.tasks->size()) {
@@ -328,7 +326,7 @@ bool lint_result_complete(const TaskSetRef& view, const sim::SimResult& result,
   for (const sim::TaskTiming& timing : result.timings()) {
     last = std::max(last, timing.finish);
   }
-  if (!near(result.makespan(), last, options.tolerance)) {
+  if (!near(result.makespan(), last)) {
     std::ostringstream os;
     os << "makespan " << result.makespan()
        << " disagrees with the latest task finish " << last;
@@ -368,7 +366,7 @@ LintReport lint_execution(const TaskSetRef& view, const sim::SimResult& result,
   HOLMES_CHECK_MSG(view.tasks != nullptr && view.infos != nullptr,
                    "TaskSetRef needs tasks and their infos");
   LintReport report;
-  if (lint_result_complete(view, result, options, report)) {
+  if (lint_result_complete(view, result, report)) {
     lint_timing_monotone(view, result, options, report);
     lint_resource_exclusive(view, result, options, report);
   }

@@ -76,8 +76,6 @@ struct GraphLintOptions {
   /// order (device compute engines). HV204 checks that deps plus that
   /// program order are jointly acyclic; empty skips the rule.
   std::vector<sim::ResourceId> serial_programs;
-  /// Relative tolerance for floating-point timing comparisons.
-  double tolerance = 1e-9;
   /// Cap on diagnostics emitted per rule (the first violations are the
   /// informative ones; a broken 100k-task graph should not produce 100k
   /// diagnostics).

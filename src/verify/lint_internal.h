@@ -55,15 +55,17 @@ inline SimTime serialization_of(const sim::TaskInfo& info) {
              : 0.0;
 }
 
-/// a >= b, up to relative/absolute tolerance.
-inline bool ge(double a, double b, double tolerance) {
-  const double eps = tolerance * std::max({1.0, std::fabs(a), std::fabs(b)});
+/// Relative tolerance of every floating-point timing comparison the
+/// graph, execution and flow rules make (absolute below magnitude 1).
+inline constexpr double kTolerance = 1e-9;
+
+/// a >= b, up to kTolerance.
+inline bool ge(double a, double b) {
+  const double eps = kTolerance * std::max({1.0, std::fabs(a), std::fabs(b)});
   return a >= b - eps;
 }
 
-inline bool near(double a, double b, double tolerance) {
-  return ge(a, b, tolerance) && ge(b, a, tolerance);
-}
+inline bool near(double a, double b) { return ge(a, b) && ge(b, a); }
 
 /// Kahn's sort over the deps plus, if given, an edge extra_pred[i] -> i
 /// (kInvalidTask: none). The frontier is LIFO, seeded in ascending id order,

@@ -126,11 +126,13 @@ const std::vector<RuleInfo>& rule_catalog() {
        "executed occupancy timeline)."},
       {kRuleFaultWindowSane, RuleFamily::kFault, Severity::kError,
        "fault-window-sane",
-       "A NIC degradation window is malformed (negative start, end not after "
-       "begin, or a non-positive or non-finite bandwidth factor), a "
-       "straggler's slowdown is non-positive, non-finite or above 1e6 (alone "
-       "or compounded with the stragglers before it on one rank), or a window "
-       "opens after the simulation horizon and can never take effect."},
+       "A NIC degradation window is malformed (a non-finite or negative "
+       "start, a non-finite end or one not after begin, or a non-positive or "
+       "non-finite bandwidth factor), a straggler's slowdown is "
+       "non-positive, non-finite or above 1e6 (alone or compounded with the "
+       "stragglers before it on one rank), a node failure's time is "
+       "non-finite, or a window opens after the simulation horizon and can "
+       "never take effect."},
       {kRuleFaultScopeValid, RuleFamily::kFault, Severity::kError,
        "fault-scope-valid",
        "A fault's scope resolves to no device in the topology: unknown "
@@ -139,8 +141,9 @@ const std::vector<RuleInfo>& rule_catalog() {
       {kRuleCheckpointModelSane, RuleFamily::kFault, Severity::kError,
        "checkpoint-model-sane",
        "The checkpoint/restart cost model is unusable: checkpoint period "
-       "not positive, negative save/restart cost, or a node-loss event "
-       "scheduled without a checkpoint model to recover from."},
+       "negative, a save or restart cost that is negative, non-finite or "
+       "above 1e6 s, or a node-loss event scheduled without a checkpoint "
+       "model (a positive period) to recover from."},
       {kRuleRecoveryInvariant, RuleFamily::kFault, Severity::kError,
        "recovery-invariant",
        "The recovered run finished faster than its own fault-free flow "

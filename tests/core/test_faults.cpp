@@ -7,8 +7,11 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <cstdlib>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -23,6 +26,15 @@ namespace holmes::core {
 namespace {
 
 net::Topology hybrid() { return make_environment(NicEnv::kHybrid, 4); }
+
+/// A committed fault-plan fixture (tests/core/fixtures/<name>.fault_plan.json).
+FaultPlan fixture_plan(const std::string& name) {
+  std::ifstream in(std::string(HOLMES_FAULT_FIXTURE_DIR) + "/" + name +
+                   ".fault_plan.json");
+  EXPECT_TRUE(in) << name;
+  return parse_fault_plan(std::string(std::istreambuf_iterator<char>(in),
+                                      std::istreambuf_iterator<char>()));
+}
 
 /// The CI fixture scenario: the first RoCE node runs compute 2x slow.
 FaultPlan straggler_plan(double slowdown = 2.0) {
@@ -84,6 +96,150 @@ TEST(FaultPlan, ParseRejectsWrongSchemaAndUnknownKeys) {
       ConfigError);
 }
 
+/// Every number of a plan in the order fault_plan_json writes it, with its
+/// key path and whether the schema wants a whole number there.
+struct NumericField {
+  std::string path;
+  double value = 0;
+  bool whole = false;
+};
+
+std::vector<NumericField> numeric_fields(const FaultPlan& plan) {
+  std::vector<NumericField> fields;
+  auto add = [&](std::string path, double value, bool whole) {
+    fields.push_back({std::move(path), value, whole});
+  };
+  add("seed", static_cast<double>(plan.seed), true);
+  for (std::size_t i = 0; i < plan.nic_degradation.size(); ++i) {
+    const NicDegradation& w = plan.nic_degradation[i];
+    const std::string at = "nic_degradation[" + std::to_string(i) + "].";
+    add(at + "cluster", w.cluster, true);
+    add(at + "node_in_cluster", w.node_in_cluster, true);
+    add(at + "begin_s", w.begin_s, false);
+    add(at + "end_s", w.end_s, false);
+    add(at + "bandwidth_factor", w.bandwidth_factor, false);
+  }
+  for (std::size_t i = 0; i < plan.stragglers.size(); ++i) {
+    const ComputeStraggler& s = plan.stragglers[i];
+    const std::string at = "stragglers[" + std::to_string(i) + "].";
+    add(at + "rank", s.rank, true);
+    add(at + "cluster", s.cluster, true);
+    add(at + "node_in_cluster", s.node_in_cluster, true);
+    add(at + "slowdown", s.slowdown, false);
+  }
+  add("node_failure.at_s", plan.node_failure.at_s, false);
+  add("node_failure.cluster", plan.node_failure.cluster, true);
+  add("node_failure.node_in_cluster", plan.node_failure.node_in_cluster, true);
+  add("checkpoint.period_iterations", plan.checkpoint.period_iterations, true);
+  add("checkpoint.save_s", plan.checkpoint.save_s, false);
+  add("checkpoint.restart_s", plan.checkpoint.restart_s, false);
+  return fields;
+}
+
+/// Start and length of every number token in a serialized plan, in order.
+std::vector<std::pair<std::size_t, std::size_t>> number_tokens(
+    const std::string& json) {
+  std::vector<std::pair<std::size_t, std::size_t>> tokens;
+  for (std::size_t i = 0; i + 1 < json.size(); ++i) {
+    if (json[i] != ':' || json[i + 1] == '"' || json[i + 1] == '[' ||
+        json[i + 1] == '{') {
+      continue;
+    }
+    const std::size_t end = json.find_first_of(",}", i + 1);
+    tokens.emplace_back(i + 1, end - i - 1);
+  }
+  return tokens;
+}
+
+/// Two plans say the same thing, number for number.
+void expect_same_numbers(const FaultPlan& a, const FaultPlan& b) {
+  const std::vector<NumericField> x = numeric_fields(a);
+  const std::vector<NumericField> y = numeric_fields(b);
+  ASSERT_EQ(x.size(), y.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(x[i].value, y[i].value) << x[i].path;
+  }
+}
+
+TEST(FaultPlan, EveryAcceptedNumberMeansWhatItSaysAndRoundTrips) {
+  // Each fixture, and each fixture with one number replaced by a hostile
+  // one: the parser either rejects the number naming its key path, or the
+  // plan holds exactly the numbers the document wrote, and then either
+  // HV501-HV503 reject it or it survives serialize-and-parse unchanged.
+  const char* const whole_tokens[] = {
+      "1e300",      "-1e300",           "3.7",
+      "-2",         "1e999",            "-1e999",
+      "2147483647", "2147483648",       "-2147483649",
+      "-1",         "9007199254740992", "9007199254740994",
+      "0",          "7"};
+  const char* const real_tokens[] = {"1e300", "-1e300", "1e999", "-1e999",
+                                     "3.7",   "-2",     "0",     "1e-300",
+                                     "1e6",   "1000001"};
+  const net::Topology topo = hybrid();
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  auto check = [&](const std::string& doc, const std::string& path,
+                   bool whole) {
+    SCOPED_TRACE(doc);
+    FaultPlan plan;
+    try {
+      plan = parse_fault_plan(doc);
+    } catch (const ConfigError& e) {
+      EXPECT_TRUE(whole) << e.what();
+      EXPECT_NE(std::string(e.what()).find(path + " must be a whole number"),
+                std::string::npos)
+          << e.what();
+      ++rejected;
+      return;
+    }
+    const std::vector<std::pair<std::size_t, std::size_t>> tokens =
+        number_tokens(doc);
+    const std::vector<NumericField> fields = numeric_fields(plan);
+    ASSERT_EQ(tokens.size(), fields.size());
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      const std::string token = doc.substr(tokens[i].first, tokens[i].second);
+      EXPECT_EQ(fields[i].value, std::strtod(token.c_str(), nullptr))
+          << fields[i].path;
+    }
+    if (!lint_fault_plan(plan, topo).ok()) return;
+    ++accepted;
+    expect_same_numbers(parse_fault_plan(fault_plan_json(plan)), plan);
+  };
+  // The fixtures, and a plan with two entries per list so the key paths
+  // of later entries are exercised too.
+  std::vector<std::pair<std::string, FaultPlan>> plans;
+  for (const char* fixture :
+       {"hybrid_straggler", "hybrid_node_loss", "infinite_slowdown"}) {
+    plans.emplace_back(fixture, fixture_plan(fixture));
+  }
+  FaultPlan two = fixture_plan("hybrid_node_loss");
+  two.nic_degradation.push_back({1, 0, 1.0, 2.5, 0.25});
+  two.stragglers.push_back(straggler_plan().stragglers[0]);
+  plans.emplace_back("two entries", two);
+  for (const auto& [name, plan] : plans) {
+    SCOPED_TRACE(name);
+    if (lint_fault_plan(plan, topo).ok()) {
+      expect_same_numbers(parse_fault_plan(fault_plan_json(plan)), plan);
+    }
+    const std::string canonical = fault_plan_json(plan);
+    check(canonical, "", false);
+    const std::vector<NumericField> fields = numeric_fields(plan);
+    const auto tokens = number_tokens(canonical);
+    ASSERT_EQ(tokens.size(), fields.size());
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      for (const char* token :
+           fields[i].whole ? std::span<const char* const>(whole_tokens)
+                           : std::span<const char* const>(real_tokens)) {
+        std::string doc = canonical;
+        doc.replace(tokens[i].first, tokens[i].second, token);
+        check(doc, fields[i].path, fields[i].whole);
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // HV501-503 lints
 // ---------------------------------------------------------------------------
@@ -133,6 +289,59 @@ TEST(FaultLint, NonFiniteFactorsFireHV501) {
                     .fired(verify::kRuleFaultWindowSane))
         << bad;
   }
+}
+
+TEST(FaultLint, NonFiniteTimesFireHV501) {
+  // Window bounds and the failure time must be finite too: a JSON 1e999
+  // window end or failure time would echo back as 0.
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    FaultPlan window;
+    window.nic_degradation.push_back({-1, -1, 1.0, bad, 0.5});
+    EXPECT_TRUE(lint_fault_plan(window, hybrid())
+                    .fired(verify::kRuleFaultWindowSane))
+        << bad;
+    window.nic_degradation[0] = {-1, -1, bad, 2.0, 0.5};
+    EXPECT_TRUE(lint_fault_plan(window, hybrid())
+                    .fired(verify::kRuleFaultWindowSane))
+        << bad;
+
+    FaultPlan failure;
+    failure.node_failure = {bad, 1, 1};
+    failure.checkpoint = {1, 0.5, 2.0};
+    EXPECT_TRUE(lint_fault_plan(failure, hybrid())
+                    .fired(verify::kRuleFaultWindowSane))
+        << bad;
+  }
+}
+
+TEST(FaultLint, CheckpointCostsPastTheBoundFireHV503) {
+  // save_s and restart_s lie in [0, kMaxCheckpointCost]; the message names
+  // the field and the bound.
+  auto messages = [](double save, double restart) {
+    FaultPlan plan;
+    plan.node_failure = {20.0, 1, 1};
+    plan.checkpoint = {1, save, restart};
+    std::vector<std::string> out;
+    const verify::LintReport report = lint_fault_plan(plan, hybrid());
+    for (const verify::Diagnostic& d : report.diagnostics()) {
+      EXPECT_EQ(d.rule, verify::kRuleCheckpointModelSane);
+      out.push_back(d.message);
+    }
+    return out;
+  };
+  EXPECT_TRUE(messages(0.0, kMaxCheckpointCost).empty());
+  EXPECT_EQ(messages(std::numeric_limits<double>::infinity(), 2.0),
+            std::vector<std::string>{
+                "save_s inf s must be non-negative and at most the bound of "
+                "1000000 s"});
+  EXPECT_EQ(messages(0.5, 1e308),
+            std::vector<std::string>{
+                "restart_s 1e+308 s must be non-negative and at most the "
+                "bound of 1000000 s"});
+  EXPECT_EQ(messages(-1.0, std::numeric_limits<double>::quiet_NaN()).size(),
+            2u);
 }
 
 TEST(FaultLint, SlowdownsPastTheBoundFireHV501) {
@@ -349,15 +558,6 @@ TEST(FaultRecovery, NodeLossAccountsCheckpointReplayDowntime) {
   EXPECT_TRUE(found_restart);
 }
 
-/// A committed fault-plan fixture (tests/core/fixtures/<name>.fault_plan.json).
-FaultPlan fixture_plan(const std::string& name) {
-  std::ifstream in(std::string(HOLMES_FAULT_FIXTURE_DIR) + "/" + name +
-                   ".fault_plan.json");
-  EXPECT_TRUE(in) << name;
-  return parse_fault_plan(std::string(std::istreambuf_iterator<char>(in),
-                                      std::istreambuf_iterator<char>()));
-}
-
 /// Occupancy curves the way the recovery report first computed them: a full
 /// extract_timeline of the re-simulated leg, each class's busy ports
 /// bucketed over [0, makespan) and divided by the class's port count.
@@ -369,9 +569,8 @@ std::map<std::string, std::vector<double>> full_timeline_curves(
                           nullptr, &artifacts);
   const obs::Timeline timeline = obs::extract_timeline(
       artifacts.graph, *artifacts.result, {},
-      [](const std::string& name) -> std::string {
-        if (name.find(".compute") != std::string::npos) return "compute";
-        return nic_class_of(name);
+      [&artifacts](sim::ResourceId resource) {
+        return artifacts.ports.resource_class(resource);
       });
   std::map<std::string, std::vector<double>> curves;
   for (const obs::ClassTimeline& cls : timeline.classes) {

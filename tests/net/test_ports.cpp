@@ -21,29 +21,25 @@ TEST(PortMap, ResourcesAreDistinct) {
 }
 
 TEST(PortMap, EthernetPortsAreSharedPerNode) {
-  // Commodity Ethernet NICs belong to the node and are shared round-robin
-  // by its GPUs; RDMA NICs are per GPU.
-  Topology topo = Topology::homogeneous(2, NicType::kInfiniBand, 4);
+  // Commodity Ethernet NICs belong to the node: its 8 GPUs share the 4
+  // port pairs round-robin. RDMA NICs are per GPU.
+  Topology topo = Topology::homogeneous(2, NicType::kInfiniBand, 8);
   sim::TaskGraph graph;
-  PortMap ports(topo, graph, /*ethernet_ports_per_node=*/2);
-  // GPUs 0 and 2 share port 0; GPUs 1 and 3 share port 1.
-  EXPECT_EQ(ports.tx(0, FabricKind::kEthernet), ports.tx(2, FabricKind::kEthernet));
-  EXPECT_EQ(ports.tx(1, FabricKind::kEthernet), ports.tx(3, FabricKind::kEthernet));
-  EXPECT_NE(ports.tx(0, FabricKind::kEthernet), ports.tx(1, FabricKind::kEthernet));
-  // Different nodes never share ports.
-  EXPECT_NE(ports.tx(0, FabricKind::kEthernet), ports.tx(4, FabricKind::kEthernet));
-  EXPECT_EQ(ports.rx(0, FabricKind::kEthernet), ports.rx(2, FabricKind::kEthernet));
-}
-
-TEST(PortMap, SingleEthernetPortSerializesWholeNode) {
-  Topology topo = Topology::homogeneous(1, NicType::kInfiniBand, 4);
-  sim::TaskGraph graph;
-  PortMap ports(topo, graph, /*ethernet_ports_per_node=*/1);
-  for (int r = 1; r < 4; ++r) {
-    EXPECT_EQ(ports.tx(0, FabricKind::kEthernet),
-              ports.tx(r, FabricKind::kEthernet));
+  PortMap ports(topo, graph);
+  // GPU g and GPU g + 4 share port g; the four ports differ.
+  for (int gpu = 0; gpu < kEthernetPortsPerNode; ++gpu) {
+    EXPECT_EQ(ports.tx(gpu, FabricKind::kEthernet),
+              ports.tx(gpu + 4, FabricKind::kEthernet));
+    EXPECT_EQ(ports.rx(gpu, FabricKind::kEthernet),
+              ports.rx(gpu + 4, FabricKind::kEthernet));
+    for (int other = gpu + 1; other < kEthernetPortsPerNode; ++other) {
+      EXPECT_NE(ports.tx(gpu, FabricKind::kEthernet),
+                ports.tx(other, FabricKind::kEthernet));
+    }
   }
-  EXPECT_THROW(PortMap(topo, graph, 0), InternalError);
+  // Different nodes never share ports.
+  EXPECT_NE(ports.tx(0, FabricKind::kEthernet),
+            ports.tx(8, FabricKind::kEthernet));
 }
 
 TEST(PortMap, OutOfRangeRankRejected) {

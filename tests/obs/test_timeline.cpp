@@ -245,10 +245,13 @@ TEST(ExtractTimeline, ClassSaturationIntervals) {
   const sim::SimResult result = TaskGraphExecutor{}.run(g);
   TimelineOptions options;
   options.saturation_threshold = 1.0;
-  const auto classify = [](const std::string& name) -> std::string {
-    if (name.find("InfiniBand") != std::string::npos) return "InfiniBand";
-    if (name.find("Ethernet") != std::string::npos) return "Ethernet";
-    return "compute";
+  // mixed_graph registers two devices, then an InfiniBand and an Ethernet
+  // port pair.
+  const auto classify = [](sim::ResourceId resource) -> std::string {
+    static const char* const kClasses[] = {"compute",    "compute",
+                                           "InfiniBand", "InfiniBand",
+                                           "Ethernet",   "Ethernet"};
+    return kClasses[resource];
   };
   const Timeline t = extract_timeline(g, result, options, classify);
   // Link classes only, sorted by name.
@@ -297,7 +300,7 @@ TEST(ExtractTimeline, ClassCurvesCountComputeOnALinkResource) {
   const auto x = g.add_transfer(tx, rx, 1000, 1000.0, 0.0, "p2p");
   g.add_dep(x, first);
   const sim::SimResult result = TaskGraphExecutor{}.run(g);
-  const auto classify = [](const std::string&) -> std::string {
+  const auto classify = [](sim::ResourceId) -> std::string {
     return "InfiniBand";
   };
   const Timeline t = extract_timeline(g, result, {}, classify);

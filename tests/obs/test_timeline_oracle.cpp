@@ -13,7 +13,6 @@
 #include "core/faults.h"
 #include "core/framework.h"
 #include "core/plan.h"
-#include "core/run_stats.h"
 #include "core/training_sim.h"
 #include "model/gpt_zoo.h"
 #include "net/topology.h"
@@ -45,19 +44,21 @@ void expect_run_matches_naive(const core::SimArtifacts& artifacts) {
   const sim::RateTimeline* rates =
       artifacts.rates.empty() ? nullptr : &artifacts.rates;
   const sim::SimResult& result = *artifacts.result;
-  const NaiveTimeline naive = naive_timeline(
-      artifacts.graph, result, core::resource_class_of, rates);
+  const ResourceClassifier classify = [&](sim::ResourceId resource) {
+    return artifacts.ports.resource_class(resource);
+  };
+  const NaiveTimeline naive =
+      naive_timeline(artifacts.graph, result, classify, rates);
   {
     SCOPED_TRACE("whole run");
-    expect_matches_naive(naive, artifacts.graph, result, {},
-                         core::resource_class_of, rates);
+    expect_matches_naive(naive, artifacts.graph, result, {}, classify, rates);
   }
   {
     SCOPED_TRACE("clipped window");
     TimelineOptions clipped;
     clipped.window = Window{0.25 * result.makespan(), 0.6 * result.makespan()};
-    expect_matches_naive(naive, artifacts.graph, result, clipped,
-                         core::resource_class_of, rates);
+    expect_matches_naive(naive, artifacts.graph, result, clipped, classify,
+                         rates);
   }
 }
 

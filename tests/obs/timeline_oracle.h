@@ -60,9 +60,8 @@ inline NaiveTimeline naive_timeline(const sim::TaskGraph& graph,
   std::vector<std::string> class_of(is_link.size());
   for (std::size_t r = 0; r < is_link.size(); ++r) {
     if (!is_link[r]) continue;
-    class_of[r] =
-        classify ? classify(graph.resource_name(static_cast<sim::ResourceId>(r)))
-                 : std::string("unknown");
+    class_of[r] = classify ? classify(static_cast<sim::ResourceId>(r))
+                           : std::string("unknown");
   }
   std::vector<Deltas> busy(graph.resource_count());
   std::vector<Deltas> queue(graph.resource_count());

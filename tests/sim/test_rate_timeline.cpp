@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/error.h"
 
@@ -124,6 +126,30 @@ TEST(RateTimeline, BackToBackAdjacentWindowsStretchContinuously) {
   // A boundary-straddling task crosses without a seam: 1 declared second at
   // half rate takes 2 wall seconds regardless of where it starts in [1, 3).
   EXPECT_DOUBLE_EQ(rates.stretched(0, 0, 1.5, 0.5), 1.0);
+}
+
+TEST(RateTimeline, StaircasesChartTheUnflooredEffectiveRate) {
+  RateTimeline rates;
+  rates.add_window(1, 1.0, 3.0, 0.5);
+  rates.add_window(1, 0.0, 2.0, 0.5);
+  rates.add_window(1, 4.0, 5.0, 2.0);   // a recovery burst reads as 1
+  rates.add_window(3, 5.0, 6.0, 1e-9);  // below stretched's 1e-6 floor
+  const std::vector<RateTimeline::Staircase> stairs = rates.staircases();
+  ASSERT_EQ(stairs.size(), 2u);
+  EXPECT_EQ(stairs[0].resource, 1);
+  std::vector<std::pair<SimTime, double>> steps;
+  for (const RateTimeline::Step& step : stairs[0].steps) {
+    steps.emplace_back(step.at, step.rate);
+  }
+  EXPECT_EQ(steps, (std::vector<std::pair<SimTime, double>>{
+                       {0.0, 0.5}, {1.0, 0.25}, {2.0, 0.5}, {3.0, 1.0},
+                       {4.0, 1.0}, {5.0, 1.0}}));
+  EXPECT_EQ(stairs[1].resource, 3);
+  ASSERT_EQ(stairs[1].steps.size(), 2u);
+  EXPECT_EQ(stairs[1].steps[0].rate, 1e-9);
+  EXPECT_EQ(rates.rate_at(3, 5.0), 1e-6);
+  EXPECT_EQ(stairs[1].steps[1].rate, 1.0);
+  EXPECT_TRUE(RateTimeline{}.staircases().empty());
 }
 
 TEST(RateTimeline, WindowsEnumerationIsSortedAndComplete) {
