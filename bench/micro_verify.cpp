@@ -1,8 +1,9 @@
 /// Micro-benchmarks of the static verifier: the graph-family structural
 /// lints and the execution-family conservation lints over synthetic grid
-/// graphs, plus the plan-family pass over a resolved training plan. These
-/// bound what the debug-mode pre-flight and `holmes_cli lint` cost — the
-/// passes are meant to be cheap enough to run on every CI simulation.
+/// graphs, plus the plan-family pass over a resolved training plan, and one
+/// permutation of the schedule-race check. These bound what the debug-mode
+/// pre-flight, `holmes_cli lint` and `holmes_cli check` cost — the passes
+/// are meant to be cheap enough to run on every CI simulation.
 
 #include <benchmark/benchmark.h>
 
@@ -149,14 +150,17 @@ static void BM_LintFlow(benchmark::State& state) {
 BENCHMARK(BM_LintFlow)->Arg(4)->Arg(16)->Arg(64);
 
 static void BM_DeterminismCheck(benchmark::State& state) {
-  // One disjoint tie-permutation re-run + bitwise compare per iteration —
-  // what each of `holmes_cli check`'s N permutations costs at graph level.
+  // One disjoint tie-permutation re-run + bitwise compare against the
+  // canonical result per iteration — what each of `holmes_cli check`'s N
+  // permutations costs at graph level (core/schedule_check.h).
   const TaskGraph g = make_grid_graph(static_cast<int>(state.range(0)), 64);
-  verify::DeterminismCheckOptions options;
-  options.permutations = 1;
+  const SimResult canonical = TaskGraphExecutor{}.run(g);
+  ExecutorOptions permuted;
+  permuted.tie_break = TieBreak::kPermuteDisjoint;
+  permuted.tie_seed = 0x484F4C4D4553ull;  // check's base seed, "HOLMES"
   for (auto _ : state) {
-    const verify::LintReport report = verify::check_determinism(g, options);
-    benchmark::DoNotOptimize(report.ok());
+    const SimResult result = TaskGraphExecutor{permuted}.run(g);
+    benchmark::DoNotOptimize(result.bit_identical(canonical));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.task_count()));

@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "comm/communicator.h"
+#include "comm/inprocess.h"
 #include "optimizer/adam.h"
 #include "util/rng.h"
 

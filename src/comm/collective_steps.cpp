@@ -105,24 +105,6 @@ std::vector<CollectiveStep> broadcast_steps(int n, int root, std::int64_t elems)
   return steps;
 }
 
-std::vector<CollectiveStep> reduce_steps(int n, int root, std::int64_t elems) {
-  HOLMES_CHECK_MSG(root >= 0 && root < n, "reduce root out of range");
-  std::vector<CollectiveStep> steps = ring_reduce_scatter_steps(n, elems);
-  if (n == 1 || elems == 0) return steps;
-  // Final gather round: every rank forwards its owned (fully reduced) chunk
-  // straight to the root.
-  const ChunkLayout layout(elems, n);
-  for (int i = 0; i < n; ++i) {
-    if (i == root) continue;
-    const int chunk = ring_owned_chunk(n, i);
-    if (layout.count(chunk) == 0) continue;
-    steps.push_back(CollectiveStep{n - 1, i, root, layout.offset(chunk),
-                                   layout.offset(chunk), layout.count(chunk),
-                                   /*reduce=*/false});
-  }
-  return steps;
-}
-
 std::vector<CollectiveStep> all_to_all_steps(int n, std::int64_t block_elems) {
   HOLMES_CHECK_MSG(n >= 1, "group must be non-empty");
   HOLMES_CHECK_MSG(block_elems >= 0, "negative block size");

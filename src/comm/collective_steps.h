@@ -79,10 +79,6 @@ std::vector<CollectiveStep> ring_all_reduce_steps(int n, std::int64_t elems);
 /// link bandwidth instead of paying n-1 serial full-buffer hops.
 std::vector<CollectiveStep> broadcast_steps(int n, int root, std::int64_t elems);
 
-/// Reduce to `root`: ring reduce-scatter, then each rank forwards its owned
-/// chunk to the root in one final gather round.
-std::vector<CollectiveStep> reduce_steps(int n, int root, std::int64_t elems);
-
 /// All-to-all (personalized exchange): each rank holds n blocks of
 /// `block_elems` keyed by destination and receives n blocks keyed by source.
 /// The self-block is not a step (backends copy it locally).

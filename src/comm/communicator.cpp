@@ -1,6 +1,5 @@
 #include "comm/communicator.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "comm/hierarchical.h"
@@ -25,46 +24,6 @@ Communicator::Communicator(const net::Topology& topo, std::vector<int> ranks,
   }
 }
 
-net::FabricKind Communicator::transport() const {
-  if (size() == 1) return net::FabricKind::kNVLink;
-  return topo_->fastest_common_fabric(ranks_);
-}
-
-bool Communicator::is_rdma_capable() const {
-  const net::FabricKind f = transport();
-  return f != net::FabricKind::kEthernet;
-}
-
-void Communicator::all_reduce(const BufferSet& buffers) const {
-  HOLMES_CHECK_MSG(static_cast<int>(buffers.size()) == size(),
-                   "buffer count must equal group size");
-  all_reduce_inplace(buffers);
-}
-
-void Communicator::reduce_scatter(const BufferSet& buffers) const {
-  HOLMES_CHECK_MSG(static_cast<int>(buffers.size()) == size(),
-                   "buffer count must equal group size");
-  reduce_scatter_inplace(buffers);
-}
-
-void Communicator::all_gather(const BufferSet& buffers) const {
-  HOLMES_CHECK_MSG(static_cast<int>(buffers.size()) == size(),
-                   "buffer count must equal group size");
-  all_gather_inplace(buffers);
-}
-
-void Communicator::broadcast(const BufferSet& buffers, int root_member) const {
-  HOLMES_CHECK_MSG(static_cast<int>(buffers.size()) == size(),
-                   "buffer count must equal group size");
-  broadcast_inplace(buffers, root_member);
-}
-
-void Communicator::all_to_all(const BufferSet& send, const BufferSet& recv) const {
-  HOLMES_CHECK_MSG(static_cast<int>(send.size()) == size(),
-                   "buffer count must equal group size");
-  comm::all_to_all(send, recv);
-}
-
 TaskHandles Communicator::lower_all_reduce(sim::TaskGraph& graph,
                                            const net::PortMap& ports,
                                            Bytes bytes,
@@ -83,17 +42,6 @@ TaskHandles Communicator::lower_hierarchical_all_reduce(
   return lower_steps(graph, ports,
                      hierarchical_all_reduce_steps(node_of_member, bytes),
                      ready, tag, name_ + ".hier-allreduce");
-}
-
-void Communicator::hierarchical_all_reduce(const BufferSet& buffers) const {
-  HOLMES_CHECK_MSG(static_cast<int>(buffers.size()) == size(),
-                   "buffer count must equal group size");
-  std::vector<int> node_of_member;
-  node_of_member.reserve(ranks_.size());
-  for (int r : ranks_) node_of_member.push_back(topo_->node_of(r));
-  const auto elems = static_cast<std::int64_t>(buffers.front().size());
-  apply_steps(hierarchical_all_reduce_steps(node_of_member, elems), buffers,
-              buffers);
 }
 
 TaskHandles Communicator::lower_reduce_scatter(sim::TaskGraph& graph,
@@ -130,15 +78,6 @@ TaskHandles Communicator::lower_all_to_all(sim::TaskGraph& graph,
                                            sim::TaskTag tag) const {
   return lower_steps(graph, ports, all_to_all_steps(size(), bytes_per_block),
                      ready, tag, name_ + ".alltoall");
-}
-
-TaskHandles Communicator::lower_barrier(sim::TaskGraph& graph,
-                                        const net::PortMap& ports,
-                                        const TaskHandles& ready,
-                                        sim::TaskTag tag) const {
-  // One byte per chunk: the ring degenerates to a latency-only token pass.
-  return lower_steps(graph, ports, ring_all_reduce_steps(size(), size()),
-                     ready, tag, name_ + ".barrier");
 }
 
 TaskHandles Communicator::lower_steps(sim::TaskGraph& graph,

@@ -2,10 +2,10 @@
 
 /// \file communicator.h
 /// A communicator binds a group of global ranks to a topology, mirroring an
-/// NCCL communicator. It offers:
-///  - numeric collectives on real buffers (eager; tests and small demos),
-///  - timed lowerings that emit the same step program as transfer tasks
-///    into a sim::TaskGraph (benches and the training simulator).
+/// NCCL communicator. Its timed lowerings emit a collective's step program
+/// (comm/collective_steps.h) as transfer tasks into a sim::TaskGraph for
+/// the benches and the training simulator; comm/inprocess.h runs the same
+/// programs on real buffers.
 ///
 /// Transport: every hop resolves the fabric of its concrete device pair, so
 /// a ring whose neighbours sit in one cluster runs on RDMA while a hop that
@@ -15,12 +15,10 @@
 /// Selection removes by never *forming* such groups.
 
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "comm/collective_steps.h"
-#include "comm/inprocess.h"
 #include "net/ports.h"
 #include "net/topology.h"
 #include "sim/task_graph.h"
@@ -49,31 +47,8 @@ class Communicator {
   void force_internode_fabric(net::FabricKind fabric) {
     internode_override_ = fabric;
   }
-  std::optional<net::FabricKind> internode_fabric_override() const {
-    return internode_override_;
-  }
 
   int size() const { return static_cast<int>(ranks_.size()); }
-  const std::vector<int>& ranks() const { return ranks_; }
-  const std::string& name() const { return name_; }
-  const net::Topology& topology() const { return *topo_; }
-
-  /// The fastest fabric shared by *all* members (diagnostic; individual
-  /// hops may ride faster per-pair fabrics). Size-1 groups report NVLink.
-  net::FabricKind transport() const;
-
-  /// True when every member pair can use RDMA or better — the property
-  /// Automatic NIC Selection establishes for data-parallel groups.
-  bool is_rdma_capable() const;
-
-  // ---- Numeric collectives (eager, real data; buffers[i] belongs to
-  //      group member i) ----
-
-  void all_reduce(const BufferSet& buffers) const;
-  void reduce_scatter(const BufferSet& buffers) const;
-  void all_gather(const BufferSet& buffers) const;
-  void broadcast(const BufferSet& buffers, int root_member) const;
-  void all_to_all(const BufferSet& send, const BufferSet& recv) const;
 
   // ---- Timed lowerings (emit transfer tasks; return per-member done
   //      handles) ----
@@ -89,10 +64,6 @@ class Communicator {
   TaskHandles lower_hierarchical_all_reduce(
       sim::TaskGraph& graph, const net::PortMap& ports, Bytes bytes,
       const TaskHandles& ready, sim::TaskTag tag = sim::kUntagged) const;
-
-  /// Numeric hierarchical all-reduce on real buffers (same step program as
-  /// the timed lowering).
-  void hierarchical_all_reduce(const BufferSet& buffers) const;
   TaskHandles lower_reduce_scatter(sim::TaskGraph& graph,
                                    const net::PortMap& ports, Bytes bytes,
                                    const TaskHandles& ready,
@@ -107,11 +78,6 @@ class Communicator {
   TaskHandles lower_all_to_all(sim::TaskGraph& graph, const net::PortMap& ports,
                                Bytes bytes_per_block, const TaskHandles& ready,
                                sim::TaskTag tag = sim::kUntagged) const;
-
-  /// Barrier: a zero-payload all-reduce (latency-only ring).
-  TaskHandles lower_barrier(sim::TaskGraph& graph, const net::PortMap& ports,
-                            const TaskHandles& ready,
-                            sim::TaskTag tag = sim::kUntagged) const;
 
  private:
   TaskHandles lower_steps(sim::TaskGraph& graph, const net::PortMap& ports,

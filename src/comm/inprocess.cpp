@@ -70,13 +70,6 @@ void broadcast_inplace(const BufferSet& buffers, int root) {
   apply_steps(broadcast_steps(n, root, elems), buffers, buffers);
 }
 
-void reduce_inplace(const BufferSet& buffers, int root) {
-  check_uniform(buffers);
-  const int n = static_cast<int>(buffers.size());
-  const auto elems = static_cast<std::int64_t>(buffers.front().size());
-  apply_steps(reduce_steps(n, root, elems), buffers, buffers);
-}
-
 void all_to_all(const BufferSet& send, const BufferSet& recv) {
   HOLMES_CHECK_MSG(send.size() == recv.size(), "send/recv rank count mismatch");
   check_uniform(send);

@@ -39,10 +39,6 @@ void all_gather_inplace(const BufferSet& buffers);
 /// In-place pipelined broadcast from `root`.
 void broadcast_inplace(const BufferSet& buffers, int root);
 
-/// In-place reduce to `root`: root's buffer ends up with the sum. Non-root
-/// buffers are clobbered with partials.
-void reduce_inplace(const BufferSet& buffers, int root);
-
 /// All-to-all: send[i] holds n equal blocks keyed by destination; recv[i]
 /// receives n blocks keyed by source. Buffers must not alias.
 void all_to_all(const BufferSet& send, const BufferSet& recv);

@@ -61,7 +61,7 @@ std::vector<TuneCandidate> autotune(const FrameworkConfig& framework,
         continue;
       }
       const Bytes memory = estimate_layout_memory(framework, workload, t, p, d);
-      if (memory > options.device_memory) continue;
+      if (memory > model::kDeviceMemory) continue;
       layouts.push_back({t, p, d, memory});
     }
   }

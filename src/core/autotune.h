@@ -7,8 +7,8 @@
 /// "scheduling methods for diverse environments" as future work. This
 /// module searches the layout space for a model on a concrete topology:
 /// every (tensor, pipeline) pair that divides the world size, fits the
-/// per-device memory budget, and divides the global batch is planned and
-/// simulated; candidates come back ranked by throughput.
+/// device memory (model::kDeviceMemory), and divides the global batch is
+/// planned and simulated; candidates come back ranked by throughput.
 
 #include <vector>
 
@@ -17,8 +17,6 @@
 namespace holmes::core {
 
 struct TuneOptions {
-  /// Per-device memory budget (default: the paper's 80 GB A100).
-  Bytes device_memory = 80LL * 1024 * 1024 * 1024;
   /// Iterations per simulation (>= 2; 3 gives a steady-state read).
   int iterations = 3;
   /// Cap on the pipeline degree to bound the search (0 = no cap).

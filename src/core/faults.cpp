@@ -1,6 +1,7 @@
 #include "core/faults.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -31,6 +32,21 @@ std::string format_seconds(double s) {
   os.precision(12);
   os << s;
   return os.str();
+}
+
+/// A plan number as fault_plan_json writes it: json_number's 12 significant
+/// digits when they re-parse to `value` (every fixture and golden plan),
+/// else the shortest form that does, so an echoed plan is the plan that
+/// ran.
+std::string plan_number(double value) {
+  std::string text = json_number(value);
+  double reparsed = 0;
+  std::from_chars(text.data(), text.data() + text.size(), reparsed);
+  if (!std::isfinite(value) || reparsed == value) return text;
+  char buf[32];
+  const std::to_chars_result end =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, end.ptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -366,9 +382,9 @@ std::string fault_plan_json(const FaultPlan& plan) {
     if (i > 0) out << ",";
     out << "{\"cluster\":" << w.cluster
         << ",\"node_in_cluster\":" << w.node_in_cluster
-        << ",\"begin_s\":" << json_number(w.begin_s)
-        << ",\"end_s\":" << json_number(w.end_s)
-        << ",\"bandwidth_factor\":" << json_number(w.bandwidth_factor) << "}";
+        << ",\"begin_s\":" << plan_number(w.begin_s)
+        << ",\"end_s\":" << plan_number(w.end_s)
+        << ",\"bandwidth_factor\":" << plan_number(w.bandwidth_factor) << "}";
   }
   out << "],\"stragglers\":[";
   for (std::size_t i = 0; i < plan.stragglers.size(); ++i) {
@@ -376,15 +392,15 @@ std::string fault_plan_json(const FaultPlan& plan) {
     if (i > 0) out << ",";
     out << "{\"rank\":" << s.rank << ",\"cluster\":" << s.cluster
         << ",\"node_in_cluster\":" << s.node_in_cluster
-        << ",\"slowdown\":" << json_number(s.slowdown) << "}";
+        << ",\"slowdown\":" << plan_number(s.slowdown) << "}";
   }
-  out << "],\"node_failure\":{\"at_s\":" << json_number(plan.node_failure.at_s)
+  out << "],\"node_failure\":{\"at_s\":" << plan_number(plan.node_failure.at_s)
       << ",\"cluster\":" << plan.node_failure.cluster
       << ",\"node_in_cluster\":" << plan.node_failure.node_in_cluster
       << "},\"checkpoint\":{\"period_iterations\":"
       << plan.checkpoint.period_iterations
-      << ",\"save_s\":" << json_number(plan.checkpoint.save_s)
-      << ",\"restart_s\":" << json_number(plan.checkpoint.restart_s) << "}}";
+      << ",\"save_s\":" << plan_number(plan.checkpoint.save_s)
+      << ",\"restart_s\":" << plan_number(plan.checkpoint.restart_s) << "}}";
   return out.str();
 }
 
@@ -543,7 +559,6 @@ verify::LintReport lint_fault_plan(const FaultPlan& plan,
 Perturbations lower_fault_plan(const FaultPlan& plan,
                                const net::Topology& topo) {
   Perturbations perturb;
-  perturb.seed = plan.seed;
   perturb.nic_degradation = plan.nic_degradation;
   for (const ComputeStraggler& s : plan.stragglers) {
     for (int rank : straggler_ranks(topo, s)) {

@@ -3,7 +3,7 @@
 /// \file faults.h
 /// First-class fault injection and elastic recovery.
 ///
-/// A FaultPlan is a deterministic, seeded fault schedule for one simulated
+/// A FaultPlan is a deterministic fault schedule for one simulated
 /// training job: transient NIC degradation windows (time-scoped bandwidth
 /// multipliers lowered onto the affected ports as a sim::RateTimeline),
 /// persistent compute stragglers, an optional permanent node loss at a
@@ -101,7 +101,9 @@ struct FaultPlan {
   std::vector<ComputeStraggler> stragglers;
   NodeFailure node_failure;
   CheckpointModel checkpoint;
-  /// Seed forwarded to Perturbations (jitter stream, if ever combined).
+  /// Parsed, range-checked (kMaxSeed) and echoed, but nothing draws from
+  /// it: every fault the schema describes is deterministic, so the seed
+  /// changes no simulated number.
   std::uint64_t seed = 0x5EED;
 
   bool has_node_failure() const { return node_failure.at_s >= 0; }
@@ -121,6 +123,9 @@ FaultPlan parse_fault_plan(const std::string& json);
 
 /// Serializes the plan back to its stable JSON document (no trailing
 /// newline, fixed key order); parse + serialize round-trips byte-exactly.
+/// Each number is written with json_number's 12 significant digits when
+/// they re-parse to the same double, and in its shortest exact form
+/// otherwise, so re-parsing the document yields exactly the plan.
 std::string fault_plan_json(const FaultPlan& plan);
 
 /// HV501/HV502/HV503 against a concrete topology. `horizon_s`, when > 0,

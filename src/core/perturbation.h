@@ -1,25 +1,20 @@
 #pragma once
 
 /// \file perturbation.h
-/// Runtime perturbations: stragglers, compute jitter, and transient NIC
-/// degradation windows.
+/// Runtime perturbations: stragglers and transient NIC degradation windows.
 ///
 /// The paper assumes "communication between devices is stable and all
 /// devices are consistently online" and names fault handling as future
 /// work. This module is the runtime half of that story: deterministic
-/// (seeded) perturbation of the simulated execution — per-rank compute
-/// slowdowns, jitter, and time-windowed bandwidth degradation — so the
-/// sensitivity of each scheduling policy to slow devices and flaky fabrics
-/// can be measured. bench_straggler covers the static slowdowns;
-/// core/faults.h builds full fault schedules (holmes.fault_plan.v1) on top
-/// and docs/robustness.md describes the model.
+/// perturbation of the simulated execution — per-rank compute slowdowns
+/// and time-windowed bandwidth degradation — so the sensitivity of each
+/// scheduling policy to slow devices and flaky fabrics can be measured.
+/// bench_straggler covers the static slowdowns; core/faults.h builds full
+/// fault schedules (holmes.fault_plan.v1) on top and docs/robustness.md
+/// describes the model.
 
-#include <cstdint>
 #include <map>
 #include <vector>
-
-#include "util/rng.h"
-#include "util/units.h"
 
 namespace holmes::core {
 
@@ -43,33 +38,19 @@ struct Perturbations {
   /// listed run at nominal speed.
   std::map<int, double> device_slowdown;
 
-  /// Log-uniform compute jitter: every compute task's duration is scaled
-  /// by a factor drawn uniformly from [1, 1 + compute_jitter]. 0 disables.
-  double compute_jitter = 0.0;
-
   /// Transient NIC degradation windows (fault injection; see
   /// core/faults.h). TrainingSimulator::lower turns them into the lowered
   /// run's rate timeline; they leave the task graph itself unchanged.
   std::vector<NicDegradation> nic_degradation;
 
-  /// Seed for the jitter stream; identical seeds reproduce identical runs.
-  std::uint64_t seed = 0x5EED;
-
   bool empty() const {
-    return device_slowdown.empty() && compute_jitter == 0.0 &&
-           nic_degradation.empty();
+    return device_slowdown.empty() && nic_degradation.empty();
   }
 
-  /// Effective multiplier for one compute task on `rank`. `rng` must be the
-  /// simulation's perturbation stream (advanced once per call when jitter
-  /// is enabled, so call order must be deterministic — it is: task creation
-  /// order).
-  double factor(int rank, Rng& rng) const {
-    double f = 1.0;
+  /// Effective multiplier for one compute task on `rank`.
+  double factor(int rank) const {
     const auto it = device_slowdown.find(rank);
-    if (it != device_slowdown.end()) f *= it->second;
-    if (compute_jitter > 0) f *= rng.uniform(1.0, 1.0 + compute_jitter);
-    return f;
+    return it == device_slowdown.end() ? 1.0 : it->second;
   }
 };
 

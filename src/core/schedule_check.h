@@ -3,7 +3,7 @@
 /// \file schedule_check.h
 /// End-to-end schedule-race determinism check over a full training run.
 ///
-/// verify::check_determinism probes a bare task graph; this module drives
+/// HV405 re-executes a task graph under tie permutations; this module drives
 /// the same probe through the whole pipeline the CLI exercises: plan ->
 /// TrainingSimulator -> run summary + critical path JSON. The plan is
 /// lowered once and executed canonically; then every seeded tie

@@ -224,12 +224,10 @@ SimArtifacts TrainingSimulator::lower(const net::Topology& topo,
     }
   }
 
-  // Seeded perturbation stream: compute durations are scaled per task in
-  // deterministic creation order, so runs reproduce exactly per seed.
-  Rng perturb_rng(perturbations.seed);
+  // Stragglers scale each compute duration on their rank.
   auto perturbed = [&](int rank, SimTime seconds) {
     if (perturbations.empty()) return seconds;
-    return seconds * perturbations.factor(rank, perturb_rng);
+    return seconds * perturbations.factor(rank);
   };
 
   // Emits the point-to-point transfer for an activation or gradient hop,

@@ -121,8 +121,8 @@ class TrainingSimulator {
   /// artifacts with an empty `result`. `iterations` must be >= 2 (one
   /// warm-up minimum), and the chained graph must fit kTaskBudget and
   /// kDepBudget (else ConfigError). `perturbations` optionally slows
-  /// individual devices, adds seeded compute jitter, or degrades NICs
-  /// through the artifacts' rate timeline (see core/perturbation.h).
+  /// individual devices or degrades NICs through the artifacts' rate
+  /// timeline (see core/perturbation.h).
   /// `storage`, typically an earlier run's artifacts, lends its graph's
   /// arrays to the new graph; its contents are discarded.
   SimArtifacts lower(const net::Topology& topo, const TrainingPlan& plan,

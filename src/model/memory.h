@@ -4,16 +4,21 @@
 /// Per-GPU memory footprint estimate for a training configuration.
 ///
 /// Used by planners to reject configurations that could not run on the
-/// paper's 80 GB A100s, and by tests to confirm Table 2's groups fit their
-/// stated device counts. Mixed-precision Adam accounting (bytes per
-/// parameter): 2 (bf16 weights) + 2 (bf16 grads) + 4 + 4 + 4 (fp32 master
-/// weights, momentum, variance) = 16, with the optimizer-state share
-/// optionally sharded across the data-parallel group (ZeRO-1 /
-/// distributed optimizer).
+/// paper's 80 GiB A100s (kDeviceMemory), and by tests to confirm Table 2's
+/// groups fit their stated device counts. Mixed-precision Adam accounting
+/// (bytes per parameter): 2 (bf16 weights) + 2 (bf16 grads) + 4 + 4 + 4
+/// (fp32 master weights, momentum, variance) = 16, with the
+/// optimizer-state share optionally sharded across the data-parallel group
+/// (ZeRO-1 / distributed optimizer).
 
 #include "model/transformer.h"
 
 namespace holmes::model {
+
+/// Memory of one device of the paper's testbed, an 80 GiB A100: the budget
+/// HV106 fits each pipeline stage into, the cap HV403 puts on an endpoint's
+/// in-flight received bytes, and the limit autotune filters layouts by.
+inline constexpr Bytes kDeviceMemory = 80LL * 1024 * 1024 * 1024;
 
 struct MemoryEstimate {
   Bytes weights = 0;

@@ -12,7 +12,7 @@
 /// That tie-by-id discipline is a *documented contract*, and ExecutorOptions
 /// exists to verify it: the permuting tie-break policies deliberately
 /// reorder equal-ready-time tasks under a seeded hash so the determinism
-/// checker (verify::check_determinism, `holmes_cli check`) can prove which
+/// check (core/schedule_check.h, `holmes_cli check`) can prove which
 /// results depend on tie order and which do not — the gate the future
 /// parallel engine must keep green.
 

@@ -102,16 +102,10 @@ SimTime RateTimeline::stretched(ResourceId a, ResourceId b, SimTime start,
   // Breakpoints after `start` where the combined rate may change. Windows
   // per resource are few (a fault plan holds a handful), so a small sort
   // beats anything cleverer.
-  SimTime bps_storage[32];
-  std::vector<SimTime> bps_overflow;
-  std::size_t bp_count = 0;
+  std::vector<SimTime> bps;
   auto push_bp = [&](SimTime t) {
     if (t <= start) return;
-    if (bp_count < 32) {
-      bps_storage[bp_count++] = t;
-    } else {
-      bps_overflow.push_back(t);
-    }
+    bps.push_back(t);
   };
   auto collect = [&](const std::vector<Window>* w) {
     if (w == nullptr) return;
@@ -122,7 +116,7 @@ SimTime RateTimeline::stretched(ResourceId a, ResourceId b, SimTime start,
   };
   collect(wa);
   collect(wb);
-  if (bp_count == 0 && bps_overflow.empty()) return cost;  // all in the past
+  if (bps.empty()) return cost;  // all in the past
 
   auto combined_rate = [&](SimTime t) {
     double rate = 1.0;
@@ -131,8 +125,6 @@ SimTime RateTimeline::stretched(ResourceId a, ResourceId b, SimTime start,
     return rate;
   };
 
-  std::vector<SimTime> bps(bps_storage, bps_storage + bp_count);
-  bps.insert(bps.end(), bps_overflow.begin(), bps_overflow.end());
   std::sort(bps.begin(), bps.end());
   bps.erase(std::unique(bps.begin(), bps.end()), bps.end());
 

@@ -190,19 +190,13 @@ std::span<const TaskId> TaskGraph::deps(TaskId id) const {
 std::span<const TaskId> TaskGraph::dependents(TaskId id) const {
   HOLMES_CHECK(id >= 0 && static_cast<std::size_t>(id) < tasks_.size());
   if (!adjacency_valid_) build_adjacency();
-  const std::size_t i = static_cast<std::size_t>(id);
-  return {dependent_list_.data() + dependent_offset_[i],
-          dependent_list_.data() + dependent_offset_[i + 1]};
+  const Task& t = tasks_[static_cast<std::size_t>(id)];
+  return {dependent_list_.data() + t.out_begin, t.out_count};
 }
 
 std::span<const std::uint32_t> TaskGraph::dep_offsets() const {
   if (!adjacency_valid_) build_adjacency();
   return {dep_offset_.data(), dep_offset_.size()};
-}
-
-std::span<const std::uint32_t> TaskGraph::dependent_offsets() const {
-  if (!adjacency_valid_) build_adjacency();
-  return {dependent_offset_.data(), dependent_offset_.size()};
 }
 
 std::span<const TaskId> TaskGraph::dependent_list() const {
@@ -220,26 +214,27 @@ void TaskGraph::build_adjacency() const {
   const std::size_t n = tasks_.size();
   // Counting sort: one pass to count degrees, a prefix sum for offsets, a
   // second pass to scatter. Stable — within a task, list order equals
-  // edge-declaration (add_dep) order.
+  // edge-declaration (add_dep) order. The dependents' offsets are kept only
+  // as each Task's out_begin/out_count.
   dep_offset_.assign(n + 1, 0);
-  dependent_offset_.assign(n + 1, 0);
+  std::vector<std::uint32_t> dependent_offset(n + 1, 0);
   for (const Edge& e : edges_) {
     ++dep_offset_[static_cast<std::size_t>(e.task) + 1];
-    ++dependent_offset_[static_cast<std::size_t>(e.dep) + 1];
+    ++dependent_offset[static_cast<std::size_t>(e.dep) + 1];
   }
   max_dependents_ = 0;
   for (std::size_t i = 0; i < n; ++i) {
     max_dependents_ = std::max<std::size_t>(max_dependents_,
-                                            dependent_offset_[i + 1]);
+                                            dependent_offset[i + 1]);
     dep_offset_[i + 1] += dep_offset_[i];
-    dependent_offset_[i + 1] += dependent_offset_[i];
+    dependent_offset[i + 1] += dependent_offset[i];
   }
   dep_list_.resize(edges_.size());
   dependent_list_.resize(edges_.size());
   std::vector<std::uint32_t> dep_cursor(dep_offset_.begin(),
                                         dep_offset_.end() - 1);
-  std::vector<std::uint32_t> dependent_cursor(dependent_offset_.begin(),
-                                              dependent_offset_.end() - 1);
+  std::vector<std::uint32_t> dependent_cursor(dependent_offset.begin(),
+                                              dependent_offset.end() - 1);
   for (const Edge& e : edges_) {
     dep_list_[dep_cursor[static_cast<std::size_t>(e.task)]++] = e.dep;
     dependent_list_[dependent_cursor[static_cast<std::size_t>(e.dep)]++] =
@@ -250,8 +245,8 @@ void TaskGraph::build_adjacency() const {
   const auto scratch = static_cast<ResourceId>(resource_names_.size());
   for (std::size_t i = 0; i < n; ++i) {
     Task& t = tasks_[i];
-    t.out_begin = dependent_offset_[i];
-    t.out_count = dependent_offset_[i + 1] - dependent_offset_[i];
+    t.out_begin = dependent_offset[i];
+    t.out_count = dependent_offset[i + 1] - dependent_offset[i];
     const std::uint32_t inl = std::min(t.out_count, Task::kInlineOut);
     for (std::uint32_t j = 0; j < inl; ++j) {
       t.out[j] = dependent_list_[t.out_begin + j];

@@ -196,11 +196,11 @@ class TaskGraph {
   std::span<const TaskId> dependents(TaskId id) const;
 
   /// Raw CSR arrays, for hot loops that inline the adjacency walk or issue
-  /// prefetches by address. `offsets` has task_count()+1 entries; task `i`'s
-  /// neighbours are `list[offsets[i] .. offsets[i+1])`. Same cache validity
-  /// as deps()/dependents().
+  /// prefetches by address. dep_offsets() has task_count()+1 entries (task
+  /// `i` has `offsets[i+1] - offsets[i]` dependencies); task `i`'s
+  /// dependents are dependent_list()[out_begin .. out_begin + out_count) of
+  /// its Task record. Same cache validity as deps()/dependents().
   std::span<const std::uint32_t> dep_offsets() const;
-  std::span<const std::uint32_t> dependent_offsets() const;
   std::span<const TaskId> dependent_list() const;
 
   /// Compiles the CSR adjacency now if any mutation invalidated it, filling
@@ -239,13 +239,13 @@ class TaskGraph {
   std::unordered_map<std::string, LabelId, LabelHash, std::equal_to<>>
       label_ids_;  ///< text -> LabelId, for every label but kNoLabel's
 
-  // Cached CSR views of edges_, built by build_adjacency(). offsets have
-  // task_count()+1 entries; lists are edge-count long. Stable: per-task
-  // order equals edge-declaration order (counting sort).
+  // Cached CSR views of edges_, built by build_adjacency(). dep_offset_ has
+  // task_count()+1 entries; lists are edge-count long; each Task's out_*
+  // fields index dependent_list_. Stable: per-task order equals
+  // edge-declaration order (counting sort).
   mutable bool adjacency_valid_ = false;
   mutable std::vector<std::uint32_t> dep_offset_;
   mutable std::vector<TaskId> dep_list_;
-  mutable std::vector<std::uint32_t> dependent_offset_;
   mutable std::vector<TaskId> dependent_list_;
   mutable std::size_t max_dependents_ = 0;
 };

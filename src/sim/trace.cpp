@@ -40,7 +40,9 @@ class CounterTrack {
 
   void step(SimTime at, double delta) { steps_.push_back({at, delta}); }
 
-  void emit(std::ostream& out, bool* first) {
+  /// Writes the staircase, each event preceded by a comma (it follows the
+  /// trace's metadata events).
+  void emit(std::ostream& out) {
     // stable_sort keeps equal-timestamp deltas in step() call order, so the
     // per-timestamp sum adds in exactly the order the old map accumulated —
     // output stays byte-identical.
@@ -58,11 +60,9 @@ class CounterTrack {
       }
       if (delta == 0) continue;
       value += delta;
-      if (!*first) out << ",";
-      *first = false;
       // Clamp tiny negative float residue so the track never dips below 0.
       const double shown = value < 0 && value > -1e-9 ? 0 : value;
-      out << "\n{\"name\":\"" << json_escape(name_)
+      out << ",\n{\"name\":\"" << json_escape(name_)
           << "\",\"ph\":\"C\",\"pid\":" << kPid << ",\"ts\":" << at * 1e6
           << ",\"args\":{\"" << unit_ << "\":" << json_number(shown) << "}}";
     }
@@ -78,20 +78,12 @@ class CounterTrack {
 
 void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
                         const SimResult& result, const TraceOptions& options) {
-  out << "[";
-  bool first = true;
-
   // Process-name metadata, then thread-name metadata: one row per resource.
-  if (!options.process_name.empty()) {
-    first = false;
-    out << "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kPid
-        << ",\"args\":{\"name\":\"" << json_escape(options.process_name)
-        << "\"}}";
-  }
+  // Every later event follows one of these, so each opens with a comma.
+  out << "[\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kPid
+      << ",\"args\":{\"name\":\"holmes simulation\"}}";
   for (std::size_t r = 0; r < graph.resource_count(); ++r) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
+    out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
         << ",\"tid\":" << r << ",\"args\":{\"name\":\""
         << json_escape(graph.resource_name(static_cast<ResourceId>(r)))
         << "\"}}";
@@ -99,9 +91,7 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
   // The emphasized critical-path lane sits below the resource rows.
   const std::size_t critical_row = graph.resource_count();
   if (!options.critical_tasks.empty()) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
+    out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
         << ",\"tid\":" << critical_row
         << ",\"args\":{\"name\":\"critical path\"}}";
   }
@@ -110,8 +100,8 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
   CounterTrack link_track("links busy", "ports");
   CounterTrack bytes_track("bytes in flight", "bytes");
 
-  // Rows of the slices actually emitted, for flow-arrow endpoints (arrows
-  // must land on visible slices; -1 marks dropped/noop tasks).
+  // Rows of the slices emitted, for flow-arrow endpoints (arrows must land
+  // on visible slices; -1 marks the dropped noops).
   std::vector<ResourceId> slice_row(graph.task_count(), -1);
 
   for (std::size_t i = 0; i < graph.task_count(); ++i) {
@@ -121,33 +111,28 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
     const SimTime duration = timing.finish - timing.start;
     if (task.kind == TaskKind::kNoop) continue;
 
-    if (options.counters) {
-      if (task.kind == TaskKind::kCompute) {
-        if (duration > 0) {
-          compute_track.step(timing.start, 1);
-          compute_track.step(timing.finish, -1);
-        }
-      } else {
-        // Ports are busy for the serialization time only; the payload is
-        // "in flight" until the transfer completes (incl. latency).
-        const SimTime serialization = std::max(0.0, duration - task.latency);
-        if (serialization > 0) {
-          link_track.step(timing.start, 1);
-          link_track.step(timing.start + serialization, -1);
-        }
-        if (info.bytes > 0 && duration > 0) {
-          bytes_track.step(timing.start, static_cast<double>(info.bytes));
-          bytes_track.step(timing.finish, -static_cast<double>(info.bytes));
-        }
+    if (task.kind == TaskKind::kCompute) {
+      if (duration > 0) {
+        compute_track.step(timing.start, 1);
+        compute_track.step(timing.finish, -1);
+      }
+    } else {
+      // Ports are busy for the serialization time only; the payload is
+      // "in flight" until the transfer completes (incl. latency).
+      const SimTime serialization = std::max(0.0, duration - task.latency);
+      if (serialization > 0) {
+        link_track.step(timing.start, 1);
+        link_track.step(timing.start + serialization, -1);
+      }
+      if (info.bytes > 0 && duration > 0) {
+        bytes_track.step(timing.start, static_cast<double>(info.bytes));
+        bytes_track.step(timing.finish, -static_cast<double>(info.bytes));
       }
     }
 
-    if (duration < options.min_duration) continue;
     slice_row[i] = task.resource;  // a transfer's row is its TX port's
-    if (!first) out << ",";
-    first = false;
     // Chrome trace timestamps are microseconds.
-    out << "\n{\"name\":\"" << slice_name(graph, static_cast<TaskId>(i))
+    out << ",\n{\"name\":\"" << slice_name(graph, static_cast<TaskId>(i))
         << "\",\"cat\":\"" << kind_name(task.kind)
         << "\",\"ph\":\"X\",\"pid\":" << kPid
         << ",\"tid\":" << task.resource << ",\"ts\":" << timing.start * 1e6
@@ -155,30 +140,26 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
         << ",\"tag\":" << info.tag << ",\"bytes\":" << info.bytes << "}}";
   }
 
-  if (options.flows) {
-    // One arrow per cross-row dependency edge: "s" anchored at the
-    // producer's finish on its row, "f" (bp:"e" = bind to the enclosing
-    // slice) at the consumer's start. Same-row edges read off adjacency.
-    int flow_id = 0;
-    for (std::size_t i = 0; i < graph.task_count(); ++i) {
-      if (slice_row[i] < 0) continue;
-      const TaskTiming& timing = result.timing(static_cast<TaskId>(i));
-      for (TaskId dep : graph.deps(static_cast<TaskId>(i))) {
-        const auto d = static_cast<std::size_t>(dep);
-        if (slice_row[d] < 0 || slice_row[d] == slice_row[i]) continue;
-        ++flow_id;
-        const SimTime dep_finish = result.timing(dep).finish;
-        if (!first) out << ",";
-        first = false;
-        out << "\n{\"name\":\"dep\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":"
-            << flow_id << ",\"pid\":" << kPid
-            << ",\"tid\":" << slice_row[d] << ",\"ts\":" << dep_finish * 1e6
-            << ",\"args\":{\"task\":" << d << "}}";
-        out << ",\n{\"name\":\"dep\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":"
-            << "\"e\",\"id\":" << flow_id << ",\"pid\":" << kPid
-            << ",\"tid\":" << slice_row[i] << ",\"ts\":" << timing.start * 1e6
-            << ",\"args\":{\"task\":" << i << "}}";
-      }
+  // One arrow per cross-row dependency edge: "s" anchored at the producer's
+  // finish on its row, "f" (bp:"e" = bind to the enclosing slice) at the
+  // consumer's start. Same-row edges read off adjacency.
+  int flow_id = 0;
+  for (std::size_t i = 0; i < graph.task_count(); ++i) {
+    if (slice_row[i] < 0) continue;
+    const TaskTiming& timing = result.timing(static_cast<TaskId>(i));
+    for (TaskId dep : graph.deps(static_cast<TaskId>(i))) {
+      const auto d = static_cast<std::size_t>(dep);
+      if (slice_row[d] < 0 || slice_row[d] == slice_row[i]) continue;
+      ++flow_id;
+      const SimTime dep_finish = result.timing(dep).finish;
+      out << ",\n{\"name\":\"dep\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":"
+          << flow_id << ",\"pid\":" << kPid
+          << ",\"tid\":" << slice_row[d] << ",\"ts\":" << dep_finish * 1e6
+          << ",\"args\":{\"task\":" << d << "}}";
+      out << ",\n{\"name\":\"dep\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":"
+          << "\"e\",\"id\":" << flow_id << ",\"pid\":" << kPid
+          << ",\"tid\":" << slice_row[i] << ",\"ts\":" << timing.start * 1e6
+          << ",\"args\":{\"task\":" << i << "}}";
     }
   }
 
@@ -188,22 +169,17 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
     if (graph.task(id).kind == TaskKind::kNoop) continue;
     const TaskInfo& info = graph.info(id);
     const TaskTiming& timing = result.timing(id);
-    const SimTime duration = timing.finish - timing.start;
-    if (duration < options.min_duration) continue;
-    if (!first) out << ",";
-    first = false;
-    out << "\n{\"name\":\"" << slice_name(graph, id)
+    out << ",\n{\"name\":\"" << slice_name(graph, id)
         << "\",\"cat\":\"critical\",\"ph\":\"X\",\"pid\":" << kPid
         << ",\"tid\":" << critical_row << ",\"ts\":" << timing.start * 1e6
-        << ",\"dur\":" << duration * 1e6 << ",\"args\":{\"task\":" << id
-        << ",\"tag\":" << info.tag << ",\"bytes\":" << info.bytes << "}}";
+        << ",\"dur\":" << (timing.finish - timing.start) * 1e6
+        << ",\"args\":{\"task\":" << id << ",\"tag\":" << info.tag
+        << ",\"bytes\":" << info.bytes << "}}";
   }
 
-  if (options.counters) {
-    compute_track.emit(out, &first);
-    link_track.emit(out, &first);
-    bytes_track.emit(out, &first);
-  }
+  compute_track.emit(out);
+  link_track.emit(out);
+  bytes_track.emit(out);
 
   // Effective-rate tracks: one breakpoint-exact staircase per resource a
   // rate window degraded, charting min(1, compound factor) — the pacing the
@@ -212,9 +188,7 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
   if (options.rates != nullptr) {
     auto emit_counter = [&](const std::string& name, SimTime at,
                             double value) {
-      if (!first) out << ",";
-      first = false;
-      out << "\n{\"name\":\"" << json_escape(name)
+      out << ",\n{\"name\":\"" << json_escape(name)
           << "\",\"ph\":\"C\",\"pid\":" << kPid << ",\"ts\":" << at * 1e6
           << ",\"args\":{\"rate\":" << json_number(value) << "}}";
     };

@@ -15,7 +15,6 @@
 /// gradient reduce-scatter with backward compute, or NIC port contention.
 
 #include <ostream>
-#include <string>
 #include <vector>
 
 #include "sim/executor.h"
@@ -25,24 +24,9 @@ namespace holmes::sim {
 
 class RateTimeline;
 
+/// What a trace holds besides the slices, counters and flow arrows every
+/// trace has.
 struct TraceOptions {
-  /// Tasks shorter than this (seconds) are dropped to keep files small
-  /// (noops and empty transfers are invisible in a viewer anyway).
-  SimTime min_duration = 0;
-  /// Process id recorded in the trace (useful when concatenating multiple
-  /// simulations into one file).
-  int pid = 1;
-  /// Process row label emitted as "process_name" metadata.
-  std::string process_name = "holmes simulation";
-  /// Emit "C" counter tracks ("compute in flight", "links busy",
-  /// "bytes in flight"). Counters always cover *all* tasks, regardless of
-  /// min_duration, so the aggregate view stays exact.
-  bool counters = true;
-  /// Emit flow arrows ("s" at the producer's finish, "f" with bp:"e" at
-  /// the consumer's start) for dependency edges that hop between rows.
-  /// Same-row edges are implied by slice adjacency and stay arrow-free.
-  /// Both endpoint slices must be visible under min_duration.
-  bool flows = true;
   /// Tasks to duplicate onto an emphasized extra "critical path" row (tid
   /// = resource count), e.g. obs::CriticalPath::tasks. Slices there carry
   /// cat "critical" so the lane is filterable.
@@ -55,9 +39,15 @@ struct TraceOptions {
   const RateTimeline* rates = nullptr;
 };
 
-/// Writes the trace of `graph` as executed in `result`. Transfers appear on
-/// their source port's row; compute on its resource's row. The stream is
-/// left without a trailing newline so callers can embed the array.
+/// Writes the trace of `graph` as executed in `result`: one process
+/// ("holmes simulation", pid 1), one slice per compute or transfer task
+/// (noops are dropped), the "compute in flight", "links busy" and
+/// "bytes in flight" counter tracks, and a flow arrow ("s" at the
+/// producer's finish, "f" with bp:"e" at the consumer's start) for every
+/// dependency edge between two slices on different rows; same-row edges
+/// read off slice adjacency. Transfers appear on their source port's row;
+/// compute on its resource's row. The stream is left without a trailing
+/// newline so callers can embed the array.
 void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
                         const SimResult& result,
                         const TraceOptions& options = {});

@@ -30,6 +30,11 @@ WindowSpec parse_window_spec(const std::string& spec) {
     throw ConfigError("--window expects BEGIN:END finite seconds, got '" +
                       spec + "'");
   }
+  // -1 encodes "to the end"; a written END below zero selects nothing.
+  if (colon + 1 < spec.size() && window.end < 0) {
+    throw ConfigError("--window END must not be negative: got '" + spec +
+                      "'");
+  }
   if (window.end >= 0 && window.begin >= window.end) {
     throw ConfigError("--window is empty: got '" + spec +
                       "' (need BEGIN < END)");

@@ -24,6 +24,11 @@
 
 namespace holmes::verify {
 
+/// Diagnostics a rule emits before it only counts further findings: the
+/// first violations are the informative ones, and a broken 100k-task graph
+/// should not produce 100k diagnostics.
+inline constexpr std::size_t kMaxDiagnosticsPerRule = 8;
+
 enum class Severity {
   kNote = 0,     ///< informational; never affects the verdict
   kWarning = 1,  ///< suspicious but possibly deliberate (baselines, ablations)

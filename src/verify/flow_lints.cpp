@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "model/memory.h"
 #include "util/error.h"
 #include "verify/lint_internal.h"
 #include "verify/rules.h"
@@ -208,7 +209,7 @@ LintReport lint_flow(const TaskSetRef& view, const FlowAnalysis& analysis,
     report.mark_checked(kRuleFlowResourceBound);
     std::size_t findings = 0;
     auto emit = [&](ResourceId r, const std::string& message) {
-      if (findings < options.max_diagnostics_per_rule) {
+      if (findings < kMaxDiagnosticsPerRule) {
         report.add(kRuleFlowResourceBound, Severity::kError,
                    "resource '" + resource_name(view, r) + "'", message);
       }
@@ -239,22 +240,20 @@ LintReport lint_flow(const TaskSetRef& view, const FlowAnalysis& analysis,
     }
   }
 
-  // HV403: in-flight receive bytes vs the per-device buffer budget.
-  if (options.buffer_budget > 0) {
-    report.mark_checked(kRuleFlowMemoryWatermark);
-    std::size_t findings = 0;
-    for (const FlowAnalysis::EndpointWatermark& wm : analysis.watermarks) {
-      if (wm.peak_bytes <= options.buffer_budget) continue;
-      if (findings < options.max_diagnostics_per_rule) {
-        std::ostringstream os;
-        os << "peak in-flight received bytes " << wm.peak_bytes
-           << " exceed the " << options.buffer_budget
-           << "-byte buffer budget under every admissible schedule";
-        report.add(kRuleFlowMemoryWatermark, Severity::kWarning,
-                   "endpoint '" + wm.endpoint + "'", os.str());
-      }
-      ++findings;
+  // HV403: in-flight receive bytes vs the device memory.
+  report.mark_checked(kRuleFlowMemoryWatermark);
+  std::size_t memory_findings = 0;
+  for (const FlowAnalysis::EndpointWatermark& wm : analysis.watermarks) {
+    if (wm.peak_bytes <= model::kDeviceMemory) continue;
+    if (memory_findings < kMaxDiagnosticsPerRule) {
+      std::ostringstream os;
+      os << "peak in-flight received bytes " << wm.peak_bytes
+         << " exceed the " << model::kDeviceMemory
+         << "-byte buffer budget under every admissible schedule";
+      report.add(kRuleFlowMemoryWatermark, Severity::kWarning,
+                 "endpoint '" + wm.endpoint + "'", os.str());
     }
+    ++memory_findings;
   }
 
   // HV404: byte balance across each cluster cut, per closed channel.
@@ -293,7 +292,7 @@ LintReport lint_flow(const TaskSetRef& view, const FlowAnalysis& analysis,
       for (const auto& [pair, cf] : cut[c]) {
         const auto [a, b] = pair;
         if (cf.forward == cf.backward) continue;
-        if (findings < options.max_diagnostics_per_rule) {
+        if (findings < kMaxDiagnosticsPerRule) {
           std::ostringstream os;
           os << "cluster cut " << a << "<->" << b << " moves " << cf.forward
              << " bytes forward but " << cf.backward
@@ -313,70 +312,6 @@ LintReport lint_flow(const TaskSetRef& view, const FlowAnalysis& analysis,
 LintReport lint_flow(const sim::TaskGraph& graph, const sim::SimResult& result,
                      const FlowLintOptions& options) {
   return lint_flow(as_ref(graph), &result, options);
-}
-
-LintReport check_determinism(const sim::TaskGraph& graph,
-                             const DeterminismCheckOptions& options) {
-  LintReport report;
-  report.mark_checked(kRuleScheduleRace);
-  sim::ExecutorOptions canonical;
-  canonical.rates = options.rates;
-  const sim::SimResult baseline = sim::TaskGraphExecutor{canonical}.run(graph);
-  std::size_t findings = 0;
-  for (int k = 0; k < options.permutations; ++k) {
-    sim::ExecutorOptions exec;
-    exec.tie_break = options.tie_break;
-    exec.tie_seed = options.base_seed + static_cast<std::uint64_t>(k);
-    exec.rates = options.rates;
-    const sim::SimResult permuted = sim::TaskGraphExecutor{exec}.run(graph);
-
-    // Bitwise comparison: identical placement arithmetic in identical order
-    // yields identical doubles, so any difference at all is a divergence.
-    TaskId first_diverging = sim::kInvalidTask;
-    for (std::size_t i = 0; i < graph.task_count(); ++i) {
-      const sim::TaskTiming& a = baseline.timings()[i];
-      const sim::TaskTiming& b = permuted.timings()[i];
-      if (a.start != b.start || a.finish != b.finish) {
-        first_diverging = static_cast<TaskId>(i);
-        break;
-      }
-    }
-    bool busy_diverged = false;
-    for (std::size_t r = 0; r < graph.resource_count(); ++r) {
-      const auto id = static_cast<sim::ResourceId>(r);
-      if (baseline.resource_busy(id) != permuted.resource_busy(id)) {
-        busy_diverged = true;
-        break;
-      }
-    }
-    if (first_diverging == sim::kInvalidTask && !busy_diverged &&
-        baseline.makespan() == permuted.makespan()) {
-      continue;
-    }
-    if (findings < options.max_diagnostics_per_rule) {
-      std::ostringstream os;
-      os << "results diverge under tie permutation seed " << exec.tie_seed;
-      std::string subject = "graph";
-      if (first_diverging != sim::kInvalidTask) {
-        const auto i = static_cast<std::size_t>(first_diverging);
-        const TaskSetRef view = as_ref(graph);
-        subject = task_subject(view, i);
-        os << ": first diverging task starts at "
-           << format_seconds(baseline.timings()[i].start)
-           << " s canonically but "
-           << format_seconds(permuted.timings()[i].start)
-           << " s permuted";
-      } else if (busy_diverged) {
-        os << ": per-resource busy time differs";
-      } else {
-        os << ": makespan " << format_seconds(baseline.makespan())
-           << " s became " << format_seconds(permuted.makespan()) << " s";
-      }
-      report.add(kRuleScheduleRace, Severity::kError, subject, os.str());
-    }
-    ++findings;
-  }
-  return report;
 }
 
 }  // namespace holmes::verify

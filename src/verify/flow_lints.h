@@ -1,8 +1,7 @@
 #pragma once
 
 /// \file flow_lints.h
-/// Flow-family (HV4xx) lints: simulation-free bounds on a task graph plus
-/// the schedule-race determinism check.
+/// Flow-family (HV4xx) lints: simulation-free bounds on a task graph.
 ///
 /// analyze_flow derives, without simulating, the quantities a strategy
 /// search wants for pruning (the AMP / H2 cost-model bounds): the longest
@@ -15,21 +14,13 @@
 /// lint_flow cross-checks those bounds against an executed sim::SimResult:
 /// a static lower bound exceeding the simulated makespan proves the
 /// analyzer or the executor wrong (HV401/HV402), the watermark is checked
-/// against a per-device buffer budget (HV403), and closed collective
-/// channels must move balanced byte volumes across every cluster cut
-/// (HV404).
-///
-/// check_determinism is the race detector for the DES itself: it re-runs
-/// the executor with equal-ready-time ties reordered under seeded
-/// permutations (sim::TieBreak) and reports any bitwise divergence from the
-/// canonical run as HV405, naming the first diverging task. With the
-/// resource-disjoint policy divergence is always an executor bug; with the
-/// permute-all policy it exposes graphs whose schedule depends on tie
-/// order — the sync points a future parallel engine must respect.
+/// against the device memory (model::kDeviceMemory, HV403), and closed
+/// collective channels must move balanced byte volumes across every cluster
+/// cut (HV404). The schedule-race rule HV405 needs whole training runs; it
+/// lives in core/schedule_check.h.
 ///
 /// Cost: analyze_flow and lint_flow are O(tasks + deps) plus an endpoint sort.
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -77,15 +68,10 @@ FlowAnalysis analyze_flow(const TaskSetRef& view);
 FlowAnalysis analyze_flow(const sim::TaskGraph& graph);
 
 struct FlowLintOptions {
-  /// Per-endpoint in-flight byte budget for HV403 (the paper's 80 GB A100
-  /// by default); 0 disables the rule.
-  Bytes buffer_budget = 80LL * 1024 * 1024 * 1024;
   /// Resource id -> cluster id for HV404's cut balance (-1 = unknown,
   /// transfers touching unknown clusters are skipped); empty disables the
   /// rule. core/preflight.h derives this map from a net::Topology.
   std::vector<int> resource_cluster;
-  /// Cap on diagnostics emitted per rule.
-  std::size_t max_diagnostics_per_rule = 8;
   /// The run executed under an active sim::RateTimeline (fault injection):
   /// degraded resources serve declared cost over a longer occupancy, so
   /// HV402 only requires accounted busy time >= static load instead of
@@ -106,28 +92,5 @@ LintReport lint_flow(const TaskSetRef& view, const FlowAnalysis& analysis,
                      const FlowLintOptions& options = {});
 LintReport lint_flow(const sim::TaskGraph& graph, const sim::SimResult& result,
                      const FlowLintOptions& options = {});
-
-struct DeterminismCheckOptions {
-  /// Number of seeded tie-permutation re-runs compared against canonical.
-  int permutations = 5;
-  /// Base seed; permutation k runs with tie_seed = base_seed + k.
-  std::uint64_t base_seed = 0x484F4C4D4553ull;  // "HOLMES"
-  /// Permutation policy (see sim::TieBreak). The default reorders only
-  /// resource-disjoint ties, so any divergence is an executor bug.
-  sim::TieBreak tie_break = sim::TieBreak::kPermuteDisjoint;
-  /// Cap on diagnostics emitted.
-  std::size_t max_diagnostics_per_rule = 8;
-  /// Fault timeline active on every run (canonical and permuted alike), so
-  /// HV405 checks determinism *of the faulted schedule*. Not owned; must
-  /// outlive the call. Null = fault-free.
-  const sim::RateTimeline* rates = nullptr;
-};
-
-/// Schedule-race rule HV405: simulates `graph` canonically, then under
-/// `permutations` seeded tie permutations, and bitwise-compares every task
-/// timing, per-resource busy time, and the makespan. Throws ConfigError on
-/// a cyclic graph (lint the graph first).
-LintReport check_determinism(const sim::TaskGraph& graph,
-                             const DeterminismCheckOptions& options = {});
 
 }  // namespace holmes::verify

@@ -76,10 +76,9 @@ struct GraphLintOptions {
   /// order (device compute engines). HV204 checks that deps plus that
   /// program order are jointly acyclic; empty skips the rule.
   std::vector<sim::ResourceId> serial_programs;
-  /// Cap on diagnostics emitted per rule (the first violations are the
-  /// informative ones; a broken 100k-task graph should not produce 100k
-  /// diagnostics).
-  std::size_t max_diagnostics_per_rule = 8;
+  /// Cap on diagnostics emitted per rule. Tests that list every finding
+  /// raise it.
+  std::size_t max_diagnostics_per_rule = kMaxDiagnosticsPerRule;
 };
 
 /// Structural rules HV201..HV205.

@@ -213,11 +213,11 @@ void lint_memory_fit(const PlanView& view, LintReport& report) {
         *view.model, layers[s], config.tensor, view.micro_batch_size,
         std::min(config.pipeline, 8), view.optimizer_shards, {},
         view.weight_shards);
-    if (est.total() <= view.device_memory) continue;
+    if (est.total() <= model::kDeviceMemory) continue;
     std::ostringstream os;
     os << "estimated " << format_bytes(est.total()) << " per device ("
-       << layers[s] << " layers) exceeds the " << format_bytes(view.device_memory)
-       << " budget";
+       << layers[s] << " layers) exceeds the "
+       << format_bytes(model::kDeviceMemory) << " budget";
     report.add(kRuleMemoryFit, Severity::kError, "stage" + std::to_string(s),
                os.str());
   }

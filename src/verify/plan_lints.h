@@ -63,7 +63,6 @@ struct PlanView {
 
   int optimizer_shards = 1;  ///< d when the DP strategy shards optimizer state
   int weight_shards = 1;     ///< d only for ZeRO-3/FSDP
-  Bytes device_memory = 80LL * 1024 * 1024 * 1024;  ///< paper's 80 GB A100
 
   /// Eq. (2) speed table for the partition-order check.
   pipeline::StageSpeeds speeds = {};

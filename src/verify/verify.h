@@ -13,8 +13,8 @@
 ///  - verify/rules.h       — the rule registry (ids, families, docs)
 ///  - verify/plan_lints.h  — HV1xx: PlanView + lint_plan
 ///  - verify/graph_lints.h — HV2xx/HV3xx: lint_graph + lint_execution
-///  - verify/flow_lints.h  — HV4xx: analyze_flow + lint_flow +
-///                           check_determinism (the schedule-race detector)
+///  - verify/flow_lints.h  — HV4xx: analyze_flow + lint_flow (HV405, the
+///                           schedule-race check, is core/schedule_check.h)
 ///
 /// The library layers strictly below `core`; core/preflight.h adapts a
 /// core::TrainingPlan into a PlanView and wires the debug-mode pre-flight

@@ -111,14 +111,6 @@ TEST_P(RingStepsTest, BroadcastValidatesForEveryRoot) {
   }
 }
 
-TEST_P(RingStepsTest, ReduceValidatesForEveryRoot) {
-  const int n = GetParam();
-  for (int root = 0; root < n; ++root) {
-    const auto steps = reduce_steps(n, root, 41);
-    validate_steps(steps, n, 41);
-  }
-}
-
 TEST_P(RingStepsTest, AllToAllCoversAllPairs) {
   const int n = GetParam();
   const auto steps = all_to_all_steps(n, 8);
@@ -158,7 +150,6 @@ TEST(RingSteps, InvalidArgsRejected) {
   EXPECT_THROW(ring_reduce_scatter_steps(0, 8), InternalError);
   EXPECT_THROW(broadcast_steps(4, 4, 8), InternalError);
   EXPECT_THROW(broadcast_steps(4, -1, 8), InternalError);
-  EXPECT_THROW(reduce_steps(4, 9, 8), InternalError);
 }
 
 TEST(ValidateSteps, CatchesHazards) {

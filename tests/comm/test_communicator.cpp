@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "sim/executor.h"
 #include "util/error.h"
 
@@ -21,6 +24,18 @@ SimTime finish_of(const sim::SimResult& result, const TaskHandles& done) {
   return latest;
 }
 
+/// The fabrics the graph's transfers ride, by their TX ports' classes.
+std::set<std::string> transfer_fabrics(const sim::TaskGraph& graph,
+                                       const PortMap& ports) {
+  std::set<std::string> fabrics;
+  for (const sim::Task& task : graph.tasks()) {
+    if (task.kind == sim::TaskKind::kTransfer) {
+      fabrics.insert(ports.resource_class(task.resource));
+    }
+  }
+  return fabrics;
+}
+
 TEST(Communicator, ConstructionValidatesRanks) {
   Topology topo = Topology::homogeneous(1, NicType::kInfiniBand, 4);
   EXPECT_THROW(Communicator(topo, {}), ConfigError);
@@ -30,33 +45,22 @@ TEST(Communicator, ConstructionValidatesRanks) {
 }
 
 TEST(Communicator, TransportSelection) {
+  // Each hop rides the fabric its device pair resolves: NVLink inside a
+  // node, the cluster's RDMA NIC between its nodes, Ethernet between
+  // clusters.
   Topology hybrid = Topology::hybrid_two_clusters(2, 4);  // 0-7 IB, 8-15 RoCE
-  EXPECT_EQ(Communicator(hybrid, {0, 1}).transport(), FabricKind::kNVLink);
-  EXPECT_EQ(Communicator(hybrid, {0, 4}).transport(), FabricKind::kInfiniBand);
-  EXPECT_EQ(Communicator(hybrid, {8, 12}).transport(), FabricKind::kRoCE);
-  EXPECT_EQ(Communicator(hybrid, {0, 8}).transport(), FabricKind::kEthernet);
-  EXPECT_TRUE(Communicator(hybrid, {0, 4}).is_rdma_capable());
-  EXPECT_FALSE(Communicator(hybrid, {0, 8}).is_rdma_capable());
-}
-
-TEST(Communicator, NumericAllReduceMatchesEagerBackend) {
-  Topology topo = Topology::homogeneous(1, NicType::kInfiniBand, 4);
-  Communicator comm(topo, {0, 1, 2, 3});
-  std::vector<std::vector<float>> bufs(4, std::vector<float>{1, 2, 3, 4});
-  BufferSet spans;
-  for (auto& b : bufs) spans.emplace_back(b);
-  comm.all_reduce(spans);
-  for (const auto& b : bufs) {
-    EXPECT_EQ(b, (std::vector<float>{4, 8, 12, 16}));
-  }
-}
-
-TEST(Communicator, NumericBufferCountMustMatchGroup) {
-  Topology topo = Topology::homogeneous(1, NicType::kInfiniBand, 4);
-  Communicator comm(topo, {0, 1, 2});
-  std::vector<float> a(4), b(4);
-  EXPECT_THROW(comm.all_reduce({std::span<float>(a), std::span<float>(b)}),
-               InternalError);
+  auto fabrics = [&](std::vector<int> ranks) {
+    sim::TaskGraph graph;
+    const PortMap ports(hybrid, graph);
+    Communicator(hybrid, std::move(ranks))
+        .lower_all_reduce(graph, ports, 1000, {});
+    return transfer_fabrics(graph, ports);
+  };
+  using Fabrics = std::set<std::string>;
+  EXPECT_EQ(fabrics({0, 1}), Fabrics{net::to_string(FabricKind::kNVLink)});
+  EXPECT_EQ(fabrics({0, 4}), Fabrics{net::to_string(FabricKind::kInfiniBand)});
+  EXPECT_EQ(fabrics({8, 12}), Fabrics{net::to_string(FabricKind::kRoCE)});
+  EXPECT_EQ(fabrics({0, 8}), Fabrics{net::to_string(FabricKind::kEthernet)});
 }
 
 TEST(CommunicatorLowering, AllReduceTimeMatchesRingCostModel) {
@@ -144,21 +148,6 @@ TEST(CommunicatorLowering, SingleMemberGroupIsFree) {
   EXPECT_DOUBLE_EQ(sim::TaskGraphExecutor{}.run(graph).makespan(), 0.0);
 }
 
-TEST(CommunicatorLowering, BarrierIsLatencyOnly) {
-  const int n = 4;
-  Topology topo = Topology::homogeneous(n, NicType::kInfiniBand, 1);
-  Communicator comm(topo, {0, 1, 2, 3});
-  sim::TaskGraph graph;
-  PortMap ports(topo, graph);
-  const auto done = comm.lower_barrier(graph, ports, {});
-  const auto result = sim::TaskGraphExecutor{}.run(graph);
-  const SimTime latency = topo.path(0, 1).latency;
-  const SimTime t = finish_of(result, done);
-  // 2*(n-1) rounds of (latency + ~zero serialization).
-  EXPECT_GE(t, 2 * (n - 1) * latency);
-  EXPECT_LT(t, 3 * 2 * (n - 1) * latency);
-}
-
 TEST(CommunicatorLowering, BroadcastScalesWithPayloadNotGroupSize) {
   // Pipelined broadcast: doubling the group adds rounds but the dominant
   // term stays V/bw, so time grows mildly, not proportionally.
@@ -194,12 +183,18 @@ TEST(CommunicatorLowering, ForcedInternodeFabricSlowsRdmaGroup) {
 
   Communicator fallback(topo, ranks);
   fallback.force_internode_fabric(FabricKind::kEthernet);
-  EXPECT_EQ(fallback.internode_fabric_override(), FabricKind::kEthernet);
   sim::TaskGraph g2;
   PortMap p2(topo, g2);
   const SimTime slow = finish_of(sim::TaskGraphExecutor{}.run(g2),
                                  fallback.lower_all_reduce(g2, p2, bytes, {}));
   EXPECT_GT(slow, fast * 3);
+  // Only the inter-node hops moved onto Ethernet.
+  EXPECT_EQ(transfer_fabrics(g1, p1),
+            (std::set<std::string>{net::to_string(FabricKind::kNVLink),
+                                   net::to_string(FabricKind::kInfiniBand)}));
+  EXPECT_EQ(transfer_fabrics(g2, p2),
+            (std::set<std::string>{net::to_string(FabricKind::kNVLink),
+                                   net::to_string(FabricKind::kEthernet)}));
 }
 
 TEST(CommunicatorLowering, AllToAllUsesAllPortPairs) {

@@ -88,19 +88,6 @@ TEST(Hierarchical, RejectsIrregularLayouts) {
   EXPECT_THROW(hierarchical_all_reduce_steps({0, 0}, -1), ConfigError);
 }
 
-TEST(Hierarchical, NumericViaCommunicator) {
-  Topology topo = Topology::homogeneous(2, NicType::kInfiniBand, 4);
-  std::vector<int> ranks = {0, 1, 2, 3, 4, 5, 6, 7};
-  const Communicator comm(topo, ranks);
-  std::vector<std::vector<float>> bufs(8, std::vector<float>(10, 1.0f));
-  BufferSet spans;
-  for (auto& b : bufs) spans.emplace_back(b);
-  comm.hierarchical_all_reduce(spans);
-  for (const auto& b : bufs) {
-    for (float x : b) ASSERT_EQ(x, 8.0f);
-  }
-}
-
 TEST(Hierarchical, TimedLoweringBeatsFlatRingAcrossNodes) {
   // 4 nodes x 4 GPUs on InfiniBand: the hierarchical algorithm pushes the
   // inter-node volume through 4 NICs per node instead of 1, so the large

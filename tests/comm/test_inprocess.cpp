@@ -107,20 +107,6 @@ TEST_P(InProcessSweep, BroadcastReplicatesRootFromEveryRoot) {
   }
 }
 
-TEST_P(InProcessSweep, ReduceDeliversSumAtRoot) {
-  const auto [n, elems] = GetParam();
-  for (int root = 0; root < n; ++root) {
-    Fixture fx(n, elems, 99 + static_cast<std::uint64_t>(root));
-    reduce_inplace(fx.spans(), root);
-    for (std::int64_t k = 0; k < elems; ++k) {
-      ASSERT_EQ(
-          fx.storage[static_cast<std::size_t>(root)][static_cast<std::size_t>(k)],
-          fx.expected_sum[static_cast<std::size_t>(k)])
-          << "root " << root;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Shapes, InProcessSweep, ::testing::ValuesIn(kShapes),
     [](const ::testing::TestParamInfo<Shape>& param_info) {

@@ -172,9 +172,11 @@ TEST(FaultPlan, EveryAcceptedNumberMeansWhatItSaysAndRoundTrips) {
       "2147483647", "2147483648",       "-2147483649",
       "-1",         "9007199254740992", "9007199254740994",
       "0",          "7"};
-  const char* const real_tokens[] = {"1e300", "-1e300", "1e999", "-1e999",
-                                     "3.7",   "-2",     "0",     "1e-300",
-                                     "1e6",   "1000001"};
+  // 5.123456789012345 has 16 significant digits, past json_number's 12.
+  const char* const real_tokens[] = {"1e300",   "-1e300",           "1e999",
+                                     "-1e999",  "3.7",              "-2",
+                                     "0",       "1e-300",           "1e6",
+                                     "1000001", "5.123456789012345"};
   const net::Topology topo = hybrid();
   std::size_t accepted = 0;
   std::size_t rejected = 0;
@@ -465,7 +467,7 @@ TEST(FaultLowering, OverlappingStragglerScopesCompound) {
   EXPECT_EQ(perturb.device_slowdown.at(24), 1.5);  // cluster-wide only
 }
 
-TEST(FaultLowering, WindowsCarrySeedAndScopes) {
+TEST(FaultLowering, WindowsCarryTheirScopes) {
   FaultPlan plan;
   NicDegradation window;
   window.cluster = 0;
@@ -473,11 +475,13 @@ TEST(FaultLowering, WindowsCarrySeedAndScopes) {
   window.end_s = 2.0;
   window.bandwidth_factor = 0.25;
   plan.nic_degradation.push_back(window);
-  plan.seed = 1234;
   const Perturbations perturb = lower_fault_plan(plan, hybrid());
   ASSERT_EQ(perturb.nic_degradation.size(), 1u);
+  EXPECT_EQ(perturb.nic_degradation[0].cluster, 0);
+  EXPECT_EQ(perturb.nic_degradation[0].node_in_cluster, -1);
+  EXPECT_EQ(perturb.nic_degradation[0].begin_s, 1.0);
+  EXPECT_EQ(perturb.nic_degradation[0].end_s, 2.0);
   EXPECT_EQ(perturb.nic_degradation[0].bandwidth_factor, 0.25);
-  EXPECT_EQ(perturb.seed, 1234u);
   EXPECT_FALSE(perturb.empty());
 }
 
@@ -515,6 +519,30 @@ TEST(FaultRecovery, ReportJsonIsByteStableAndUnstamped) {
          "goldens)";
   EXPECT_GE(doc.at("recovery_ratio").as_number(), 0.5);
   EXPECT_EQ(doc.at("fault_plan").at("schema").as_string(), kFaultPlanSchema);
+}
+
+TEST(FaultRecovery, EchoedPlanReparsesToThePlanThatRan) {
+  // Numbers with more significant digits than json_number's 12 echo
+  // exactly, so a plan read back from a report is the plan that ran.
+  FaultPlan plan = straggler_plan(1.5000000000000002);
+  NicDegradation window;
+  window.cluster = 0;
+  window.begin_s = 5.123456789012345;
+  window.end_s = 9.87654321098765;
+  window.bandwidth_factor = 1.0 / 3.0;
+  plan.nic_degradation.push_back(window);
+  const RecoveryReport report = run_fault_injection(hybrid(), plan);
+  ASSERT_TRUE(report.valid);
+  std::ostringstream out;
+  write_recovery_report_json(out, report);
+  const std::string doc = out.str();
+  EXPECT_EQ(json_parse(doc).at("fault_plan").at("schema").as_string(),
+            kFaultPlanSchema);
+  const std::string key = "\"fault_plan\":";
+  const std::size_t begin = doc.find(key) + key.size();
+  const std::size_t end = doc.find(",\"fault_free\":", begin);
+  ASSERT_NE(end, std::string::npos);
+  expect_same_numbers(parse_fault_plan(doc.substr(begin, end - begin)), plan);
 }
 
 TEST(FaultRecovery, InvalidPlanShortCircuitsWithoutSimulating) {

@@ -311,7 +311,6 @@ TEST(TrainingSim, LargestScenarioCombinedFeaturesStress) {
   const TrainingPlan plan = Planner(fw).plan(topo, model::parameter_group(6));
   Perturbations perturb;
   perturb.device_slowdown[17] = 1.3;
-  perturb.compute_jitter = 0.02;
   const IterationMetrics m = TrainingSimulator{}.run(topo, plan, 3, perturb);
   EXPECT_GT(m.tflops_per_gpu, 40.0);
   EXPECT_LT(m.tflops_per_gpu, 312.0);

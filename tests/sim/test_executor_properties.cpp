@@ -302,6 +302,25 @@ TEST(ExecutorTieBreak, PermuteAllSwapsContendingTies) {
   EXPECT_TRUE(swapped);
 }
 
+/// The same tie-order-sensitive graph under the resource-disjoint policy:
+/// the contending tie keeps id order, so no seed may change a bit.
+TEST(ExecutorTieBreak, DisjointKeepsContendingTiesInIdOrder) {
+  TaskGraph graph;
+  const ResourceId gpu = graph.add_resource("gpu0.compute");
+  const TaskId first = graph.add_compute(gpu, 1.0, "short");
+  graph.add_compute(gpu, 2.0, "long");
+  const TaskId dep = graph.add_compute(gpu, 0.5, "after-short");
+  graph.add_dep(dep, first);
+  const SimResult canonical = TaskGraphExecutor{}.run(graph);
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    ExecutorOptions options;
+    options.tie_break = TieBreak::kPermuteDisjoint;
+    options.tie_seed = seed;
+    EXPECT_TRUE(TaskGraphExecutor{options}.run(graph).bit_identical(canonical))
+        << "seed " << seed;
+  }
+}
+
 /// bit_identical compares raw bits, so it is conservative: a difference in
 /// one resource busy time, or +0.0 against -0.0 where values compare equal,
 /// makes results unequal.

@@ -43,6 +43,10 @@ TEST(WindowSpec, RejectsEmptyWindow) {
   // bounded END; "5:" stays legal (unbounded).
   EXPECT_THROW(parse_window_spec("5:5"), ConfigError);
   EXPECT_THROW(parse_window_spec("6:5"), ConfigError);
+  // A written END below zero selects nothing either: it is not the -1 an
+  // empty END stands for.
+  EXPECT_THROW(parse_window_spec("1:-3"), ConfigError);
+  EXPECT_THROW(parse_window_spec("-5:-1"), ConfigError);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "model/memory.h"
 #include "sim/executor.h"
 #include "sim/task_graph.h"
 #include "verify/rules.h"
@@ -207,25 +208,33 @@ TEST(FlowLints, HV402SkippedWithoutExecutedTimings) {
 
 // ---- HV403 flow-memory-watermark ----
 
+/// One transfer of `bytes` into gpu1's InfiniBand endpoint.
+TaskGraph receive_graph(Bytes bytes) {
+  TaskGraph graph;
+  const ResourceId tx = graph.add_resource("gpu0.ib.tx");
+  const ResourceId rx = graph.add_resource("gpu1.ib.rx");
+  graph.add_transfer(tx, rx, bytes, 25e9, 0, "act");
+  return graph;
+}
+
 TEST(FlowLints, HV403WarningOverBufferBudget) {
-  SmallGraph fx;
-  FlowLintOptions options;
-  options.buffer_budget = 500;  // the fixture moves 1000 bytes
-  const LintReport report = lint_flow(as_ref(fx.graph), nullptr, options);
+  // One byte past the 80 GiB device memory.
+  const TaskGraph graph = receive_graph(model::kDeviceMemory + 1);
+  const LintReport report = lint_flow(as_ref(graph), nullptr);
   EXPECT_TRUE(checked(report, kRuleFlowMemoryWatermark));
   EXPECT_TRUE(report.fired(kRuleFlowMemoryWatermark));
   EXPECT_TRUE(report.ok());  // warning, not error
 }
 
-TEST(FlowLints, HV403CleanUnderBudgetAndDisabledAtZero) {
+TEST(FlowLints, HV403CleanUpToTheDeviceMemory) {
   SmallGraph fx;
-  FlowLintOptions options;
-  options.buffer_budget = 1 << 20;
+  const LintReport small = lint_flow(as_ref(fx.graph), nullptr);
+  EXPECT_TRUE(checked(small, kRuleFlowMemoryWatermark));
+  EXPECT_FALSE(small.fired(kRuleFlowMemoryWatermark));
+  // Exactly the device memory in flight still fits.
+  const TaskGraph full = receive_graph(model::kDeviceMemory);
   EXPECT_FALSE(
-      lint_flow(as_ref(fx.graph), nullptr, options).fired(kRuleFlowMemoryWatermark));
-  options.buffer_budget = 0;
-  EXPECT_FALSE(checked(lint_flow(as_ref(fx.graph), nullptr, options),
-                       kRuleFlowMemoryWatermark));
+      lint_flow(as_ref(full), nullptr).fired(kRuleFlowMemoryWatermark));
 }
 
 // ---- HV404 channel-cut-balance ----
@@ -271,15 +280,17 @@ TEST(FlowLints, HV404SkippedWithoutClusterMap) {
 }
 
 TEST(FlowLints, PrecomputedAnalysisGivesTheSameReport) {
-  const TaskGraph graph = cut_graph(Bytes{250});
+  TaskGraph graph = cut_graph(Bytes{250});
+  // Off the channel, past the device memory: HV403 fires as well.
+  graph.add_transfer(0, 3, model::kDeviceMemory + 1, 1e9, 0, "spill");
   const SimResult result = TaskGraphExecutor{}.run(graph);
-  FlowLintOptions options = cut_options();
-  options.buffer_budget = 500;
+  const FlowLintOptions options = cut_options();
   const TaskSetRef view = as_ref(graph);
   const LintReport direct = lint_flow(view, &result, options);
   const LintReport reused =
       lint_flow(view, analyze_flow(view), &result, options);
   EXPECT_TRUE(direct.fired(kRuleChannelCutBalance));
+  EXPECT_TRUE(direct.fired(kRuleFlowMemoryWatermark));
   EXPECT_EQ(reused.rules_checked(), direct.rules_checked());
   ASSERT_EQ(reused.diagnostics().size(), direct.diagnostics().size());
   for (std::size_t i = 0; i < direct.diagnostics().size(); ++i) {
@@ -287,68 +298,6 @@ TEST(FlowLints, PrecomputedAnalysisGivesTheSameReport) {
     EXPECT_EQ(reused.diagnostics()[i].subject, direct.diagnostics()[i].subject);
     EXPECT_EQ(reused.diagnostics()[i].message, direct.diagnostics()[i].message);
   }
-}
-
-// ---- HV405 schedule-race ----
-
-/// Deliberately tie-order-dependent: two equal-ready computes of *different*
-/// durations contend for one resource, and a third task depends on the
-/// first. Whichever runs first changes the dependent's start, so permuting
-/// the tie under kPermuteAll must move timings.
-TaskGraph racy_graph() {
-  TaskGraph graph;
-  const ResourceId gpu = graph.add_resource("gpu0.compute");
-  const TaskId first = graph.add_compute(gpu, 1.0, "short");
-  graph.add_compute(gpu, 2.0, "long");
-  const TaskId dep = graph.add_compute(gpu, 0.5, "after-short");
-  graph.add_dep(dep, first);
-  return graph;
-}
-
-TEST(DeterminismCheck, CleanUnderDisjointPermutations) {
-  SmallGraph fx;
-  DeterminismCheckOptions options;  // kPermuteDisjoint default
-  const LintReport report = check_determinism(fx.graph, options);
-  EXPECT_TRUE(checked(report, kRuleScheduleRace));
-  EXPECT_TRUE(report.clean());
-}
-
-TEST(DeterminismCheck, RacyGraphStaysCleanUnderDisjoint) {
-  // The contending tie keeps id order under the disjoint policy, so even a
-  // schedule-order-sensitive graph must not diverge.
-  const LintReport report = check_determinism(racy_graph(), {});
-  EXPECT_TRUE(report.clean());
-}
-
-TEST(DeterminismCheck, HV405FlagsTieOrderDependentSchedule) {
-  DeterminismCheckOptions options;
-  options.tie_break = sim::TieBreak::kPermuteAll;
-  options.permutations = 8;  // enough seeds that at least one swaps the tie
-  const LintReport report = check_determinism(racy_graph(), options);
-  ASSERT_TRUE(report.fired(kRuleScheduleRace));
-  // The diagnostic names the first diverging task by id and label.
-  bool named = false;
-  for (const Diagnostic& diag : report.diagnostics()) {
-    if (diag.rule == kRuleScheduleRace &&
-        diag.subject.find("task") != std::string::npos) {
-      named = true;
-    }
-  }
-  EXPECT_TRUE(named);
-  EXPECT_FALSE(report.ok());
-}
-
-TEST(DeterminismCheck, CapsDiagnostics) {
-  DeterminismCheckOptions options;
-  options.tie_break = sim::TieBreak::kPermuteAll;
-  options.permutations = 32;
-  options.max_diagnostics_per_rule = 2;
-  const LintReport report = check_determinism(racy_graph(), options);
-  std::size_t count = 0;
-  for (const Diagnostic& diag : report.diagnostics()) {
-    if (diag.rule == kRuleScheduleRace) ++count;
-  }
-  EXPECT_LE(count, 2u);
 }
 
 }  // namespace

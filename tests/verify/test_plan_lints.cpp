@@ -6,6 +6,7 @@
 #include <numeric>
 #include <vector>
 
+#include "model/memory.h"
 #include "model/transformer.h"
 #include "net/nic.h"
 #include "net/topology.h"
@@ -264,10 +265,15 @@ TEST(PlanLints, HV105SkippedUnderGlobalFallback) {
 
 TEST(PlanLints, HV106ErrorWhenEstimateExceedsBudget) {
   PartitionFixture fx;
+  fx.model.hidden = 16384;  // 4 such layers hold ~13B parameters
+  fx.model.heads = 128;
   fx.partition = {4, 4};
+  // Each stage as HV106 estimates it (t = 1, a micro-batch of 1, two in
+  // flight for p = 2, no sharding) is well past the 80 GiB device memory.
+  ASSERT_GT(model::estimate_device_memory(fx.model, 4, 1, 1, 2, 1).total(),
+            model::kDeviceMemory);
   PlanView view = fx.view();
   view.micro_batch_size = 1;
-  view.device_memory = 1024;  // nothing fits in a kilobyte
   const LintReport report = lint_plan(fx.topo, view);
   EXPECT_TRUE(report.fired(kRuleMemoryFit));
   EXPECT_FALSE(report.ok());
