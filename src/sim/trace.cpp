@@ -29,6 +29,10 @@ std::string slice_name(const TaskGraph& graph, TaskId id) {
   return json_escape(label.empty() ? kind_name(graph.task(id).kind) : label);
 }
 
+/// A simulated time in the trace's unit, microseconds, written as every JSON
+/// number is: 12 significant digits keep 0.1 ns at 50 simulated seconds.
+std::string micros(SimTime seconds) { return json_number(seconds * 1e6); }
+
 /// Accumulates step deltas per timestamp for one counter track and emits
 /// the resulting staircase as "C" events. Steps append to a flat vector —
 /// one sort at emit time replaces the per-step ordered-map rebalancing the
@@ -63,7 +67,7 @@ class CounterTrack {
       // Clamp tiny negative float residue so the track never dips below 0.
       const double shown = value < 0 && value > -1e-9 ? 0 : value;
       out << ",\n{\"name\":\"" << json_escape(name_)
-          << "\",\"ph\":\"C\",\"pid\":" << kPid << ",\"ts\":" << at * 1e6
+          << "\",\"ph\":\"C\",\"pid\":" << kPid << ",\"ts\":" << micros(at)
           << ",\"args\":{\"" << unit_ << "\":" << json_number(shown) << "}}";
     }
   }
@@ -131,12 +135,11 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
     }
 
     slice_row[i] = task.resource;  // a transfer's row is its TX port's
-    // Chrome trace timestamps are microseconds.
     out << ",\n{\"name\":\"" << slice_name(graph, static_cast<TaskId>(i))
         << "\",\"cat\":\"" << kind_name(task.kind)
         << "\",\"ph\":\"X\",\"pid\":" << kPid
-        << ",\"tid\":" << task.resource << ",\"ts\":" << timing.start * 1e6
-        << ",\"dur\":" << duration * 1e6 << ",\"args\":{\"task\":" << i
+        << ",\"tid\":" << task.resource << ",\"ts\":" << micros(timing.start)
+        << ",\"dur\":" << micros(duration) << ",\"args\":{\"task\":" << i
         << ",\"tag\":" << info.tag << ",\"bytes\":" << info.bytes << "}}";
   }
 
@@ -154,11 +157,11 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
       const SimTime dep_finish = result.timing(dep).finish;
       out << ",\n{\"name\":\"dep\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":"
           << flow_id << ",\"pid\":" << kPid
-          << ",\"tid\":" << slice_row[d] << ",\"ts\":" << dep_finish * 1e6
+          << ",\"tid\":" << slice_row[d] << ",\"ts\":" << micros(dep_finish)
           << ",\"args\":{\"task\":" << d << "}}";
       out << ",\n{\"name\":\"dep\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":"
           << "\"e\",\"id\":" << flow_id << ",\"pid\":" << kPid
-          << ",\"tid\":" << slice_row[i] << ",\"ts\":" << timing.start * 1e6
+          << ",\"tid\":" << slice_row[i] << ",\"ts\":" << micros(timing.start)
           << ",\"args\":{\"task\":" << i << "}}";
     }
   }
@@ -171,8 +174,8 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
     const TaskTiming& timing = result.timing(id);
     out << ",\n{\"name\":\"" << slice_name(graph, id)
         << "\",\"cat\":\"critical\",\"ph\":\"X\",\"pid\":" << kPid
-        << ",\"tid\":" << critical_row << ",\"ts\":" << timing.start * 1e6
-        << ",\"dur\":" << (timing.finish - timing.start) * 1e6
+        << ",\"tid\":" << critical_row << ",\"ts\":" << micros(timing.start)
+        << ",\"dur\":" << micros(timing.finish - timing.start)
         << ",\"args\":{\"task\":" << id << ",\"tag\":" << info.tag
         << ",\"bytes\":" << info.bytes << "}}";
   }
@@ -189,7 +192,7 @@ void write_chrome_trace(std::ostream& out, const TaskGraph& graph,
     auto emit_counter = [&](const std::string& name, SimTime at,
                             double value) {
       out << ",\n{\"name\":\"" << json_escape(name)
-          << "\",\"ph\":\"C\",\"pid\":" << kPid << ",\"ts\":" << at * 1e6
+          << "\",\"ph\":\"C\",\"pid\":" << kPid << ",\"ts\":" << micros(at)
           << ",\"args\":{\"rate\":" << json_number(value) << "}}";
     };
     for (const RateTimeline::Staircase& stairs :

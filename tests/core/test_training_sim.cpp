@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.h"
 #include "obs/self_profile.h"
 #include "util/error.h"
+#include "util/json.h"
 
 namespace holmes::core {
 namespace {
@@ -322,6 +328,59 @@ TEST(TrainingSim, HolmesBeatsFallbackBaselineOnHybrid) {
   const IterationMetrics holmes = simulate(FrameworkConfig::holmes(), topo, 3);
   const IterationMetrics lm = simulate(FrameworkConfig::megatron_lm(), topo, 3);
   EXPECT_GT(holmes.tflops_per_gpu, lm.tflops_per_gpu * 1.3);
+}
+
+// The executor never overlaps two tasks on one device, so neither may the
+// trace's slices: a run of 50 s puts timestamps near 5e7 us, and they must
+// keep enough digits that adjacent slices on a compute row stay apart.
+TEST(Trace, ComputeSlicesOfARowNeverOverlap) {
+  const Topology topo = Topology::hybrid_two_clusters(1);
+  const TrainingPlan plan =
+      Planner(FrameworkConfig::holmes()).plan(topo, model::parameter_group(1));
+  std::ostringstream trace;
+  TrainingSimulator{}.run(topo, plan, 3, {}, &trace);
+  const JsonValue events = json_parse(trace.str());
+
+  std::map<double, std::string> row_name;
+  std::map<double, std::vector<std::pair<double, double>>> slices;
+  for (const JsonValue& event : events.as_array()) {
+    const std::string& ph = event.at("ph").as_string();
+    if (ph == "M" && event.at("name").as_string() == "thread_name") {
+      row_name[event.at("tid").as_number()] =
+          event.at("args").at("name").as_string();
+    } else if (ph == "X") {
+      slices[event.at("tid").as_number()].emplace_back(
+          event.at("ts").as_number(), event.at("dur").as_number());
+    }
+  }
+  std::size_t compute_rows = 0;
+  std::size_t pairs = 0;
+  std::size_t overlapping = 0;
+  double worst_us = 0;
+  std::string worst_row;
+  for (auto& [tid, row] : slices) {
+    const std::string& name = row_name.at(tid);
+    if (name.size() < 8 || name.compare(name.size() - 8, 8, ".compute") != 0) {
+      continue;
+    }
+    ++compute_rows;
+    std::sort(row.begin(), row.end());
+    for (std::size_t i = 1; i < row.size(); ++i) {
+      ++pairs;
+      const double overlap_us =
+          row[i - 1].first + row[i - 1].second - row[i].first;
+      if (overlap_us <= 1e-3) continue;  // 1 ns
+      ++overlapping;
+      if (overlap_us > worst_us) {
+        worst_us = overlap_us;
+        worst_row = name;
+      }
+    }
+  }
+  EXPECT_EQ(overlapping, 0u) << "of " << pairs << " adjacent slice pairs; "
+                             << worst_row << " overlaps by " << worst_us
+                             << " us";
+  EXPECT_EQ(compute_rows, 16u);
 }
 
 }  // namespace

@@ -62,8 +62,8 @@ TEST(Trace, TimestampsAreMicroseconds) {
   const TaskGraph g = small_graph(&result);
   std::ostringstream os;
   write_chrome_trace(os, g, result);
-  // The 1.5 s compute shows up as dur 1.5e6 us.
-  EXPECT_NE(os.str().find("\"dur\":1.5e+06"), std::string::npos) << os.str();
+  // The 1.5 s compute shows up as dur 1.5e6 us, written out in full.
+  EXPECT_NE(os.str().find("\"dur\":1500000,"), std::string::npos) << os.str();
 }
 
 TEST(Trace, EscapesSpecialCharacters) {
