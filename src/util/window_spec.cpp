@@ -30,6 +30,11 @@ WindowSpec parse_window_spec(const std::string& spec) {
     throw ConfigError("--window expects BEGIN:END finite seconds, got '" +
                       spec + "'");
   }
+  // Runs start at 0 s: a BEGIN before that is a typo, not "from the start".
+  if (window.begin < 0) {
+    throw ConfigError("--window BEGIN must not be negative: got '" + spec +
+                      "'");
+  }
   // -1 encodes "to the end"; a written END below zero selects nothing.
   if (colon + 1 < spec.size() && window.end < 0) {
     throw ConfigError("--window END must not be negative: got '" + spec +

@@ -20,8 +20,8 @@ struct WindowSpec {
 
 /// Parses "BEGIN:END" (seconds; END may be empty for "to the end").
 /// Throws holmes::ConfigError on a missing colon, a bound that is not a
-/// whole finite number ("1abc", "nan", "inf"), a negative END, or an empty
-/// window (begin >= end with a bounded end).
+/// whole finite number ("1abc", "nan", "inf"), a negative BEGIN or END, or
+/// an empty window (begin >= end with a bounded end).
 WindowSpec parse_window_spec(const std::string& spec);
 
 }  // namespace holmes

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.h"
 
 namespace holmes {
@@ -47,6 +49,22 @@ TEST(WindowSpec, RejectsEmptyWindow) {
   // empty END stands for.
   EXPECT_THROW(parse_window_spec("1:-3"), ConfigError);
   EXPECT_THROW(parse_window_spec("-5:-1"), ConfigError);
+}
+
+TEST(WindowSpec, RejectsNegativeBegin) {
+  // Runs start at 0 s; a BEGIN before that is rejected, not clamped, with
+  // or without an END.
+  for (const char* spec : {"-5:3", "-1:"}) {
+    try {
+      parse_window_spec(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("config error: --window BEGIN must not be "
+                            "negative: got '") +
+                    spec + "'");
+    }
+  }
 }
 
 }  // namespace

@@ -181,9 +181,10 @@
 /// ("tune --top 0").
 ///
 /// Windows: `--window A:B` takes finite seconds; an empty B ("5:") means
-/// "to the end of the run", a negative A starts at 0 and a B past the
-/// makespan stops there. A window that leaves nothing of the run (A >= B,
-/// or A past the makespan) is a config error naming it and the makespan.
+/// "to the end of the run" and a B past the makespan stops there. A
+/// negative A or B is a config error naming the spec, and so is a window
+/// that leaves nothing of the run (A >= B, or A past the makespan), which
+/// also names the makespan.
 ///
 /// Exit codes: 0 clean, 1 warnings (lint, timeline, check, inject), 2
 /// errors or a tripped diff/bench --fail-over gate, 3 config error (bad
