@@ -27,7 +27,7 @@ Bytes estimate_layout_memory(const FrameworkConfig& framework,
              workload.config, layers_first_stage, t,
              workload.micro_batch_size,
              std::min<int>(p, 8),  // in-flight micro-batches under 1F1B
-             optimizer_shards, {}, weight_shards)
+             optimizer_shards, weight_shards)
       .total();
 }
 

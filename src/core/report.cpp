@@ -35,41 +35,27 @@ const IterationMetrics& ExperimentGrid::at(const std::string& row,
   return it->second;
 }
 
-ExperimentGrid::Extractor ExperimentGrid::tflops() {
-  return [](const IterationMetrics& m) { return m.tflops_per_gpu; };
-}
-ExperimentGrid::Extractor ExperimentGrid::throughput() {
-  return [](const IterationMetrics& m) { return m.throughput; };
-}
-ExperimentGrid::Extractor ExperimentGrid::iteration_seconds() {
-  return [](const IterationMetrics& m) { return m.iteration_time; };
-}
-ExperimentGrid::Extractor ExperimentGrid::grad_sync_seconds() {
-  return [](const IterationMetrics& m) { return m.grad_sync_span; };
-}
-ExperimentGrid::Extractor ExperimentGrid::grad_sync_exposed_seconds() {
-  return [](const IterationMetrics& m) { return m.grad_sync_exposed; };
+std::string ExperimentGrid::tflops_cell(const std::string& row,
+                                        const std::string& column) const {
+  return has(row, column) ? TextTable::num(at(row, column).tflops_per_gpu, 0)
+                          : "-";
 }
 
-std::string ExperimentGrid::to_text(const Extractor& extract,
-                                    int precision) const {
+std::string ExperimentGrid::to_text() const {
   std::vector<std::string> headers = {row_header_};
   headers.insert(headers.end(), columns_.begin(), columns_.end());
   TextTable table(std::move(headers));
   for (const std::string& row : rows_) {
     std::vector<std::string> cells = {row};
     for (const std::string& column : columns_) {
-      cells.push_back(has(row, column)
-                          ? TextTable::num(extract(at(row, column)), precision)
-                          : "-");
+      cells.push_back(tflops_cell(row, column));
     }
     table.add_row(std::move(cells));
   }
   return title_ + "\n\n" + table.to_string();
 }
 
-std::string ExperimentGrid::to_markdown(const Extractor& extract,
-                                        int precision) const {
+std::string ExperimentGrid::to_markdown() const {
   std::ostringstream os;
   os << "### " << title_ << "\n\n| " << row_header_;
   for (const std::string& column : columns_) os << " | " << column;
@@ -79,10 +65,7 @@ std::string ExperimentGrid::to_markdown(const Extractor& extract,
   for (const std::string& row : rows_) {
     os << "| " << row;
     for (const std::string& column : columns_) {
-      os << " | "
-         << (has(row, column)
-                 ? TextTable::num(extract(at(row, column)), precision)
-                 : std::string("-"));
+      os << " | " << tflops_cell(row, column);
     }
     os << " |\n";
   }

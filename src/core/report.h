@@ -3,12 +3,10 @@
 /// \file report.h
 /// Experiment result grids with human- and machine-readable renderers.
 ///
-/// Benches and the CLI accumulate (row, column) -> metrics cells and render
-/// them as an aligned text table (stdout), GitHub markdown (reports), or
-/// CSV (plotting pipelines). One grid holds one metric view; the value
-/// extractor picks which IterationMetrics field a rendering shows.
+/// `sweep` accumulates (row, column) -> metrics cells and renders them as
+/// an aligned text table (stdout) or GitHub markdown (reports) of the
+/// per-GPU TFLOPS, or as CSV of every printed metric (plotting pipelines).
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,20 +33,12 @@ class ExperimentGrid {
   const std::vector<std::string>& columns() const { return columns_; }
   const std::string& title() const { return title_; }
 
-  /// Extracts the rendered value from a cell (e.g. TFLOPS or throughput).
-  using Extractor = std::function<double(const IterationMetrics&)>;
-  static Extractor tflops();
-  static Extractor throughput();
-  static Extractor iteration_seconds();
-  static Extractor grad_sync_seconds();
-  /// The part of the grad sync not hidden under fwd/bwd compute (Table 5).
-  static Extractor grad_sync_exposed_seconds();
+  /// Aligned text table of each cell's TFLOPS per GPU, rounded to whole
+  /// TFLOPS (missing cells render as "-").
+  std::string to_text() const;
 
-  /// Aligned text table of one metric (missing cells render as "-").
-  std::string to_text(const Extractor& extract, int precision = 2) const;
-
-  /// GitHub-flavoured markdown table of one metric.
-  std::string to_markdown(const Extractor& extract, int precision = 2) const;
+  /// The same table as GitHub-flavoured markdown.
+  std::string to_markdown() const;
 
   /// CSV with one line per cell: row,column,tflops,throughput,iteration_s,
   /// grad_sync_s,grad_exposed_s,allgather_s,optimizer_s. Includes a header.
@@ -60,6 +50,10 @@ class ExperimentGrid {
   std::vector<std::string> rows_;
   std::vector<std::string> columns_;
   std::map<std::pair<std::string, std::string>, IterationMetrics> cells_;
+
+  /// A cell's TFLOPS per GPU at 0 decimals, or "-" when it is missing.
+  std::string tflops_cell(const std::string& row,
+                          const std::string& column) const;
 };
 
 }  // namespace holmes::core

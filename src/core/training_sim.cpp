@@ -558,21 +558,19 @@ IterationMetrics TrainingSimulator::account(const TrainingPlan& plan,
       result.tag_span(graph, last_tag(tags::kParamAllGather));
   metrics.optimizer_span =
       result.tag_span(graph, last_tag(tags::kOptimizerStep));
-  metrics.forward_busy = result.tag_busy(graph, last_tag(tags::kForward));
-  metrics.backward_busy = result.tag_busy(graph, last_tag(tags::kBackward));
   metrics.task_count = graph.task_count();
 
-  // Split the measured iteration's grad-sync wall time into the part hidden
-  // under forward/backward compute and the part that extends the iteration
-  // (interval-union arithmetic; Table 5's ablation metric).
-  const obs::OverlapAccount grad_overlap = obs::account_overlap(
-      graph, result,
-      obs::tag_in(graph, {last_tag(tags::kGradReduceScatter),
-                          last_tag(tags::kGradAllReduce)}),
-      obs::tag_in(graph,
-                  {last_tag(tags::kForward), last_tag(tags::kBackward)}));
-  metrics.grad_sync_overlapped = grad_overlap.overlapped;
-  metrics.grad_sync_exposed = grad_overlap.exposed;
+  // The measured iteration's grad-sync wall time not hidden under
+  // forward/backward compute (interval-union arithmetic; Table 5's ablation
+  // metric).
+  metrics.grad_sync_exposed =
+      obs::account_overlap(
+          graph, result,
+          obs::tag_in(graph, {last_tag(tags::kGradReduceScatter),
+                              last_tag(tags::kGradAllReduce)}),
+          obs::tag_in(graph,
+                      {last_tag(tags::kForward), last_tag(tags::kBackward)}))
+          .exposed;
   return metrics;
 }
 

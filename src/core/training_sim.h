@@ -34,18 +34,14 @@ struct IterationMetrics {
   /// Wall-span of the gradient reduce-scatter (or all-reduce, for the
   /// classic DDP strategy) in the measured iteration — Fig. 3's metric.
   SimTime grad_sync_span = 0;
-  /// Split of the measured iteration's grad-sync wall time into the part
-  /// hidden under forward/backward compute and the part directly extending
-  /// the iteration (Table 5's overlapped-optimizer ablation metric).
-  SimTime grad_sync_overlapped = 0;
+  /// The part of the measured iteration's grad-sync wall time not hidden
+  /// under forward/backward compute (Table 5's overlapped-optimizer
+  /// ablation metric).
   SimTime grad_sync_exposed = 0;
   /// Wall-span of the parameter all-gather (distributed optimizers only).
   SimTime param_allgather_span = 0;
   /// Wall-span of the optimizer step compute.
   SimTime optimizer_span = 0;
-  /// Aggregate busy seconds of forward / backward compute across devices.
-  SimTime forward_busy = 0;
-  SimTime backward_busy = 0;
 
   std::size_t task_count = 0;   ///< simulated tasks across all iterations
 };

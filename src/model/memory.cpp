@@ -4,12 +4,24 @@
 
 namespace holmes::model {
 
+namespace {
+
+/// Bytes per parameter: bf16 weights and gradients, and the fp32 master
+/// weights plus two Adam moments of the optimizer state.
+constexpr int kWeightBytes = 2;
+constexpr int kGradientBytes = 2;
+constexpr int kOptimizerBytes = 12;
+/// Activation bytes per layer per sample ~ s*h*(34 + 5*a*s/h) in the
+/// selective-recomputation regime; we use the standard 34*s*h lower part.
+constexpr int kActivationFactor = 34;
+
+}  // namespace
+
 MemoryEstimate estimate_device_memory(const TransformerConfig& config,
                                       int layers_on_device, int tensor_parallel,
                                       int micro_batch_size,
                                       int in_flight_microbatches,
                                       int optimizer_shards,
-                                      const MemoryModelParams& params,
                                       int weight_shards) {
   HOLMES_CHECK_MSG(layers_on_device >= 0, "negative layer count");
   HOLMES_CHECK_MSG(tensor_parallel >= 1, "tensor parallel degree must be >= 1");
@@ -26,13 +38,13 @@ MemoryEstimate estimate_device_memory(const TransformerConfig& config,
 
   MemoryEstimate est;
   est.weights =
-      static_cast<Bytes>(params_on_device * params.weight_bytes / weight_shards);
-  est.gradients = static_cast<Bytes>(params_on_device * params.gradient_bytes /
-                                     weight_shards);
+      static_cast<Bytes>(params_on_device * kWeightBytes / weight_shards);
+  est.gradients =
+      static_cast<Bytes>(params_on_device * kGradientBytes / weight_shards);
   est.optimizer_state = static_cast<Bytes>(
-      params_on_device * params.optimizer_bytes / optimizer_shards);
+      params_on_device * kOptimizerBytes / optimizer_shards);
   const double act_per_layer_per_sample =
-      static_cast<double>(params.activation_factor) * config.seq_len *
+      static_cast<double>(kActivationFactor) * config.seq_len *
       config.hidden / tensor_parallel;
   est.activations = static_cast<Bytes>(
       act_per_layer_per_sample * layers_on_device * micro_batch_size *

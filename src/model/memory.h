@@ -28,15 +28,6 @@ struct MemoryEstimate {
   Bytes total() const { return weights + gradients + optimizer_state + activations; }
 };
 
-struct MemoryModelParams {
-  int weight_bytes = 2;
-  int gradient_bytes = 2;
-  int optimizer_bytes = 12;  ///< fp32 master + two Adam moments
-  /// Activation bytes per layer per sample ≈ s*h*(34 + 5*a*s/h) in the
-  /// selective-recomputation regime; we use the standard 34*s*h lower part.
-  int activation_factor = 34;
-};
-
 /// Estimates the footprint of one GPU holding `layers_on_device` layers of
 /// `config`, with tensor parallel degree t (weights/activations divide by
 /// t), `in_flight_microbatches` micro-batches of activations resident
@@ -48,7 +39,6 @@ MemoryEstimate estimate_device_memory(const TransformerConfig& config,
                                       int micro_batch_size,
                                       int in_flight_microbatches,
                                       int optimizer_shards,
-                                      const MemoryModelParams& params = {},
                                       int weight_shards = 1);
 
 }  // namespace holmes::model

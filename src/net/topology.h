@@ -113,10 +113,6 @@ class Topology {
   /// ascending; -1 in either position matches every cluster or node (the
   /// fault plan's scope).
   std::vector<int> ranks_in_scope(int cluster, int node_in_cluster) const;
-  /// Ranks of every device in `cluster` (>= 0), ascending.
-  std::vector<int> ranks_in_cluster(int cluster) const {
-    return ranks_in_scope(cluster, -1);
-  }
 
   // ---- Connectivity ----
 

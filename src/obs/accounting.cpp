@@ -171,11 +171,7 @@ SpanAccount account_tasks(const sim::TaskGraph& graph,
     first = std::min(first, std::max(timing.start, window.begin));
     last = std::max(last, std::min(timing.finish, window.end));
   }
-  if (account.tasks > 0) {
-    account.first = first;
-    account.last = last;
-    account.span = last - first;
-  }
+  if (account.tasks > 0) account.span = last - first;
   return account;
 }
 

@@ -86,10 +86,8 @@ std::vector<ChannelAccount> account_channels(const sim::TaskGraph& graph,
 
 /// Busy/span aggregate of an arbitrary task subset.
 struct SpanAccount {
-  SimTime busy = 0;   ///< summed clipped durations
-  SimTime span = 0;   ///< last finish - first start (clipped), 0 when empty
-  SimTime first = 0;  ///< earliest clipped start (0 when empty)
-  SimTime last = 0;   ///< latest clipped finish (0 when empty)
+  SimTime busy = 0;  ///< summed clipped durations
+  SimTime span = 0;  ///< last finish - first start (clipped), 0 when empty
   std::size_t tasks = 0;
 };
 

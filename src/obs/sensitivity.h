@@ -37,10 +37,6 @@ struct WhatIf {
   SimTime critical_s = 0;     ///< path seconds attributable to the class
   double dmakespan_ds = 0;    ///< = -critical_s (per unit relative speedup)
 
-  /// Predicted makespan after speeding the class up by `factor` (> 1).
-  SimTime predicted_makespan(SimTime makespan, double factor) const {
-    return makespan - predicted_savings(factor);
-  }
   /// Predicted saving for a speedup `factor` (exact within the first-order
   /// model: every critical segment of the class scales by 1/factor).
   SimTime predicted_savings(double factor) const {

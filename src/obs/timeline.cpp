@@ -27,8 +27,6 @@ void for_each_port(const sim::Task& task, Fn&& fn) {
   }
 }
 
-using Deltas = std::vector<std::pair<SimTime, double>>;
-
 /// Visits the constant segments of a step series restricted to [begin, end).
 template <typename Fn>
 void for_each_segment(const std::vector<SimTime>& times,
@@ -51,12 +49,6 @@ void for_each_segment(const std::vector<SimTime>& times,
     ++i;
   }
 }
-
-/// One occupancy interval of a serial resource.
-struct Interval {
-  SimTime begin = 0;
-  SimTime end = 0;
-};
 
 /// (time, bytes) events of one channel, in emission (task-id) order.
 using ByteEvents = std::vector<std::pair<SimTime, double>>;
@@ -136,15 +128,6 @@ void sort_events(ByteEvents& v) {
   }
 }
 
-void sort_intervals(std::vector<Interval>& v) {
-  const auto before = [](const Interval& a, const Interval& b) {
-    return a.begin < b.begin;
-  };
-  if (!std::is_sorted(v.begin(), v.end(), before)) {
-    std::stable_sort(v.begin(), v.end(), before);
-  }
-}
-
 /// Merges a +1 and a -1 event stream (each time-sorted) into the step
 /// series StepSeries::from_deltas would build from the union, in linear
 /// time. The deltas are integer-valued, so the running sum is bit-exact
@@ -221,45 +204,6 @@ StepSeries accumulate_bytes(const ByteEvents& events) {
     }
     times.push_back(t);
     values.push_back(value);
-  }
-  return StepSeries::from_levels(std::move(times), std::move(values));
-}
-
-/// 0/1 occupancy of a serial resource from its start-sorted intervals. The
-/// executor never overlaps tasks on one resource, so the series falls out
-/// of a single walk that coalesces back-to-back intervals (exactly the
-/// breakpoints from_deltas keeps). Should the disjointness invariant ever
-/// break, the general delta path reproduces from_deltas semantics bit for
-/// bit.
-StepSeries busy_from_intervals(const std::vector<Interval>& intervals) {
-  for (std::size_t i = 1; i < intervals.size(); ++i) {
-    if (intervals[i].begin < intervals[i - 1].end) {
-      Deltas deltas;
-      deltas.reserve(intervals.size() * 2);
-      for (const Interval& w : intervals) {
-        deltas.emplace_back(w.begin, 1.0);
-        deltas.emplace_back(w.end, -1.0);
-      }
-      return StepSeries::from_deltas(std::move(deltas));
-    }
-  }
-  std::vector<SimTime> times;
-  std::vector<double> values;
-  times.reserve(intervals.size() * 2);
-  values.reserve(intervals.size() * 2);
-  std::size_t i = 0;
-  while (i < intervals.size()) {
-    const SimTime begin = intervals[i].begin;
-    SimTime end = intervals[i].end;
-    ++i;
-    while (i < intervals.size() && intervals[i].begin == end) {
-      end = intervals[i].end;
-      ++i;
-    }
-    times.push_back(begin);
-    values.push_back(1.0);
-    times.push_back(end);
-    values.push_back(0.0);
   }
   return StepSeries::from_levels(std::move(times), std::move(values));
 }
@@ -669,11 +613,15 @@ ResourceSeries ResourceSeriesIndex::series(sim::ResourceId resource) const {
   const auto r = static_cast<std::size_t>(resource);
   HOLMES_CHECK_MSG(resource >= 0 && r + 1 < offsets_.size(),
                    "resource is not in the task graph");
-  // The resource's tasks in id order, each contributing its busy interval
-  // (the `ports_free` stretching for transfers, via the shared
-  // serialization helper) and, when it waited, +1 at its ready instant
-  // (latest dependency finish) and -1 at its start.
-  std::vector<Interval> busy;
+  // The resource's tasks in id order, each contributing +1 at its start and
+  // -1 at its busy end (the `ports_free` stretching for transfers, via the
+  // shared serialization helper) and, when it waited, +1 at its ready
+  // instant (latest dependency finish) and -1 at its start. Both series
+  // are the same +-1 merge as the class curves, so occupancy needs no
+  // disjointness: back-to-back, gapped and overlapping tasks all come out
+  // as from_deltas would build them.
+  std::vector<SimTime> busy_up;
+  std::vector<SimTime> busy_down;
   std::vector<SimTime> queue_up;
   std::vector<SimTime> queue_down;
   const std::vector<sim::Task>& tasks = graph_.tasks();
@@ -682,7 +630,10 @@ ResourceSeries ResourceSeriesIndex::series(sim::ResourceId resource) const {
     const sim::Task& task = tasks[static_cast<std::size_t>(id)];
     const sim::TaskTiming& timing = result_.timing(id);
     const SimTime end_busy = busy_end(task, timing);
-    if (end_busy > timing.start) busy.push_back({timing.start, end_busy});
+    if (end_busy > timing.start) {
+      busy_up.push_back(timing.start);
+      busy_down.push_back(end_busy);
+    }
     const SimTime ready = ready_time(graph_, result_, id);
     if (timing.start > ready) {
       queue_up.push_back(ready);
@@ -690,10 +641,12 @@ ResourceSeries ResourceSeriesIndex::series(sim::ResourceId resource) const {
     }
   }
   SortScratch buffers;
-  sort_intervals(busy);
+  sort_times(busy_up, buffers);
+  sort_times(busy_down, buffers);
   sort_times(queue_up, buffers);
   sort_times(queue_down, buffers);
-  return {busy_from_intervals(busy), merge_counts(queue_up, queue_down)};
+  return {merge_counts(busy_up, busy_down),
+          merge_counts(queue_up, queue_down)};
 }
 
 }  // namespace holmes::obs

@@ -4,18 +4,6 @@
 
 namespace holmes::optimizer {
 
-std::string to_string(DpSyncKind kind) {
-  switch (kind) {
-    case DpSyncKind::kAllReduce: return "allreduce";
-    case DpSyncKind::kDistributedOptimizer: return "distributed-optimizer";
-    case DpSyncKind::kOverlappedDistributedOptimizer:
-      return "overlapped-distributed-optimizer";
-    case DpSyncKind::kFullyShardedOptimizer:
-      return "fully-sharded-optimizer";
-  }
-  return "?";
-}
-
 std::vector<Bytes> bucket_sizes(Bytes total, int buckets) {
   if (buckets <= 0) throw ConfigError("bucket count must be positive");
   if (total < 0) throw ConfigError("negative gradient size");

@@ -17,7 +17,6 @@
 ///    tail of the backward pass), and whose parameter all-gathers prefetch
 ///    under the next iteration's forward.
 
-#include <string>
 #include <vector>
 
 #include "util/units.h"
@@ -34,8 +33,6 @@ enum class DpSyncKind {
   kFullyShardedOptimizer,
 };
 
-std::string to_string(DpSyncKind kind);
-
 struct DpSyncConfig {
   DpSyncKind kind = DpSyncKind::kAllReduce;
   /// Gradient bucket count for the overlapped strategy (ignored otherwise).
@@ -51,10 +48,6 @@ struct DpSyncConfig {
   int allgather_passes() const { return shards_weights() ? 2 : 1; }
   /// True when gradient communication overlaps backward compute.
   bool overlaps_backward() const {
-    return kind == DpSyncKind::kOverlappedDistributedOptimizer;
-  }
-  /// True when the parameter all-gather prefetches under the next forward.
-  bool overlaps_next_forward() const {
     return kind == DpSyncKind::kOverlappedDistributedOptimizer;
   }
   /// Number of communication buckets actually used.

@@ -96,21 +96,6 @@ std::vector<int> ParallelGroups::stage_ranks(int stage) const {
   return ranks;
 }
 
-const std::vector<int>& ParallelGroups::dp_group_of(int rank) const {
-  const RankCoord c = coord_of(rank);
-  return dp_[static_cast<std::size_t>(c.tp + c.stage * config_.tensor)];
-}
-
-const std::vector<int>& ParallelGroups::pp_group_of(int rank) const {
-  const RankCoord c = coord_of(rank);
-  return pp_[static_cast<std::size_t>(c.tp + c.dp * config_.tensor)];
-}
-
-const std::vector<int>& ParallelGroups::tp_group_of(int rank) const {
-  const int s = slot_of(rank);
-  return tp_[static_cast<std::size_t>(s / config_.tensor)];
-}
-
 namespace {
 
 void check_partition(const std::vector<std::vector<int>>& groups,

@@ -53,13 +53,6 @@ class ParallelGroups {
   /// Global ranks forming pipeline stage `stage` (t·d ranks).
   std::vector<int> stage_ranks(int stage) const;
 
-  /// The data-parallel group containing `rank`.
-  const std::vector<int>& dp_group_of(int rank) const;
-  /// The pipeline group containing `rank`.
-  const std::vector<int>& pp_group_of(int rank) const;
-  /// The tensor group containing `rank`.
-  const std::vector<int>& tp_group_of(int rank) const;
-
  private:
   int slot_of(int rank) const;
 

@@ -1,6 +1,7 @@
 #include "pipeline/schedule.h"
 
 #include <algorithm>
+#include <string>
 
 #include "util/error.h"
 

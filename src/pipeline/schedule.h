@@ -10,8 +10,6 @@
 /// limits in-flight micro-batches per stage to the pipeline depth by
 /// alternating one-forward-one-backward after a short warm-up.
 
-#include <memory>
-#include <string>
 #include <vector>
 
 namespace holmes::pipeline {
@@ -30,31 +28,21 @@ struct PipelineOp {
 /// Ordered work list of one stage for one iteration.
 using StageProgram = std::vector<PipelineOp>;
 
-class PipelineSchedule {
- public:
-  virtual ~PipelineSchedule() = default;
-
-  /// Programs for all `stages`, each covering `microbatches` forwards and
-  /// backwards. Throws holmes::ConfigError on non-positive arguments.
-  virtual std::vector<StageProgram> programs(int stages,
-                                             int microbatches) const = 0;
-
-  virtual std::string name() const = 0;
-};
+// Each schedule's programs(stages, microbatches) returns the programs of
+// all `stages`, each covering `microbatches` forwards and backwards, and
+// throws holmes::ConfigError on non-positive arguments.
 
 /// All forwards, then all backwards.
-class GPipeSchedule final : public PipelineSchedule {
+class GPipeSchedule {
  public:
-  std::vector<StageProgram> programs(int stages, int microbatches) const override;
-  std::string name() const override { return "gpipe"; }
+  std::vector<StageProgram> programs(int stages, int microbatches) const;
 };
 
 /// PipeDream-Flush / 1F1B: stage s warms up with (stages-1-s) forwards,
 /// then alternates forward/backward, then drains the remaining backwards.
-class PipeDreamFlushSchedule final : public PipelineSchedule {
+class PipeDreamFlushSchedule {
  public:
-  std::vector<StageProgram> programs(int stages, int microbatches) const override;
-  std::string name() const override { return "1f1b"; }
+  std::vector<StageProgram> programs(int stages, int microbatches) const;
 };
 
 /// Megatron-LM's interleaved 1F1B: each device hosts `chunks` model chunks,
@@ -62,15 +50,11 @@ class PipeDreamFlushSchedule final : public PipelineSchedule {
 /// the devices `chunks` times. Smaller bubbles at the price of more
 /// cross-device activation traffic. Requires microbatches to be a multiple
 /// of the stage count (Megatron's own constraint).
-class InterleavedSchedule final : public PipelineSchedule {
+class InterleavedSchedule {
  public:
   explicit InterleavedSchedule(int chunks);
 
-  std::vector<StageProgram> programs(int stages, int microbatches) const override;
-  std::string name() const override {
-    return "interleaved-" + std::to_string(chunks_);
-  }
-  int chunks() const { return chunks_; }
+  std::vector<StageProgram> programs(int stages, int microbatches) const;
 
  private:
   int chunks_;

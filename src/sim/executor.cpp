@@ -117,21 +117,6 @@ SimTime SimResult::resource_busy(ResourceId resource) const {
   return resource_busy_[static_cast<std::size_t>(resource)];
 }
 
-double SimResult::resource_utilization(ResourceId resource) const {
-  if (makespan_ <= 0) return 0;
-  return resource_busy(resource) / makespan_;
-}
-
-SimTime SimResult::tag_busy(const TaskGraph& graph, TaskTag tag) const {
-  SimTime total = 0;
-  for (std::size_t i = 0; i < graph.task_count(); ++i) {
-    if (graph.infos()[i].tag == tag) {
-      total += timing_[i].finish - timing_[i].start;
-    }
-  }
-  return total;
-}
-
 SimTime SimResult::tag_span(const TaskGraph& graph, TaskTag tag) const {
   SimTime first = std::numeric_limits<SimTime>::infinity();
   SimTime last = -std::numeric_limits<SimTime>::infinity();

@@ -53,12 +53,6 @@ class SimResult {
   /// Total time `resource` was occupied.
   SimTime resource_busy(ResourceId resource) const;
 
-  /// Occupancy fraction of `resource` over the makespan (0 when empty).
-  double resource_utilization(ResourceId resource) const;
-
-  /// Sum of (finish - start) over all tasks in `graph` carrying `tag`.
-  SimTime tag_busy(const TaskGraph& graph, TaskTag tag) const;
-
   /// Wall-span (latest finish - earliest start) of all tasks carrying `tag`;
   /// 0 when no task carries the tag.
   SimTime tag_span(const TaskGraph& graph, TaskTag tag) const;

@@ -46,9 +46,6 @@ class RateTimeline {
   /// True when no window was added; the executor skips all stretching.
   bool empty() const { return window_count_ == 0; }
 
-  /// Number of windows added.
-  std::size_t window_count() const { return window_count_; }
-
   /// Effective rate of `resource` at time `t`: the product of every active
   /// window's factor, 1.0 when none applies (including resources the
   /// timeline never heard of — e.g. the executor's scratch slot).

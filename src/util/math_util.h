@@ -22,16 +22,4 @@ inline bool approx_equal(double a, double b, double tol = 1e-9) {
   return std::fabs(a - b) <= tol * scale;
 }
 
-/// Largest power of two <= n (n >= 1).
-inline constexpr std::int64_t floor_pow2(std::int64_t n) {
-  std::int64_t p = 1;
-  while (p * 2 <= n) p *= 2;
-  return p;
-}
-
-/// True if n is a power of two (n >= 1).
-inline constexpr bool is_pow2(std::int64_t n) {
-  return n >= 1 && (n & (n - 1)) == 0;
-}
-
 }  // namespace holmes

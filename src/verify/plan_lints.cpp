@@ -211,7 +211,7 @@ void lint_memory_fit(const PlanView& view, LintReport& report) {
   for (std::size_t s = 0; s < layers.size(); ++s) {
     const model::MemoryEstimate est = model::estimate_device_memory(
         *view.model, layers[s], config.tensor, view.micro_batch_size,
-        std::min(config.pipeline, 8), view.optimizer_shards, {},
+        std::min(config.pipeline, 8), view.optimizer_shards,
         view.weight_shards);
     if (est.total() <= model::kDeviceMemory) continue;
     std::ostringstream os;

@@ -235,7 +235,7 @@ TEST(CommunicatorLowering, TagPropagatesToTasks) {
   constexpr sim::TaskTag kTag = 77;
   comm.lower_all_reduce(graph, ports, 1'000'000, {}, kTag);
   const auto result = sim::TaskGraphExecutor{}.run(graph);
-  EXPECT_GT(result.tag_busy(graph, kTag), 0.0);
+  EXPECT_GT(result.tag_span(graph, kTag), 0.0);
 }
 
 TEST(CommunicatorLowering, TransfersCarryTheCommunicatorChannel) {

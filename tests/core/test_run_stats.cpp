@@ -128,8 +128,6 @@ TEST(RunStats, MetricsAndSummaryAgreeOnExposedGradSync) {
       build_run_summary(topo, run.plan, run.metrics, run.artifacts);
   EXPECT_NEAR(s.grad_sync.exposed_s, run.metrics.grad_sync_exposed,
               1e-9 * std::max(1.0, run.metrics.grad_sync_exposed));
-  EXPECT_NEAR(s.grad_sync.overlapped_s, run.metrics.grad_sync_overlapped,
-              1e-9 * std::max(1.0, run.metrics.grad_sync_overlapped));
 }
 
 // The paper's Table 5 ablation: with the overlapped distributed optimizer
@@ -147,11 +145,12 @@ TEST(RunStats, OverlappedOptimizerExposesLessGradSyncOnHybrid) {
   const SimRun with = simulate_with_artifacts(overlapped, topo, 1);
   const SimRun without = simulate_with_artifacts(sequential, topo, 1);
 
-  EXPECT_GT(with.metrics.grad_sync_overlapped, 0.0);
   EXPECT_LT(with.metrics.grad_sync_exposed, without.metrics.grad_sync_exposed);
   // And the hidden time is the dominant share for the overlapped run.
-  EXPECT_GT(with.metrics.grad_sync_overlapped,
-            with.metrics.grad_sync_exposed);
+  const obs::RunSummary s =
+      build_run_summary(topo, with.plan, with.metrics, with.artifacts);
+  EXPECT_GT(s.grad_sync.overlapped_s, 0.0);
+  EXPECT_GT(s.grad_sync.overlapped_s, s.grad_sync.exposed_s);
 }
 
 TEST(RunStats, SummaryJsonRoundTripIsStable) {

@@ -42,8 +42,8 @@ TEST(Topology, MultiClusterRankNumberingIsContiguous) {
 
 TEST(Topology, RanksInCluster) {
   Topology topo = Topology::hybrid_two_clusters(2, 4);
-  const auto c0 = topo.ranks_in_cluster(0);
-  const auto c1 = topo.ranks_in_cluster(1);
+  const auto c0 = topo.ranks_in_scope(0, -1);
+  const auto c1 = topo.ranks_in_scope(1, -1);
   ASSERT_EQ(c0.size(), 8u);
   ASSERT_EQ(c1.size(), 8u);
   EXPECT_EQ(c0.front(), 0);

@@ -70,8 +70,6 @@ TEST(Sensitivity, FirstOrderPredictionIsExactForPureChain) {
   const WhatIf& compute = whatifs[0];
 
   EXPECT_DOUBLE_EQ(compute.predicted_savings(2.0), 1.5);
-  EXPECT_DOUBLE_EQ(compute.predicted_makespan(result.makespan(), 2.0),
-                   result.makespan() - 1.5);
 
   // Re-simulate with compute twice as fast and compare.
   TaskGraph fast;
@@ -86,7 +84,7 @@ TEST(Sensitivity, FirstOrderPredictionIsExactForPureChain) {
   fast.add_dep(c2, x);
   const sim::SimResult fast_result = TaskGraphExecutor{}.run(fast);
   EXPECT_DOUBLE_EQ(fast_result.makespan(),
-                   compute.predicted_makespan(result.makespan(), 2.0));
+                   result.makespan() - compute.predicted_savings(2.0));
 }
 
 TEST(Sensitivity, QueueWaitCreditsTheBlockingOccupant) {

@@ -14,7 +14,6 @@ TEST(DpStrategy, FactoryProperties) {
   EXPECT_EQ(ar.kind, DpSyncKind::kAllReduce);
   EXPECT_FALSE(ar.shards_optimizer());
   EXPECT_FALSE(ar.overlaps_backward());
-  EXPECT_FALSE(ar.overlaps_next_forward());
   EXPECT_EQ(ar.effective_buckets(), 1);
 
   const DpSyncConfig dist = DpSyncConfig::distributed();
@@ -24,7 +23,6 @@ TEST(DpStrategy, FactoryProperties) {
   const DpSyncConfig over = DpSyncConfig::overlapped(8);
   EXPECT_TRUE(over.shards_optimizer());
   EXPECT_TRUE(over.overlaps_backward());
-  EXPECT_TRUE(over.overlaps_next_forward());
   EXPECT_EQ(over.effective_buckets(), 8);
 }
 
@@ -39,14 +37,6 @@ TEST(DpStrategy, FullyShardedProperties) {
   EXPECT_FALSE(DpSyncConfig::distributed().shards_weights());
   EXPECT_FALSE(DpSyncConfig::overlapped().shards_weights());
   EXPECT_EQ(DpSyncConfig::distributed().allgather_passes(), 1);
-}
-
-TEST(DpStrategy, Names) {
-  EXPECT_EQ(to_string(DpSyncKind::kAllReduce), "allreduce");
-  EXPECT_EQ(to_string(DpSyncKind::kDistributedOptimizer),
-            "distributed-optimizer");
-  EXPECT_EQ(to_string(DpSyncKind::kOverlappedDistributedOptimizer),
-            "overlapped-distributed-optimizer");
 }
 
 TEST(BucketSizes, SumsToTotal) {

@@ -59,18 +59,6 @@ TEST(Groups, StageRanksAreBlocks) {
   EXPECT_THROW(g.stage_ranks(4), InternalError);
 }
 
-TEST(Groups, GroupOfLookupsAgreeWithMatrices) {
-  ParallelGroups g(kFig2);
-  for (int rank = 0; rank < 16; ++rank) {
-    const auto& dp = g.dp_group_of(rank);
-    EXPECT_NE(std::find(dp.begin(), dp.end(), rank), dp.end());
-    const auto& pp = g.pp_group_of(rank);
-    EXPECT_NE(std::find(pp.begin(), pp.end(), rank), pp.end());
-    const auto& tp = g.tp_group_of(rank);
-    EXPECT_NE(std::find(tp.begin(), tp.end(), rank), tp.end());
-  }
-}
-
 TEST(Groups, PermutationRemapsRanks) {
   // Reverse order: slot s -> rank 15-s.
   std::vector<int> order;

@@ -14,7 +14,7 @@ namespace {
 TEST(RateTimeline, EmptyTimelineIsExactIdentity) {
   RateTimeline rates;
   EXPECT_TRUE(rates.empty());
-  EXPECT_EQ(rates.window_count(), 0u);
+  EXPECT_TRUE(rates.windows().empty());
   // Bit-exact passthrough, not merely approximate: the executor relies on
   // occupancy == cost whenever no window intersects.
   const double cost = 0.1 + 0.2;  // a value with FP representation slack
@@ -102,7 +102,6 @@ TEST(RateTimeline, ZeroLengthWindowIsAcceptedAsNoOp) {
   // the fast bit-exact passthrough stays in force.
   rates.add_window(0, 2.0, 2.0, 0.5);
   EXPECT_TRUE(rates.empty());
-  EXPECT_EQ(rates.window_count(), 0u);
   EXPECT_TRUE(rates.windows().empty());
   EXPECT_EQ(rates.rate_at(0, 2.0), 1.0);
   const double cost = 1.0 / 3.0;

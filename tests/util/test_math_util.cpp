@@ -22,22 +22,5 @@ TEST(MathUtil, ApproxEqual) {
   EXPECT_FALSE(approx_equal(1e12, 1.001e12));
 }
 
-TEST(MathUtil, FloorPow2) {
-  EXPECT_EQ(floor_pow2(1), 1);
-  EXPECT_EQ(floor_pow2(2), 2);
-  EXPECT_EQ(floor_pow2(3), 2);
-  EXPECT_EQ(floor_pow2(8), 8);
-  EXPECT_EQ(floor_pow2(1000), 512);
-}
-
-TEST(MathUtil, IsPow2) {
-  EXPECT_TRUE(is_pow2(1));
-  EXPECT_TRUE(is_pow2(64));
-  EXPECT_FALSE(is_pow2(0));
-  EXPECT_FALSE(is_pow2(3));
-  EXPECT_FALSE(is_pow2(-4));
-  EXPECT_FALSE(is_pow2(96));
-}
-
 }  // namespace
 }  // namespace holmes

@@ -656,7 +656,7 @@ int cmd_plan(const Args& args) {
         plan.workload.config, layers, plan.degrees.tensor,
         plan.workload.micro_batch_size,
         std::min(plan.degrees.pipeline, 8),
-        plan.framework.dp_sync.shards_optimizer() ? plan.degrees.data : 1, {},
+        plan.framework.dp_sync.shards_optimizer() ? plan.degrees.data : 1,
         plan.framework.dp_sync.shards_weights() ? plan.degrees.data : 1);
     peak = std::max(peak, est.total());
   }
@@ -704,9 +704,9 @@ int cmd_sweep(const Args& args) {
   if (args.options.count("csv")) {
     std::cout << grid.to_csv();
   } else if (args.options.count("markdown")) {
-    std::cout << grid.to_markdown(ExperimentGrid::tflops(), 0);
+    std::cout << grid.to_markdown();
   } else {
-    std::cout << grid.to_text(ExperimentGrid::tflops(), 0);
+    std::cout << grid.to_text();
   }
   return 0;
 }
