@@ -1,9 +1,9 @@
 /// Micro-benchmarks of the static verifier: the graph-family structural
 /// lints and the execution-family conservation lints over synthetic grid
 /// graphs, plus the plan-family pass over a resolved training plan, and one
-/// permutation of the schedule-race check. These bound what the debug-mode
-/// pre-flight, `holmes_cli lint` and `holmes_cli check` cost — the passes
-/// are meant to be cheap enough to run on every CI simulation.
+/// permutation of the schedule-race check. These bound what `holmes_cli
+/// lint` and `holmes_cli check` cost — the passes are meant to be cheap
+/// enough to run on every CI simulation.
 
 #include <benchmark/benchmark.h>
 
@@ -106,7 +106,8 @@ static void BM_LintPlan(benchmark::State& state) {
 BENCHMARK(BM_LintPlan);
 
 static void BM_PreflightFullRunAndAudit(benchmark::State& state) {
-  // The whole debug-mode story: simulate, then audit graph + timings.
+  // lint's post-run audit (core/preflight.h's lint_artifacts): simulate,
+  // then audit graph + timings.
   const net::Topology topo = net::Topology::hybrid_two_clusters(1);
   const core::TrainingPlan plan =
       core::Planner(core::FrameworkConfig::holmes())

@@ -76,7 +76,7 @@ std::vector<TuneCandidate> autotune(const FrameworkConfig& framework,
   std::vector<TuneCandidate> candidates(layouts.size());
   std::mutex failures_mutex;
   std::vector<std::string> failures;
-  ThreadPool(options.threads).parallel_for(layouts.size(), [&](std::size_t i) {
+  ThreadPool().parallel_for(layouts.size(), [&](std::size_t i) {
     const Layout& layout = layouts[i];
     model::ParameterGroup variant = workload;
     variant.tensor_parallel = layout.t;

@@ -21,8 +21,6 @@ struct TuneOptions {
   int iterations = 3;
   /// Cap on the pipeline degree to bound the search (0 = no cap).
   int max_pipeline = 0;
-  /// Worker threads for the search (0 = hardware concurrency).
-  std::size_t threads = 0;
 };
 
 struct TuneCandidate {

@@ -1,10 +1,5 @@
 #include "core/preflight.h"
 
-#include <sstream>
-
-#include "util/error.h"
-#include "util/logging.h"
-
 namespace holmes::core {
 
 verify::PlanView make_plan_view(const TrainingPlan& plan) {
@@ -57,30 +52,6 @@ verify::FlowLintOptions make_flow_options(const SimArtifacts& artifacts,
     if (node >= 0) options.resource_cluster[r] = topo.cluster_of_node(node);
   }
   return options;
-}
-
-void preflight_or_throw(const net::Topology& topo, const TrainingPlan& plan) {
-  if (log_level() > LogLevel::kDebug) {
-    return;
-  }
-  const verify::LintReport report = lint_training_plan(topo, plan);
-  for (const verify::Diagnostic& diag : report.diagnostics()) {
-    HOLMES_LOG(kDebug) << "preflight " << diag.rule << " ["
-                       << verify::to_string(diag.severity) << "] "
-                       << diag.subject << ": " << diag.message;
-  }
-  if (!report.ok()) {
-    std::ostringstream oss;
-    oss << "plan pre-flight failed (" << report.count(verify::Severity::kError)
-        << " error(s)); first: ";
-    for (const verify::Diagnostic& diag : report.diagnostics()) {
-      if (diag.severity == verify::Severity::kError) {
-        oss << diag.rule << " " << diag.subject << ": " << diag.message;
-        break;
-      }
-    }
-    throw ConfigError(oss.str());
-  }
 }
 
 }  // namespace holmes::core

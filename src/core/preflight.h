@@ -17,12 +17,9 @@
 ///                       resource -> cluster map (each resource's owning
 ///                       node, from the run's net::PortMap) that the
 ///                       channel-cut-balance rule needs
-///  - preflight_or_throw — the debug-mode hook TrainingSimulator::run calls
-///                       before lowering: logs every diagnostic and throws
-///                       ConfigError when any rule fires at error severity.
 ///
-/// The pre-flight only engages when the log level is kDebug or lower, so
-/// production sweeps pay nothing for it.
+/// The simulator never lints: `holmes_cli lint` is the one place a plan is
+/// linted, and what a run produces does not depend on the log level.
 
 #include "core/training_sim.h"
 #include "net/topology.h"
@@ -56,10 +53,5 @@ verify::LintReport lint_artifacts(const SimArtifacts& artifacts,
 /// (excluded from HV404).
 verify::FlowLintOptions make_flow_options(const SimArtifacts& artifacts,
                                           const net::Topology& topo);
-
-/// Debug-mode pre-flight: when logging at kDebug or lower, lints `plan` and
-/// logs each diagnostic; throws holmes::ConfigError if any error-severity
-/// diagnostic fired. No-op at higher log levels.
-void preflight_or_throw(const net::Topology& topo, const TrainingPlan& plan);
 
 }  // namespace holmes::core

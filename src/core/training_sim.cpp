@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "comm/communicator.h"
-#include "core/preflight.h"
 #include "core/tags.h"
 #include "net/ports.h"
 #include "net/topology.h"
@@ -143,9 +142,6 @@ SimArtifacts TrainingSimulator::lower(const net::Topology& topo,
   if (iterations < 2) {
     throw ConfigError("need at least 2 iterations (1 warm-up + 1 measured)");
   }
-  // Debug-mode static pre-flight: lint the plan before lowering it. No-op
-  // unless logging at kDebug or lower (see core/preflight.h).
-  preflight_or_throw(topo, plan);
   obs::self_profile::PhaseTimer graph_build_timer(
       &obs::SelfProfilePhases::graph_build_s);
   const int t = plan.degrees.tensor;

@@ -112,13 +112,12 @@ class TrainingSimulator {
     exec_options_ = options;
   }
 
-  /// Pre-flights `plan` (debug mode only, see core/preflight.h) and lowers
-  /// `iterations` chained training iterations of it on `topo` into
-  /// artifacts with an empty `result`. `iterations` must be >= 2 (one
-  /// warm-up minimum), and the chained graph must fit kTaskBudget and
-  /// kDepBudget (else ConfigError). `perturbations` optionally slows
-  /// individual devices or degrades NICs through the artifacts' rate
-  /// timeline (see core/perturbation.h).
+  /// Lowers `iterations` chained training iterations of `plan` on `topo`
+  /// into artifacts with an empty `result`; it never lints `plan`.
+  /// `iterations` must be >= 2 (one warm-up minimum), and the chained graph
+  /// must fit kTaskBudget and kDepBudget (else ConfigError).
+  /// `perturbations` optionally slows individual devices or degrades NICs
+  /// through the artifacts' rate timeline (see core/perturbation.h).
   /// `storage`, typically an earlier run's artifacts, lends its graph's
   /// arrays to the new graph; its contents are discarded.
   SimArtifacts lower(const net::Topology& topo, const TrainingPlan& plan,

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <iostream>
+#include <string>
 
 namespace holmes {
 
@@ -28,7 +29,11 @@ namespace detail {
 
 void log_line(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) < static_cast<int>(log_level())) return;
-  std::cerr << "[holmes " << level_name(level) << "] " << message << '\n';
+  // One write per line, so lines logged by concurrent threads (tune's
+  // worker pool) never interleave.
+  const std::string line =
+      std::string("[holmes ") + level_name(level) + "] " + message + '\n';
+  std::cerr << line;
 }
 
 }  // namespace detail

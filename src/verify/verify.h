@@ -17,8 +17,8 @@
 ///                           schedule-race check, is core/schedule_check.h)
 ///
 /// The library layers strictly below `core`; core/preflight.h adapts a
-/// core::TrainingPlan into a PlanView and wires the debug-mode pre-flight
-/// into the training simulator.
+/// core::TrainingPlan into a PlanView and a run's artifacts into the graph,
+/// execution and flow passes.
 
 #include "verify/diagnostics.h"   // IWYU pragma: export
 #include "verify/flow_lints.h"    // IWYU pragma: export

@@ -9,7 +9,6 @@
 #include "core/plan.h"
 #include "model/gpt_zoo.h"
 #include "net/topology.h"
-#include "util/error.h"
 #include "util/logging.h"
 #include "verify/rules.h"
 
@@ -79,24 +78,30 @@ TEST(Preflight, ArtifactsOfARealRunPassGraphAndExecutionLints) {
   }
 }
 
-TEST(Preflight, DebugModePreflightThrowsOnNicMixedDpGroups) {
+TEST(Preflight, LogLevelNeverChangesARunOfANicMixedPlan) {
   const net::Topology topo = net::Topology::hybrid_two_clusters(2);
   TrainingPlan plan = plan_for(FrameworkConfig::holmes(), topo);
   // Poison the layout: swap one InfiniBand rank with one RoCE rank, mixing
   // NICs inside two DP groups. The Planner would never emit this; a refactor
-  // bug might.
+  // bug might. `lint` flags it; the simulator runs it as it stands.
   std::vector<int> order(static_cast<std::size_t>(topo.world_size()));
   std::iota(order.begin(), order.end(), 0);
   std::swap(order[0], order[16]);
   plan.groups = parallel::ParallelGroups(plan.degrees, order);
+  ASSERT_TRUE(
+      lint_training_plan(topo, plan).fired(verify::kRuleDpGroupTransport));
 
   const LogLevel saved = log_level();
+  SimArtifacts debug;
+  SimArtifacts warning;
   set_log_level(LogLevel::kDebug);
-  EXPECT_THROW(TrainingSimulator{}.run(topo, plan), ConfigError);
-  // Outside debug mode the pre-flight stays out of the hot path.
+  TrainingSimulator{}.run(topo, plan, 3, {}, nullptr, &debug);
   set_log_level(LogLevel::kWarning);
-  EXPECT_NO_THROW(TrainingSimulator{}.run(topo, plan));
+  TrainingSimulator{}.run(topo, plan, 3, {}, nullptr, &warning);
   set_log_level(saved);
+  ASSERT_TRUE(debug.result.has_value());
+  ASSERT_TRUE(warning.result.has_value());
+  EXPECT_TRUE(debug.result->bit_identical(*warning.result));
 }
 
 }  // namespace

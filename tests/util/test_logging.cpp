@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
 namespace holmes {
 namespace {
 
@@ -42,6 +48,48 @@ TEST_F(LoggingTest, BelowThresholdIsSilent) {
   HOLMES_LOG(kInfo) << "should not appear";
   const std::string out = ::testing::internal::GetCapturedStderr();
   EXPECT_TRUE(out.empty()) << out;
+}
+
+TEST_F(LoggingTest, ConcurrentLinesStayWhole) {
+  // tune logs from its worker pool: a line logged by one thread must never
+  // be split by another's.
+  constexpr int kThreads = 8;
+  constexpr int kLines = 500;
+  std::set<std::string> expected;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kLines; ++i) {
+      expected.insert("[holmes WARN] thread " + std::to_string(t) + " line " +
+                      std::to_string(i));
+    }
+  }
+  set_log_level(LogLevel::kWarning);
+  ::testing::internal::CaptureStderr();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (int i = 0; i < kLines; ++i) {
+        HOLMES_LOG(kWarning) << "thread " << t << " line " << i;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::string out = ::testing::internal::GetCapturedStderr();
+
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out.back(), '\n');
+  std::istringstream lines(out);
+  std::string line;
+  int count = 0;
+  int torn = 0;
+  std::string first_torn;
+  while (std::getline(lines, line)) {
+    ++count;
+    if (expected.erase(line) == 1) continue;
+    if (torn++ == 0) first_torn = line;
+  }
+  EXPECT_EQ(torn, 0) << "torn or repeated lines; first: " << first_torn;
+  EXPECT_EQ(count, kThreads * kLines);
+  EXPECT_TRUE(expected.empty()) << expected.size() << " lines missing";
 }
 
 }  // namespace

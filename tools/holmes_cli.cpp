@@ -67,10 +67,11 @@
 ///       sparklines with saturation intervals, per-link top talkers,
 ///       per-channel in-flight byte peaks, and effective-rate overlays for
 ///       degraded resources (a --fault-plan's degradation windows). The
-///       JSON document (holmes.timeline.v1) is byte-identical across
-///       disjoint tie seeds. Fires HV406 when the Ethernet fallback fabric
-///       is saturated beyond --warn-share of the window (default the full
-///       run); exit codes as for lint.
+///       JSON document (holmes.timeline.v1) depends only on the run, which
+///       `check` proves bit-identical under disjoint tie permutations.
+///       Fires HV406 when the Ethernet fallback fabric is saturated beyond
+///       --warn-share of the window (default the full run); exit codes as
+///       for lint.
 ///       --buckets N      curve resolution         (default 48, at most
 ///                        10000)
 ///       --resource S     keep only resources whose name contains S
@@ -79,8 +80,6 @@
 ///                        (default 1.0 = every port)
 ///       --warn-share F   saturated share of the window above which HV406
 ///                        fires                    (default 0.25)
-///       --seed S         nonzero: re-run under the disjoint tie
-///                        permutation seeded S (byte-identity probe)
 ///       --framework --iterations --straggler --fault-plan --window --trace
 ///       --json
 ///
@@ -172,7 +171,9 @@
 ///
 /// Global options:
 ///   --version        print the build fingerprint and exit
-///   --log-level L    debug | info | warning | error  (default warning)
+///   --log-level L    debug | info | warning | error  (default warning);
+///                    it changes only what is logged to stderr, never a
+///                    result, a report or an exit code
 ///
 /// Each subcommand accepts exactly the positional arguments and flags
 /// listed for it above (plus --log-level; the table at the end of this
@@ -490,27 +491,17 @@ struct Simulation {
 };
 
 /// Simulates `plan` under `run`'s iterations and faults, keeping the
-/// artifacts. A nonzero --seed runs under the disjoint tie permutation it
-/// seeds, which must be byte-identical to the canonical run (the HV405
-/// contract CI byte-compares timeline documents on); --self-profile records
-/// the engine's own profile into the artifacts.
+/// artifacts; --self-profile records the engine's own profile into them.
 Simulation simulate(const Args& args, const Run& run,
                     const TrainingPlan& plan) {
-  TrainingSimulator simulator;
-  const std::uint64_t tie_seed = option_seed(args, 0);
-  if (tie_seed != 0) {
-    sim::ExecutorOptions exec;
-    exec.tie_break = sim::TieBreak::kPermuteDisjoint;
-    exec.tie_seed = tie_seed;
-    simulator.set_executor_options(exec);
-  }
   // SelfProfiler is in-place only (the thread-local points at its member).
   std::optional<obs::SelfProfiler> profiler;
   if (args.options.count("self-profile")) profiler.emplace();
   Simulation done;
-  done.metrics = simulator.run(run.topo, plan, run.iterations,
-                               run.perturbations, /*chrome_trace=*/nullptr,
-                               &done.artifacts);
+  done.metrics = TrainingSimulator{}.run(run.topo, plan, run.iterations,
+                                         run.perturbations,
+                                         /*chrome_trace=*/nullptr,
+                                         &done.artifacts);
   return done;
 }
 
@@ -1005,9 +996,6 @@ int cmd_lint(const Args& args) {
 
   if (!args.options.count("no-graph")) {
     // Lower + simulate the plan and audit the task graph and its timings.
-    // The debug pre-flight inside run() would re-lint the plan and throw on
-    // the first error; lint wants the *full* report, so run it at the
-    // current (non-debug) log level and keep the linting here.
     const Simulation sim = simulate(args, run, plan);
     report.merge(lint_artifacts(sim.artifacts, &run.topo));
   }
@@ -1427,8 +1415,7 @@ const std::vector<Command>& commands() {
       {"timeline", cmd_timeline, "<topology> <group>",
        "time-resolved fabric telemetry of one run", 2, 2,
        {"framework", "iterations", "window", "buckets", "resource", "top",
-        "saturation", "warn-share", "seed", "fault-plan", "trace",
-        "straggler"},
+        "saturation", "warn-share", "fault-plan", "trace", "straggler"},
        {"json"}},
       {"diff", cmd_diff, "<before.json> <after.json>",
        "compare two emitted JSON documents", 2, 2, {"fail-over", "top"},
